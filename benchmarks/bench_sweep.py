@@ -5,12 +5,10 @@ BER grid, flattened into one work queue) at jobs ∈ {1, 2, 4, 8}, records
 the pool-utilization fraction of each parallel run, and the event-dispatch
 throughput of a 7-slave piconet in connection state.  The dense-deployment
 interference campaign rides along: its piconet-count sweep runs flattened
-at jobs ∈ {1, 4} (byte-identical, with the same no-regression guard), and
-one 20-piconet point is measured on the batched-decode + windowed-hop fast
-paths against the scalar reference paths (events/s before/after, outcomes
-asserted identical).  The same dense point is then measured on the SoA
-slot engine (``REPRO_ENGINE=soa``) against the object kernel — paired
-rounds, outcomes asserted identical, the speedup archived in the ``soa``
+at jobs ∈ {1, 4} (byte-identical, with the same no-regression guard).  A
+20-piconet dense point is measured on the SoA slot engine
+(``REPRO_ENGINE=soa``) against the object kernel — paired rounds,
+outcomes asserted identical, the speedup archived in the ``soa``
 section.  The AFH workload rides along too: an 8-piconet
 deployment next to a 20-channel static interferer, measured with AFH off
 and on — the archived entry pins that the adaptive hop set recovers the
@@ -29,7 +27,6 @@ only ``current`` is rewritten.
 Invariants asserted on every run:
 
 * sweep results are byte-identical across every measured job count;
-* flattened dispatch is byte-identical to the legacy per-point dispatch;
 * on hosts with >= 2 CPUs, ``jobs=4`` must not be slower than ``jobs=1``
   (the CI smoke guard — scheduling noise aside, the flattened queue keeps
   every worker busy end-to-end, so a slowdown means a dispatch regression).
@@ -47,12 +44,10 @@ import pickle
 import time
 
 from repro.api import Session
-from repro.baseband.hop import HopSelector
 from repro.experiments import ext_afh, ext_interference
 from repro.sim.soa import ENGINE_ENV_VAR
 from repro.experiments.common import PAPER_BER_GRID, paper_config
 from repro.experiments.fig08_failure_probability import inquiry_trial, page_trial
-from repro.phy.channel import Channel
 from repro.stats.executor import ParallelExecutor, SequentialExecutor
 from repro.stats.sweep import Sweep, run_flattened
 
@@ -64,9 +59,8 @@ PICONET_SLOTS = 4000
 
 #: Dense-deployment interference workload: piconet-count grid dispatched
 #: as one flattened (count, trial) queue at jobs 1 and 4 (the CI smoke's
-#: no-regression pair), plus one 20-piconet campaign point measured with
-#: the batched-decode + windowed-hop fast paths against the scalar
-#: reference paths (events/s before/after).
+#: no-regression pair), and the 20-piconet point the engine, spatial and
+#: timeline comparisons measure.
 INTERFERENCE_COUNTS = (2.0, 6.0, 12.0)
 INTERFERENCE_OBSERVE_SLOTS = 1200
 INTERFERENCE_JOBS = (1, 4)
@@ -118,16 +112,6 @@ def _run_sweep_workload(trials: int, jobs: int) -> tuple[float, dict, bytes]:
     return wall, stats, pickle.dumps(results)
 
 
-def _run_per_point_reference(trials: int) -> bytes:
-    """Digest of the legacy per-point dispatch (sequential)."""
-    results = [
-        sweep.run(xs, trial_fn, executor=SequentialExecutor(),
-                  dispatch="per_point")
-        for sweep, xs, trial_fn in _sweep_specs(trials)
-    ]
-    return pickle.dumps(results)
-
-
 def _interference_specs(trials: int):
     """The dense-deployment workload: one sweep over the piconet counts."""
     xs = [(count, str(int(count))) for count in INTERFERENCE_COUNTS]
@@ -147,74 +131,6 @@ def _run_interference_workload(trials: int, jobs: int) -> tuple[float, bytes]:
         results = run_flattened(_interference_specs(trials), executor)
         wall = time.perf_counter() - start
     return wall, pickle.dumps(results)
-
-
-def _measure_dense_point(capture: bool = False) -> tuple[dict, tuple]:
-    """Events/s of one DENSE_PICONETS-piconet campaign point; returns the
-    rate row and the physical outcome (for the fast == scalar and the
-    capture-on == capture-off checks).  Every call builds a fresh session,
-    so its world-scoped hop registry starts with cold memos — the fill
-    pattern is part of what the before/after comparison measures."""
-    session, pairs = ext_interference.build_campaign_session(
-        DENSE_PICONETS, seed=606, capture=capture)
-    before = session.sim.events_dispatched
-    # keep bring-up garbage from billing a collection to the timed window
-    gc.collect()
-    start = time.perf_counter()
-    session.run_slots(DENSE_OBSERVE_SLOTS)
-    wall = time.perf_counter() - start
-    events = session.sim.events_dispatched - before
-    outcome = (
-        session.channel.collisions,
-        session.channel.transmissions,
-        tuple(slave.rx_buffer.total_bytes for _, slave in pairs),
-    )
-    row = {"wall_s": round(wall, 4),
-           "events_per_s": round(events / wall)}
-    if capture:
-        row["timeline_events"] = sum(session.capture.counts().values())
-    return row, outcome
-
-
-def _run_dense_point_before_after(rounds: int = 3) -> dict:
-    """The 20-piconet point on the fast paths vs the scalar reference
-    paths (per-listener sync events, per-call hop fills).
-
-    Fast and scalar are measured *adjacently within each round* and the
-    reported speedup is the best paired ratio: on loaded single-CPU
-    runners the host's speed drifts between blocks, and pairing cancels
-    that drift out of the comparison.
-    """
-    saved_batch = Channel.batch_sync
-    saved_window = HopSelector.WINDOW_SLOTS
-    best: dict = {}
-    outcomes: set = set()
-    try:
-        for _ in range(rounds):
-            Channel.batch_sync = saved_batch
-            HopSelector.WINDOW_SLOTS = saved_window
-            fast, fast_outcome = _measure_dense_point()
-            Channel.batch_sync = False
-            HopSelector.WINDOW_SLOTS = 1
-            scalar, scalar_outcome = _measure_dense_point()
-            outcomes.update((fast_outcome, scalar_outcome))
-            ratio = fast["events_per_s"] / scalar["events_per_s"]
-            # archive the whole winning round, so the recorded fast/scalar
-            # rows reproduce the recorded speedup exactly
-            if not best or ratio > best["speedup_fast_vs_scalar"]:
-                best = {"fast": fast, "scalar": scalar,
-                        "speedup_fast_vs_scalar": ratio}
-    finally:
-        Channel.batch_sync = saved_batch
-        HopSelector.WINDOW_SLOTS = saved_window
-    best["speedup_fast_vs_scalar"] = round(best["speedup_fast_vs_scalar"], 2)
-    return {
-        "piconets": DENSE_PICONETS,
-        "observe_slots": DENSE_OBSERVE_SLOTS,
-        "rounds": rounds,
-        **best,
-        "outcomes_identical": len(outcomes) == 1,
-    }
 
 
 def _measure_engine_dense_point(engine: str) -> tuple[float, int, tuple]:
@@ -249,9 +165,10 @@ def _measure_engine_dense_point(engine: str) -> tuple[float, int, tuple]:
 def _run_soa_engine_bench(rounds: int = 3) -> dict:
     """The dense point on the SoA slot engine vs the object kernel.
 
-    Same pairing discipline as the fast-vs-scalar comparison: both
-    engines are measured adjacently within each round and the best
-    paired ratio is archived, cancelling host-speed drift.  The two
+    Both engines are measured adjacently within each round and the best
+    paired ratio is archived: on loaded single-CPU runners the host's
+    speed drifts between blocks, and pairing cancels that drift out of
+    the comparison.  The two
     engines dispatch *different* event streams over the same physical
     window (the SoA micro-kernel absorbs and coalesces events), so both
     rates are expressed in object-kernel events per second — object
@@ -484,9 +401,9 @@ def _run_piconet_kernel() -> dict:
 
 
 def _run_interference_bench(trials: int) -> dict:
-    """The interference workload at jobs 1/4 plus the dense before/after
-    point.  Observation windows are bench-scaled (workers inherit the
-    patched module attribute via the executor's fork start method)."""
+    """The interference workload at jobs 1/4.  Observation windows are
+    bench-scaled (workers inherit the patched module attribute via the
+    executor's fork start method)."""
     interference_trials = max(2, trials // 3)
     saved_slots = ext_interference.OBSERVE_SLOTS
     ext_interference.OBSERVE_SLOTS = INTERFERENCE_OBSERVE_SLOTS
@@ -503,7 +420,6 @@ def _run_interference_bench(trials: int) -> dict:
             if jobs > 1:
                 row["speedup_vs_1"] = round(wall_by_jobs[1] / wall, 2)
             rows[str(jobs)] = row
-        dense = _run_dense_point_before_after()
     finally:
         ext_interference.OBSERVE_SLOTS = saved_slots
     return {
@@ -515,13 +431,11 @@ def _run_interference_bench(trials: int) -> dict:
         },
         "jobs": rows,
         "identical_across_jobs": len(digests) == 1,
-        "dense": dense,
     }
 
 
 def _run_bench() -> dict:
     trials = int(os.environ.get("REPRO_TRIALS", "12"))
-    per_point_digest = _run_per_point_reference(trials)
     sweep_rows: dict[str, dict] = {}
     digests = set()
     wall_by_jobs: dict[int, float] = {}
@@ -554,7 +468,6 @@ def _run_bench() -> dict:
         "sweep": {
             "jobs": sweep_rows,
             "identical_across_jobs": len(digests) == 1,
-            "identical_flat_vs_per_point": per_point_digest in digests,
         },
         "kernel": _run_piconet_kernel(),
         "interference": _run_interference_bench(trials),
@@ -570,9 +483,9 @@ def _run_bench() -> dict:
 _SCHEMA_KEYS = {
     "host": ("cpu_count",),
     "workload": ("figure", "sweeps", "points_per_sweep", "trials_per_point"),
-    "sweep": ("jobs", "identical_across_jobs", "identical_flat_vs_per_point"),
+    "sweep": ("jobs", "identical_across_jobs"),
     "kernel": ("slaves", "slots", "events", "wall_s", "events_per_s"),
-    "interference": ("workload", "jobs", "identical_across_jobs", "dense"),
+    "interference": ("workload", "jobs", "identical_across_jobs"),
     "soa": ("piconets", "observe_slots", "object", "soa",
             "speedup_soa_vs_object", "outcomes_identical"),
     "spatial": ("piconets", "observe_slots", "radius_m", "flat", "geometry",
@@ -594,10 +507,6 @@ def _check_schema(current: dict) -> None:
         assert str(jobs) in current["sweep"]["jobs"]
     for jobs in INTERFERENCE_JOBS:
         assert str(jobs) in current["interference"]["jobs"]
-    dense = current["interference"]["dense"]
-    for key in ("piconets", "fast", "scalar", "speedup_fast_vs_scalar",
-                "outcomes_identical"):
-        assert key in dense, f"BENCH_sweep.json missing interference.dense.{key}"
     for engine in ("object", "soa"):
         for key in ("wall_s", "events_per_s"):
             assert key in current["soa"][engine], \
@@ -648,17 +557,12 @@ def bench_sweep_scaling(benchmark, capsys):
         print(f"piconet ({kernel['slaves']} slaves): "
               f"{kernel['events_per_s']:,} events/s")
         interference = results["interference"]
-        dense = interference["dense"]
         walls = {jobs: interference["jobs"][str(jobs)]["wall_s"]
                  for jobs in INTERFERENCE_JOBS}
         print(f"interference sweep ({interference['workload']['piconet_counts']}"
               f" piconets x {interference['workload']['trials_per_point']}"
               f" trials): " + ", ".join(f"jobs={jobs} {wall:.2f}s"
                                         for jobs, wall in walls.items()))
-        print(f"dense point ({dense['piconets']} piconets): "
-              f"{dense['fast']['events_per_s']:,} events/s fast vs "
-              f"{dense['scalar']['events_per_s']:,} scalar "
-              f"({dense['speedup_fast_vs_scalar']}x best paired round)")
         soa = results["soa"]
         print(f"soa engine ({soa['piconets']} piconets): "
               f"{soa['soa']['events_per_s']:,} obj-events/s vs "
@@ -685,26 +589,9 @@ def bench_sweep_scaling(benchmark, capsys):
               f"{timeline['capture_on']['timeline_events']:,} records)")
     _archive(results)
 
-    # determinism is non-negotiable at any job count and dispatch mode
+    # determinism is non-negotiable at any job count
     assert results["sweep"]["identical_across_jobs"]
-    assert results["sweep"]["identical_flat_vs_per_point"]
     assert results["interference"]["identical_across_jobs"]
-    # the batched-decode + windowed-hop fast paths must not change a single
-    # outcome of the dense campaign point, and must not lose to the scalar
-    # reference paths (small headroom absorbs timer jitter; the recorded
-    # speedup in BENCH_sweep.json tracks the actual gain)
-    dense = results["interference"]["dense"]
-    assert dense["outcomes_identical"], \
-        "fast-path dense point diverged from the scalar reference"
-    # tripwire, not the measurement: locally the fast paths run the point
-    # ~1.1x the scalar rate (the best paired round is archived in
-    # BENCH_sweep.json — that is the "measurably faster" record).  The
-    # hard assertion only demands not-slower-than-noise, so a loaded
-    # shared runner cannot flake an unrelated PR, while a genuinely
-    # de-optimized fast path (which measures well below 1.0) still fails
-    assert dense["speedup_fast_vs_scalar"] >= 0.98, (
-        f"dense campaign point slower on the fast paths "
-        f"({dense['speedup_fast_vs_scalar']}x vs scalar)")
     # the SoA slot engine's whole contract is "identical bytes, faster":
     # any outcome divergence is a correctness bug, and a dense point run
     # slower than the object kernel means the engine stopped paying for
@@ -735,7 +622,7 @@ def bench_sweep_scaling(benchmark, capsys):
     assert afh["on"]["mean_hop_set"] >= 20  # spec N_min respected
     # timeline capture must be observational and near-free: identical
     # outcomes, and the capture-on dense point within 5% of capture-off
-    # (best paired round — same drift-cancelling as the dense comparison)
+    # (best pass of lockstep chunk pairs — drift cancels per pair)
     timeline = results["timeline"]
     assert timeline["outcomes_identical"], \
         "timeline capture changed the dense campaign point's outcomes"

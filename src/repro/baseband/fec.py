@@ -8,8 +8,8 @@
   per codeword and flags heavier damage via the syndrome. Used for FHS and
   DM packet payloads.
 
-Fast paths (bit-serial per-block originals retained in
-:mod:`repro.baseband.reference`): the encoder serves whole codewords from a
+Fast paths (byte-identical to the bit-serial per-block oracles in
+``tests/baseband_reference.py``): the encoder serves whole codewords from a
 1024-entry LUT (10 data bits -> 15-bit codeword row), and the decoder
 computes every codeword's syndrome in one GF(2) matrix product over the
 reshaped ``(-1, 15)`` stream, applying single-error corrections with fancy

@@ -55,6 +55,14 @@ CHANNEL_REGISTER = tuple(range(0, units.NUM_CHANNELS, 2)) + tuple(
 _CHANNEL_REGISTER_ARRAY = np.array(CHANNEL_REGISTER, dtype=np.int64)
 _CHANNEL_REGISTER_ARRAY.setflags(write=False)
 
+#: Slots precomputed per connection-memo miss: a miss at clock ``clk``
+#: fills a sliding window ``clk, clk+2, ..`` (same clock parity — the
+#: simulation queries at slot boundaries, stride 2 CLK ticks) in one
+#: vectorized :meth:`HopSelector.connection_many` pass, so the master slot
+#: loop, slave listeners and the channel's frequency-following receivers
+#: stop paying a scalar kernel evaluation per slot.
+WINDOW_SLOTS = 64
+
 #: PERM5 butterfly exchanges, 7 stages x 2, controlled by P13..P0.
 _BUTTERFLIES = (
     (1, 2), (3, 4),
@@ -265,19 +273,6 @@ class HopSelector:
     #: CLK26, so there is no small cycle to exploit).
     _MEMO_MAX = 1 << 15
 
-    #: Slots precomputed per connection-memo miss: a miss at clock ``clk``
-    #: fills a sliding window ``clk, clk+2, ..`` (same clock parity — the
-    #: simulation queries at slot boundaries, stride 2 CLK ticks) in one
-    #: vectorized :meth:`connection_many` pass, so the master slot loop,
-    #: slave listeners and the channel's frequency-following receivers stop
-    #: paying a scalar kernel evaluation per slot.  ``1`` restores the
-    #: per-call scalar fill — the reference path for the windowed-hop
-    #: golden-digest suite and the bench's before/after comparison.  The
-    #: outputs are identical either way: ``connection_many`` is
-    #: element-for-element equal to the scalar kernel (enforced by the
-    #: fast-path equivalence suite), only the fill pattern changes.
-    WINDOW_SLOTS = 64
-
     def __init__(self, address: int, registry: HopRegistry | None = None):
         self.address = address & 0xFFFFFFF
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
@@ -397,39 +392,9 @@ class HopSelector:
             self._bind_shared_memo()
         freq = self._connection_memo.get(clk)
         if freq is None:
-            freq = self._connection_fill(clk)
+            # memo miss: prefill the window of slots starting here
+            freq = int(self.connection_window(clk, WINDOW_SLOTS)[0])
         return freq
-
-    def _connection_fill(self, clk: int) -> int:
-        """Memo-miss path: fill a :attr:`WINDOW_SLOTS`-slot window of the
-        hop sequence starting at ``clk`` (vectorized), or just this clock
-        when the window is disabled."""
-        memo = self._connection_memo
-        window = self.WINDOW_SLOTS
-        if window <= 1:
-            x = (clk >> 2) & 0x1F
-            y1 = (clk >> 1) & 1
-            a = self._a ^ ((clk >> 21) & 0x1F)
-            c = self._c ^ ((clk >> 16) & 0x1F)
-            d = self._d ^ ((clk >> 7) & 0x1FF)
-            f = (16 * ((clk >> 7) & 0x1FFFFF)) % units.NUM_CHANNELS
-            index = self._select_index(x=x, y1=y1, y2=32 * y1, a=a,
-                                       b=self._b, c=c, d=d, f=f)
-            freq = CHANNEL_REGISTER[index]
-            afh = self.registry.afh_map(self.address)
-            if afh is not None and not afh.used_mask[freq]:
-                # spec remap: pre-register index mod N into the used set
-                freq = int(afh.register[index % afh.n_used])
-            if len(memo) >= self._MEMO_MAX:
-                memo.clear()
-            memo[clk] = freq
-            return freq
-        clks = clk + 2 * np.arange(window, dtype=np.int64)
-        freqs = self.connection_many(clks)
-        if len(memo) + window > self._MEMO_MAX:
-            memo.clear()
-        memo.update(zip(clks.tolist(), freqs.tolist()))
-        return memo[clk]
 
     def _connection_indices(self, clks: np.ndarray) -> np.ndarray:
         """Vectorized pre-register kernel output for an array of clocks."""
@@ -448,12 +413,13 @@ class HopSelector:
     def connection_many(self, clks: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`connection` over an array of clock values.
 
-        Exactly equivalent element-by-element (enforced by the fast-path
-        equivalence suite), including the AFH remap when an adaptive hop
-        set is installed — the remap is a pure array transform
-        (mask-gather on the used-channel register), so the windowed-hop
-        prefill keeps serving the hot path untouched.  Used by the
-        hop-uniformity diagnostics, which evaluate the kernel over
+        Exactly equivalent element-by-element to the spec's per-clock
+        kernel (enforced against the scalar oracle in
+        ``tests/baseband_reference.py``), including the AFH remap when an
+        adaptive hop set is installed — the remap is a pure array
+        transform (mask-gather on the used-channel register), so the
+        windowed-hop prefill keeps serving the hot path untouched.  Used
+        by the hop-uniformity diagnostics, which evaluate the kernel over
         thousands of consecutive slots.
         """
         index = self._connection_indices(clks)

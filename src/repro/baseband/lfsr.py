@@ -4,7 +4,8 @@ One generic division routine backs the HEC, CRC-16 and BCH sync-word
 generators; :class:`Lfsr` provides a stepping register for stream uses
 (whitening).
 
-Fast paths (bit-serial originals retained in :mod:`repro.baseband.reference`):
+Fast paths (byte-identical to the bit-serial oracles in
+``tests/baseband_reference.py``):
 
 * :func:`shift_divide` consumes the input byte-at-a-time through 256-entry
   remainder tables built lazily per ``(poly, degree)``, with the input bit

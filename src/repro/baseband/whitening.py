@@ -9,8 +9,8 @@ constant 1) and g(D) is primitive, so every seed's output stream is the
 same 127-bit maximal-length sequence at a seed-dependent phase.  The
 64x127 table below is built once at import; any ``(clk, length)`` request
 is then a cyclic slice of its row instead of a per-bit Python loop.  The
-bit-serial generator is retained in :mod:`repro.baseband.reference` and
-the two are proven byte-identical by the fast-path equivalence suite.
+fast-path equivalence suite proves it byte-identical to a bit-serial
+oracle kept with the tests (``tests/baseband_reference.py``).
 """
 
 from __future__ import annotations

@@ -47,8 +47,9 @@ class SirConfig:
     rejection and a 0 dB capture threshold make the resolver byte-identical
     to the binary per-RF-channel collision model the reproduction used
     before (any co-channel overlap between equal-power transmissions is
-    destructive for both, adjacent channels never interact) — guarded by
-    the PR-4 golden digests in ``tests/phy/test_sir_capture.py``.
+    destructive for both, adjacent channels never interact) — pinned by
+    the golden digests in ``tests/sim/test_soa_equivalence.py`` and
+    ``tests/experiment_goldens.py``.
 
     Attributes:
         aci_rejection_1_db: receiver rejection of an interferer one RF

@@ -74,10 +74,3 @@ class LinkArq:
 
     tx: ArqTxState = field(default_factory=ArqTxState)
     rx: ArqRxState = field(default_factory=ArqRxState)
-
-    def soa_row(self) -> tuple[int, bool, int, int]:
-        """The link's slot-relevant ARQ bits as one flat row
-        ``(tx_seqn, tx_awaiting, rx_arqn, rx_last_seqn)`` for the SoA
-        world array (:data:`repro.sim.soa.WORLD_DTYPE`)."""
-        return (self.tx.seqn, self.tx.awaiting_ack,
-                self.rx.arqn, self.rx.last_seqn)

@@ -103,12 +103,6 @@ class ConnectionMaster:
             now_ns = self.device.sim.now
         return self.device.clock.ticks(now_ns) // 4
 
-    def soa_clock_state(self) -> tuple[int, int]:
-        """``(phase_ns, offset_ticks)`` of the clock this handler slots
-        against — the master's native clock — for the SoA world array."""
-        clock = self.device.clock
-        return (clock.phase_ns, clock.offset_ticks)
-
     # -- scheduling hooks used by the policy ---------------------------------
 
     def beacon_due(self, pair: int) -> bool:
@@ -384,11 +378,6 @@ class ConnectionSlave:
         if now_ns is None:
             now_ns = self.device.sim.now
         return self.clock.ticks(now_ns) // 4
-
-    def soa_clock_state(self) -> tuple[int, int]:
-        """``(phase_ns, offset_ticks)`` of the learned piconet clock,
-        for the SoA world array."""
-        return (self.clock.phase_ns, self.clock.offset_ticks)
 
     # -- the listening loop --------------------------------------------------
 

@@ -13,10 +13,10 @@ Responsibilities:
   the capture threshold.  The default :class:`~repro.config.SirConfig` is
   degenerate — infinite adjacent rejection, 0 dB threshold, equal powers —
   which reproduces the old binary per-RF-channel resolver byte-for-byte
-  (the retained legacy resolver behind :attr:`Channel.sir_capture` and the
-  PR-4 golden digests enforce this).  Unlike the paper's frequency-less
-  resolver we track interference per RF channel, which is strictly more
-  accurate and is needed for the multi-piconet extension.
+  (the golden digests of ``tests/sim/test_soa_equivalence.py`` and
+  ``tests/experiment_goldens.py`` pin this).  Unlike the paper's
+  frequency-less resolver we track interference per RF channel, which is
+  strictly more accurate and is needed for the multi-piconet extension.
 * **Modem delay** — receivers perceive all stage times shifted by the
   configured modulator+demodulator latency.
 * **Staged delivery** — carrier-on at TX start, sync-word decision 68 µs in,
@@ -45,8 +45,8 @@ thousands of these per second):
 * All receptions of a transmission resolved at the same sync instant are
   grouped into **one batch event** whose decode outcomes go through the
   batched :func:`~repro.baseband.codec.decode_packets` codec API
-  (bit-accurate mode) — see :attr:`Channel.batch_sync` for the
-  byte-identity argument and the scalar reference knob.
+  (bit-accurate mode) — see :meth:`Channel._sync_batch` for the
+  byte-identity argument.
 """
 
 from __future__ import annotations
@@ -113,34 +113,6 @@ class Reception:
 class Channel(Module):
     """Single shared medium connecting every radio in the simulation."""
 
-    #: Batch the sync-stage decodes of a transmission's listeners into one
-    #: event (``False`` restores the per-listener scalar events — retained
-    #: as the reference path for the golden-digest equivalence suite and
-    #: the before/after rows of ``benchmarks/bench_sweep.py``).
-    #:
-    #: Byte-identity argument: the per-listener sync events of one
-    #: transmission are scheduled back-to-back inside one atomic
-    #: ``_scan_listeners`` event, so they hold consecutive sequence numbers
-    #: and fire consecutively — nothing can interleave.  Within that run,
-    #: every listener callback (``on_sync`` / ID-packet ``on_reception``)
-    #: only mutates its *own* device's receiver state, and only
-    #: ``_full_decode`` draws from the channel's noise/stage RNG streams —
-    #: so admitting all listeners first, drawing their decode outcomes in
-    #: listener order, and then delivering in the same order consumes
-    #: identical RNG state and observes identical guards as the
-    #: event-per-listener interleaving.  (``tx.corrupted`` is re-read at
-    #: each delivery, preserving collision flags raised mid-batch.)
-    batch_sync = True
-
-    #: Resolve overlaps through the carrier-offset SIR capture model
-    #: (``False`` restores the pre-change binary resolver: any co-channel
-    #: overlap corrupts both transmissions unconditionally, adjacent
-    #: channels and static interferers are invisible — retained as the
-    #: reference path for the capture-model equivalence suite).  With the
-    #: default degenerate :class:`~repro.config.SirConfig` the two paths
-    #: are byte-identical on equal-power workloads.
-    sir_capture = True
-
     def __init__(self, sim: Simulator, name: str, config: SimulationConfig,
                  rngs: RandomStreams):
         super().__init__(sim, name, parent=None)
@@ -201,17 +173,23 @@ class Channel(Module):
         # entry is (79-float ACI-spread mW array, Position | None); the
         # per-listener floor folds in each source's path gain lazily
         self._static_sources: list[tuple[list[float], Position | None]] = []
-        # On the degenerate profile, while every transmission uses the
-        # default 0 dBm and no static interferer exists, the capture
-        # resolution of an overlap is *provably* "corrupt both" — so the
-        # hot path keeps the legacy-shaped 3-line loop and skips the
-        # accumulation bookkeeping.  The flag drops (stickily) at the
-        # first custom-power transmission or static interferer, because
-        # from then on live-overlap outcomes depend on actual powers.
-        # Sound across the switch: under the trivial regime any live
-        # transmission that ever overlapped is already corrupted, and an
-        # uncorrupted one has zero accumulated interference — exactly
-        # what its interference_mw field says.
+        # Fast path chosen from the input, not a reference: on the
+        # degenerate profile, while every transmission uses the default
+        # 0 dBm and no static interferer exists, the capture resolution of
+        # an overlap is *provably* "corrupt both", so _resolve_trivial
+        # runs a 3-line loop and skips the accumulation bookkeeping.  The
+        # flag drops (stickily) at the first custom-power transmission or
+        # static interferer, because from then on live-overlap outcomes
+        # depend on actual powers.  Sound across the switch: under the
+        # trivial regime any live transmission that ever overlapped is
+        # already corrupted, and an uncorrupted one has zero accumulated
+        # interference — exactly what its interference_mw field says.
+        # Why the split stays: routing every flat world through
+        # _resolve_capture gave identical outcomes at a median CPU cost of
+        # +0.9 % and +3.7 % on the 20-piconet dense point (two sets of 20
+        # in-process paired rounds on a shared 2-vCPU host, 12 and 13
+        # slower), against a ~25 % spread between quartiles: unresolved
+        # against the 3 % bar for keeping a second path.
         self._capture_trivial = \
             self._aci_span == 0 and self._capture_ratio == 1.0
         self.transmissions = 0
@@ -304,17 +282,12 @@ class Channel(Module):
         configured rejection is finite) for its whole time on air — the
         dense-deployment model of e.g. a Wi-Fi carrier or a microwave
         oven, and the workload the ``ext_afh`` experiment recovers from.
-        Requires the SIR capture resolver (:attr:`sir_capture`); the
-        legacy binary resolver has no notion of non-Bluetooth energy.
 
         ``position`` places the source in the world's topology: spatial
         worlds then attenuate its energy by each listener's path gain.
         Positionless sources (or flat worlds) are heard at configured
         power everywhere.
         """
-        if not self.sir_capture:
-            raise ChannelError(
-                "static interferers require the SIR capture resolver")
         channels = list(channels)
         for channel in channels:  # validate before any state mutates
             if not 0 <= channel < 79:
@@ -416,8 +389,7 @@ class Channel(Module):
         :meth:`transmit` path and the SoA slot engine's micro stepping."""
         if self._spatial:
             self._resolve_spatial(tx, now)
-        elif self.sir_capture and not (self._capture_trivial
-                                       and power_dbm == 0.0):
+        elif not (self._capture_trivial and power_dbm == 0.0):
             self._capture_trivial = False  # a custom-power tx is now live
             self._resolve_capture(tx, now)
         else:
@@ -425,10 +397,10 @@ class Channel(Module):
 
     def _resolve_trivial(self, tx: Transmission, now: int) -> None:
         """Binary overlap resolution: any live overlap on the same
-        frequency corrupts both transmissions unconditionally.  Serves as
-        the legacy reference resolver (``sir_capture=False``) *and* as the
-        capture model's degenerate fast path (see ``_capture_trivial``) —
-        the equivalence the capture suite pins."""
+        frequency corrupts both transmissions unconditionally — the capture
+        model's degenerate fast path (see ``_capture_trivial``), whose
+        agreement with :meth:`_resolve_capture` the capture suite pins on
+        random overlap patterns."""
         cap = self.capture
         live = self._active_by_freq.setdefault(tx.freq, {})
         for other in live.values():
@@ -461,7 +433,7 @@ class Channel(Module):
         per examined pair in which either side is corrupted after the
         update — on the degenerate profile every co-channel pair qualifies
         and adjacent buckets are never visited, making counter, flags and
-        event schedule byte-identical to the legacy resolver.
+        event schedule byte-identical to :meth:`_resolve_trivial`.
         """
         cap = self.capture
         interference = self._static_mw[tx.freq] if self._static_mw else 0.0
@@ -633,8 +605,8 @@ class Channel(Module):
             receivers.append(listener)
         if not receivers:
             return
-        if self.batch_sync and len(receivers) > 1:
-            # one event resolves the whole slot batch (see batch_sync)
+        if len(receivers) > 1:
+            # one event resolves the whole slot batch (see _sync_batch)
             self.sim.schedule_abs(
                 sync_time, partial(self._sync_batch, tx, receivers))
         else:
@@ -697,7 +669,21 @@ class Channel(Module):
                     receivers: list[RfFrontEnd]) -> None:
         """Resolve every reception of ``tx`` in one event: admit in listener
         order, draw all decode outcomes (one batched ``decode_packets`` call
-        in bit-accurate mode), then deliver in the same order."""
+        in bit-accurate mode), then deliver in the same order.
+
+        Byte-identical to one :meth:`_sync_stage` event per listener: those
+        events would be scheduled back-to-back inside one atomic
+        ``_scan_listeners`` event, so they would hold consecutive sequence
+        numbers and fire consecutively — nothing can interleave.  Within
+        that run, every listener callback (``on_sync`` / ID-packet
+        ``on_reception``) only mutates its *own* device's receiver state,
+        and only ``_full_decode`` draws from the channel's noise/stage RNG
+        streams — so admitting all listeners first, drawing their decode
+        outcomes in listener order, and then delivering in the same order
+        consumes identical RNG state and observes identical guards.
+        (``tx.corrupted`` is re-read at each delivery, preserving collision
+        flags raised mid-batch.)
+        """
         admitted = [listener for listener in receivers
                     if self._sync_admit(tx, listener)]
         if not admitted:
@@ -821,11 +807,10 @@ class Channel(Module):
 
         Statistical mode draws the whole batch's sync/header/payload chains
         through :meth:`StageErrorModel.sample_stages_batch` (stream- and
-        outcome-identical to the scalar per-listener loop, which remains
-        the reference via ``batch_sync=False``).  Bit-accurate mode draws
-        each listener's noise pattern in listener order (identical
-        noise-stream consumption), then resolves all noisy frames through
-        one :func:`decode_packets` call.  A single listener takes the
+        outcome-identical to looping :meth:`_full_decode` per listener).
+        Bit-accurate mode draws each listener's noise pattern in listener
+        order (identical noise-stream consumption), then resolves all noisy
+        frames through one :func:`decode_packets` call.  A single listener takes the
         scalar decode outright — same draws, none of the batch
         bookkeeping.
         """

@@ -278,9 +278,7 @@ class Topology:
 
     def snapshot(self, keys: Sequence[Hashable]) -> list[list[float]]:
         """Warm the gain cache for every ordered pair of ``keys`` and
-        return the dense gain matrix (diagonal 1.0).  The SoA engine
-        calls this once per absorbed window so its micro-loop hits only
-        cached entries."""
+        return the dense gain matrix (diagonal 1.0)."""
         n = len(keys)
         matrix = [[1.0] * n for _ in range(n)]
         for i, a in enumerate(keys):

@@ -189,8 +189,8 @@ class TimelineCapture:
                      distance_m: Optional[float] = None,
                      rx_dbm: Optional[float] = None) -> None:
         """The SIR capture resolver destroyed ``tx``; records the measured
-        signal-to-interference ratio in dB (``None`` when the legacy
-        binary resolver corrupted it without tracking power).
+        signal-to-interference ratio in dB (``None`` when the degenerate
+        fast path corrupted it without tracking power).
 
         The flat resolvers call this with the transmission alone and the
         SIR derives from its accumulated interference; the spatial

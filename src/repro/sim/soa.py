@@ -13,10 +13,9 @@ piconet at once:
 * the window's hop selections for **all** masters are prefilled in one
   :func:`~repro.baseband.hop.connection_windows_many` array pass (slaves
   share the per-address memo, so their lookups hit the same rows);
-* the per-device world state (clocks, ARQ bits, buffers, tuning, AFH
-  masks) is mirrored into a numpy structured array (:data:`WORLD_DTYPE`)
-  whose rows are refreshed from thin ``soa_*`` views on the link objects —
-  the object model remains the reference spec;
+* per-device hot state (clock phases, buffers, ARQ, expectations) is
+  bound once per window into slotted records; the link objects stay the
+  single source of truth;
 * the pending event queue is **absorbed** into a micro-heap of plain
   tuples and stepped by a single tight loop that inlines the connection
   handlers, calling back into the channel's shared resolvers
@@ -28,9 +27,10 @@ piconet at once:
 object-kernel counterpart statement for statement — same event ordering,
 same RNG consumption, same counters — so outcomes (and the
 :class:`~repro.sim.capture.TimelineCapture` record stream) are identical
-to ``Simulator.run``.  The golden digests of
-``tests/phy/test_batch_window_golden.py`` and the hypothesis equivalence
-suite in ``tests/sim/test_soa_equivalence.py`` pin this.
+to ``Simulator.run``.  The golden digests and the hypothesis equivalence
+suite in ``tests/sim/test_soa_equivalence.py`` pin this, and every
+registered experiment's table digest (``tests/experiment_goldens.py``)
+holds on both engines.
 
 **Fallback boundary.**  The engine only absorbs worlds in the steady
 connection state: active masters/slaves under the default round-robin
@@ -47,9 +47,6 @@ import heapq
 import os
 from functools import partial
 from operator import attrgetter
-from typing import Optional
-
-import numpy as np
 
 from repro import units
 from repro.baseband.codec import DecodeResult, encode_packet
@@ -77,32 +74,6 @@ def configured_engine() -> str:
     return os.environ.get(ENGINE_ENV_VAR, "object")
 
 
-# ----------------------------------------------------------------------
-# Per-device world state as a structured array
-# ----------------------------------------------------------------------
-
-#: One row per connection endpoint: the SoA mirror of the link objects'
-#: slot-relevant state.  Refreshed from the thin ``soa_*`` views at every
-#: absorb; the hop prefill reads its ``clk_start`` column.
-WORLD_DTYPE = np.dtype([
-    ("role", "i1"),              # 0 = master, 1 = slave
-    ("am_addr", "i1"),           # slave's AM_ADDR (0 for masters)
-    ("clk_phase_ns", "i8"),      # slot-grid clock phase
-    ("clk_offset_ticks", "i8"),  # slot-grid clock offset
-    ("clk_start", "i8"),         # even-parity CLK at the window start
-    ("tx_until_ns", "i8"),       # transmitter-busy horizon
-    ("rx_freq", "i2"),           # tuned RF channel (-1 when closed)
-    ("rx_open", "?"),
-    ("pending_tx", "?"),         # any queued outbound payload
-    ("arq_tx_seqn", "i1"),
-    ("arq_awaiting", "?"),
-    ("arq_rx_arqn", "i1"),
-    ("arq_last_seqn", "i1"),
-    ("last_poll_slot", "i8"),    # masters: min over links
-    ("afh_mask", "?", (79,)),    # piconet used-channel mask
-])
-
-
 # micro event kinds (dispatch-frequency ordered in the loop, not here)
 K_MASTER_EVEN = 0
 K_MASTER_RX = 1
@@ -117,9 +88,6 @@ K_HEADER = 9
 K_END = 10
 K_EXPIRE = 11
 K_TX_DONE = 12
-
-_ROLE_MASTER = 0
-_ROLE_SLAVE = 1
 
 _attach_index = attrgetter("attach_index")
 
@@ -248,10 +216,6 @@ class SlotEngine:
         self.windows_absorbed = 0
         self.windows_declined = 0
         self.micro_events = 0
-        self._world: Optional[np.ndarray] = None
-        #: Pairwise gain matrix of the last absorbed spatial window (row
-        #: order = masters + slaves); None on flat worlds.
-        self.gain_snapshot = None
 
     # -- public entry ---------------------------------------------------
 
@@ -267,12 +231,6 @@ class SlotEngine:
         self._micro_loop(plan, until_ns)
         self._handback(plan, until_ns)
         return True
-
-    @property
-    def world(self) -> Optional[np.ndarray]:
-        """The most recent structured world-state array (see
-        :data:`WORLD_DTYPE`); ``None`` before the first absorbed window."""
-        return self._world
 
     # -- eligibility ----------------------------------------------------
 
@@ -473,55 +431,8 @@ class SlotEngine:
         sim._queue._live = 0
         heapq.heapify(micro)
 
-        if channel._spatial:
-            # snapshot the pairwise gain matrix for the window: placements
-            # are static under the gate (mobility declines absorption), so
-            # one warm pass leaves the micro loop's per-pair link-budget
-            # verdicts on pure cache hits — identical-by-contract to the
-            # object kernel's lazy per-stage gain reads
-            self.gain_snapshot = channel._topology.snapshot(
-                [st.rf.topo_key for st in masters + slaves])
-
-        self._refresh_world(masters, slaves, now)
         self._prefill_hops(masters, slaves, now, until_ns)
         return micro, by_rf, masters, slaves, list(traffic_states.values())
-
-    def _refresh_world(self, masters, slaves, now: int) -> None:
-        """Mirror the link objects into the structured world array."""
-        rows = len(masters) + len(slaves)
-        world = self._world
-        if world is None or len(world) != rows:
-            world = self._world = np.zeros(rows, dtype=WORLD_DTYPE)
-        for row, st in enumerate(masters + slaves):
-            rec = world[row]
-            is_master = isinstance(st, _MasterState)
-            rec["role"] = _ROLE_MASTER if is_master else _ROLE_SLAVE
-            rec["am_addr"] = 0 if is_master else st.am_addr
-            phase_ns, offset_ticks = st.h.soa_clock_state()
-            rec["clk_phase_ns"] = phase_ns
-            rec["clk_offset_ticks"] = offset_ticks
-            rec["clk_start"] = st.clock.clk(now) & ~1  # even-parity grid
-            rec["tx_until_ns"] = st.rf._tx_until_ns
-            rec["rx_freq"] = -1 if st.rf.rx_freq is None else st.rf.rx_freq
-            rec["rx_open"] = st.rf.rx_open
-            if is_master:
-                seqn, awaiting, arqn, last_seqn = \
-                    st.arq[st.links[0].am_addr].soa_row() if st.links \
-                    else (0, False, 0, -1)
-                rec["pending_tx"] = any(not buf.empty
-                                        for buf in st.buffers.values())
-                rec["last_poll_slot"] = min(
-                    (link.last_poll_slot for link in st.links), default=0)
-                rec["afh_mask"] = st.piconet.soa_channel_mask()
-            else:
-                seqn, awaiting, arqn, last_seqn = st.h.arq.soa_row()
-                rec["pending_tx"] = not st.buffer.empty
-                rec["last_poll_slot"] = 0
-                rec["afh_mask"] = True
-            rec["arq_tx_seqn"] = seqn
-            rec["arq_awaiting"] = awaiting
-            rec["arq_rx_arqn"] = arqn
-            rec["arq_last_seqn"] = last_seqn
 
     def _prefill_hops(self, masters, slaves, now: int, until_ns: int) -> None:
         """One batched hop pass covering every piconet's window.
@@ -531,11 +442,11 @@ class SlotEngine:
         handlers then resolve each slot with a dict hit.
         """
         window = int(until_ns - now) // units.SLOT_NS + 8
-        world = self._world
         if masters:
-            selectors = [st.selector for st in masters]
-            starts = world["clk_start"][:len(masters)]
-            connection_windows_many(selectors, starts, window)
+            # even-parity CLK at the window start: the slot grid's hop clock
+            connection_windows_many(
+                [st.selector for st in masters],
+                [st.clock.clk(now) & ~1 for st in masters], window)
         for st in slaves:
             # rebind (and fill any master-less slave's rows) via the same
             # memoised path the scalar kernel uses
@@ -563,7 +474,6 @@ class SlotEngine:
         cap = channel.capture
         bit_accurate = config.bit_accurate
         fast_decode = not bit_accurate and config.noise.ber == 0.0
-        batch_sync = channel.batch_sync
         modem_delay = config.rf.modem_delay_ns
         listen_ns = config.link.active_listen_ns
         slot_ns = units.SLOT_NS
@@ -585,7 +495,7 @@ class SlotEngine:
         # spatial worlds: per-(tx, listener) capture verdicts, drawn
         # through the shared channel method so the sticky sets, capture
         # records and gain-cache reads are byte-identical to the object
-        # kernel (the snapshot in _try_absorb pre-warmed the cache)
+        # kernel
         spatial = channel._spatial
         corrupted_for = channel._corrupted_for
         push = heapq.heappush
@@ -779,7 +689,7 @@ class SlotEngine:
                 if not receivers:
                     continue
                 sync_time = tx.start_ns + sync_off
-                if batch_sync and len(receivers) > 1:
+                if len(receivers) > 1:
                     seq += 1
                     push(heap, (sync_time, 0, seq, k_sync_batch,
                                 tx, receivers))

@@ -17,9 +17,6 @@ from repro.stats.executor import Executor, SequentialExecutor
 #: Environment knob: scale trial counts in benches without editing code.
 TRIALS_ENV_VAR = "REPRO_TRIALS"
 
-#: The pre-v1 seed formula's stride (``master_seed * 10_000 + index``).
-LEGACY_SEED_STRIDE = 10_000
-
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / phi, the splitmix64 increment
 
@@ -117,21 +114,14 @@ class MonteCarlo:
     Attributes:
         master_seed: base seed; trial i uses :func:`derive_seed`.
         trials: number of trials.
-        legacy_seeds: escape hatch reinstating the pre-v1 formula
-            ``master_seed * 10_000 + i`` so replay seeds quoted in older
-            docs/results stay resolvable.  Do not use for new runs — it
-            collides beyond 10 000 trials.
     """
 
     master_seed: int
     trials: int
-    legacy_seeds: bool = False
     outcomes: list[TrialOutcome] = field(default_factory=list)
 
     def seed_for(self, index: int) -> int:
         """The replay seed of trial ``index``."""
-        if self.legacy_seeds:
-            return self.master_seed * LEGACY_SEED_STRIDE + index
         return derive_seed(self.master_seed, index)
 
     def seeds(self) -> list[int]:

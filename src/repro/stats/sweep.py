@@ -1,26 +1,15 @@
 """Parameter sweeps: run a Monte Carlo batch per x-axis point.
 
-Dispatch strategies
--------------------
+``Sweep.run`` derives every (point, trial) task of the ``n_points x
+trials_per_point`` grid up front and sends the whole grid to the executor
+as **one work queue**.  Chunks span point boundaries, so a parallel pool
+stays busy end-to-end instead of idling at the tail of every x point.
+Seeds use two-level ``derive_seed`` coordinates (a per-point master seed,
+then the trial index), so outcomes are byte-identical at any job count.
 
-``Sweep.run`` supports two dispatch modes over the ``n_points x
-trials_per_point`` grid:
-
-* ``"flat"`` (default) — every (point, trial) task is derived up front and
-  the whole grid goes to the executor as **one work queue**.  Chunks then
-  span point boundaries, so a parallel pool stays busy end-to-end instead
-  of idling at the tail of every x point (the per-point join barrier of the
-  legacy mode).  Seeds use the same two-level ``derive_seed`` coordinates
-  as the per-point mode, so outcomes are byte-identical either way, at any
-  job count.
-* ``"per_point"`` — the legacy loop: one Monte-Carlo batch per point, with
-  a barrier between points.  Retained as the reference implementation; the
-  equivalence suite asserts ``flat == per_point`` bytes for every figure
-  sweep.
-
-:func:`run_flattened` generalises the flat mode to *several* sweeps in one
-queue (e.g. Fig. 8 runs its inquiry and page sweeps as a single grid), so
-not even the boundary between sweeps is a barrier.
+:func:`run_flattened` generalises this to *several* sweeps in one queue
+(e.g. Fig. 8 runs its inquiry and page sweeps as a single grid), so not
+even the boundary between sweeps is a barrier.
 """
 
 from __future__ import annotations
@@ -41,25 +30,6 @@ from repro.stats.store import ResultStore, map_with_store
 
 #: Stream tag separating per-point master seeds from trial seeds.
 SWEEP_POINT_STREAM = 0x53574545  # "SWEE"
-
-#: The pre-v1 per-point seed stride (``master_seed + 7919 * point_index``).
-LEGACY_POINT_STRIDE = 7919
-
-
-@dataclass
-class _PointTrial:
-    """Picklable binding of ``trial_fn`` to one x value.
-
-    A module-level class (rather than a lambda) so that
-    :class:`~repro.stats.executor.ParallelExecutor` can ship it to worker
-    processes whenever ``trial_fn`` itself is a module-level function.
-    """
-
-    trial_fn: Callable[[float, int], TrialOutcome]
-    x: float
-
-    def __call__(self, seed: int) -> TrialOutcome:
-        return self.trial_fn(self.x, seed)
 
 
 @dataclass
@@ -112,71 +82,42 @@ class Sweep:
     """A one-dimensional parameter sweep with per-point Monte Carlo.
 
     ``trial_fn(x, seed)`` must return a :class:`TrialOutcome`.
-
-    ``legacy_seeds`` reinstates the pre-v1 per-point seed arithmetic
-    (``master_seed + 7919 * point_index``, trials at stride 10 000) so
-    replay seeds quoted in older results stay resolvable; the default
-    derivation has no structural collisions between points.
     """
 
     master_seed: int
     trials_per_point: int
-    legacy_seeds: bool = False
     points: list[SweepPoint] = field(default_factory=list)
 
     def point_master_seed(self, point_index: int) -> int:
         """The master seed of the Monte Carlo batch at ``point_index``."""
-        if self.legacy_seeds:
-            return self.master_seed + LEGACY_POINT_STRIDE * point_index
         return derive_seed(self.master_seed, point_index,
                            stream=SWEEP_POINT_STREAM)
 
     def point_monte_carlo(self, point_index: int) -> MonteCarlo:
         """The (unrun) Monte-Carlo batch of ``point_index``; its
-        ``seed_for`` yields exactly the seeds either dispatch mode uses."""
+        ``seed_for`` yields exactly the seeds the work queue uses."""
         return MonteCarlo(master_seed=self.point_master_seed(point_index),
-                          trials=self.trials_per_point,
-                          legacy_seeds=self.legacy_seeds)
+                          trials=self.trials_per_point)
 
     def run(self, xs: list[tuple[float, str]],
             trial_fn: Callable[[float, int], TrialOutcome],
             executor: Optional[Executor] = None,
-            dispatch: str = "flat",
             store: Optional[ResultStore] = None) -> list[SweepPoint]:
         """Run the sweep; ``xs`` is a list of (value, label) pairs.
 
         ``executor`` fans trials out over worker processes; results are
-        independent of the job count *and* of ``dispatch`` (see module
-        docstring) — ``"flat"`` merely removes the per-point join barrier.
+        independent of the job count (see module docstring).
 
         ``store`` resumes from (and journals into) an on-disk result
         journal: already-completed (point, trial) tasks are skipped and a
         killed run restarts where it stopped, byte-identical to a clean
-        one.  Journalling rides on the flattened task queue only.
+        one.
 
         ``executor="fabric"`` (the string) runs the queue on the
-        distributed sweep fabric, configured from ``REPRO_FABRIC`` —
-        flattened dispatch only, since leases ride the flat task keys.
+        distributed sweep fabric, configured from ``REPRO_FABRIC``.
         """
-        if dispatch == "flat":
-            self.points = run_flattened([(self, xs, trial_fn)], executor,
-                                        store=store)[0]
-            return self.points
-        if dispatch != "per_point":
-            raise ValueError(f"unknown dispatch mode: {dispatch!r}")
-        if store is not None:
-            raise ValueError(
-                "result journalling requires the flattened dispatch mode")
-        if isinstance(executor, str):
-            raise ValueError(
-                "named executors (e.g. 'fabric') require the flattened "
-                "dispatch mode")
-        self.points.clear()
-        for point_index, (x, label) in enumerate(xs):
-            mc = self.point_monte_carlo(point_index)
-            mc.run(_PointTrial(trial_fn, x), executor=executor)
-            self.points.append(_aggregate_point(x, label, mc.outcomes))
-        return self.points
+        return run_flattened([(self, xs, trial_fn)], executor,
+                             store=store)[0]
 
 
 def _aggregate_point(x: float, label: str,
@@ -242,8 +183,8 @@ def campaign_spec(
     """The JSON-serialisable identity of a flattened campaign.
 
     Everything that determines the task queue and its outcomes: per sweep,
-    the master seed, trial count, seed formula, x grid and trial-function
-    name — plus the configured simulation engine, because a journal
+    the master seed, trial count, x grid and trial-function name — plus
+    the configured simulation engine, because a journal
     holding object-kernel outcomes must not be resumed under
     ``REPRO_ENGINE=soa`` (or vice versa): the engines are byte-identical
     by contract, but a digest mismatch is the cheap, load-bearing guard
@@ -251,15 +192,16 @@ def campaign_spec(
     :func:`~repro.stats.store.campaign_digest` of this dict is the
     binding a result journal's header carries — change any of it and a
     stale journal is refused instead of silently mixing campaigns.
+    Version 2 dropped the per-sweep seed-formula flag, so journals written
+    under version 1 are refused rather than resumed.
     """
     return {
-        "version": 1,
+        "version": 2,
         "engine": configured_engine(),
         "sweeps": [
             {
                 "master_seed": sweep.master_seed,
                 "trials_per_point": sweep.trials_per_point,
-                "legacy_seeds": sweep.legacy_seeds,
                 "xs": [[float(x), str(label)] for x, label in xs],
                 "trial_fn": callable_name(trial_fn),
             }
@@ -293,8 +235,8 @@ def run_flattened(
     executor is owned (and closed) by this call.
 
     Returns one ``list[SweepPoint]`` per input sweep, byte-identical to
-    running each sweep in ``"per_point"`` mode — with or without a store,
-    at any job count.
+    running each sweep on its own — with or without a store, at any job
+    count.
     """
     owned: Optional[Executor] = None
     if isinstance(executor, str):

@@ -1,16 +1,18 @@
-"""Retained bit-serial reference implementations of the baseband codec.
+"""Bit-serial and per-clock oracles for the baseband fast paths.
 
 The modules on the hot path (``whitening``, ``lfsr``, ``crc``, ``hec``,
-``fec``, ``bits``, ``access_code``) serve table-driven / numpy-vectorized
-fast paths.  This module keeps the original bit-serial implementations,
-verbatim, as the executable specification: the property suites in
-``tests/properties/test_fastpath_equivalence.py`` assert exact
-(``np.array_equal``) agreement between each fast path and its reference
-across random inputs.  None of these functions is used on the hot path.
+``fec``, ``bits``, ``access_code``, ``hop``) serve table-driven /
+numpy-vectorized fast paths.  This module keeps the original scalar
+implementations as the executable specification: the property suites
+(``tests/properties/test_fastpath_equivalence.py`` and the hop tests in
+``tests/link/test_afh.py`` and ``tests/baseband/test_clock_hop.py``)
+assert exact agreement between each fast path and its oracle across
+random inputs.
 
-The module deliberately imports nothing from the fast modules except
-shared constants, so a bug in a fast path cannot leak into its own
-oracle.
+The module deliberately imports nothing from the fast modules (it
+duplicates their constants), so a bug in a fast path cannot leak into its
+own oracle.  The hop oracle reads only a selector's address fields and its
+scalar selection box, which the page/scan modes share.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ FEC23_POLY = 0b110101
 FEC23_DEGREE = 5
 FEC23_DATA = 10
 FEC23_LEN = 15
+NUM_CHANNELS = 79
+#: Hop output register: even channels ascending, then odd.
+CHANNEL_REGISTER = tuple(range(0, NUM_CHANNELS, 2)) + tuple(
+    range(1, NUM_CHANNELS, 2))
 
 _PN_BITS = np.array([(PN_SEQUENCE >> (63 - i)) & 1 for i in range(64)], dtype=np.uint8)
 
@@ -210,3 +216,25 @@ def sync_word_reference(lap: int) -> np.ndarray:
     parity = remainder_bits_reference(scrambled_info, BCH_POLY, BCH_DEGREE)
     codeword = np.concatenate([scrambled_info, parity])
     return (codeword ^ _PN_BITS).astype(np.uint8)
+
+
+def connection_reference(selector, clk: int) -> int:
+    """Connection-state hop frequency of ``selector`` at piconet clock
+    ``clk``, one clock at a time: clock bits mixed into A/C/D/F, the scalar
+    selection box, then the channel register — and, when an adaptive hop
+    set is installed, the spec remap of an unused selection onto entry
+    ``index mod N`` of the used channels in register order."""
+    x = (clk >> 2) & 0x1F
+    y1 = (clk >> 1) & 1
+    a = selector._a ^ ((clk >> 21) & 0x1F)
+    c = selector._c ^ ((clk >> 16) & 0x1F)
+    d = selector._d ^ ((clk >> 7) & 0x1FF)
+    f = (16 * ((clk >> 7) & 0x1FFFFF)) % NUM_CHANNELS
+    index = selector._select_index(x=x, y1=y1, y2=32 * y1, a=a,
+                                   b=selector._b, c=c, d=d, f=f)
+    freq = CHANNEL_REGISTER[index]
+    afh = selector.afh_map
+    if afh is not None and not afh.used_mask[freq]:
+        used = [ch for ch in CHANNEL_REGISTER if afh.used_mask[ch]]
+        freq = used[index % len(used)]
+    return freq

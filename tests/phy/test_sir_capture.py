@@ -1,15 +1,15 @@
-"""Carrier-offset SIR capture model: degenerate equivalence with the
-pre-change binary resolver, capture/ACI behaviour, static interferers.
+"""Carrier-offset SIR capture model: the degenerate fast path, capture/ACI
+behaviour, static interferers.
 
 The binding contract is the degenerate profile: with the default
 ``SirConfig`` (infinite adjacent-channel rejection, 0 dB capture
-threshold) and equal transmit powers, the capture resolver must be
-byte-identical to the retained legacy resolver (``Channel.sir_capture =
-False``) — flags, collision counter and event schedule alike.  The PR-4
-golden digests in ``tests/phy/test_batch_window_golden.py`` already pin
-the capture resolver (it is the default) against the pre-change tree;
-here the equivalence is additionally exercised head-to-head, both on a
-full campaign scenario and property-style on random overlap patterns.
+threshold) and equal transmit powers, the binary fast path
+(``Channel._resolve_trivial``) and the full ``_resolve_capture``
+accumulation must agree on flags and collision counter.  The golden
+digests in ``tests/sim/test_soa_equivalence.py`` and
+``tests/experiment_goldens.py`` pin the default resolver against the tree
+that still carried the pre-capture binary resolver; here the two
+resolvers are compared property-style on random overlap patterns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.baseband.clock import BtClock
 from repro.baseband.packets import Packet, PacketType
 from repro.config import SimulationConfig, SirConfig
 from repro.errors import ChannelError, ConfigError
-from repro.experiments.ext_interference import build_campaign_session
 from repro.phy.channel import Channel
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.sim.module import Module
@@ -68,63 +67,32 @@ def _dm1(payload=b"x" * 17):
 
 
 class TestDegenerateEquivalence:
-    """ACI rejection → ∞ + 0 dB threshold ≡ the pre-change resolver."""
-
-    def _campaign_outcome(self, sir_capture: bool):
-        saved = Channel.sir_capture
-        Channel.sir_capture = sir_capture
-        try:
-            session, pairs = build_campaign_session(2, seed=53)
-            session.run_slots(400)
-            return (
-                session.channel.collisions,
-                session.channel.transmissions,
-                tuple(slave.rx_buffer.total_bytes for _, slave in pairs),
-                tuple(master.connection_master.stats_tx_packets
-                      for master, _ in pairs),
-                tuple(slave.connection_slave.stats_rx_packets
-                      for _, slave in pairs),
-            )
-        finally:
-            Channel.sir_capture = saved
-
-    def test_campaign_outcomes_match_legacy_resolver(self):
-        capture = self._campaign_outcome(sir_capture=True)
-        legacy = self._campaign_outcome(sir_capture=False)
-        assert capture == legacy
-        assert capture[0] > 0  # the scenario does collide
+    """ACI rejection → ∞ + 0 dB threshold: fast path ≡ full resolver."""
 
     @settings(max_examples=40, deadline=None)
     @given(plan=st.lists(
         st.tuples(st.integers(min_value=0, max_value=3),       # RF channel
                   st.integers(min_value=0, max_value=500_000)),  # start ns
         min_size=2, max_size=8))
-    def test_random_overlaps_match_legacy_resolver(self, plan):
+    def test_random_overlaps_fast_path_matches_capture_resolver(self, plan):
         """Random same/nearby-channel overlap patterns: corrupted flags and
-        the collision counter agree between the legacy resolver, the
-        degenerate fast path (the default) and the full ``_resolve_capture``
-        accumulation forced onto the degenerate profile."""
+        the collision counter agree between the degenerate fast path (the
+        default) and the full ``_resolve_capture`` accumulation forced onto
+        the degenerate profile."""
 
-        def run(sir_capture: bool, force_capture: bool = False):
-            saved = Channel.sir_capture
-            Channel.sir_capture = sir_capture
-            try:
-                sim, channel, radios = build_world(n_radios=len(plan))
-                if force_capture:
-                    channel._capture_trivial = False
-                transmissions = []
-                for radio, (freq, start) in zip(radios, plan):
-                    sim.schedule(start + 1, lambda r=radio, f=freq:
-                                 transmissions.append(r.transmit(f, _dm1())))
-                sim.run()
-                return channel.collisions, [tx.corrupted
-                                            for tx in transmissions]
-            finally:
-                Channel.sir_capture = saved
+        def run(force_capture: bool):
+            sim, channel, radios = build_world(n_radios=len(plan))
+            assert channel._capture_trivial
+            if force_capture:
+                channel._capture_trivial = False
+            transmissions = []
+            for radio, (freq, start) in zip(radios, plan):
+                sim.schedule(start + 1, lambda r=radio, f=freq:
+                             transmissions.append(r.transmit(f, _dm1())))
+            sim.run()
+            return channel.collisions, [tx.corrupted for tx in transmissions]
 
-        legacy = run(False)
-        assert run(True) == legacy
-        assert run(True, force_capture=True) == legacy
+        assert run(force_capture=False) == run(force_capture=True)
 
 
 class TestCapture:
@@ -356,16 +324,6 @@ class TestStaticInterferer:
         # on the antenna: capture lost at the sync stage, nothing decodes
         assert not run(0.1)
         assert run(50.0)  # 50 m out: ~34 dB below the wanted signal
-
-    def test_requires_capture_resolver(self):
-        saved = Channel.sir_capture
-        Channel.sir_capture = False
-        try:
-            sim, channel, _ = build_world()
-            with pytest.raises(ChannelError):
-                channel.add_static_interferer([5])
-        finally:
-            Channel.sir_capture = saved
 
     def test_channel_range_validated(self):
         sim, channel, _ = build_world()

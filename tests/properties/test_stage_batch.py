@@ -1,11 +1,11 @@
 """Byte-identity of the batched statistical stage draws.
 
 ``StageErrorModel.sample_stages_batch`` / ``sample_sync_batch`` must
-consume the channel's stage RNG stream exactly like the scalar
-``sample_stages`` / ``sample_sync`` loop they replace inside the batch
-sync event — same outcomes *and* same final generator state, so every
-event after the batch draws identical variates.  The scalar samplers stay
-the reference path (``Channel.batch_sync = False``).
+consume the channel's stage RNG stream exactly like a loop of the scalar
+``sample_stages`` / ``sample_sync`` calls — same outcomes *and* same
+final generator state, so every event after the batch draws identical
+variates.  The channel still takes the scalar samplers for a transmission
+with a single listener (``Channel._sync_stage``), so the two must agree.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ delivered bytes, per-link packet counters — and exactly the same
 :class:`~repro.sim.capture.TimelineCapture` record stream.  Two layers
 of evidence:
 
-* the campaign scenarios of the batch/window golden suite, re-run on
-  both engines and pinned against the same pre-PR sha256 digests (a
-  matched pair of bugs in both engines cannot slip through);
+* two dense campaign scenarios (statistical and bit-accurate), run on
+  both engines and pinned against sha256 digests captured on the
+  scalar-path tree (a matched pair of bugs in both engines cannot slip
+  through);
 * a Hypothesis sweep over randomized worlds — piconet count, DM1/DM3/DH5
   traffic mixes, adaptive hop maps, static interferers — comparing
   outcome tuples and capture streams record for record.
@@ -37,8 +38,8 @@ from repro.experiments.ext_interference import build_campaign_session
 from repro.link.traffic import SaturatedTraffic
 from repro.sim.soa import ENGINE_ENV_VAR
 
-#: sha256 prefixes of the scenario outcomes, captured on the pre-PR tree
-#: (same goldens as ``tests/phy/test_batch_window_golden.py``).
+#: sha256 prefixes of the scenario outcomes, captured on the tree that
+#: still resolved syncs per listener and filled hops one clock at a time.
 GOLDEN_STAT = "ea87f0b01df77318"
 GOLDEN_BIT = "cd5dc5712ed5b940"
 

@@ -1,11 +1,13 @@
-"""Regression: result journals are bound to the simulation engine.
+"""Regression: result journals are bound to the simulation engine and to
+the campaign-spec version.
 
 A journal written under the object kernel holds object-kernel outcomes;
 resuming it under ``REPRO_ENGINE=soa`` (or vice versa) must be refused
 through the existing spec-digest handshake, not silently mixed.  The
 engines are byte-identical by contract, so this guard only ever fires
 when that contract has regressed — exactly when mixing would corrupt a
-campaign.
+campaign.  A journal written under an older spec version is refused the
+same way.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from repro.experiments import ext_interference
 from repro.experiments.common import run_sweep
 from repro.sim.soa import ENGINE_ENV_VAR
-from repro.stats.store import SpecMismatchError, campaign_digest
+from repro.stats.store import ResultStore, SpecMismatchError, campaign_digest
 from repro.stats.sweep import Sweep, campaign_spec
 
 SEED = 606
@@ -55,3 +57,16 @@ def test_journal_refuses_other_engine(tiny_experiments, monkeypatch,
     with pytest.raises(SpecMismatchError, match="refusing to resume"):
         run_sweep(SEED, 1, xs, ext_interference.run_trial, jobs=1,
                   resume=resume_dir, store_name="engine")
+
+
+def test_journal_from_spec_version_1_is_refused(monkeypatch, tmp_path):
+    """Version 2 dropped the per-sweep seed-formula flag: a journal whose
+    header carries a version-1 digest of the same campaign is refused
+    before any trial runs."""
+    spec = _spec(monkeypatch, "object")
+    assert spec["version"] == 2
+    old_spec = dict(spec, version=1)
+    ResultStore(str(tmp_path / "old.jsonl"), campaign_digest(old_spec)).close()
+    with pytest.raises(SpecMismatchError, match="refusing to resume"):
+        run_sweep(SEED, 1, [(0.0, "0")], ext_interference.run_trial, jobs=1,
+                  resume=str(tmp_path), store_name="old")

@@ -5,9 +5,10 @@ seed, a Monte-Carlo batch produces *byte-identical* outcome lists at any
 job count, because every trial is a pure function of its derived seed and
 results are reassembled in trial order.  This suite enforces the contract
 on synthetic trials, on the real simulation trial functions behind the
-paper's BER figures, and on every registered experiment end-to-end, plus
-hypothesis property tests that the seed derivation has no collisions over
-(master seed, sweep point, trial).
+paper's BER figures, and on every registered experiment end-to-end (a
+jobs=2 run must reproduce the golden table the registry smoke suite pins
+at jobs=1), plus hypothesis property tests that the seed derivation has
+no collisions over (master seed, sweep point, trial).
 """
 
 import pickle
@@ -31,18 +32,14 @@ from repro.stats.executor import (
     get_executor,
 )
 from repro.stats.montecarlo import (
-    LEGACY_SEED_STRIDE,
     MASK64,
     MonteCarlo,
     TrialOutcome,
     derive_seed,
 )
-from repro.stats.sweep import (
-    LEGACY_POINT_STRIDE,
-    SWEEP_POINT_STREAM,
-    Sweep,
-    run_flattened,
-)
+from repro.stats.sweep import SWEEP_POINT_STREAM, Sweep, run_flattened
+
+from tests.experiment_goldens import EXPERIMENT_TABLE_DIGESTS, table_digest
 
 
 def _synthetic_trial(seed: int) -> TrialOutcome:
@@ -143,30 +140,9 @@ def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
         assert point_seq.success == point_par.success
 
 
-@pytest.mark.parametrize("name", sorted(SIM_TRIAL_FNS))
-def test_flattened_dispatch_identical_to_per_point_at_any_job_count(name):
-    """The byte-identity contract of the flattened work queue: for every
-    figure-style sweep, ``dispatch="flat"`` must equal ``"per_point"`` at
-    jobs 1, 2 and 4 (and all of those must equal each other)."""
-    trial_fn = SIM_TRIAL_FNS[name]
-    reference = Sweep(master_seed=7, trials_per_point=3).run(
-        SMALL_GRID, trial_fn, executor=SequentialExecutor(),
-        dispatch="per_point")
-    reference_bytes = pickle.dumps(reference)
-    for jobs in (1, 2, 4):
-        with ParallelExecutor(jobs=jobs) as executor:
-            flat = Sweep(master_seed=7, trials_per_point=3).run(
-                SMALL_GRID, trial_fn, executor=executor, dispatch="flat")
-            per_point = Sweep(master_seed=7, trials_per_point=3).run(
-                SMALL_GRID, trial_fn, executor=executor,
-                dispatch="per_point")
-        assert pickle.dumps(flat) == reference_bytes
-        assert pickle.dumps(per_point) == reference_bytes
-
-
 def test_multi_sweep_flattened_queue_identical_to_separate_runs():
     """``run_flattened`` over several sweeps (the Fig. 8 inquiry + page
-    pattern) must reproduce each sweep's separate per-point results."""
+    pattern) must reproduce each sweep's separate results."""
     specs = [
         (Sweep(master_seed=3, trials_per_point=2),
          SMALL_GRID, fig08_failure_probability.inquiry_trial),
@@ -177,64 +153,19 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
         combined = run_flattened(specs, executor)
     separate = [
         Sweep(master_seed=3, trials_per_point=2).run(
-            SMALL_GRID, fig08_failure_probability.inquiry_trial,
-            dispatch="per_point"),
+            SMALL_GRID, fig08_failure_probability.inquiry_trial),
         Sweep(master_seed=4, trials_per_point=2).run(
-            SMALL_GRID, fig08_failure_probability.page_trial,
-            dispatch="per_point"),
+            SMALL_GRID, fig08_failure_probability.page_trial),
     ]
     assert pickle.dumps(combined) == pickle.dumps(separate)
-
-
-def test_unknown_dispatch_mode_rejected():
-    with pytest.raises(ValueError, match="dispatch"):
-        Sweep(master_seed=1, trials_per_point=1).run(
-            [(0.0, "0")], _synthetic_trial_x, dispatch="sideways")
-
-
-def _synthetic_trial_x(x: float, seed: int) -> TrialOutcome:
-    """Module-level figure-style trial: value depends on both coordinates,
-    so any cross-point reordering or seed mix-up changes the bytes."""
-    return TrialOutcome(seed=seed, success=(seed ^ int(x * 1000)) % 4 != 0,
-                        value=float((seed % 1009) + x))
-
-
-class TestFlattenedInterleavingProperties:
-    """Flattened chunk interleaving must never reorder SweepPoint
-    aggregates, whatever the grid shape and chunking geometry."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n_points=st.integers(min_value=1, max_value=5),
-        trials=st.integers(min_value=1, max_value=6),
-        chunk_size=st.integers(min_value=1, max_value=50),
-        jobs=st.integers(min_value=2, max_value=4),
-        master=st.integers(min_value=0, max_value=1_000_000),
-    )
-    def test_flat_equals_per_point_under_any_chunking(
-            self, n_points, trials, chunk_size, jobs, master):
-        xs = [(float(i), f"p{i}") for i in range(n_points)]
-        reference = Sweep(master_seed=master, trials_per_point=trials).run(
-            xs, _synthetic_trial_x, executor=SequentialExecutor(),
-            dispatch="per_point")
-        with ParallelExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
-            flat = Sweep(master_seed=master, trials_per_point=trials).run(
-                xs, _synthetic_trial_x, executor=executor, dispatch="flat")
-        assert pickle.dumps(flat) == pickle.dumps(reference)
-        # aggregate order is the x-grid order, never the completion order
-        assert [p.label for p in flat] == [label for _, label in xs]
-        assert [p.x for p in flat] == [x for x, _ in xs]
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 def test_every_experiment_is_job_count_invariant(experiment_id,
                                                  tiny_experiments):
-    sequential = run_experiment(experiment_id, jobs=1)
+    # the registry smoke suite pins the jobs=1 table to the same digest
     parallel = run_experiment(experiment_id, jobs=2)
-    # repr-compare: cells may legitimately be NaN (e.g. a conditional mean
-    # with no successes), and NaN != NaN under list equality
-    assert repr(sequential.rows) == repr(parallel.rows)
-    assert sequential.to_table() == parallel.to_table()
+    assert table_digest(parallel) == EXPERIMENT_TABLE_DIGESTS[experiment_id]
 
 
 U64 = st.integers(min_value=0, max_value=MASK64)
@@ -268,11 +199,13 @@ class TestSeedDerivationProperties:
         assert 0 <= derive_seed(master, index) <= MASK64
 
     def test_legacy_formulas_alias_where_new_derivation_does_not(self):
+        # the pre-v1 formulas: trial seed master * 10_000 + index, point
+        # master seed master + 7919 * point
+        trial_stride, point_stride = 10_000, 7919
         # trial stride alias: (m, 10_000) == (m+1, 0)
-        assert 3 * LEGACY_SEED_STRIDE + LEGACY_SEED_STRIDE \
-            == 4 * LEGACY_SEED_STRIDE + 0
-        assert derive_seed(3, LEGACY_SEED_STRIDE) != derive_seed(4, 0)
+        assert 3 * trial_stride + trial_stride == 4 * trial_stride + 0
+        assert derive_seed(3, trial_stride) != derive_seed(4, 0)
         # sweep-point alias: master 7920/point 1 == master 1/point 2
-        assert 7920 + LEGACY_POINT_STRIDE * 1 == 1 + LEGACY_POINT_STRIDE * 2
+        assert 7920 + point_stride * 1 == 1 + point_stride * 2
         assert derive_seed(7920, 1, stream=SWEEP_POINT_STREAM) \
             != derive_seed(1, 2, stream=SWEEP_POINT_STREAM)

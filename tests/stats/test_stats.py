@@ -6,13 +6,12 @@ import pytest
 
 from repro.stats.estimators import ci_cell, mean_with_ci, wilson_interval
 from repro.stats.montecarlo import (
-    LEGACY_SEED_STRIDE,
     MonteCarlo,
     TrialOutcome,
     default_trials,
     derive_seed,
 )
-from repro.stats.sweep import LEGACY_POINT_STRIDE, SWEEP_POINT_STREAM, Sweep
+from repro.stats.sweep import SWEEP_POINT_STREAM, Sweep
 from repro.stats.tables import format_table
 
 
@@ -80,17 +79,12 @@ class TestMonteCarlo:
         assert outcomes[9].seed == derive_seed(3, 9)
         assert len({o.seed for o in outcomes}) == 10
 
-    def test_legacy_seeds_escape_hatch(self):
-        mc = MonteCarlo(master_seed=3, trials=10, legacy_seeds=True)
-        outcomes = mc.run(self.trial)
-        assert outcomes[0].seed == 3 * LEGACY_SEED_STRIDE
-        assert outcomes[9].seed == 3 * LEGACY_SEED_STRIDE + 9
-
     def test_legacy_formula_collides_new_one_does_not(self):
-        # the structural alias the new derivation removes:
-        legacy = lambda m, i: m * LEGACY_SEED_STRIDE + i
-        assert legacy(3, LEGACY_SEED_STRIDE) == legacy(4, 0)
-        assert derive_seed(3, LEGACY_SEED_STRIDE) != derive_seed(4, 0)
+        # the structural alias the derivation removes: the pre-v1 formula
+        # master * 10_000 + index maps (3, 10_000) onto (4, 0)
+        legacy = lambda m, i: m * 10_000 + i
+        assert legacy(3, 10_000) == legacy(4, 0)
+        assert derive_seed(3, 10_000) != derive_seed(4, 0)
 
     def test_aggregation(self):
         mc = MonteCarlo(master_seed=0, trials=10)
@@ -135,8 +129,6 @@ class TestSweep:
         sweep = Sweep(master_seed=5, trials_per_point=1)
         assert sweep.point_master_seed(2) == derive_seed(
             5, 2, stream=SWEEP_POINT_STREAM)
-        legacy = Sweep(master_seed=5, trials_per_point=1, legacy_seeds=True)
-        assert legacy.point_master_seed(2) == 5 + 2 * LEGACY_POINT_STRIDE
 
     def test_zero_successful_trials_is_flagged_nan_not_error(self):
         # regression: a point where every trial failed is a legitimate
