@@ -682,7 +682,9 @@ class Channel(Module):
         outcomes in listener order, and then delivering in the same order
         consumes identical RNG state and observes identical guards.
         (``tx.corrupted`` is re-read at each delivery, preserving collision
-        flags raised mid-batch.)
+        flags raised mid-batch.)  ``tests/phy/test_batch_window_golden.py``
+        checks this against a per-listener ``_sync_stage`` oracle end to
+        end.
         """
         admitted = [listener for listener in receivers
                     if self._sync_admit(tx, listener)]

@@ -6,7 +6,6 @@ from repro import units
 from repro.baseband.clock import BtClock
 from repro.baseband.hop import (
     CHANNEL_REGISTER,
-    HopRegistry,
     HopSelector,
     KOFFSET_TRAIN_A,
     KOFFSET_TRAIN_B,
@@ -14,8 +13,6 @@ from repro.baseband.hop import (
     inquiry_selector,
     perm5,
 )
-
-from tests.baseband_reference import connection_reference
 
 
 class TestBtClock:
@@ -154,31 +151,3 @@ class TestHopSelector:
         from repro.baseband.address import GIAC_LAP
 
         assert inquiry_selector().address == GIAC_LAP
-
-    def test_windowed_hop_fill_matches_scalar_fill(self):
-        """`connection()` served from the windowed prefill equals the
-        per-clock oracle for every clock, across addresses and parities."""
-        rng = np.random.default_rng(11)
-        for address in rng.integers(0, 1 << 28, size=8):
-            clk_base = int(rng.integers(0, 1 << 26)) & ~1
-            clks = [clk_base + 2 * k for k in range(150)] + \
-                   [clk_base + 1 + 2 * k for k in range(10)] + \
-                   [int(rng.integers(0, 1 << 27)) for _ in range(20)]
-            # a fresh registry: every miss goes through the windowed fill
-            selector = HopSelector(int(address), HopRegistry())
-            windowed = [selector.connection(clk) for clk in clks]
-            assert windowed == [connection_reference(selector, clk)
-                                for clk in clks]
-            assert all(isinstance(freq, int) for freq in windowed)
-
-    def test_piconet_hop_sequence_matches_connection(self):
-        from repro.baseband.address import BdAddr
-        from repro.link.piconet import Piconet
-
-        addr = BdAddr(lap=0x9E8B33, uap=0x5A, nap=0x1234)
-        piconet = Piconet(addr)
-        clk_start = 4096
-        window = piconet.hop_sequence(clk_start, 64)
-        selector = HopSelector(addr.hop_address)
-        assert [int(freq) for freq in window] == \
-            [selector.connection(clk_start + 2 * k) for k in range(64)]

@@ -5,7 +5,7 @@ The modules on the hot path (``whitening``, ``lfsr``, ``crc``, ``hec``,
 numpy-vectorized fast paths.  This module keeps the original scalar
 implementations as the executable specification: the property suites
 (``tests/properties/test_fastpath_equivalence.py`` and the hop tests in
-``tests/link/test_afh.py`` and ``tests/baseband/test_clock_hop.py``)
+``tests/link/test_afh.py`` and ``tests/phy/test_batch_window_golden.py``)
 assert exact agreement between each fast path and its oracle across
 random inputs.
 

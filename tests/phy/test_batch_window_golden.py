@@ -1,17 +1,19 @@
-"""Golden-digest equivalence: batched-decode channel + windowed hop cache
-vs the pre-PR scalar paths.
+"""Golden-digest equivalence: batched-sync channel + windowed hop fill
+vs test-local scalar oracles.
 
 Two multi-piconet scenarios (statistical and bit-accurate channels) are
-run twice in-process — once with the fast paths enabled (the defaults:
-``Channel.batch_sync`` and ``HopSelector.WINDOW_SLOTS``) and once with
-both knobs restored to the scalar per-event / per-call behaviour — and
-their *physical outcomes* (collisions, transmissions, delivered bytes,
-per-device packet counts) must match bit for bit.  The outcomes are
-additionally pinned against sha256 digests captured on the pre-PR tree,
-so a matched pair of bugs in the fast and scalar paths cannot slip
-through.  (``events_dispatched`` is deliberately not part of the digest:
-batching merges a transmission's per-listener sync events into one, which
-is exactly the point.)
+run twice in-process — once on the fast paths (one ``Channel._sync_batch``
+event per multi-listener transmission, 64-slot windowed hop prefill) and
+once with both replaced by scalar oracles: a ``_sync_stage`` call per
+listener (the decomposition the ``_sync_batch`` docstring argues is
+byte-identical) and the per-clock hop formula of
+``tests/baseband_reference.py``.  Their *physical outcomes* (collisions,
+transmissions, delivered bytes, per-device packet counts) must match bit
+for bit.  The outcomes are additionally pinned against sha256 digests
+captured on the tree that still scheduled one sync event per listener and
+filled hops one clock at a time, so a matched pair of bugs in the fast
+path and its oracle cannot slip through.  The windowed hop fill is also
+checked clock by clock against the same per-clock oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ import pytest
 from repro.baseband.hop import HopRegistry, HopSelector
 from repro.experiments.ext_interference import build_campaign_session
 from repro.phy.channel import Channel
+from repro.sim.soa import ENGINE_ENV_VAR
 
-#: sha256 prefixes of the scenario outcomes, captured on the pre-PR tree
-#: (scalar per-listener sync events, scalar per-call hop fills).
+from tests.baseband_reference import connection_reference
+
+#: sha256 prefixes of the scenario outcomes (same goldens as
+#: ``tests/sim/test_soa_equivalence.py``).
 GOLDEN_STAT = "ea87f0b01df77318"
 GOLDEN_BIT = "cd5dc5712ed5b940"
 
@@ -53,13 +58,21 @@ def _digest(outcome: tuple) -> str:
     return hashlib.sha256(json.dumps(outcome).encode()).hexdigest()[:16]
 
 
-@pytest.fixture
-def scalar_paths(monkeypatch):
-    """Restore the pre-PR scalar behaviour: per-listener sync events and
-    per-call hop-memo fills (each session's world-scoped registry starts
-    empty, so every fill is exercised)."""
-    monkeypatch.setattr(Channel, "batch_sync", False)
-    monkeypatch.setattr(HopSelector, "WINDOW_SLOTS", 1)
+def _sync_per_listener(self, tx, receivers):
+    """Scalar oracle for ``Channel._sync_batch``: admit, decode and deliver
+    one listener at a time, as consecutive per-listener events would."""
+    for listener in receivers:
+        self._sync_stage(tx, listener)
+
+
+def _install_scalar_oracles(monkeypatch) -> None:
+    """Route every multi-listener sync and every connection-state hop
+    lookup through the scalar oracles.  The object kernel is pinned: the
+    SoA micro-loop prefills hops in bulk and inlines its own batch
+    dispatch, and its equivalence is pinned separately."""
+    monkeypatch.setenv(ENGINE_ENV_VAR, "object")
+    monkeypatch.setattr(Channel, "_sync_batch", _sync_per_listener)
+    monkeypatch.setattr(HopSelector, "connection", connection_reference)
 
 
 @pytest.mark.parametrize("name,kwargs,golden", [
@@ -70,32 +83,28 @@ def scalar_paths(monkeypatch):
 ])
 def test_fast_paths_match_scalar_golden(name, kwargs, golden, monkeypatch):
     fast = _run_scenario(**kwargs)
-    monkeypatch.setattr(Channel, "batch_sync", False)
-    monkeypatch.setattr(HopSelector, "WINDOW_SLOTS", 1)
+    _install_scalar_oracles(monkeypatch)
     scalar = _run_scenario(**kwargs)
-    assert fast == scalar, f"{name}: fast paths diverge from scalar paths"
+    assert fast == scalar, f"{name}: fast paths diverge from scalar oracles"
     assert _digest(fast) == golden, \
-        f"{name}: outcomes diverge from the pre-PR golden digest"
+        f"{name}: outcomes diverge from the golden digest"
+    assert fast[0] > 0  # the scenario does collide
 
 
-def test_windowed_hop_fill_matches_scalar_fill(scalar_paths):
-    """`connection()` served from the windowed prefill equals the scalar
-    per-call fill for every clock, across addresses and parities."""
+def test_windowed_hop_fill_matches_scalar_fill():
+    """`connection()` served from the windowed prefill equals the
+    per-clock oracle for every clock, across addresses and parities."""
     rng = np.random.default_rng(11)
     for address in rng.integers(0, 1 << 28, size=8):
         clk_base = int(rng.integers(0, 1 << 26)) & ~1
         clks = [clk_base + 2 * k for k in range(150)] + \
                [clk_base + 1 + 2 * k for k in range(10)] + \
                [int(rng.integers(0, 1 << 27)) for _ in range(20)]
-        # each selector gets its own registry, so both fill paths start
-        # from empty memos regardless of what ran before
-        scalar_selector = HopSelector(int(address), HopRegistry())
-        scalar = [scalar_selector.connection(clk) for clk in clks]
-        HopSelector.WINDOW_SLOTS = 64
-        windowed_selector = HopSelector(int(address), HopRegistry())
-        windowed = [windowed_selector.connection(clk) for clk in clks]
-        HopSelector.WINDOW_SLOTS = 1
-        assert windowed == scalar
+        # a fresh registry: every miss goes through the windowed fill
+        selector = HopSelector(int(address), HopRegistry())
+        windowed = [selector.connection(clk) for clk in clks]
+        assert windowed == [connection_reference(selector, clk)
+                            for clk in clks]
         assert all(isinstance(freq, int) for freq in windowed)
 
 

@@ -9,7 +9,8 @@ accumulation must agree on flags and collision counter.  The golden
 digests in ``tests/sim/test_soa_equivalence.py`` and
 ``tests/experiment_goldens.py`` pin the default resolver against the tree
 that still carried the pre-capture binary resolver; here the two
-resolvers are compared property-style on random overlap patterns.
+resolvers are compared head-to-head, both on a full campaign scenario and
+property-style on random overlap patterns.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.baseband.clock import BtClock
 from repro.baseband.packets import Packet, PacketType
 from repro.config import SimulationConfig, SirConfig
 from repro.errors import ChannelError, ConfigError
+from repro.experiments.ext_interference import build_campaign_session
 from repro.phy.channel import Channel
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.sim.module import Module
@@ -68,6 +70,30 @@ def _dm1(payload=b"x" * 17):
 
 class TestDegenerateEquivalence:
     """ACI rejection → ∞ + 0 dB threshold: fast path ≡ full resolver."""
+
+    def _campaign_outcome(self, force_capture: bool):
+        session, pairs = build_campaign_session(2, seed=53)
+        assert session.channel._capture_trivial
+        if force_capture:
+            session.channel._capture_trivial = False
+        session.run_slots(400)
+        return (
+            session.channel.collisions,
+            session.channel.transmissions,
+            tuple(slave.rx_buffer.total_bytes for _, slave in pairs),
+            tuple(master.connection_master.stats_tx_packets
+                  for master, _ in pairs),
+            tuple(slave.connection_slave.stats_rx_packets
+                  for _, slave in pairs),
+        )
+
+    def test_campaign_outcomes_fast_path_matches_capture_resolver(self):
+        """A two-piconet campaign observed for 400 slots: every collision,
+        delivered byte and packet counter agrees between the fast path and
+        ``_resolve_capture`` forced on after bring-up."""
+        fast = self._campaign_outcome(force_capture=False)
+        assert self._campaign_outcome(force_capture=True) == fast
+        assert fast[0] > 0  # the scenario does collide
 
     @settings(max_examples=40, deadline=None)
     @given(plan=st.lists(
@@ -324,6 +350,23 @@ class TestStaticInterferer:
         # on the antenna: capture lost at the sync stage, nothing decodes
         assert not run(0.1)
         assert run(50.0)  # 50 m out: ~34 dB below the wanted signal
+
+    def test_interferer_hands_over_to_capture_resolver(self):
+        """A parked interferer drops the degenerate fast path for good —
+        even one on a channel nobody uses — and the full resolver then
+        keeps the degenerate outcome of an equal-power co-channel overlap:
+        both packets lost, one collision."""
+        sim, channel, (a, b, _) = build_world()
+        assert channel._capture_trivial
+        channel.add_static_interferer([70], power_dbm=-20.0)
+        assert not channel._capture_trivial
+        boxes = []
+        sim.schedule(100, lambda: boxes.append(a.transmit(20, _dm1())))
+        sim.schedule(200, lambda: boxes.append(b.transmit(20, _dm1())))
+        sim.run()
+        assert not channel._capture_trivial
+        assert boxes[0].corrupted and boxes[1].corrupted
+        assert channel.collisions == 1
 
     def test_channel_range_validated(self):
         sim, channel, _ = build_world()

@@ -11,6 +11,7 @@ at jobs=1), plus hypothesis property tests that the seed derivation has
 no collisions over (master seed, sweep point, trial).
 """
 
+import functools
 import pickle
 
 import pytest
@@ -24,6 +25,7 @@ from repro.experiments import (
     fig08_failure_probability,
     run_experiment,
 )
+from repro.stats.estimators import mean_with_ci, wilson_interval
 from repro.stats.executor import (
     JOBS_ENV_VAR,
     ParallelExecutor,
@@ -37,7 +39,12 @@ from repro.stats.montecarlo import (
     TrialOutcome,
     derive_seed,
 )
-from repro.stats.sweep import SWEEP_POINT_STREAM, Sweep, run_flattened
+from repro.stats.sweep import (
+    SWEEP_POINT_STREAM,
+    Sweep,
+    SweepPoint,
+    run_flattened,
+)
 
 from tests.experiment_goldens import EXPERIMENT_TABLE_DIGESTS, table_digest
 
@@ -125,6 +132,24 @@ SIM_TRIAL_FNS = {
 SMALL_GRID = [(0.0, "0"), (1 / 60, "1/60")]
 
 
+def _per_point_reference(sweep: Sweep, xs: list[tuple[float, str]],
+                         trial_fn) -> list[SweepPoint]:
+    """The sweep computed one point at a time: each point's own Monte-Carlo
+    batch (``Sweep.point_monte_carlo``) run to completion in-process before
+    the next starts, then folded into a ``SweepPoint`` by hand — no shared
+    work queue, no chunking, no reassembly."""
+    points = []
+    for point_index, (x, label) in enumerate(xs):
+        outcomes = sweep.point_monte_carlo(point_index).run(
+            functools.partial(trial_fn, x))
+        values = [o.value for o in outcomes if o.success]
+        points.append(SweepPoint(
+            x=x, label=label, mean=mean_with_ci(values),
+            success=wilson_interval(len(values), len(outcomes)),
+            extra=outcomes))
+    return points
+
+
 @pytest.mark.parametrize("name", sorted(SIM_TRIAL_FNS))
 def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
     trial_fn = SIM_TRIAL_FNS[name]
@@ -138,6 +163,22 @@ def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
         # and identical aggregates
         assert point_seq.mean == point_par.mean
         assert point_seq.success == point_par.success
+
+
+@pytest.mark.parametrize("name", sorted(SIM_TRIAL_FNS))
+def test_flattened_dispatch_identical_to_per_point_at_any_job_count(name):
+    """The byte-identity contract of the flattened work queue: for every
+    figure-style sweep, one queue over the whole (point, trial) grid must
+    equal running each point's Monte-Carlo batch on its own, at jobs 1, 2
+    and 4."""
+    trial_fn = SIM_TRIAL_FNS[name]
+    reference = pickle.dumps(_per_point_reference(
+        Sweep(master_seed=7, trials_per_point=3), SMALL_GRID, trial_fn))
+    for jobs in (1, 2, 4):
+        with ParallelExecutor(jobs=jobs) as executor:
+            flat = Sweep(master_seed=7, trials_per_point=3).run(
+                SMALL_GRID, trial_fn, executor=executor)
+        assert pickle.dumps(flat) == reference
 
 
 def test_multi_sweep_flattened_queue_identical_to_separate_runs():
@@ -158,6 +199,46 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
             SMALL_GRID, fig08_failure_probability.page_trial),
     ]
     assert pickle.dumps(combined) == pickle.dumps(separate)
+
+
+def test_unknown_executor_name_rejected():
+    with pytest.raises(ValueError, match="unknown executor name"):
+        Sweep(master_seed=1, trials_per_point=1).run(
+            [(0.0, "0")], _synthetic_trial_x, executor="sideways")
+
+
+def _synthetic_trial_x(x: float, seed: int) -> TrialOutcome:
+    """Module-level figure-style trial: value depends on both coordinates,
+    so any cross-point reordering or seed mix-up changes the bytes."""
+    return TrialOutcome(seed=seed, success=(seed ^ int(x * 1000)) % 4 != 0,
+                        value=float((seed % 1009) + x))
+
+
+class TestFlattenedInterleavingProperties:
+    """Flattened chunk interleaving must never reorder SweepPoint
+    aggregates, whatever the grid shape and chunking geometry."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_points=st.integers(min_value=1, max_value=5),
+        trials=st.integers(min_value=1, max_value=6),
+        chunk_size=st.integers(min_value=1, max_value=50),
+        jobs=st.integers(min_value=2, max_value=4),
+        master=st.integers(min_value=0, max_value=1_000_000),
+    )
+    def test_flat_equals_per_point_under_any_chunking(
+            self, n_points, trials, chunk_size, jobs, master):
+        xs = [(float(i), f"p{i}") for i in range(n_points)]
+        reference = _per_point_reference(
+            Sweep(master_seed=master, trials_per_point=trials), xs,
+            _synthetic_trial_x)
+        with ParallelExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
+            flat = Sweep(master_seed=master, trials_per_point=trials).run(
+                xs, _synthetic_trial_x, executor=executor)
+        assert pickle.dumps(flat) == pickle.dumps(reference)
+        # aggregate order is the x-grid order, never the completion order
+        assert [p.label for p in flat] == [label for _, label in xs]
+        assert [p.x for p in flat] == [x for x, _ in xs]
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
