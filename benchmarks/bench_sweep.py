@@ -2,8 +2,9 @@
 
 Measures the Fig. 8 sweep workload (inquiry + page trials over the paper's
 BER grid, flattened into one work queue) at jobs ∈ {1, 2, 4, 8}, records
-the pool-utilization fraction of each parallel run, and the event-dispatch
-throughput of a 7-slave piconet in connection state.  The dense-deployment
+the worker utilization of each parallel run (worker CPU over wall time x
+jobs, as perfbench's ``stats.worker_utilization``), and the
+event-dispatch throughput of a 7-slave piconet in connection state.  The dense-deployment
 interference campaign rides along: its piconet-count sweep runs flattened
 at jobs ∈ {1, 4} (byte-identical, with the same no-regression guard).  A
 20-piconet dense point is measured on the SoA slot engine
@@ -41,6 +42,7 @@ import json
 import os
 import pathlib
 import pickle
+import resource
 import time
 
 from repro.api import Session
@@ -48,7 +50,8 @@ from repro.experiments import ext_afh, ext_interference
 from repro.sim.soa import ENGINE_ENV_VAR
 from repro.experiments.common import PAPER_BER_GRID, paper_config
 from repro.experiments.fig08_failure_probability import inquiry_trial, page_trial
-from repro.stats.executor import ParallelExecutor, SequentialExecutor
+from repro.stats.executor import SequentialExecutor
+from repro.stats.resilient import ResilientExecutor
 from repro.stats.sweep import Sweep, run_flattened
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
@@ -96,20 +99,30 @@ def _sweep_specs(trials: int):
     ]
 
 
-def _run_sweep_workload(trials: int, jobs: int) -> tuple[float, dict, bytes]:
-    """Wall-clock, pool stats and result digest of one flattened run."""
+def _children_cpu_s() -> float:
+    """CPU seconds of every reaped child process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _run_sweep_workload(trials: int, jobs: int
+                        ) -> tuple[float, float | None, bytes]:
+    """Wall-clock, worker utilization and result digest of one flattened
+    run.  Utilization is the pool workers' CPU seconds over wall time x
+    jobs; the workers' CPU is read from ``RUSAGE_CHILDREN`` once the
+    executor has closed and reaped them, so the wall window spans the
+    pool's start-up and shutdown.  The sequential run has no workers."""
     if jobs == 1:
-        executor = SequentialExecutor()
         start = time.perf_counter()
+        results = run_flattened(_sweep_specs(trials), SequentialExecutor())
+        return time.perf_counter() - start, None, pickle.dumps(results)
+    children_cpu = _children_cpu_s()
+    start = time.perf_counter()
+    with ResilientExecutor(jobs=jobs) as executor:
         results = run_flattened(_sweep_specs(trials), executor)
-        wall = time.perf_counter() - start
-        return wall, {}, pickle.dumps(results)
-    with ParallelExecutor(jobs=jobs, track_utilization=True) as executor:
-        start = time.perf_counter()
-        results = run_flattened(_sweep_specs(trials), executor)
-        wall = time.perf_counter() - start
-        stats = executor.last_map_stats or {}
-    return wall, stats, pickle.dumps(results)
+    wall = time.perf_counter() - start
+    utilization = (_children_cpu_s() - children_cpu) / (wall * jobs)
+    return wall, utilization, pickle.dumps(results)
 
 
 def _interference_specs(trials: int):
@@ -126,7 +139,7 @@ def _run_interference_workload(trials: int, jobs: int) -> tuple[float, bytes]:
         results = run_flattened(_interference_specs(trials),
                                 SequentialExecutor())
         return time.perf_counter() - start, pickle.dumps(results)
-    with ParallelExecutor(jobs=jobs) as executor:
+    with ResilientExecutor(jobs=jobs) as executor:
         start = time.perf_counter()
         results = run_flattened(_interference_specs(trials), executor)
         wall = time.perf_counter() - start
@@ -440,15 +453,13 @@ def _run_bench() -> dict:
     digests = set()
     wall_by_jobs: dict[int, float] = {}
     for jobs in JOB_COUNTS:
-        wall, stats, digest = _run_sweep_workload(trials, jobs)
+        wall, utilization, digest = _run_sweep_workload(trials, jobs)
         digests.add(digest)
         wall_by_jobs[jobs] = wall
         row = {"wall_s": round(wall, 3)}
         if jobs > 1:
             row["speedup_vs_1"] = round(wall_by_jobs[1] / wall, 2)
-            if stats:
-                row["utilization"] = round(stats["utilization"], 3)
-                row["chunks"] = stats["chunks"]
+            row["utilization"] = round(utilization, 3)
         sweep_rows[str(jobs)] = row
     host: dict = {"cpu_count": os.cpu_count()}
     if (os.cpu_count() or 1) < 4:

@@ -6,23 +6,20 @@ import dataclasses
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import units
 from repro.config import SimulationConfig
 from repro.link.page import PageTarget
+from repro.sim.soa import configured_engine
 from repro.stats.chaos import ChaosConfig
-from repro.stats.executor import Executor, default_jobs, get_executor
+from repro.stats.executor import Executor, SequentialExecutor, default_jobs
 from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
 from repro.stats.montecarlo import TrialOutcome
 from repro.stats.resilient import ResilientExecutor
-from repro.stats.store import (
-    RESUME_DIR_ENV_VAR,
-    ResultStore,
-    campaign_digest,
-    map_with_store,
-)
+from repro.stats.store import RESUME_DIR_ENV_VAR, ResultStore, campaign_digest
 from repro.stats.sweep import (
     Sweep,
     SweepPoint,
@@ -156,28 +153,53 @@ def _progress_printer(interval_s: float) -> Callable[[dict], None]:
     return _print
 
 
-def _campaign_executor(jobs: Optional[int],
+def _campaign_executor(jobs: int,
                        store: Optional[ResultStore]) -> Executor:
-    """The execution backend for one campaign run.
+    """The execution backend for one campaign run at the resolved job
+    count ``jobs`` (see :func:`~repro.stats.executor.default_jobs`).
 
     ``REPRO_FABRIC`` selects the distributed sweep fabric
-    (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise the
-    plain backends run when nothing fault-tolerant is in play, and the
-    :class:`~repro.stats.resilient.ResilientExecutor` takes over as soon
-    as a result journal is active, ``REPRO_CHAOS`` schedules fault
-    injection or ``REPRO_PROGRESS`` wants the journal-backed status line
-    — at any job count, since its sequential path carries the same
-    chaos/retry/checkpoint story as the pool.
+    (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise
+    the process pool (:class:`~repro.stats.resilient.ResilientExecutor`)
+    runs every parallel campaign, and a ``jobs=1`` one too as soon as a
+    result journal is active, ``REPRO_CHAOS`` schedules fault injection
+    or ``REPRO_PROGRESS`` wants the journal-backed status line — its
+    in-process path carries the same chaos/retry/checkpoint story as the
+    pool.  Only a plain ``jobs=1`` run stays on the
+    :class:`~repro.stats.executor.SequentialExecutor`.
     """
     chaos = ChaosConfig.from_env()
     interval = progress_interval()
     on_progress = _progress_printer(interval) if interval is not None else None
     if os.environ.get(FABRIC_ENV_VAR, "").strip():
         return FabricExecutor.from_env(chaos=chaos, on_progress=on_progress)
-    if store is not None or chaos is not None or on_progress is not None:
-        return ResilientExecutor(jobs=default_jobs(jobs), chaos=chaos,
+    if jobs > 1 or store is not None or chaos is not None \
+            or on_progress is not None:
+        return ResilientExecutor(jobs=jobs, chaos=chaos,
                                  on_progress=on_progress)
-    return get_executor(jobs)
+    return SequentialExecutor()
+
+
+@contextmanager
+def _campaign(name: str, spec, jobs: Optional[int], resume: Optional[str],
+              executor: Optional[Executor] = None):
+    """The ``(executor, journal)`` of one campaign run.  A caller's
+    ``executor`` is used as is; otherwise the job count resolves
+    (``REPRO_JOBS`` wins) *before* the journal opens — a malformed value
+    fails with no journal written — and :func:`_campaign_executor` picks
+    the backend, closed on exit like the journal (None when off)."""
+    if executor is None:
+        jobs = default_jobs(jobs)
+    store = campaign_store(name, spec, resume)
+    try:
+        if executor is not None:
+            yield executor, store
+        else:
+            with _campaign_executor(jobs, store) as owned:
+                yield owned, store
+    finally:
+        if store is not None:
+            store.close()
 
 
 def archive_timeline(session, experiment_id: str, label: str) -> Optional[str]:
@@ -267,23 +289,17 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
     the run **kill-and-resume safe**: completed trials are journalled to
     ``<dir>/<store_name>.jsonl`` as they finish, already-journalled ones
     are skipped on restart, and the journal header refuses a campaign
-    spec that differs from the one that wrote it.  When a journal (or
-    ``REPRO_CHAOS`` fault injection) is active and the run is parallel,
-    the backend is the :class:`~repro.stats.resilient.ResilientExecutor`,
-    which additionally survives worker deaths and stragglers in place.
-    Aggregates stay byte-identical to a clean sequential run throughout.
+    spec that differs from the one that wrote it.  Every parallel or
+    journalled run goes through the
+    :class:`~repro.stats.resilient.ResilientExecutor`, which additionally
+    survives worker deaths and stragglers in place.  Aggregates stay
+    byte-identical to a clean sequential run throughout.
     """
     sweep = Sweep(master_seed=seed, trials_per_point=trials)
     spec = campaign_spec([(sweep, xs, trial_fn)])
-    store = campaign_store(store_name or _store_name(trial_fn), spec, resume)
-    try:
-        if executor is not None:
-            return sweep.run(xs, trial_fn, executor=executor, store=store)
-        with _campaign_executor(jobs, store) as owned:
-            return sweep.run(xs, trial_fn, executor=owned, store=store)
-    finally:
-        if store is not None:
-            store.close()
+    with _campaign(store_name or _store_name(trial_fn), spec, jobs, resume,
+                   executor) as (runner, store):
+        return sweep.run(xs, trial_fn, executor=runner, store=store)
 
 
 def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
@@ -309,15 +325,9 @@ def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
               for seed, trials, xs, trial_fn in specs]
     name = store_name or "__".join(
         _store_name(trial_fn) for _, _, _, trial_fn in specs)
-    store = campaign_store(name, campaign_spec(sweeps), resume)
-    try:
-        if executor is not None:
-            return run_flattened(sweeps, executor, store=store)
-        with _campaign_executor(jobs, store) as owned:
-            return run_flattened(sweeps, owned, store=store)
-    finally:
-        if store is not None:
-            store.close()
+    with _campaign(name, campaign_spec(sweeps), jobs, resume,
+                   executor) as (runner, store):
+        return run_flattened(sweeps, runner, store=store)
 
 
 @dataclass
@@ -353,22 +363,20 @@ def map_points(fn: Callable, tasks: list, jobs: Optional[int] = None,
     ``resume``/``REPRO_RESUME_DIR`` journal completed points keyed by
     ``(0, index, 0, fingerprint)`` — the same kill-and-resume contract as
     :func:`run_sweep`, with the task list itself digest-bound so a grid
-    change refuses the stale journal.
+    change refuses the stale journal.  Like :func:`campaign_spec`, the
+    spec carries the configured engine, so a journal written under one
+    engine is refused under the other; version 2 added that key.
     """
-    spec = {"version": 1, "map": callable_name(fn),
+    spec = {"version": 2, "engine": configured_engine(),
+            "map": callable_name(fn),
             "tasks": [repr(task) for task in tasks]}
-    store = campaign_store(store_name or _store_name(fn), spec, resume)
-    try:
-        with _campaign_executor(jobs, store) as executor:
-            if store is None:
-                return executor.map(_StarCall(fn), tasks)
-            keys = [(0, index, 0, _task_fingerprint(task))
-                    for index, task in enumerate(tasks)]
-            return map_with_store(executor, _StarCall(fn), tasks, keys,
-                                  store)
-    finally:
-        if store is not None:
-            store.close()
+    with _campaign(store_name or _store_name(fn), spec, jobs,
+                   resume) as (executor, store):
+        if store is None:
+            return executor.map(_StarCall(fn), tasks)
+        keys = [(0, index, 0, _task_fingerprint(task))
+                for index, task in enumerate(tasks)]
+        return executor.map_keyed(_StarCall(fn), tasks, keys, journal=store)
 
 
 @dataclass

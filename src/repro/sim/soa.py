@@ -70,8 +70,17 @@ ENGINES = ("object", "soa")
 
 
 def configured_engine() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default ``"object"``)."""
-    return os.environ.get(ENGINE_ENV_VAR, "object")
+    """The engine selected by ``REPRO_ENGINE`` (default ``"object"``).
+
+    Anything but one of :data:`ENGINES` raises a ``ValueError`` naming the
+    variable, before a campaign binds a journal to the value.
+    """
+    engine = os.environ.get(ENGINE_ENV_VAR, "object")
+    if engine not in ENGINES:
+        raise ValueError(
+            f"{ENGINE_ENV_VAR}={engine!r} is not an engine; expected one "
+            f"of {', '.join(ENGINES)}")
+    return engine
 
 
 # micro event kinds (dispatch-frequency ordered in the loop, not here)

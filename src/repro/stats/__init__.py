@@ -8,13 +8,7 @@ from repro.stats.estimators import (
     mean_with_ci,
     wilson_interval,
 )
-from repro.stats.executor import (
-    Executor,
-    ParallelExecutor,
-    SequentialExecutor,
-    default_jobs,
-    get_executor,
-)
+from repro.stats.executor import Executor, SequentialExecutor, default_jobs
 from repro.stats.fabric import (
     FabricCoordinator,
     FabricError,
@@ -49,7 +43,6 @@ __all__ = [
     "FabricWorker",
     "MeanEstimate",
     "MonteCarlo",
-    "ParallelExecutor",
     "ProportionEstimate",
     "ResilientExecutor",
     "ResultStore",
@@ -66,7 +59,6 @@ __all__ = [
     "default_jobs",
     "derive_seed",
     "format_table",
-    "get_executor",
     "mean_with_ci",
     "wilson_interval",
 ]

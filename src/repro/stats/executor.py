@@ -1,14 +1,17 @@
-"""Pluggable execution backends for Monte-Carlo trials and sweeps.
+"""The executor interface and the sequential reference backend.
 
 Every trial in this codebase is a pure function of its derived seed, so a
 batch of trials can run on one core or many and must produce *the same*
-ordered outcome list either way.  This module supplies the two backends:
+ordered outcome list either way.  :class:`Executor` is that contract, an
+ordered map; this module also holds its reference implementation:
 
-* :class:`SequentialExecutor` — the reference implementation, a plain
-  ordered loop on the calling process;
-* :class:`ParallelExecutor` — a ``concurrent.futures.ProcessPoolExecutor``
-  front-end that dispatches contiguous chunks of trials to worker
-  processes and reassembles results in submission order.
+* :class:`SequentialExecutor` — a plain ordered loop on the calling
+  process, the backend of every plain ``jobs=1`` run.
+
+Work that leaves the calling process goes through the lease frame
+(:mod:`repro.stats.lease`): :class:`~repro.stats.resilient.ResilientExecutor`,
+the process pool, and :class:`~repro.stats.fabric.FabricExecutor`, the
+distributed fabric.
 
 Determinism contract: for any picklable ``fn`` and item list, every
 executor returns ``[fn(item) for item in items]`` — same values, same
@@ -23,37 +26,33 @@ caller requested, and the CLI exposes ``--jobs``.
 
 from __future__ import annotations
 
-import math
 import os
-import pickle
-import time
-import warnings
 from typing import Any, Callable, Optional, Sequence
 
 #: Environment knob: fan trials out over this many worker processes.
 JOBS_ENV_VAR = "REPRO_JOBS"
-
-#: Target number of chunks handed to each worker; >1 keeps the pool busy
-#: when per-trial wall-clock varies (high-BER trials run longer).
-_CHUNKS_PER_JOB = 4
 
 
 def default_jobs(requested: Optional[int] = None) -> int:
     """Resolve the worker count: ``REPRO_JOBS`` overrides ``requested``.
 
     Returns 1 (sequential) when neither is set.  A value of 0 or ``"auto"``
-    in the environment means "one job per CPU".
+    in the environment means "one job per CPU"; anything else that is not
+    an integer raises a ``ValueError`` naming the variable.
     """
-    override = os.environ.get(JOBS_ENV_VAR)
-    if override:
-        if override.strip().lower() == "auto" or int(override) <= 0:
-            return max(1, os.cpu_count() or 1)
-        return int(override)
-    if requested is not None:
-        if requested <= 0:
-            return max(1, os.cpu_count() or 1)
-        return requested
-    return 1
+    override = os.environ.get(JOBS_ENV_VAR, "").strip()
+    if override.lower() == "auto":
+        requested = 0
+    elif override:
+        try:
+            requested = int(override)
+        except ValueError:
+            raise ValueError(
+                f"{JOBS_ENV_VAR}={override!r} is not a job count; expected "
+                "an integer, or 0 / 'auto' for one job per CPU") from None
+    if requested is None:
+        return 1
+    return requested if requested > 0 else max(1, os.cpu_count() or 1)
 
 
 class Executor:
@@ -66,17 +65,15 @@ class Executor:
         """Return ``[fn(item) for item in items]`` (order guaranteed).
 
         ``progress(index, result)`` is invoked in index order; under a
-        parallel backend it fires as ordered results become available, not
-        as workers finish.  Note the batching this implies: a chunked
-        backend like :class:`ParallelExecutor` consumes futures in
-        submission order, so ``progress`` fires in whole-chunk bursts only
-        after each chunk's ``future.result()`` returns — and not at all
-        for chunks that completed out of order until the gap before them
-        closes.  Callers needing liveness rather than ordered streaming
-        (monitoring, checkpoint telemetry) should use
-        :class:`~repro.stats.resilient.ResilientExecutor`'s journal-backed
-        ``on_progress`` hook, which reports completed/total counts in
-        completion order.
+        worker backend it fires as ordered results become available, not
+        as workers finish.  Note the batching this implies: the lease
+        backends (:mod:`repro.stats.lease`) deliver whole leases, so
+        ``progress`` fires in lease-sized bursts — and a lease that
+        completes before an earlier one fires nothing until the gap
+        before it closes.  Callers needing liveness rather than ordered
+        streaming (monitoring, checkpoint telemetry) should use the lease
+        backends' journal-backed ``on_progress`` hook, which reports
+        completed/total counts after every lease, in completion order.
         """
         raise NotImplementedError
 
@@ -103,152 +100,3 @@ class SequentialExecutor(Executor):
             if progress is not None:
                 progress(index, result)
         return results
-
-
-def _run_chunk(fn: Callable[[Any], Any], chunk: list) -> list:
-    """Worker-side body: evaluate one contiguous chunk of items."""
-    return [fn(item) for item in chunk]
-
-
-def _run_chunk_timed(fn: Callable[[Any], Any], chunk: list) -> tuple:
-    """Like :func:`_run_chunk`, but reports the worker-side busy interval.
-
-    ``time.perf_counter`` is CLOCK_MONOTONIC on Linux — system-wide, so
-    intervals measured in forked workers are comparable with the parent's
-    clock and can be summed into a pool-utilization fraction.
-    """
-    start = time.perf_counter()
-    results = [fn(item) for item in chunk]
-    return results, start, time.perf_counter()
-
-
-class ParallelExecutor(Executor):
-    """Process-pool backend with chunked dispatch and ordered reassembly.
-
-    Chunks are contiguous slices of the item list, submitted in order and
-    consumed in submission order, so the result list (and any ``progress``
-    callbacks) are indistinguishable from the sequential backend.  Each
-    worker re-evaluates ``fn(item)`` from the item's own derived seed —
-    no state is shared between trials, which is what makes the fan-out
-    safe.
-
-    Unpicklable trial functions (e.g. closures in tests) degrade to the
-    sequential path with a warning rather than failing, preserving the
-    determinism contract.
-
-    The worker pool is created lazily on the first parallel ``map`` and
-    reused across calls — a sweep's per-point batches amortise the pool
-    start-up instead of re-forking workers at every point.  Call
-    :meth:`close` (or use the executor as a context manager) to release
-    the workers; :func:`repro.experiments.common.run_sweep` does this for
-    every experiment run.
-    """
-
-    def __init__(self, jobs: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 track_utilization: bool = False):
-        # an explicit job count is honoured verbatim — the REPRO_JOBS env
-        # override applies only at the get_executor()/default_jobs() entry
-        # point, so tests and direct callers can pin a backend
-        if jobs is None:
-            self.jobs = default_jobs()
-        elif jobs <= 0:
-            self.jobs = max(1, os.cpu_count() or 1)
-        else:
-            self.jobs = int(jobs)
-        self.chunk_size = chunk_size
-        #: when True, each parallel ``map`` records worker busy intervals
-        #: and publishes ``last_map_stats`` (used by bench_sweep to report
-        #: the pool-utilization fraction); off by default so the ordinary
-        #: dispatch path ships no timing payload.
-        self.track_utilization = track_utilization
-        #: ``{"wall_s", "busy_s", "utilization", "chunks", "jobs"}`` of the
-        #: most recent tracked parallel ``map``; None before one happens.
-        self.last_map_stats: Optional[dict] = None
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # prefer fork where available: workers inherit the parent's
-            # in-memory module state, so runtime-patched experiment
-            # constants (test fixtures, notebooks) behave identically in
-            # and out of process — spawn/forkserver re-import and would
-            # silently diverge from the sequential path
-            context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            else:
-                warnings.warn(
-                    "fork start method unavailable; spawn workers re-import "
-                    "modules, so runtime-patched experiment state will not "
-                    "reach them and parallel results may diverge from the "
-                    "sequential path", RuntimeWarning, stacklevel=3)
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                             mp_context=context)
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def map(self, fn, items, progress=None) -> list:
-        items = list(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            return SequentialExecutor().map(fn, items, progress)
-        try:
-            pickle.dumps(fn)
-        except Exception:
-            warnings.warn(
-                f"{fn!r} is not picklable; ParallelExecutor falling back "
-                "to the sequential path", RuntimeWarning, stacklevel=2)
-            return SequentialExecutor().map(fn, items, progress)
-
-        jobs = min(self.jobs, len(items))
-        size = self.chunk_size or max(
-            1, math.ceil(len(items) / (jobs * _CHUNKS_PER_JOB)))
-        chunks = [items[i:i + size] for i in range(0, len(items), size)]
-        pool = self._ensure_pool()
-        worker = _run_chunk_timed if self.track_utilization else _run_chunk
-        wall_start = time.perf_counter()
-        futures = [pool.submit(worker, fn, chunk) for chunk in chunks]
-        results: list = []
-        busy_s = 0.0
-        index = 0
-        for future in futures:  # submission order == item order
-            payload = future.result()
-            if self.track_utilization:
-                payload, chunk_start, chunk_end = payload
-                busy_s += chunk_end - chunk_start
-            for result in payload:
-                results.append(result)
-                if progress is not None:
-                    progress(index, result)
-                index += 1
-        if self.track_utilization:
-            wall_s = time.perf_counter() - wall_start
-            self.last_map_stats = {
-                "wall_s": wall_s,
-                "busy_s": busy_s,
-                "utilization": busy_s / (jobs * wall_s) if wall_s > 0 else 0.0,
-                "chunks": len(chunks),
-                "jobs": jobs,
-            }
-        return results
-
-
-def get_executor(jobs: Optional[int] = None) -> Executor:
-    """The backend for a resolved job count: sequential at 1, pool above."""
-    resolved = default_jobs(jobs)
-    if resolved <= 1:
-        return SequentialExecutor()
-    return ParallelExecutor(jobs=resolved)

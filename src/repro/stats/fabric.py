@@ -1,14 +1,17 @@
 """Distributed sweep fabric: lease-based multi-host campaign execution.
 
-This is the scale-out layer of the fault-tolerant execution stack: a TCP
-**coordinator** (:class:`FabricCoordinator`) that leases the same
-seed-addressed ``(sweep, point, trial, seed)`` task chunks the result
-journal uses to **workers** (:class:`FabricWorker`) on any host, behind
-the ordinary :class:`~repro.stats.executor.Executor` interface
-(:class:`FabricExecutor`).  Because every trial is a pure function of its
-derived seed, fanning a campaign across hosts changes nothing about its
-outcome: a fabric run pickles byte-identical to the sequential reference,
-which is exactly what the acceptance suite asserts.
+The scale-out backend of the lease frame (:mod:`repro.stats.lease`): a
+TCP **coordinator** (:class:`FabricCoordinator`) leases the same
+seed-addressed ``(sweep, point, trial, seed)`` task chunks the process
+pool does to **workers** (:class:`FabricWorker`) on any host, behind
+:class:`FabricExecutor`.  The frame supplies journal resume, ordered
+progress and the progress dict; this module supplies only how leases
+reach workers — the wire protocol, the worker registry, heartbeats,
+work stealing and local-worker respawn.  Because every trial is a pure
+function of its derived seed, fanning a campaign across hosts changes
+nothing about its outcome: a fabric run pickles byte-identical to the
+sequential reference, which is exactly what the acceptance suite
+asserts.
 
 Protocol
 --------
@@ -53,10 +56,11 @@ function of the chaos and trial seeds, so all of the above is exercised
 deterministically in CI over localhost (``REPRO_CHAOS`` with
 ``drop=``/``blackhole=``/``dup=``/``delay=`` bands).
 
-Activation: ``REPRO_FABRIC`` (or ``--fabric``, or ``executor="fabric"``
-on the sweep entry points), e.g. ``REPRO_FABRIC="workers=4"`` for local
-fork workers or ``REPRO_FABRIC="bind=0.0.0.0:7919,workers=0"`` plus
-``python -m repro fabric-worker HOST:7919`` on other hosts.
+Activation: ``REPRO_FABRIC`` (or ``--fabric``), which every campaign
+entry point of :mod:`repro.experiments.common` honours, e.g.
+``REPRO_FABRIC="workers=4"`` for local fork workers or
+``REPRO_FABRIC="bind=0.0.0.0:7919,workers=0"`` plus ``python -m repro
+fabric-worker HOST:7919`` on other hosts.
 
 Trust model: frames carry pickles, so the fabric must only be exposed to
 trusted hosts (a lab LAN, an SSH tunnel) — the same stance as every
@@ -71,16 +75,13 @@ import os
 import pickle
 import socket
 import struct
-import tempfile
 import threading
 import time
-import warnings
 from queue import Empty, Queue
 from typing import Any, Callable, Optional, Sequence
 
 from repro.stats.chaos import ChaosConfig, ChaosError, maybe_net_fault
-from repro.stats.executor import Executor, SequentialExecutor
-from repro.stats.lease import ChunkLease, chunk_size_for, make_leases, run_chunk
+from repro.stats.lease import ChunkLease, LeaseExecutor, run_chunk
 from repro.stats.montecarlo import TrialExecutionError
 from repro.stats.store import ResultStore
 
@@ -631,18 +632,8 @@ class FabricCoordinator:
         if lease is None or lease.done:
             return
         lease.owners.discard(conn)
-        lease.attempts += 1
-        error = _unpack(message["error"])
-        if lease.attempts > self.max_retries:
-            if isinstance(error, TrialExecutionError):
-                warnings.warn(
-                    f"lease failed {lease.attempts} times; giving up — "
-                    f"replay the failing trial with seed "
-                    f"{error.seed:#018x}", RuntimeWarning, stacklevel=4)
-            raise error
-        self.counters["retries"] += 1
-        lease.retry_at = time.monotonic() + \
-            self.backoff_base_s * (2 ** (lease.attempts - 1))
+        lease.fail(_unpack(message["error"]), self.max_retries,
+                   self.backoff_base_s, self.counters)
 
     def _expire_silent_workers(self) -> None:
         now = time.monotonic()
@@ -727,21 +718,20 @@ def _local_worker_main(address, digest, chaos, name):
         os._exit(3)
 
 
-class FabricExecutor(Executor):
-    """Campaign execution on the distributed fabric, behind the ordinary
-    :class:`~repro.stats.executor.Executor` interface.
+class FabricExecutor(LeaseExecutor):
+    """Campaign execution on the distributed fabric, through the lease
+    frame (:class:`~repro.stats.lease.LeaseExecutor`).
 
-    Each ``map``/``map_keyed`` call starts a fresh coordinator on
-    ``bind`` (ephemeral port by default), optionally forks ``workers``
-    local worker processes pointed at it, and serves the task queue until
-    complete — external workers started with ``python -m repro
-    fabric-worker`` join the same campaign.  Results, journalling,
-    resume and progress semantics mirror
-    :class:`~repro.stats.resilient.ResilientExecutor`: journalled keys
-    are never recomputed, fresh completions are recorded and fsynced in
-    completion order, and ``on_progress`` receives the journal-backed
-    dict extended with the fabric counters (``workers``,
-    ``leases_stolen``, ``heartbeats_missed``, ...).
+    Each dispatched ``map``/``map_keyed`` starts a fresh coordinator on
+    ``bind`` (ephemeral port by default), forks ``workers`` local worker
+    processes pointed at it, and serves the leases until complete —
+    external workers started with ``python -m repro fabric-worker`` join
+    the same campaign.  Journalling, resume and ordered progress are the
+    frame's; ``on_progress`` receives the journal-backed dict extended
+    with the fabric counters (``workers``, ``leases_stolen``,
+    ``heartbeats_missed``, ``respawns``).  Leases always travel to
+    workers, even with one or zero local workers; only an unpicklable
+    trial function runs in process.
 
     Locally spawned workers that die (chaos crash, OOM) are respawned up
     to ``max_worker_respawns`` times; once the budget is exhausted *and*
@@ -749,6 +739,9 @@ class FabricExecutor(Executor):
     :class:`FabricError` propagates — rerun to resume, exactly like the
     pool-rebuild budget of the resilient backend.
     """
+
+    progress_counters = ("retries", "redispatches", "workers",
+                         "leases_stolen", "heartbeats_missed", "respawns")
 
     def __init__(self, workers: int = 2, *,
                  bind: tuple[str, int] = ("127.0.0.1", 0),
@@ -766,36 +759,18 @@ class FabricExecutor(Executor):
                  on_progress: Optional[Callable[[dict], None]] = None):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = external only)")
-        if chaos is None:
-            chaos = ChaosConfig.from_env()
-        if (chaos is not None and chaos.state_dir is None
-                and (chaos.crash + chaos.hang + chaos.exc + chaos.drop
-                     + chaos.blackhole + chaos.dup + chaos.delay) > 0):
-            # durable fire-once ledger shared by every worker the campaign
-            # touches (respawned ones included), like ResilientExecutor
-            chaos = chaos.with_state_dir(
-                tempfile.mkdtemp(prefix="repro-chaos-"))
-        if chaos is not None:
-            chaos.begin_run()
+        super().__init__(max(1, workers), chunk_size, journal=journal,
+                         chaos=chaos, max_retries=max_retries,
+                         backoff_base_s=backoff_base_s,
+                         on_progress=on_progress)
         self.workers = workers
-        self.jobs = max(1, workers)
         self.bind = bind
-        self.chunk_size = chunk_size
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.steal_after_s = steal_after_s
         self.max_steals = max_steals
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
         self.max_worker_respawns = max_worker_respawns
-        self.journal = journal
-        self.chaos = chaos
         self.spec_digest = spec_digest
-        self.on_progress = on_progress
-        #: fabric counters of the most recent map (see new_counters()).
-        self.counters: dict = new_counters()
-        #: journal-backed progress of the most recent map; None before one.
-        self.last_progress: Optional[dict] = None
         #: the active (or most recent) coordinator address — what external
         #: ``fabric-worker`` processes connect to; None before a map runs.
         self.last_address: Optional[tuple[str, int]] = None
@@ -855,100 +830,12 @@ class FabricExecutor(Executor):
         unset/blank)."""
         return cls.from_spec(os.environ.get(FABRIC_ENV_VAR), **overrides)
 
-    # -- public entry points ----------------------------------------------
+    # -- the frame's hooks ------------------------------------------------
 
-    def map(self, fn, items, progress=None) -> list:
-        """Ordered map with synthetic journal keys ``(0, 0, i, seed)`` —
-        see :meth:`ResilientExecutor.map` for the convention."""
-        items = list(items)
-        keys = [(0, 0, index, item if isinstance(item, int) else index)
-                for index, item in enumerate(items)]
-        return self.map_keyed(fn, items, keys, progress=progress)
+    def _new_counters(self) -> dict:
+        return new_counters()
 
-    def map_keyed(self, fn, items: Sequence, keys: Sequence,
-                  progress=None, journal: Optional[ResultStore] = None
-                  ) -> list:
-        """Ordered map over keyed tasks, served by the fabric.
-
-        Journalled keys are returned without recompute; the rest are
-        chunked into leases and dispatched to whatever workers register.
-        Byte-identical to the sequential backend for any worker count,
-        chunk size, steal schedule or network weather.
-        """
-        items = list(items)
-        keys = [tuple(key) for key in keys]
-        if len(items) != len(keys):
-            raise ValueError(f"{len(items)} items but {len(keys)} keys")
-        if journal is None:
-            journal = self.journal
-
-        total = len(items)
-        results: list = [None] * total
-        have: set = set()
-        cached = 0
-        if journal is not None:
-            for index, key in enumerate(keys):
-                hit = journal.get(key)
-                if hit is not None:
-                    results[index] = hit
-                    have.add(index)
-                    cached += 1
-        pending = [index for index in range(total) if index not in have]
-
-        self.counters = new_counters()
-        counters = self.counters
-        next_emit = 0
-
-        def _advance_progress() -> None:
-            nonlocal next_emit
-            while next_emit < total and next_emit in have:
-                if progress is not None:
-                    progress(next_emit, results[next_emit])
-                next_emit += 1
-
-        def _note_progress() -> None:
-            self.last_progress = {
-                "completed": len(have),
-                "total": total,
-                "cached": cached,
-                "retries": counters["retries"],
-                "redispatches": counters["redispatches"],
-                "workers": counters["workers"],
-                "leases_stolen": counters["leases_stolen"],
-                "heartbeats_missed": counters["heartbeats_missed"],
-                "respawns": counters["respawns"],
-                "last_checkpoint":
-                    journal.last_checkpoint if journal is not None else None,
-            }
-            if self.on_progress is not None:
-                self.on_progress(dict(self.last_progress))
-
-        _advance_progress()
-        if cached:
-            _note_progress()
-        if not pending:
-            return results
-
-        try:
-            pickle.dumps(fn)
-        except Exception:
-            warnings.warn(
-                f"{fn!r} is not picklable; FabricExecutor falling back to "
-                "the sequential path", RuntimeWarning, stacklevel=2)
-            fresh = SequentialExecutor().map(fn, [items[i] for i in pending])
-            for position, index in enumerate(pending):
-                results[index] = fresh[position]
-                have.add(index)
-                if journal is not None:
-                    journal.record(keys[index], results[index])
-            if journal is not None:
-                journal.flush()
-            _advance_progress()
-            _note_progress()
-            return results
-
-        size = chunk_size_for(len(pending), self.jobs, self.chunk_size)
-        leases = make_leases(items, keys, pending, size)
+    def _dispatch(self, fn, leases, journal, counters, complete) -> None:
         digest = (journal.spec_digest if journal is not None
                   else self.spec_digest) or UNBOUND_DIGEST
         coordinator = FabricCoordinator(
@@ -962,18 +849,6 @@ class FabricExecutor(Executor):
         self.last_address = address
         procs: list = [None] * self.workers
         respawns_left = self.max_worker_respawns
-
-        def _complete(lease: ChunkLease, payload: list) -> None:
-            for key, index, result in zip(lease.keys, lease.indices,
-                                          payload):
-                results[index] = result
-                have.add(index)
-                if journal is not None:
-                    journal.record(key, result)
-            if journal is not None:
-                journal.flush()  # the checkpoint: this chunk is durable
-            _advance_progress()
-            _note_progress()
 
         def _tick() -> None:
             nonlocal respawns_left
@@ -997,23 +872,17 @@ class FabricExecutor(Executor):
         try:
             for slot in range(self.workers):
                 procs[slot] = self._spawn_worker(address, digest, slot)
-            coordinator.run(fn, leases, on_complete=_complete,
-                            on_tick=_tick)
-        except BaseException:
-            if journal is not None:
-                journal.flush()
-            raise
+            coordinator.run(fn, leases, on_complete=complete, on_tick=_tick)
         finally:
             coordinator.close()
             self._stop_workers(procs)
-        return results
 
     # -- local worker processes -------------------------------------------
 
     def _spawn_worker(self, address, digest: str, slot: int):
         """Fork one local worker process pointed at ``address`` — fork
         (not spawn), so runtime-patched experiment state reaches workers
-        exactly like the process-pool backends."""
+        exactly like the process pool's."""
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():

@@ -1,37 +1,63 @@
-"""Shared chunk-lease machinery of the fault-tolerant executors.
+"""The lease frame: the one keyed map behind every worker backend.
 
-A **chunk lease** is the unit of recoverable work both robust backends
-dispatch: a contiguous slice of the flattened task queue, addressed by
-its ``(sweep, point, trial, seed)`` journal keys, with the retry /
-re-dispatch bookkeeping a recovery loop needs.
-:class:`~repro.stats.resilient.ResilientExecutor` leases chunks to forked
-worker processes on one host; the distributed fabric
-(:mod:`repro.stats.fabric`) leases the *same* chunks to TCP workers on
-any host.  Keeping the lease record, the chunk-size formula and the
-worker-side chunk body here means the two layers cannot drift: a task
-journalled by one resumes under the other, and chaos injection behaves
-identically in a forked pool worker and a remote fabric worker.
+A **chunk lease** is the unit of recoverable work: a contiguous slice of
+the flattened task queue, addressed by its ``(sweep, point, trial, seed)``
+journal keys, with the retry bookkeeping a recovery loop needs.
+:class:`LeaseExecutor` is the frame both worker backends share —
+:class:`~repro.stats.resilient.ResilientExecutor` leases chunks to a
+forked process pool on one host, the distributed fabric
+(:class:`~repro.stats.fabric.FabricExecutor`) leases them to TCP workers
+on any host.  The frame owns every part of a map that does not depend on
+how a lease reaches a worker:
+
+* synthetic journal keys for a plain :meth:`~LeaseExecutor.map`;
+* the journal-hit scan — journalled keys are never recomputed;
+* ordered ``progress`` callbacks and the journal-backed progress dict;
+* record-and-flush per completed lease, and a flush on any escape;
+* the in-process path — chaos injection and bounded backoff retry per
+  task — for an unpicklable trial function or a pool at one job.
+
+A backend keeps only its counters and :meth:`~LeaseExecutor._dispatch`,
+the loop that moves leases to workers and back.  Both dispatch loops
+share the lease record, the lease sizes (:func:`make_leases`) and the
+worker-side chunk body (:func:`run_chunk`), so a task journalled by one
+backend resumes under the other, and chaos injection behaves identically
+in a forked pool worker and a remote fabric worker.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+import tempfile
+import time
+import warnings
 from typing import Any, Callable, Optional, Sequence
 
-from repro.stats.chaos import ChaosConfig, ChaosError, maybe_inject
-from repro.stats.executor import _CHUNKS_PER_JOB
+from repro.stats.chaos import (
+    FAULT_KINDS,
+    NET_FAULT_KINDS,
+    ChaosConfig,
+    ChaosError,
+    maybe_inject,
+)
+from repro.stats.executor import Executor
 from repro.stats.montecarlo import TrialExecutionError
+
+#: Target number of leases handed to each worker; >1 keeps the workers
+#: busy when per-trial wall-clock varies (high-BER trials run longer).
+_CHUNKS_PER_JOB = 4
 
 
 class ChunkLease:
     """One dispatched chunk: its item indices, retry state and deadline.
 
-    The base fields drive :class:`ResilientExecutor`'s recovery loop; the
-    fabric additionally tracks which workers hold the lease
-    (``owners``), when it was last assigned (``assigned_at``) and how
-    many duplicate assignments were stolen onto idle workers
-    (``steals``).  First completion wins either way — duplicates are
-    byte-identical because trials are pure functions of their seeds.
+    The base fields drive the pool's recovery loop; the fabric
+    additionally tracks which workers hold the lease (``owners``), when
+    it was last assigned (``assigned_at``) and how many duplicate
+    assignments were stolen onto idle workers (``steals``).  First
+    completion wins either way — duplicates are byte-identical because
+    trials are pure functions of their seeds.
     """
 
     __slots__ = ("lease_id", "indices", "items", "keys", "attempts",
@@ -52,21 +78,33 @@ class ChunkLease:
         self.assigned_at = None     # monotonic time of the last assignment
         self.steals = 0             # duplicate assignments so far
 
-
-def chunk_size_for(n_items: int, jobs: int,
-                   chunk_size: Optional[int] = None) -> int:
-    """The chunk size both backends use: an explicit override, else the
-    load-balancing default of ``_CHUNKS_PER_JOB`` chunks per worker."""
-    if chunk_size is not None:
-        return max(1, chunk_size)
-    jobs = max(1, jobs)
-    return max(1, math.ceil(n_items / (jobs * _CHUNKS_PER_JOB)))
+    def fail(self, error: BaseException, max_retries: int,
+             backoff_base_s: float, counters: dict) -> None:
+        """Count one failed attempt and gate the retry behind an
+        exponential backoff (``retry_at``).  Past ``max_retries`` failed
+        attempts ``error`` is raised instead — after a warning quoting
+        the replay seed when a trial failed."""
+        self.attempts += 1
+        if self.attempts > max_retries:
+            if isinstance(error, TrialExecutionError):
+                warnings.warn(
+                    f"lease failed {self.attempts} times; giving up — "
+                    f"replay the failing trial with seed "
+                    f"{error.seed:#018x}", RuntimeWarning, stacklevel=3)
+            raise error
+        counters["retries"] += 1
+        self.retry_at = time.monotonic() + \
+            backoff_base_s * (2 ** (self.attempts - 1))
 
 
 def make_leases(items: Sequence, keys: Sequence, pending: Sequence[int],
-                size: int) -> list:
-    """Slice the pending indices of ``items``/``keys`` into leases of at
-    most ``size`` tasks, in queue order."""
+                jobs: int, chunk_size: Optional[int] = None) -> list:
+    """Slice the pending indices of ``items``/``keys`` into leases, in
+    queue order, of ``chunk_size`` tasks — by default the load-balancing
+    size that gives each of ``jobs`` workers ``_CHUNKS_PER_JOB`` leases."""
+    if chunk_size is None:
+        chunk_size = math.ceil(len(pending) / (max(1, jobs) * _CHUNKS_PER_JOB))
+    size = max(1, chunk_size)
     return [
         ChunkLease(indices=list(pending[lo:lo + size]),
                    items=[items[i] for i in pending[lo:lo + size]],
@@ -98,3 +136,218 @@ def run_chunk(fn: Callable[[Any], Any], chunk: list, keys: list,
             raise TrialExecutionError(key[0], key[1], key[2], key[3],
                                       repr(error)) from error
     return results
+
+
+class LeaseExecutor(Executor):
+    """The keyed-map frame of the worker backends (see the module
+    docstring).
+
+    Subclasses name the counters their progress dict reports
+    (``progress_counters``), implement :meth:`_dispatch`, and override
+    :meth:`_in_process` to decline dispatching.  The shared parameters:
+
+    ``journal``
+        default :class:`~repro.stats.store.ResultStore` for :meth:`map` /
+        :meth:`map_keyed`; completed leases are recorded and fsynced as
+        they arrive, already-journalled keys are never recomputed.
+    ``chaos``
+        fault-injection schedule (default: parsed from ``REPRO_CHAOS``).
+        A schedule without a ledger directory gets one allocated, so each
+        fault fires once across every worker the campaign touches.
+    ``max_retries``
+        failed attempts tolerated per lease before the error surfaces.
+    ``backoff_base_s``
+        exponential backoff base between retry attempts.
+    ``on_progress``
+        callback receiving the journal-backed progress dict after every
+        completed lease.
+    """
+
+    #: Counters of a map reported in its progress dict, in order, between
+    #: ``cached`` and ``last_checkpoint``.
+    progress_counters: tuple = ()
+
+    def __init__(self, jobs: int, chunk_size: Optional[int], *,
+                 journal=None,
+                 chaos: Optional[ChaosConfig] = None,
+                 max_retries: int = 2,
+                 backoff_base_s: float = 0.25,
+                 on_progress: Optional[Callable[[dict], None]] = None):
+        if chaos is None:
+            chaos = ChaosConfig.from_env()
+        if chaos is not None:
+            if chaos.state_dir is None and any(
+                    getattr(chaos, kind) > 0
+                    for kind in FAULT_KINDS + NET_FAULT_KINDS):
+                # a durable fire-once ledger, not just crash insurance:
+                # retried leases migrate between worker processes (fresh
+                # pool workers, respawned fabric workers), and a
+                # process-local ledger would re-fire the same fault in
+                # each of them
+                chaos = chaos.with_state_dir(
+                    tempfile.mkdtemp(prefix="repro-chaos-"))
+            # a campaign start, not a resume of this executor's own run:
+            # expire stale fire-once claims left by earlier campaigns so
+            # the schedule is live again (see ChaosConfig.begin_run)
+            chaos.begin_run()
+        self.jobs = jobs
+        self.chunk_size = chunk_size
+        self.journal = journal
+        self.chaos = chaos
+        self.max_retries = max_retries
+        self.backoff_base_s = backoff_base_s
+        self.on_progress = on_progress
+        #: counters of the most recent ``map`` (see :meth:`_new_counters`).
+        self.counters: dict = self._new_counters()
+        #: journal-backed progress of the most recent ``map``; None
+        #: before one ran.
+        self.last_progress: Optional[dict] = None
+
+    # -- backend hooks ------------------------------------------------------
+
+    def _new_counters(self) -> dict:
+        """A fresh counter dict for one map."""
+        return dict.fromkeys(self.progress_counters, 0)
+
+    def _in_process(self, n_pending: int) -> bool:
+        """True when ``n_pending`` tasks should run in this process rather
+        than be dispatched (the default: always dispatch)."""
+        return False
+
+    def _dispatch(self, fn: Callable, leases: list, journal,
+                  counters: dict,
+                  complete: Callable[[ChunkLease, list], None]) -> None:
+        """Run every lease on the backend's workers, calling
+        ``complete(lease, payload)`` exactly once per lease, in
+        completion order, from the calling thread."""
+        raise NotImplementedError
+
+    # -- public entry points ------------------------------------------------
+
+    def map(self, fn, items, progress=None) -> list:
+        """Ordered map with synthetic journal keys ``(0, 0, i, seed)``.
+
+        ``seed`` is the item itself when it is an integer (the common
+        seed-list case), else the index — enough for chaos scheduling and
+        single-campaign journals.  Prefer :meth:`map_keyed` with real
+        ``(sweep, point, trial, seed)`` coordinates for campaign grids.
+        """
+        items = list(items)
+        keys = [(0, 0, index, item if isinstance(item, int) else index)
+                for index, item in enumerate(items)]
+        return self.map_keyed(fn, items, keys, progress=progress)
+
+    def map_keyed(self, fn, items: Sequence, keys: Sequence,
+                  progress=None, journal=None) -> list:
+        """Ordered map over keyed tasks with journal resume + recovery.
+
+        ``keys[i]`` is ``items[i]``'s ``(sweep, point, trial, seed)``
+        journal address (``journal`` defaults to the executor's own);
+        results already journalled are returned without recompute, and
+        fresh completions are recorded and checkpointed lease by lease in
+        completion order.  Byte-identical to the sequential backend for
+        any job count, chunk size or fault schedule.
+        """
+        items = list(items)
+        keys = [tuple(key) for key in keys]
+        if len(items) != len(keys):
+            raise ValueError(f"{len(items)} items but {len(keys)} keys")
+        if journal is None:
+            journal = self.journal
+
+        total = len(items)
+        results: list = [None] * total
+        have: set = set()
+        if journal is not None:
+            for index, key in enumerate(keys):
+                hit = journal.get(key)
+                if hit is not None:
+                    results[index] = hit
+                    have.add(index)
+        cached = len(have)
+        pending = [index for index in range(total) if index not in have]
+        self.counters = counters = self._new_counters()
+        next_emit = 0
+
+        def _advance_progress() -> None:
+            nonlocal next_emit
+            while next_emit < total and next_emit in have:
+                if progress is not None:
+                    progress(next_emit, results[next_emit])
+                next_emit += 1
+
+        def _note_progress() -> None:
+            self.last_progress = {
+                "completed": len(have),
+                "total": total,
+                "cached": cached,
+                **{name: counters[name] for name in self.progress_counters},
+                "last_checkpoint":
+                    journal.last_checkpoint if journal is not None else None,
+            }
+            if self.on_progress is not None:
+                self.on_progress(dict(self.last_progress))
+
+        def _complete(lease: ChunkLease, payload: list) -> None:
+            for key, index, result in zip(lease.keys, lease.indices,
+                                          payload):
+                results[index] = result
+                have.add(index)
+                if journal is not None:
+                    journal.record(key, result)
+            if journal is not None:
+                journal.flush()  # the checkpoint: this lease is durable
+            _advance_progress()
+            _note_progress()
+
+        _advance_progress()
+        if cached:
+            _note_progress()  # surface "resumed at cached/total" up front
+        if not pending:
+            return results
+
+        in_process = self._in_process(len(pending))
+        if not in_process:
+            try:
+                pickle.dumps(fn)
+            except Exception:
+                warnings.warn(
+                    f"{fn!r} is not picklable; {type(self).__name__} "
+                    "falling back to the in-process path", RuntimeWarning,
+                    stacklevel=2)
+                in_process = True
+        # any escape checkpoints the journal first, so a death anywhere —
+        # in process, in a worker, or an interrupt — is resumable
+        try:
+            if in_process:
+                self._run_in_process(fn, items, keys, pending, counters,
+                                     _complete)
+            else:
+                leases = make_leases(items, keys, pending, self.jobs,
+                                     self.chunk_size)
+                self._dispatch(fn, leases, journal, counters, _complete)
+        except BaseException:
+            if journal is not None:
+                journal.flush()
+            raise
+        return results
+
+    def _run_in_process(self, fn, items: list, keys: list, pending: list,
+                        counters: dict, complete: Callable) -> None:
+        """Run each pending task here as a one-task lease, under the same
+        fault story as a dispatched one: chaos injection precedes the
+        trial (a jobs=1 campaign under ``REPRO_CHAOS`` dies and resumes
+        like a parallel one) and transient faults get the bounded backoff
+        retry of :meth:`ChunkLease.fail`."""
+        for index in pending:
+            lease = ChunkLease([index], [items[index]], [keys[index]])
+            while True:
+                try:
+                    maybe_inject(self.chaos, keys[index][3])
+                    result = fn(items[index])
+                    break
+                except Exception as error:
+                    lease.fail(error, self.max_retries, self.backoff_base_s,
+                               counters)
+                    time.sleep(max(0.0, lease.retry_at - time.monotonic()))
+            complete(lease, [result])

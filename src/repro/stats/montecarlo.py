@@ -22,11 +22,18 @@ _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / phi, the splitmix64 increment
 
 
 def default_trials(requested: int) -> int:
-    """Apply the REPRO_TRIALS override, if set."""
-    override = os.environ.get(TRIALS_ENV_VAR)
-    if override:
+    """Apply the REPRO_TRIALS override, if set (values below 1 run one
+    trial); a value that is not an integer raises a ``ValueError`` naming
+    the variable."""
+    override = os.environ.get(TRIALS_ENV_VAR, "").strip()
+    if not override:
+        return requested
+    try:
         return max(1, int(override))
-    return requested
+    except ValueError:
+        raise ValueError(
+            f"{TRIALS_ENV_VAR}={override!r} is not a trial count; expected "
+            "an integer") from None
 
 
 def _mix64(value: int) -> int:

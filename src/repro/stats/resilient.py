@@ -1,16 +1,21 @@
-"""Fault-tolerant execution: a process-pool backend that survives faults.
+"""The process pool: the one backend that fans trials out on one host.
 
-:class:`ResilientExecutor` is a drop-in :class:`~repro.stats.executor.Executor`
-with the same determinism contract as the plain backends — same ordered
-result list at any job count — plus the robustness a long campaign needs:
+:class:`ResilientExecutor` leases chunks of the task queue to forked
+worker processes through the lease frame (:mod:`repro.stats.lease`),
+which gives it the determinism contract of every
+:class:`~repro.stats.executor.Executor` — same ordered result list at
+any job count — plus journal resume, ordered progress and the
+journal-backed progress dict.  Every parallel run goes through it;
+at one job (or for an unpicklable trial function) the frame runs the
+tasks in process instead.  On top of the frame, the pool survives:
 
 * **Worker death** (``BrokenProcessPool`` — OOM kill, segfault, chaos
-  crash): the pool is rebuilt and every unfinished chunk is re-leased,
+  crash): the pool is rebuilt and every unfinished lease is re-submitted,
   up to ``max_pool_rebuilds`` times; past the budget the journal is
   checkpointed and the error propagates, so a resumed run loses at most
-  the chunks that were in flight.
-* **Stragglers / hangs**: each chunk lease carries a deadline
-  (``chunk_timeout_s``); an overdue chunk is re-dispatched to another
+  the leases that were in flight.
+* **Stragglers / hangs**: each lease carries a deadline
+  (``chunk_timeout_s``); an overdue lease is re-dispatched to another
   worker.  First completion wins — duplicates are byte-identical because
   trials are pure functions of their seeds, so re-dispatch is free.
 * **Transient trial failures** (:class:`~repro.stats.chaos.ChaosError`,
@@ -19,72 +24,58 @@ result list at any job count — plus the robustness a long campaign needs:
   :class:`~repro.stats.montecarlo.TrialExecutionError` carrying the
   ``(sweep, point, trial, seed)`` replay coordinates, after a warning
   that quotes the replay seed.
-* **Interrupts** (Ctrl-C): the in-memory journal is flushed to its last
-  consistent checkpoint and the pool is shut down with
-  ``cancel_futures`` before the ``KeyboardInterrupt`` propagates — a
-  killed campaign resumes from the journal with no recompute beyond the
-  in-flight chunks.
+* **Interrupts** (Ctrl-C): the journal is flushed to its last consistent
+  checkpoint and the pool is shut down with ``cancel_futures`` before
+  the ``KeyboardInterrupt`` propagates — a killed campaign resumes from
+  the journal with no recompute beyond the in-flight leases.
 
-Results are journalled in **completion order** (not submission order)
-through :meth:`map_keyed`'s ``journal``, so a kill never discards an
-out-of-order chunk that already finished.  Progress is journal-backed:
-``on_progress`` receives ``{completed, total, cached, retries,
-redispatches, pool_rebuilds, last_checkpoint}`` after every chunk — the
-same dict kept on :attr:`last_progress`.
-
-Deterministic fault injection for testing all of the above lives in
-:mod:`repro.stats.chaos` (``REPRO_CHAOS``).
+The progress dict carries ``{completed, total, cached, retries,
+redispatches, pool_rebuilds, last_checkpoint}``.  Deterministic fault
+injection for testing all of the above lives in :mod:`repro.stats.chaos`
+(``REPRO_CHAOS``).
 """
 
 from __future__ import annotations
 
-import pickle
-import tempfile
+import os
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from repro.stats.chaos import ChaosConfig, maybe_inject
-from repro.stats.executor import ParallelExecutor
-from repro.stats.lease import (
-    ChunkLease as _ChunkLease,
-    chunk_size_for,
-    make_leases,
-    run_chunk as _resilient_chunk,
-)
-from repro.stats.montecarlo import TrialExecutionError
+from repro.stats.chaos import ChaosConfig
+from repro.stats.executor import default_jobs
+from repro.stats.lease import LeaseExecutor, run_chunk
 from repro.stats.store import ResultStore
 
 
-class ResilientExecutor(ParallelExecutor):
-    """Process-pool executor with worker-death recovery, chunk timeouts,
-    bounded retry and journal-backed resume.  See the module docstring.
+class ResilientExecutor(LeaseExecutor):
+    """Process-pool executor with worker-death recovery, lease timeouts,
+    bounded retry and journal-backed resume.  See the module docstring;
+    ``journal``, ``chaos``, ``max_retries``, ``backoff_base_s`` and
+    ``on_progress`` are the frame's
+    (:class:`~repro.stats.lease.LeaseExecutor`).
 
-    Parameters beyond :class:`~repro.stats.executor.ParallelExecutor`:
-
-    ``journal``
-        default :class:`~repro.stats.store.ResultStore` for :meth:`map` /
-        :meth:`map_keyed`; completed chunks are recorded and fsynced as
-        they arrive, already-journalled keys are never recomputed.
-    ``chaos``
-        fault-injection schedule (default: parsed from ``REPRO_CHAOS``).
-        A crash schedule without a ledger directory would re-kill forever,
-        so one is allocated automatically when missing.
+    ``jobs``
+        worker processes.  An explicit count is honoured verbatim (0 or
+        less: one per CPU); None resolves ``REPRO_JOBS`` through
+        :func:`~repro.stats.executor.default_jobs`.  At one job the tasks
+        run in process.
+    ``chunk_size``
+        tasks per lease (default: four leases per worker).
     ``chunk_timeout_s``
-        straggler deadline per chunk lease; ``None`` disables re-dispatch.
-    ``max_retries``
-        failed attempts tolerated per chunk before the error surfaces.
-    ``backoff_base_s``
-        exponential backoff base between retry attempts.
+        straggler deadline per lease; ``None`` disables re-dispatch.
     ``max_pool_rebuilds``
         worker-pool deaths tolerated per ``map`` before giving up (the
         journal is checkpointed first either way).
-    ``on_progress``
-        callback receiving the journal-backed progress dict after every
-        completed chunk.
+
+    The pool is created lazily on the first dispatched ``map`` and reused
+    across calls; call :meth:`close` (or use the executor as a context
+    manager) to release the workers.
     """
+
+    progress_counters = ("retries", "redispatches", "pool_rebuilds")
 
     def __init__(self, jobs: Optional[int] = None,
                  chunk_size: Optional[int] = None, *,
@@ -95,189 +86,38 @@ class ResilientExecutor(ParallelExecutor):
                  backoff_base_s: float = 0.25,
                  max_pool_rebuilds: int = 4,
                  on_progress: Optional[Callable[[dict], None]] = None):
-        super().__init__(jobs=jobs, chunk_size=chunk_size)
-        if chaos is None:
-            chaos = ChaosConfig.from_env()
-        if (chaos is not None and chaos.state_dir is None
-                and (chaos.crash > 0 or chaos.hang > 0 or chaos.exc > 0)):
-            # a durable fire-once ledger, not just crash insurance: retried
-            # chunks migrate between forked workers, and a process-local
-            # ledger would re-fire the same fault in each fresh worker
-            chaos = chaos.with_state_dir(
-                tempfile.mkdtemp(prefix="repro-chaos-"))
-        if chaos is not None:
-            # a campaign start, not a resume of this executor's own run:
-            # expire stale fire-once claims left by earlier campaigns so
-            # the schedule is live again (see ChaosConfig.begin_run)
-            chaos.begin_run()
-        self.journal = journal
-        self.chaos = chaos
+        if jobs is None:
+            jobs = default_jobs()
+        elif jobs <= 0:
+            jobs = max(1, os.cpu_count() or 1)
+        super().__init__(int(jobs), chunk_size, journal=journal, chaos=chaos,
+                         max_retries=max_retries,
+                         backoff_base_s=backoff_base_s,
+                         on_progress=on_progress)
         self.chunk_timeout_s = chunk_timeout_s
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.on_progress = on_progress
-        #: journal-backed progress of the most recent ``map`` (see module
-        #: docstring); None before one ran.
-        self.last_progress: Optional[dict] = None
+        self._pool = None
 
-    # -- public entry points ---------------------------------------------
+    # -- the frame's hooks ------------------------------------------------
 
-    def map(self, fn, items, progress=None) -> list:
-        """Ordered map with synthetic journal keys ``(0, 0, i, seed)``.
+    def _in_process(self, n_pending: int) -> bool:
+        return self.jobs <= 1 or n_pending <= 1
 
-        ``seed`` is the item itself when it is an integer (the common
-        seed-list case), else the index — enough for chaos scheduling and
-        single-campaign journals.  Prefer :meth:`map_keyed` with real
-        ``(sweep, point, trial, seed)`` coordinates for campaign grids.
-        """
-        items = list(items)
-        keys = [(0, 0, index, item if isinstance(item, int) else index)
-                for index, item in enumerate(items)]
-        return self.map_keyed(fn, items, keys, progress=progress)
-
-    def map_keyed(self, fn, items: Sequence, keys: Sequence,
-                  progress=None, journal: Optional[ResultStore] = None
-                  ) -> list:
-        """Ordered map over keyed tasks with journal resume + recovery.
-
-        ``keys[i]`` is ``items[i]``'s ``(sweep, point, trial, seed)``
-        journal address; results already journalled are returned without
-        recompute.  Fresh completions are recorded and checkpointed chunk
-        by chunk in completion order.
-        """
-        items = list(items)
-        keys = [tuple(key) for key in keys]
-        if len(items) != len(keys):
-            raise ValueError(f"{len(items)} items but {len(keys)} keys")
-        if journal is None:
-            journal = self.journal
-
-        total = len(items)
-        results: list = [None] * total
-        have: set = set()
-        cached = 0
-        if journal is not None:
-            for index, key in enumerate(keys):
-                hit = journal.get(key)
-                if hit is not None:
-                    results[index] = hit
-                    have.add(index)
-                    cached += 1
-        pending = [index for index in range(total) if index not in have]
-
-        counters = {"retries": 0, "redispatches": 0, "pool_rebuilds": 0}
-        next_emit = 0
-
-        def _advance_progress() -> None:
-            nonlocal next_emit
-            while next_emit < total and next_emit in have:
-                if progress is not None:
-                    progress(next_emit, results[next_emit])
-                next_emit += 1
-
-        def _note_progress() -> None:
-            self.last_progress = {
-                "completed": len(have),
-                "total": total,
-                "cached": cached,
-                "retries": counters["retries"],
-                "redispatches": counters["redispatches"],
-                "pool_rebuilds": counters["pool_rebuilds"],
-                "last_checkpoint":
-                    journal.last_checkpoint if journal is not None else None,
-            }
-            if self.on_progress is not None:
-                self.on_progress(dict(self.last_progress))
-
-        _advance_progress()
-        if cached:
-            _note_progress()  # surface "resumed at cached/total" up front
-        if not pending:
-            return results
-
-        parallel = self.jobs > 1 and len(pending) > 1
-        if parallel:
-            try:
-                pickle.dumps(fn)
-            except Exception:
-                warnings.warn(
-                    f"{fn!r} is not picklable; ResilientExecutor falling "
-                    "back to the sequential path", RuntimeWarning,
-                    stacklevel=2)
-                parallel = False
-
-        if not parallel:
-            # the in-process path carries the same fault story as the
-            # pool: chaos injection precedes each trial (a jobs=1 campaign
-            # under REPRO_CHAOS dies and resumes like a parallel one) and
-            # transient faults get the same bounded backoff retry.  Any
-            # escape checkpoints the journal first, so a sequential death
-            # is exactly as resumable as a worker death.
-            try:
-                for index in pending:
-                    results[index] = self._run_one_with_retry(
-                        fn, items[index], keys[index], counters)
-                    have.add(index)
-                    if journal is not None:
-                        journal.record(keys[index], results[index])
-                        journal.flush()
-                    _advance_progress()
-                    _note_progress()
-            except BaseException:
-                if journal is not None:
-                    journal.flush()
-                raise
-            return results
-
-        # -- parallel path ------------------------------------------------
-        size = chunk_size_for(len(pending), min(self.jobs, len(pending)),
-                              self.chunk_size)
-        leases = make_leases(items, keys, pending, size)
+    def _dispatch(self, fn, leases, journal, counters, complete) -> None:
         remaining = len(leases)
         future_map: dict = {}
 
-        def _submit(lease: _ChunkLease) -> None:
+        def _submit(lease) -> None:
             lease.retry_at = None
             if self.chunk_timeout_s is not None:
                 lease.deadline = time.monotonic() + self.chunk_timeout_s
             future = self._ensure_pool().submit(
-                _resilient_chunk, fn, lease.items, lease.keys, self.chaos)
+                run_chunk, fn, lease.items, lease.keys, self.chaos)
             future_map[future] = lease
-
-        def _complete(lease: _ChunkLease, payload: list) -> None:
-            nonlocal remaining
-            lease.done = True
-            remaining -= 1
-            for key, index, result in zip(lease.keys, lease.indices,
-                                          payload):
-                results[index] = result
-                have.add(index)
-                if journal is not None:
-                    journal.record(key, result)
-            if journal is not None:
-                journal.flush()  # the checkpoint: this chunk is durable
-            _advance_progress()
-            _note_progress()
-
-        def _fail(lease: _ChunkLease, error: BaseException) -> None:
-            lease.attempts += 1
-            if lease.attempts > self.max_retries:
-                if isinstance(error, TrialExecutionError):
-                    warnings.warn(
-                        f"chunk failed {lease.attempts} times; giving up — "
-                        f"replay the failing trial with seed "
-                        f"{error.seed:#018x}", RuntimeWarning, stacklevel=3)
-                self._checkpoint_and_abort(journal)
-                raise error
-            counters["retries"] += 1
-            lease.retry_at = time.monotonic() + \
-                self.backoff_base_s * (2 ** (lease.attempts - 1))
 
         def _rebuild_pool() -> None:
             counters["pool_rebuilds"] += 1
             if counters["pool_rebuilds"] > self.max_pool_rebuilds:
-                self._checkpoint_and_abort(journal)
                 raise BrokenProcessPool(
                     f"worker pool died {counters['pool_rebuilds']} times "
                     f"(budget {self.max_pool_rebuilds}); journal "
@@ -298,7 +138,6 @@ class ResilientExecutor(ParallelExecutor):
                 else:
                     done_set = set()
                     time.sleep(0.005)
-                now = time.monotonic()
                 broken = False
                 for future in done_set:
                     lease = future_map.pop(future)
@@ -309,9 +148,12 @@ class ResilientExecutor(ParallelExecutor):
                     except BrokenProcessPool:
                         broken = True
                     except Exception as error:
-                        _fail(lease, error)
+                        lease.fail(error, self.max_retries,
+                                   self.backoff_base_s, counters)
                     else:
-                        _complete(lease, payload)
+                        lease.done = True
+                        remaining -= 1
+                        complete(lease, payload)
                 if broken:
                     _rebuild_pool()
                     continue
@@ -328,37 +170,43 @@ class ResilientExecutor(ParallelExecutor):
                         # completion wins, the loser is discarded
                         lease.attempts += 1
                         if lease.attempts > self.max_retries:
-                            self._checkpoint_and_abort(journal)
                             raise TimeoutError(
                                 f"chunk over its {self.chunk_timeout_s}s "
                                 f"deadline {lease.attempts} times; journal "
                                 "checkpointed — rerun to resume")
                         counters["redispatches"] += 1
                         _submit(lease)
-        except KeyboardInterrupt:
-            self._checkpoint_and_abort(journal)
+        except BaseException:
+            # the clean-kill path: drop the pool so nothing keeps
+            # computing results nobody will collect (the frame
+            # checkpoints the journal on the way out)
+            self._abort_pool()
             raise
-        return results
-
-    def _run_one_with_retry(self, fn, item, key, counters: dict):
-        """One sequential trial under the executor's fault policy: chaos
-        injection before the trial, then bounded exponential-backoff retry
-        of transient failures (``max_retries``, like a parallel chunk)."""
-        attempts = 0
-        while True:
-            try:
-                maybe_inject(self.chaos, key[3])
-                return fn(item)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                attempts += 1
-                if attempts > self.max_retries:
-                    raise
-                counters["retries"] += 1
-                time.sleep(self.backoff_base_s * (2 ** (attempts - 1)))
 
     # -- pool lifecycle ---------------------------------------------------
+
+    def _ensure_pool(self):
+        if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # prefer fork where available: workers inherit the parent's
+            # in-memory module state, so runtime-patched experiment
+            # constants (test fixtures, notebooks) behave identically in
+            # and out of process — spawn/forkserver re-import and would
+            # silently diverge from the sequential path
+            context = None
+            if "fork" in multiprocessing.get_all_start_methods():
+                context = multiprocessing.get_context("fork")
+            else:
+                warnings.warn(
+                    "fork start method unavailable; spawn workers re-import "
+                    "modules, so runtime-patched experiment state will not "
+                    "reach them and parallel results may diverge from the "
+                    "sequential path", RuntimeWarning, stacklevel=3)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                             mp_context=context)
+        return self._pool
 
     def _abort_pool(self) -> None:
         """Drop the pool without waiting: cancel queued work, leave no
@@ -367,9 +215,13 @@ class ResilientExecutor(ParallelExecutor):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def _checkpoint_and_abort(self, journal: Optional[ResultStore]) -> None:
-        """The clean-kill path: make the journal durable, then drop the
-        pool so nothing keeps computing results nobody will collect."""
-        if journal is not None:
-            journal.flush()
-        self._abort_pool()
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __del__(self):
+        try:
+            self.close()
+        except Exception:
+            pass

@@ -4,7 +4,9 @@ Every trial in this codebase is a pure function of its derived seed, so a
 completed trial never needs to run twice: journal its outcome under its
 ``(sweep_index, point_index, trial_index, seed)`` coordinates and any
 restart of the same campaign can skip it.  This module supplies that
-journal — the robustness core the distributed sweep fabric builds on.
+journal; the lease frame (:meth:`repro.stats.lease.LeaseExecutor.map_keyed`,
+behind both the process pool and the distributed fabric) reads it before
+dispatching and records every completed lease into it.
 
 Format: one JSONL file per campaign.  The first line is a header binding
 the journal to a **campaign spec digest** (master seeds, trial counts, x
@@ -17,12 +19,6 @@ killed mid-write can therefore leave at most one truncated final line,
 which :class:`ResultStore` tolerates (dropped with a warning and cut off
 so the next append starts clean).  Any other malformed line is corruption
 and is refused loudly.
-
-:func:`map_with_store` is the executor-agnostic resume bridge: filter a
-task list against the journal, run only the gap, record fresh results as
-they arrive, and return the full ordered result list —
-``repro.stats.sweep.run_flattened`` and ``experiments.common.map_points``
-both go through it.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import os
 import pickle
 import time
 import warnings
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 #: Environment knob: journal campaign results under this directory and
 #: resume from any journal already there.
@@ -276,41 +272,3 @@ def compact_journal(path: str) -> dict:
         return store.compact()
     finally:
         store.close()
-
-
-def map_with_store(executor, fn: Callable, items: Sequence,
-                   keys: Sequence, store: ResultStore) -> list:
-    """``executor.map(fn, items)`` minus the items ``store`` already holds.
-
-    ``keys[i]`` addresses ``items[i]`` in the journal.  Journalled results
-    are returned without recompute; the remaining gap is dispatched in one
-    executor call, with every fresh result recorded (and checkpointed) as
-    it completes — through the executor's own journal hook when it has one
-    (:class:`~repro.stats.resilient.ResilientExecutor.map_keyed`, which
-    records in *completion* order, so out-of-order chunks survive a kill),
-    falling back to the ordered ``progress`` callback otherwise.  Returns
-    the full ordered result list either way.
-    """
-    cached = {}
-    for index, key in enumerate(keys):
-        hit = store.get(key)
-        if hit is not None:
-            cached[index] = hit
-    pending = [index for index in range(len(items)) if index not in cached]
-    if not pending:
-        return [cached[index] for index in range(len(items))]
-    pending_items = [items[index] for index in pending]
-    pending_keys = [keys[index] for index in pending]
-    map_keyed = getattr(executor, "map_keyed", None)
-    if map_keyed is not None:
-        fresh = map_keyed(fn, pending_items, pending_keys, journal=store)
-    else:
-        def _record(position: int, result) -> None:
-            store.record(pending_keys[position], result)
-            store.flush()
-
-        fresh = executor.map(fn, pending_items, progress=_record)
-    results = list(cached.get(index) for index in range(len(items)))
-    for position, index in enumerate(pending):
-        results[index] = fresh[position]
-    return results

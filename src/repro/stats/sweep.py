@@ -2,14 +2,19 @@
 
 ``Sweep.run`` derives every (point, trial) task of the ``n_points x
 trials_per_point`` grid up front and sends the whole grid to the executor
-as **one work queue**.  Chunks span point boundaries, so a parallel pool
+as **one work queue**.  Leases span point boundaries, so a worker pool
 stays busy end-to-end instead of idling at the tail of every x point.
 Seeds use two-level ``derive_seed`` coordinates (a per-point master seed,
 then the trial index), so outcomes are byte-identical at any job count.
 
 :func:`run_flattened` generalises this to *several* sweeps in one queue
 (e.g. Fig. 8 runs its inquiry and page sweeps as a single grid), so not
-even the boundary between sweeps is a barrier.
+even the boundary between sweeps is a barrier.  The queue's tasks double
+as result-journal keys: with a journal, the queue goes through the lease
+frame's ``map_keyed`` (:mod:`repro.stats.lease`), which skips journalled
+tasks and records fresh ones as they complete.  Which executor runs the
+queue — sequential, the process pool or the distributed fabric — is the
+caller's choice (:mod:`repro.experiments.common` makes it per campaign).
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from repro.stats.montecarlo import (
     derive_seed,
 )
 from repro.sim.soa import configured_engine
-from repro.stats.store import ResultStore, map_with_store
+from repro.stats.resilient import ResilientExecutor
+from repro.stats.store import ResultStore
 
 #: Stream tag separating per-point master seeds from trial seeds.
 SWEEP_POINT_STREAM = 0x53574545  # "SWEE"
@@ -112,9 +118,6 @@ class Sweep:
         journal: already-completed (point, trial) tasks are skipped and a
         killed run restarts where it stopped, byte-identical to a clean
         one.
-
-        ``executor="fabric"`` (the string) runs the queue on the
-        distributed sweep fabric, configured from ``REPRO_FABRIC``.
         """
         return run_flattened([(self, xs, trial_fn)], executor,
                              store=store)[0]
@@ -228,37 +231,25 @@ def run_flattened(
     holds are served from it without recompute, and every fresh outcome
     is journalled as it completes, so a campaign killed at any moment
     restarts from its last checkpoint (see :mod:`repro.stats.store`).
-
-    ``executor`` may also be the string ``"fabric"``: the queue then runs
-    on the distributed sweep fabric (:mod:`repro.stats.fabric`),
-    configured from the ``REPRO_FABRIC`` environment variable; the
-    executor is owned (and closed) by this call.
+    A journalled queue runs through ``executor.map_keyed``, so it needs
+    a lease-frame executor; the default is then the in-process
+    :class:`~repro.stats.resilient.ResilientExecutor` at one job.
 
     Returns one ``list[SweepPoint]`` per input sweep, byte-identical to
     running each sweep on its own — with or without a store, at any job
     count.
     """
-    owned: Optional[Executor] = None
-    if isinstance(executor, str):
-        if executor != "fabric":
-            raise ValueError(f"unknown executor name: {executor!r}")
-        from repro.stats.fabric import FabricExecutor
-
-        executor = owned = FabricExecutor.from_env()
     if executor is None:
-        executor = SequentialExecutor()
+        executor = (SequentialExecutor() if store is None
+                    else ResilientExecutor(jobs=1))
     tasks, slices = flat_tasks(sweeps)
 
     flat_fn = _FlatTrial(trial_fns=[fn for _, _, fn in sweeps],
                          xs=[[x for x, _ in xs] for _, xs, _ in sweeps])
-    try:
-        if store is None:
-            outcomes = executor.map(flat_fn, tasks)
-        else:
-            outcomes = map_with_store(executor, flat_fn, tasks, tasks, store)
-    finally:
-        if owned is not None:
-            owned.close()
+    if store is None:
+        outcomes = executor.map(flat_fn, tasks)
+    else:
+        outcomes = executor.map_keyed(flat_fn, tasks, tasks, journal=store)
 
     results: list[list[SweepPoint]] = []
     for (sweep, xs, _trial_fn), point_slices in zip(sweeps, slices):

@@ -17,7 +17,7 @@ import pickle
 import pytest
 
 from repro.experiments import ext_interference
-from repro.experiments.common import run_sweep
+from repro.experiments.common import map_points, run_sweep
 from repro.sim.soa import ENGINE_ENV_VAR
 from repro.stats.store import ResultStore, SpecMismatchError, campaign_digest
 from repro.stats.sweep import Sweep, campaign_spec
@@ -70,3 +70,26 @@ def test_journal_from_spec_version_1_is_refused(monkeypatch, tmp_path):
     with pytest.raises(SpecMismatchError, match="refusing to resume"):
         run_sweep(SEED, 1, [(0.0, "0")], ext_interference.run_trial, jobs=1,
                   resume=str(tmp_path), store_name="old")
+
+
+def _point_value(x):
+    """Module-level grid point body for the map_points journal case."""
+    return x * x
+
+
+def test_map_points_journal_refuses_other_engine(monkeypatch, tmp_path):
+    """``map_points`` grids (fig10-12, ext_throughput) bind their journals
+    to the engine too: resumed under the same engine, refused under the
+    other."""
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    tasks = [(1,), (2,), (3,)]
+    resume_dir = str(tmp_path / "journals")
+    first = map_points(_point_value, tasks, jobs=1, resume=resume_dir,
+                       store_name="points")
+    assert first == [1, 4, 9]
+    assert map_points(_point_value, tasks, jobs=1, resume=resume_dir,
+                      store_name="points") == first
+    monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
+    with pytest.raises(SpecMismatchError, match="refusing to resume"):
+        map_points(_point_value, tasks, jobs=1, resume=resume_dir,
+                   store_name="points")

@@ -4,7 +4,8 @@ The executor contract (see ``repro.stats.executor``): for the same master
 seed, a Monte-Carlo batch produces *byte-identical* outcome lists at any
 job count, because every trial is a pure function of its derived seed and
 results are reassembled in trial order.  This suite enforces the contract
-on synthetic trials, on the real simulation trial functions behind the
+on the process pool (``ResilientExecutor``, the one parallel path) with
+synthetic trials, on the real simulation trial functions behind the
 paper's BER figures, and on every registered experiment end-to-end (a
 jobs=2 run must reproduce the golden table the registry smoke suite pins
 at jobs=1), plus hypothesis property tests that the seed derivation has
@@ -25,20 +26,19 @@ from repro.experiments import (
     fig08_failure_probability,
     run_experiment,
 )
+from repro.experiments.common import PROGRESS_ENV_VAR, _campaign_executor
+from repro.stats.chaos import CHAOS_ENV_VAR
 from repro.stats.estimators import mean_with_ci, wilson_interval
-from repro.stats.executor import (
-    JOBS_ENV_VAR,
-    ParallelExecutor,
-    SequentialExecutor,
-    default_jobs,
-    get_executor,
-)
+from repro.stats.executor import JOBS_ENV_VAR, SequentialExecutor, default_jobs
+from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
 from repro.stats.montecarlo import (
     MASK64,
     MonteCarlo,
     TrialOutcome,
     derive_seed,
 )
+from repro.stats.resilient import ResilientExecutor
+from repro.stats.store import ResultStore, campaign_digest
 from repro.stats.sweep import (
     SWEEP_POINT_STREAM,
     Sweep,
@@ -64,28 +64,31 @@ class TestExecutorContract:
         mc_seq = MonteCarlo(master_seed=42, trials=10)
         mc_par = MonteCarlo(master_seed=42, trials=10)
         seq = mc_seq.run(_synthetic_trial, executor=SequentialExecutor())
-        par = mc_par.run(_synthetic_trial, executor=ParallelExecutor(jobs=4))
+        with ResilientExecutor(jobs=4) as executor:
+            par = mc_par.run(_synthetic_trial, executor=executor)
         assert pickle.dumps(seq) == pickle.dumps(par)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 100])
     def test_any_chunking_covers_all_items_in_order(self, chunk_size):
-        executor = ParallelExecutor(jobs=2, chunk_size=chunk_size)
-        outcomes = executor.map(_synthetic_trial, list(range(11)))
+        with ResilientExecutor(jobs=2, chunk_size=chunk_size) as executor:
+            outcomes = executor.map(_synthetic_trial, list(range(11)))
         assert [o.seed for o in outcomes] == list(range(11))
 
     def test_progress_fires_in_trial_order_under_parallel(self):
         seen = []
         mc = MonteCarlo(master_seed=1, trials=8)
-        mc.run(_synthetic_trial, progress=lambda i, o: seen.append(i),
-               executor=ParallelExecutor(jobs=3))
+        with ResilientExecutor(jobs=3) as executor:
+            mc.run(_synthetic_trial, progress=lambda i, o: seen.append(i),
+                   executor=executor)
         assert seen == list(range(8))
 
     def test_unpicklable_fn_degrades_to_sequential_with_warning(self):
         captured = []
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            outcomes = ParallelExecutor(jobs=2).map(
-                lambda seed: captured.append(seed) or _synthetic_trial(seed),
-                [1, 2, 3])
+        with ResilientExecutor(jobs=2) as executor:
+            with pytest.warns(RuntimeWarning, match="not picklable"):
+                outcomes = executor.map(
+                    lambda seed: captured.append(seed)
+                    or _synthetic_trial(seed), [1, 2, 3])
         assert captured == [1, 2, 3]  # ran in-process
         assert [o.seed for o in outcomes] == [1, 2, 3]
 
@@ -99,26 +102,30 @@ class TestExecutorContract:
         monkeypatch.setenv(JOBS_ENV_VAR, "auto")
         assert default_jobs() >= 1
 
-    def test_get_executor_selects_backend(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert isinstance(get_executor(), SequentialExecutor)
-        assert isinstance(get_executor(1), SequentialExecutor)
-        executor = get_executor(4)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.jobs == 4
-
-    def test_resilient_executor_honours_the_same_contract(self):
-        """The fault-tolerant backend is an Executor too: byte-identical
-        ordered outcomes with no faults injected (its recovery paths are
-        exercised in tests/stats/test_resilient.py)."""
-        from repro.stats.resilient import ResilientExecutor
-
-        mc_seq = MonteCarlo(master_seed=42, trials=10)
-        mc_res = MonteCarlo(master_seed=42, trials=10)
-        seq = mc_seq.run(_synthetic_trial, executor=SequentialExecutor())
-        with ResilientExecutor(jobs=4) as executor:
-            res = mc_res.run(_synthetic_trial, executor=executor)
-        assert pickle.dumps(seq) == pickle.dumps(res)
+    def test_campaign_executor_selects_backend(self, monkeypatch, tmp_path):
+        """One pool path: sequential only for a plain jobs=1 run, the
+        process pool for jobs > 1 or anything fault-tolerant, the fabric
+        whenever ``REPRO_FABRIC`` is set."""
+        for variable in (CHAOS_ENV_VAR, PROGRESS_ENV_VAR, FABRIC_ENV_VAR):
+            monkeypatch.delenv(variable, raising=False)
+        assert isinstance(_campaign_executor(1, None), SequentialExecutor)
+        with _campaign_executor(2, None) as executor:
+            assert isinstance(executor, ResilientExecutor)
+            assert executor.jobs == 2
+        with ResultStore(str(tmp_path / "j.jsonl"),
+                         campaign_digest({"campaign": "select"})) as journal:
+            with _campaign_executor(1, journal) as executor:
+                assert isinstance(executor, ResilientExecutor)
+                assert executor.jobs == 1
+        monkeypatch.setenv(CHAOS_ENV_VAR,
+                           f"seed=1,exc=0.1,state={tmp_path / 'ledger'}")
+        assert isinstance(_campaign_executor(1, None), ResilientExecutor)
+        monkeypatch.delenv(CHAOS_ENV_VAR)
+        monkeypatch.setenv(PROGRESS_ENV_VAR, "1")
+        assert isinstance(_campaign_executor(1, None), ResilientExecutor)
+        monkeypatch.delenv(PROGRESS_ENV_VAR)
+        monkeypatch.setenv(FABRIC_ENV_VAR, "workers=1")
+        assert isinstance(_campaign_executor(1, None), FabricExecutor)
 
 
 #: The real simulation trial functions behind the paper's Monte-Carlo
@@ -155,8 +162,9 @@ def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
     trial_fn = SIM_TRIAL_FNS[name]
     seq = Sweep(master_seed=11, trials_per_point=3).run(
         SMALL_GRID, trial_fn, executor=SequentialExecutor())
-    par = Sweep(master_seed=11, trials_per_point=3).run(
-        SMALL_GRID, trial_fn, executor=ParallelExecutor(jobs=4))
+    with ResilientExecutor(jobs=4) as executor:
+        par = Sweep(master_seed=11, trials_per_point=3).run(
+            SMALL_GRID, trial_fn, executor=executor)
     for point_seq, point_par in zip(seq, par):
         # byte-identical TrialOutcome lists (seeds, flags, values, extras)
         assert pickle.dumps(point_seq.extra) == pickle.dumps(point_par.extra)
@@ -175,7 +183,7 @@ def test_flattened_dispatch_identical_to_per_point_at_any_job_count(name):
     reference = pickle.dumps(_per_point_reference(
         Sweep(master_seed=7, trials_per_point=3), SMALL_GRID, trial_fn))
     for jobs in (1, 2, 4):
-        with ParallelExecutor(jobs=jobs) as executor:
+        with ResilientExecutor(jobs=jobs) as executor:
             flat = Sweep(master_seed=7, trials_per_point=3).run(
                 SMALL_GRID, trial_fn, executor=executor)
         assert pickle.dumps(flat) == reference
@@ -190,7 +198,7 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
         (Sweep(master_seed=4, trials_per_point=2),
          SMALL_GRID, fig08_failure_probability.page_trial),
     ]
-    with ParallelExecutor(jobs=3) as executor:
+    with ResilientExecutor(jobs=3) as executor:
         combined = run_flattened(specs, executor)
     separate = [
         Sweep(master_seed=3, trials_per_point=2).run(
@@ -199,12 +207,6 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
             SMALL_GRID, fig08_failure_probability.page_trial),
     ]
     assert pickle.dumps(combined) == pickle.dumps(separate)
-
-
-def test_unknown_executor_name_rejected():
-    with pytest.raises(ValueError, match="unknown executor name"):
-        Sweep(master_seed=1, trials_per_point=1).run(
-            [(0.0, "0")], _synthetic_trial_x, executor="sideways")
 
 
 def _synthetic_trial_x(x: float, seed: int) -> TrialOutcome:
@@ -232,7 +234,7 @@ class TestFlattenedInterleavingProperties:
         reference = _per_point_reference(
             Sweep(master_seed=master, trials_per_point=trials), xs,
             _synthetic_trial_x)
-        with ParallelExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
+        with ResilientExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
             flat = Sweep(master_seed=master, trials_per_point=trials).run(
                 xs, _synthetic_trial_x, executor=executor)
         assert pickle.dumps(flat) == pickle.dumps(reference)

@@ -47,6 +47,11 @@ def _square(task):
     return task[3] * task[3]
 
 
+def _worker_pid(task):
+    """Module-level trial reporting which process ran it."""
+    return os.getpid()
+
+
 def _slow_square(task):
     time.sleep(0.05)
     return _square(task)
@@ -201,6 +206,14 @@ class TestDeterminism:
         executor = FabricExecutor(workers=2, chaos=None)
         with pytest.raises(ValueError, match="items but"):
             executor.map_keyed(_square, TASKS, TASKS[:-1])
+
+    def test_single_local_worker_serves_every_lease(self):
+        """One local worker still gets the leases: the frame's in-process
+        path is for the pool at one job, never for the fabric."""
+        executor = FabricExecutor(workers=1, chaos=None)
+        pids = executor.map(_worker_pid, list(range(6)))
+        assert len(set(pids)) == 1
+        assert os.getpid() not in pids
 
     def test_unpicklable_fn_falls_back_to_sequential(self):
         executor = FabricExecutor(workers=2, chaos=None)
@@ -496,8 +509,9 @@ def test_issue_acceptance_worker_killed_mid_campaign(
 
 def test_string_executor_runs_on_fabric_from_env(
         tiny_experiments, monkeypatch):
-    """``executor="fabric"`` + ``REPRO_FABRIC`` spec: the campaign runs
-    on an owned fabric executor and still hits the sequential bytes."""
+    """``REPRO_FABRIC`` spec and no ``executor=``: the campaign entry
+    point picks an owned fabric executor and still hits the sequential
+    bytes."""
     import pickle
 
     from repro.experiments import ext_interference
@@ -512,5 +526,5 @@ def test_string_executor_runs_on_fabric_from_env(
                   ext_interference.run_trial, jobs=1))
     monkeypatch.setenv(FABRIC_ENV_VAR, "workers=2,chunk=2")
     result = run_sweep(SWEEP_SEED, SWEEP_TRIALS, xs,
-                       ext_interference.run_trial, executor="fabric")
+                       ext_interference.run_trial)
     assert pickle.dumps(result) == reference_bytes

@@ -13,15 +13,14 @@ import os
 
 import pytest
 
-from repro.stats.executor import SequentialExecutor
 from repro.stats.montecarlo import TrialOutcome
+from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import (
     CorruptJournalError,
     ResultStore,
     SpecMismatchError,
     campaign_digest,
     compact_journal,
-    map_with_store,
 )
 
 SPEC = {"version": 1, "campaign": "store-tests", "seed": 99}
@@ -194,7 +193,7 @@ class TestCompact:
             compact_journal(path)
 
 
-class TestMapWithStore:
+class TestMapKeyedJournal:
     def test_full_journal_means_zero_recompute(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         keys = [(0, 0, t, 10 + t) for t in range(5)]
@@ -210,8 +209,8 @@ class TestMapWithStore:
             return item * item
 
         with ResultStore(path, campaign_digest(SPEC)) as store:
-            results = map_with_store(SequentialExecutor(), fn, items, keys,
-                                     store)
+            results = ResilientExecutor(jobs=1).map_keyed(
+                fn, items, keys, journal=store)
         assert results == [item * item for item in items]
         assert calls == []
 
@@ -230,8 +229,8 @@ class TestMapWithStore:
             return item * item
 
         with ResultStore(path, campaign_digest(SPEC)) as store:
-            results = map_with_store(SequentialExecutor(), fn, items, keys,
-                                     store)
+            results = ResilientExecutor(jobs=1).map_keyed(
+                fn, items, keys, journal=store)
             # fresh completions were journalled as they arrived
             assert len(store) == len(items)
         assert results == [item * item for item in items]
@@ -240,6 +239,6 @@ class TestMapWithStore:
         # and the now-complete journal needs no compute at all
         with ResultStore(path, campaign_digest(SPEC)) as store:
             calls.clear()
-            assert map_with_store(SequentialExecutor(), fn, items, keys,
-                                  store) == results
+            assert ResilientExecutor(jobs=1).map_keyed(
+                fn, items, keys, journal=store) == results
         assert calls == []

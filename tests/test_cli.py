@@ -39,3 +39,18 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_ENGINE", "SOA"),
+        ("REPRO_JOBS", "two"),
+        ("REPRO_TRIALS", "lots"),
+    ])
+    def test_bad_env_value_fails_before_any_journal(
+            self, variable, value, monkeypatch, tmp_path):
+        """A malformed REPRO_* value stops the run with a ValueError that
+        names the variable, before any journal is bound to it."""
+        monkeypatch.setenv("REPRO_RESUME_DIR", str(tmp_path / "journals"))
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=variable):
+            main(["run", "fig07", "--trials", "1"])
+        assert not list(tmp_path.rglob("*.jsonl"))
