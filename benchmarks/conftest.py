@@ -2,7 +2,7 @@
 
 Every bench regenerates one paper figure/table via its experiment module,
 prints the same rows the paper plots, and archives them under
-``benchmarks/results/`` so EXPERIMENTS.md can reference a concrete run.
+``benchmarks/results/`` so a reported figure can point at a concrete run.
 
 Trial counts follow the experiments' defaults; set the ``REPRO_TRIALS``
 environment variable to scale them up or down.  Set ``REPRO_JOBS`` (or

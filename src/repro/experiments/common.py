@@ -6,7 +6,7 @@ import dataclasses
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,10 +67,24 @@ PROGRESS_ENV_VAR = "REPRO_PROGRESS"
 DEFAULT_PROGRESS_INTERVAL_S = 2.0
 
 
+#: Spellings of an off / on switch value (case-insensitive).
+_OFF = ("", "0", "false", "off", "no")
+_ON = ("1", "true", "on", "yes")
+
+
 def bit_accurate_default() -> bool:
-    """True when REPRO_BIT_ACCURATE selects bit-accurate experiment runs."""
-    value = os.environ.get(BIT_ACCURATE_ENV_VAR, "")
-    return value.strip().lower() not in ("", "0", "false", "off", "no")
+    """True when REPRO_BIT_ACCURATE selects bit-accurate experiment runs.
+
+    Any value but an off or on spelling raises a ``ValueError`` naming the
+    variable."""
+    value = os.environ.get(BIT_ACCURATE_ENV_VAR, "").strip().lower()
+    if value in _OFF:
+        return False
+    if value in _ON:
+        return True
+    raise ValueError(
+        f"{BIT_ACCURATE_ENV_VAR}={value!r} is not a switch; expected one "
+        f"of {', '.join(repr(v) for v in _OFF + _ON)}")
 
 
 def timeline_dir() -> Optional[str]:
@@ -116,14 +130,21 @@ def campaign_store(name: str, spec, resume: Optional[str] = None
 
 def progress_interval() -> Optional[float]:
     """The ``REPRO_PROGRESS`` status-line cadence in seconds, or None when
-    progress reporting is off (unset, blank or falsy)."""
+    progress reporting is off (unset, blank or an off spelling).  An on
+    spelling selects the 2 s default; anything but a number or a switch
+    raises a ``ValueError`` naming the variable."""
     value = os.environ.get(PROGRESS_ENV_VAR, "").strip()
-    if value.lower() in ("", "0", "false", "off", "no"):
+    if value.lower() in _OFF:
         return None
+    if value.lower() in _ON[1:]:
+        return DEFAULT_PROGRESS_INTERVAL_S
     try:
         return max(0.0, float(value))
     except ValueError:
-        return DEFAULT_PROGRESS_INTERVAL_S
+        raise ValueError(
+            f"{PROGRESS_ENV_VAR}={value!r} is neither seconds nor a "
+            f"switch; expected a number or one of "
+            f"{', '.join(repr(v) for v in _OFF + _ON)}") from None
 
 
 def _progress_printer(interval_s: float) -> Callable[[dict], None]:
@@ -153,8 +174,7 @@ def _progress_printer(interval_s: float) -> Callable[[dict], None]:
     return _print
 
 
-def _campaign_executor(jobs: int,
-                       store: Optional[ResultStore]) -> Executor:
+def _campaign_executor(jobs: int, journalled: bool) -> Executor:
     """The execution backend for one campaign run at the resolved job
     count ``jobs`` (see :func:`~repro.stats.executor.default_jobs`).
 
@@ -162,10 +182,10 @@ def _campaign_executor(jobs: int,
     (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise
     the process pool (:class:`~repro.stats.resilient.ResilientExecutor`)
     runs every parallel campaign, and a ``jobs=1`` one too as soon as a
-    result journal is active, ``REPRO_CHAOS`` schedules fault injection
-    or ``REPRO_PROGRESS`` wants the journal-backed status line — its
-    in-process path carries the same chaos/retry/checkpoint story as the
-    pool.  Only a plain ``jobs=1`` run stays on the
+    result journal is active (``journalled``), ``REPRO_CHAOS`` schedules
+    fault injection or ``REPRO_PROGRESS`` wants the journal-backed
+    status line — its in-process path carries the same chaos/retry/
+    checkpoint story as the pool.  Only a plain ``jobs=1`` run stays on the
     :class:`~repro.stats.executor.SequentialExecutor`.
     """
     chaos = ChaosConfig.from_env()
@@ -173,7 +193,7 @@ def _campaign_executor(jobs: int,
     on_progress = _progress_printer(interval) if interval is not None else None
     if os.environ.get(FABRIC_ENV_VAR, "").strip():
         return FabricExecutor.from_env(chaos=chaos, on_progress=on_progress)
-    if jobs > 1 or store is not None or chaos is not None \
+    if jobs > 1 or journalled or chaos is not None \
             or on_progress is not None:
         return ResilientExecutor(jobs=jobs, chaos=chaos,
                                  on_progress=on_progress)
@@ -185,21 +205,22 @@ def _campaign(name: str, spec, jobs: Optional[int], resume: Optional[str],
               executor: Optional[Executor] = None):
     """The ``(executor, journal)`` of one campaign run.  A caller's
     ``executor`` is used as is; otherwise the job count resolves
-    (``REPRO_JOBS`` wins) *before* the journal opens — a malformed value
-    fails with no journal written — and :func:`_campaign_executor` picks
-    the backend, closed on exit like the journal (None when off)."""
+    (``REPRO_JOBS`` wins) and :func:`_campaign_executor` picks the
+    backend, closed on exit like the journal (None when off).  Every
+    ``REPRO_*`` value a campaign reads is checked *before* the journal
+    opens, so a malformed one fails with no journal written."""
     if executor is None:
         jobs = default_jobs(jobs)
-    store = campaign_store(name, spec, resume)
-    try:
-        if executor is not None:
-            yield executor, store
-        else:
-            with _campaign_executor(jobs, store) as owned:
-                yield owned, store
-    finally:
-        if store is not None:
-            store.close()
+    directory = resume if resume is not None else resume_dir()
+    with (nullcontext(executor) if executor is not None
+          else _campaign_executor(jobs, directory is not None)) as chosen:
+        bit_accurate_default()
+        store = campaign_store(name, spec, directory)
+        try:
+            yield chosen, store
+        finally:
+            if store is not None:
+                store.close()
 
 
 def archive_timeline(session, experiment_id: str, label: str) -> Optional[str]:
@@ -230,7 +251,8 @@ def paper_config(ber: float = 0.0, seed: int = 0,
     57-of-64 sliding correlator); the page-phase reproductions pass 0
     because the paper's behavioural receiver compares access codes
     bit-exactly — that is what makes its page phase collapse at high BER
-    (see EXPERIMENTS.md and the ablation_correlator bench).
+    (see the ``ablation_correlator`` experiment, benched in
+    ``benchmarks/bench_ablations.py``).
 
     ``bit_accurate``: None consults the ``REPRO_BIT_ACCURATE`` environment
     variable (default off, the statistical per-stage channel).

@@ -38,8 +38,11 @@ thousands of these per second):
   which keeps event sequence numbers — and therefore every outcome —
   identical to the full-walk implementation.
 * Live transmissions and pending decodes are keyed dicts with per-radio
-  indexes, so expiry and :meth:`abort_reception` are O(1) instead of
-  identity/key scans.
+  indexes, so :meth:`abort_reception` is O(1) instead of an identity/key
+  scan.  Expiry is lazy and schedules no event: a resolver deletes the
+  entries whose ``end_ns`` has passed while it walks them, and a radio's
+  previous transmission is deleted when it transmits again, so a live
+  set never holds more than one stale entry per radio.
 * Stage callbacks are ``functools.partial`` bindings of bound methods, not
   capturing lambdas — no closure-cell allocation per scheduled stage.
 * All receptions of a transmission resolved at the same sync instant are
@@ -126,8 +129,12 @@ class Channel(Module):
         #: pays one attribute test and stays byte-identical.
         self.capture = None
         self.radios: list[RfFrontEnd] = []
-        # live transmissions per RF channel, keyed by id(tx) for O(1) expiry
+        # live transmissions per RF channel, keyed by id(tx); entries past
+        # their end_ns stay until a resolver walks them or their radio
+        # transmits again
         self._active_by_freq: dict[int, dict[int, Transmission]] = {}
+        # each radio's latest transmission, by attach index
+        self._last_tx: list[Transmission | None] = []
         self._pending: dict[tuple[int, int], DecodeResult] = {}
         # per-radio index over _pending keys: abort_reception is O(own keys)
         self._pending_by_radio: dict[int, set[tuple[int, int]]] = {}
@@ -203,6 +210,7 @@ class Channel(Module):
             raise ChannelError(f"radio {radio.path} attached twice")
         radio.attach_index = len(self.radios)
         self.radios.append(radio)
+        self._last_tx.append(None)
         self._listen_keys[id(radio)] = None
 
     def listener_retuned(self, radio: RfFrontEnd) -> None:
@@ -326,7 +334,7 @@ class Channel(Module):
         capture = self._capture_ratio
         for live in self._active_by_freq.values():
             for tx in live.values():
-                if tx.end_ns <= now:  # expiry event not yet fired
+                if tx.end_ns <= now:  # off the air, not yet pruned
                     continue
                 floor = spread[tx.freq]
                 if floor <= 0.0:
@@ -371,6 +379,7 @@ class Channel(Module):
         cap = self.capture
         if cap is not None:
             cap.tx_start(now, tx)
+            cap.defer_tx_end(self.sim, tx)
 
         self._resolve(tx, now, power_dbm)
 
@@ -380,13 +389,24 @@ class Channel(Module):
         # their settled state. Physical timing is unaffected: the sync stage
         # is 68 us away.
         self.sim.schedule_delta(partial(self._scan_listeners, tx))
-        self.sim.schedule_abs(now + tx.duration_ns, partial(self._expire, tx))
         return tx
 
     def _resolve(self, tx: Transmission, now: int, power_dbm: float) -> None:
         """Admit ``tx`` into the live set through the applicable resolver —
         the single overlap-resolution entry point, shared by the scalar
-        :meth:`transmit` path and the SoA slot engine's micro stepping."""
+        :meth:`transmit` path and the SoA slot engine's micro stepping.
+
+        The radio's previous transmission leaves the live set here: it is
+        off the air (a radio transmits one packet at a time), so no
+        resolver would count it again."""
+        last_tx = self._last_tx
+        index = tx.radio.attach_index
+        previous = last_tx[index]
+        if previous is not None and previous.end_ns <= now:
+            live = self._active_by_freq.get(previous.freq)
+            if live:
+                live.pop(id(previous), None)
+        last_tx[index] = tx
         if self._spatial:
             self._resolve_spatial(tx, now)
         elif not (self._capture_trivial and power_dbm == 0.0):
@@ -403,8 +423,13 @@ class Channel(Module):
         random overlap patterns."""
         cap = self.capture
         live = self._active_by_freq.setdefault(tx.freq, {})
-        for other in live.values():
-            if other.end_ns <= now:  # expiry event not yet fired
+        stale = None
+        for key, other in live.items():
+            if other.end_ns <= now:  # off the air: prune below
+                if stale is None:
+                    stale = [key]
+                else:
+                    stale.append(key)
                 continue
             if cap is not None:
                 if not other.corrupted:
@@ -414,6 +439,9 @@ class Channel(Module):
             other.corrupted = True
             tx.corrupted = True
             self.collisions += 1
+        if stale is not None:
+            for key in stale:
+                del live[key]
         live[id(tx)] = tx
 
     def _resolve_capture(self, tx: Transmission, now: int) -> None:
@@ -450,8 +478,13 @@ class Channel(Module):
             live = self._active_by_freq.get(neighbour)
             if not live:
                 continue
-            for other in live.values():
-                if other.end_ns <= now:  # expiry event not yet fired
+            stale = None
+            for key, other in live.items():
+                if other.end_ns <= now:  # off the air: prune below
+                    if stale is None:
+                        stale = [key]
+                    else:
+                        stale.append(key)
                     continue
                 interference += other.power_mw * gain
                 other.interference_mw += power * gain
@@ -464,6 +497,9 @@ class Channel(Module):
                     corrupted = True
                 if corrupted or other.corrupted:
                     self.collisions += 1
+            if stale is not None:
+                for key in stale:
+                    del live[key]
         tx.interference_mw = interference
         if power <= interference * capture:
             corrupted = True
@@ -504,14 +540,22 @@ class Channel(Module):
             live = self._active_by_freq.get(neighbour)
             if not live:
                 continue
-            for other in live.values():
-                if other.end_ns <= now:  # expiry event not yet fired
+            stale = None
+            for key, other in live.items():
+                if other.end_ns <= now:  # off the air: prune below
+                    if stale is None:
+                        stale = [key]
+                    else:
+                        stale.append(key)
                     continue
                 if other.overlap_mw is None:
                     other.overlap_mw = []
                 other.overlap_mw.append((tx.radio, power * gain))
                 tx.overlap_mw.append((other.radio, other.power_mw * gain))
                 self.collisions += 1
+            if stale is not None:
+                for key in stale:
+                    del live[key]
         self._active_by_freq.setdefault(tx.freq, {})[id(tx)] = tx
 
     def _static_floor_at(self, freq: int, rx_key) -> float:
@@ -613,14 +657,6 @@ class Channel(Module):
             for listener in receivers:
                 self.sim.schedule_abs(
                     sync_time, partial(self._sync_stage, tx, listener))
-
-    def _expire(self, tx: Transmission) -> None:
-        cap = self.capture
-        if cap is not None:
-            cap.tx_end(self.sim.now, tx)
-        live = self._active_by_freq.get(tx.freq)
-        if live is not None:
-            live.pop(id(tx), None)
 
     # ------------------------------------------------------------------
     # Receive path (staged)

@@ -4,6 +4,11 @@ The paper's Figs. 5 and 9 are waveforms of exactly these two signals. The
 front-end does no signal processing itself — it models *when* the radio is
 powered, delegates decoding to the channel, and forwards receptions to its
 listener (the link controller).
+
+``enable_tx_rf`` is written only while someone subscribes to it: a radio
+nobody probes or traces skips its two writes and its end-of-packet event
+per transmission, and the signal settles from the radio's transmit
+history when it is next read or gains a subscriber.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.baseband.clock import BtClock
 from repro.errors import ChannelError
 from repro.sim.module import Module
-from repro.sim.signal import Signal
+from repro.sim.signal import _NO_WRITE, Signal
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,6 +43,40 @@ class RxExpect:
         self.clk = clk if clk is not None else (lambda: 0)
 
 
+class _TxEnable(Signal[bool]):
+    """``enable_tx_rf``: kept up to date by its radio only while it has a
+    subscriber.  Without one, reading it (or subscribing to it) first
+    settles it to the value the radio's transmit writes would have left,
+    so a probe or tracer attached at any time reads and is notified as if
+    the signal had been written all along."""
+
+    __slots__ = ("_rf",)
+
+    def __init__(self, rf: "RfFrontEnd"):
+        super().__init__(rf.sim, f"{rf.path}.enable_tx_rf", False)
+        self._rf = rf
+
+    def read(self) -> bool:
+        if not self._subscribers:
+            self._rf._settle_tx()
+        return self._value
+
+    @property
+    def value(self) -> bool:
+        return self.read()
+
+    @property
+    def last_change_ns(self) -> int:
+        if not self._subscribers:
+            self._rf._settle_tx()
+        return self._last_change_ns
+
+    def subscribe(self, callback) -> None:
+        if not self._subscribers:
+            self._rf._settle_tx()
+        super().subscribe(callback)
+
+
 class RfFrontEnd(Module):
     """Half-duplex radio with explicit enable signals.
 
@@ -53,7 +92,7 @@ class RfFrontEnd(Module):
         super().__init__(sim, name, parent)
         self.channel = channel
         self.clock = clock
-        self.enable_tx: Signal[bool] = self.signal("enable_tx_rf", False)
+        self.enable_tx: Signal[bool] = _TxEnable(self)
         self.enable_rx: Signal[bool] = self.signal("enable_rx_rf", False)
         self.rx_freq: Optional[int] = None
         self.rx_freq_fn: Optional[Callable[[], int]] = None
@@ -66,6 +105,12 @@ class RfFrontEnd(Module):
         # which the topology maps to unit gain)
         self.topo_key = None
         self._tx_until_ns = -1
+        # the latest transmit's delta and the end of the one before it:
+        # what _settle_tx needs when it runs in the transmitting delta
+        self._tx_delta = 0
+        self._tx_prev_until_ns = -1
+        # end time of the scheduled _tx_done, if any
+        self._tx_done_ns = -1
         channel.attach(self)
 
     # ------------------------------------------------------------------
@@ -155,14 +200,60 @@ class RfFrontEnd(Module):
             raise ChannelError(f"{self.path}: transmit while already transmitting")
         tx = self.channel.transmit(self, freq, packet, uap=uap, meta=meta,
                                    power_dbm=power_dbm)
-        self._tx_until_ns = tx.end_ns
-        self.enable_tx.write(True)
-        self.sim.schedule_abs(tx.end_ns, self._tx_done)
+        self._tx_prev_until_ns = self._tx_until_ns
+        end = self._tx_until_ns = tx.start_ns + tx.duration_ns
+        self._tx_delta = self.sim.delta
+        if self.enable_tx._subscribers:
+            self.enable_tx.write(True)
+            self._arm_tx_done(end)
         return tx
+
+    def _arm_tx_done(self, end_ns: int) -> None:
+        if self._tx_done_ns != end_ns:
+            self._tx_done_ns = end_ns
+            self.sim.schedule_abs(end_ns, self._tx_done)
 
     def _tx_done(self) -> None:
         if not self.tx_busy:
             self.enable_tx.write(False)
+
+    def _settle_tx(self) -> None:
+        """Bring an unobserved ``enable_tx`` to the state the transmit
+        writes would have left at the current ``(now, delta)``.
+
+        A transmit writes True, committed when its delta ends; the
+        ``_tx_done`` at the packet end writes False unless the radio
+        transmits again at that instant, committed when delta 0 of the end
+        time ends.  A transmission still on the air arms its ``_tx_done``.
+        """
+        tx = self.channel._last_tx[self.attach_index]
+        if tx is None:
+            return
+        sim = self.sim
+        now = sim.now
+        end = self._tx_until_ns
+        signal = self.enable_tx
+        pending = None
+        if now == tx.start_ns and sim.delta == self._tx_delta:
+            # the transmitting delta: the rise is still a pending write
+            previous = self._tx_prev_until_ns
+            on = previous == now and sim.delta == 0
+            changed = previous
+            pending = True
+        elif now < end or (now == end and sim.delta == 0):
+            on, changed = True, tx.start_ns
+            if now == end:
+                pending = False  # the fall is pending in this delta
+        else:
+            on, changed = False, end
+        signal._value = on
+        if changed >= 0:
+            signal._last_change_ns = changed
+        signal._pending = _NO_WRITE
+        if pending is not None:
+            signal.write(pending)
+        if now < end:
+            self._arm_tx_done(end)
 
     # ------------------------------------------------------------------
     # Channel-side hooks

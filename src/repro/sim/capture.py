@@ -37,6 +37,7 @@ import io
 import json
 import math
 from collections import Counter, deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
@@ -126,6 +127,13 @@ class TimelineCapture:
         self._events: deque[tuple] = deque(maxlen=capacity)
         self._append = self._events.append
         self._evicted: Counter[str] = Counter()
+        # tx_end records of transmissions still on the air, as a heap of
+        # (end_ns, transmit order, tx); see defer_tx_end.  No kernel event
+        # fires per packet end: every recorder first flushes the ends due
+        # at its own time stamp, and every query those before the clock.
+        self._ends: list[tuple] = []
+        self._ends_order = 0
+        self._clock = None
 
     @staticmethod
     def _data(row: tuple) -> dict[str, Any]:
@@ -152,6 +160,8 @@ class TimelineCapture:
         if set(data) != set(fields):
             raise ValueError(
                 f"{kind!r} records carry fields {fields}, got {tuple(data)}")
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -160,6 +170,8 @@ class TimelineCapture:
 
     def hop(self, t_ns: int, src: str, clk: int, freq: int) -> None:
         """Master slot loop selected ``freq`` at piconet clock ``clk``."""
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -170,6 +182,8 @@ class TimelineCapture:
         rather than pinning ``tx`` in the ring: a retained Transmission
         graph would survive its natural lifetime and multiply young-gen
         GC passes — measurably pricier than the five eager reads."""
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -178,11 +192,50 @@ class TimelineCapture:
 
     def tx_end(self, t_ns: int, tx: "Transmission") -> None:
         """A transmission left the air (with its final corruption flag)."""
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
+        self._append_tx_end(t_ns, tx)
+
+    def _append_tx_end(self, t_ns: int, tx: "Transmission") -> None:
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
         events.append((t_ns, "tx_end", tx.radio.path, tx.freq,
                        tx.packet.ptype, tx.corrupted))
+
+    def defer_tx_end(self, clock, tx: "Transmission") -> None:
+        """Record ``tx``'s ``tx_end`` once it has left the air.
+
+        The channel calls this at transmit time instead of scheduling an
+        event for the packet end.  The record lands in front of the first
+        record stamped at or after ``tx.end_ns`` (a transmission leaves
+        the air before anything else is recorded at its end time), or at
+        the next query once ``clock``, the world's
+        :class:`~repro.sim.simulator.Simulator`, has passed its end.
+        Transmissions ending at one instant record in transmit order.
+        The corruption flag is read then; no resolver changes it after
+        the packet's end.
+        """
+        self._clock = clock
+        heappush(self._ends, (tx.start_ns + tx.duration_ns,
+                              self._ends_order, tx))
+        self._ends_order += 1
+
+    def _flush_ends(self, limit_ns) -> None:
+        """Record every deferred ``tx_end`` due at or before ``limit_ns``."""
+        ends = self._ends
+        while ends and ends[0][0] <= limit_ns:
+            end_ns, _, tx = heappop(ends)
+            self._append_tx_end(end_ns, tx)
+
+    def _flush_passed(self) -> None:
+        """Before a query: record the deferred ends the clock has passed,
+        or all of them once the world's event queue has drained."""
+        ends = self._ends
+        if ends:
+            clock = self._clock
+            self._flush_ends(clock.now - 1 if clock.pending_events
+                             else max(end for end, _, _ in ends))
 
     def capture_loss(self, t_ns: int, tx: "Transmission",
                      sir_db: Any = _TX_SIR,
@@ -203,6 +256,8 @@ class TimelineCapture:
                     10.0 * math.log10(tx.power_mw / tx.interference_mw), 2)
             else:
                 sir_db = None
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -212,6 +267,8 @@ class TimelineCapture:
     def arq_retx(self, t_ns: int, src: str, freq: int, am_addr: int,
                  seqn: int) -> None:
         """The ARQ scheme re-sent an unacknowledged payload."""
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -220,6 +277,8 @@ class TimelineCapture:
     def afh_map(self, t_ns: int, src: str, n_used: int,
                 excluded: list[int]) -> None:
         """An adaptive hop set was installed (or cleared: all 79 used)."""
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -228,6 +287,8 @@ class TimelineCapture:
     def assess(self, t_ns: int, src: str, n_bad: int,
                installed: bool) -> None:
         """The classifier ran an assessment."""
+        if self._ends and self._ends[0][0] <= t_ns:
+            self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
@@ -238,12 +299,14 @@ class TimelineCapture:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
+        self._flush_passed()
         return len(self._events)
 
     def counts(self) -> dict[str, int]:
         """Exact per-kind totals over the whole run (eviction-proof):
         the banked kinds of every evicted record plus a tally of the
         retained ring."""
+        self._flush_passed()
         totals = Counter(self._evicted)
         totals.update(row[1] for row in self._events)
         return {kind: totals[kind] for kind in KINDS if totals[kind]}
@@ -257,6 +320,7 @@ class TimelineCapture:
         matches ``"master.rf"``), so a device's whole activity can be
         pulled with its name alone.
         """
+        self._flush_passed()
         out = []
         for row in self._events:
             t_ns, ekind, esrc, efreq = row[:4]
@@ -290,6 +354,7 @@ class TimelineCapture:
         (``timeline.<kind>``), carrying the records' one-line renderings
         as string values — the bridge into the existing
         :class:`~repro.sim.trace.TraceRecorder` / VCD tooling."""
+        self._flush_passed()
         by_kind: dict[str, TracedSignal] = {}
         for row in self._events:
             t_ns, ekind, esrc, efreq = row[:4]
@@ -313,6 +378,7 @@ class TimelineCapture:
         """Write every retained record as one JSON object per line;
         returns the number of lines written (the per-trial archive format
         of the experiment harnesses, schema :data:`SCHEMA_VERSION`)."""
+        self._flush_passed()
         written = 0
         for row in self._events:
             t_ns, kind, src, freq = row[:4]

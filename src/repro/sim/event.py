@@ -1,9 +1,10 @@
 """Scheduled-event bookkeeping for the kernel.
 
 Events are callbacks ordered by a ``(time_ns, delta, sequence)`` key.
-``delta`` implements SystemC-style delta cycles: signal updates commit one
-delta after the write, so same-timestamp communication between modules is
-deterministic and race-free. ``sequence`` makes the ordering total and FIFO
+``delta`` implements SystemC-style delta cycles: signal writes commit in
+the update phase that ends the writing delta (see
+:class:`~repro.sim.simulator.Simulator`), so same-timestamp communication
+between modules is deterministic and race-free. ``sequence`` makes the ordering total and FIFO
 among equals.
 """
 

@@ -1,10 +1,12 @@
 """Signals with delta-delayed writes and change notification.
 
 A :class:`Signal` mimics ``sc_signal``: ``write()`` does not change the
-visible value immediately; the new value commits one delta cycle later, and
-subscribers are notified after the commit. Multiple writes within the same
-delta collapse to the last one (last-write-wins, like SystemC's request/
-update semantics).
+visible value immediately.  The simulator's update phase commits it once
+the writing delta is over (see :class:`~repro.sim.simulator.Simulator`),
+and notifies subscribers with ``delta`` advanced by one.  Multiple writes
+within the same delta collapse to the last one (last-write-wins, like
+SystemC's request/update semantics).  A write schedules no event: the
+kernel keeps one list of written signals and commits them all together.
 """
 
 from __future__ import annotations
@@ -52,17 +54,16 @@ class Signal(Generic[T]):
         """Request the signal to take ``value`` one delta cycle from now.
 
         Writing the committed value again while no write is pending is a
-        no-op and schedules nothing: the commit would compare-equal and
-        change neither the value, ``last_change_ns`` nor any subscriber's
-        view.  Link controllers re-assert ``enable_rx``/``enable_tx``
-        every slot, so this skip removes a delta-cycle event per re-assert
-        from the kernel's hot loop.
+        no-op: the commit would compare-equal and change neither the
+        value, ``last_change_ns`` nor any subscriber's view.  Link
+        controllers re-assert ``enable_rx`` every slot, so this skip keeps
+        most re-asserts out of the update phase.
         """
         if not self._update_scheduled:
             if value == self._value:
                 return
             self._update_scheduled = True
-            self._sim.schedule_delta(self._commit)
+            self._sim._updates.append(self)
         self._pending = value
 
     def write_now(self, value: T) -> None:
@@ -93,6 +94,8 @@ class Signal(Generic[T]):
     # -- internals --------------------------------------------------------
 
     def _commit(self) -> None:
+        """Make the pending write visible (the simulator's update phase
+        and :meth:`write_now` call this)."""
         self._update_scheduled = False
         pending = self._pending
         if pending is _NO_WRITE:

@@ -19,6 +19,14 @@ class Simulator:
         sim.schedule(1_000, lambda: print("at 1us"))
         sim.run(until_ns=1_000_000)
 
+    Signal writes take effect in an **update phase**, as in SystemC: the
+    kernel keeps the signals written in the current delta and commits
+    them, notifying their subscribers with ``delta`` advanced by one,
+    before it dispatches the first event of a later ``(time, delta)``
+    and before :meth:`run` returns after draining or reaching
+    ``until_ns``.  A run ended by :meth:`stop` or ``max_events`` leaves
+    the writes pending for the next run, as a queued commit would be.
+
     Attributes:
         now: current simulation time in nanoseconds.
         delta: current delta cycle within ``now`` (0 for ordinary events).
@@ -31,6 +39,12 @@ class Simulator:
         self._stopped = False
         self._events_dispatched = 0
         self._end_callbacks: list[Callable[[], None]] = []
+        #: signals written since the last update phase, in first-write
+        #: order (Signal.write appends; _update commits)
+        self._updates: list = []
+        #: the delta those writes belong to; None until the dispatch loop
+        #: first sees them pending
+        self._update_delta: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -53,9 +67,9 @@ class Simulator:
     def schedule_delta(self, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at the current time, one delta cycle later.
 
-        This is the primitive signal writes use: every observer of the
-        current instant sees the pre-write value, and the new value becomes
-        visible in the next delta.
+        Every event of the current delta runs before it, and it sees the
+        signal writes of the current delta committed (the update phase
+        between the two deltas commits them).
         """
         return self._queue.push(self.now, self.delta + 1, callback)
 
@@ -79,14 +93,27 @@ class Simulator:
         self._stopped = False
         dispatched = 0
         queue = self._queue
+        updates = self._updates
         fired = _event._FIRED
         while not self._stopped:
             if max_events is not None and dispatched >= max_events:
                 break
+            if updates:
+                # update phase: commit once the writing delta is over
+                if self._update_delta is None:
+                    self._update_delta = self.delta
+                head = queue.peek_time()
+                if head is None or head[0] != self.now \
+                        or head[1] > self._update_delta \
+                        or (until_ns is not None and head[0] >= until_ns):
+                    self._update()
+                    continue
             event = queue.pop_due(until_ns)
             if event is None:
                 if until_ns is not None:
-                    if len(queue):  # stopped by the bound, not exhaustion
+                    # time moves to the bound; a stop by the bound (not by
+                    # exhaustion) also starts the delta count afresh
+                    if until_ns > self.now or len(queue):
                         self.delta = 0
                     self.now = max(self.now, until_ns)
                 break
@@ -98,6 +125,19 @@ class Simulator:
             dispatched += 1
         self._events_dispatched += dispatched
         return dispatched
+
+    def _update(self) -> None:
+        """The update phase: commit every pending signal write in
+        first-write order, with ``delta`` advanced past the writing delta.
+        Writes made by subscribers while it runs belong to the new delta
+        and wait for the next update phase."""
+        batch = self._updates[:]
+        self._updates.clear()
+        stamp = self._update_delta
+        self.delta = (self.delta if stamp is None else stamp) + 1
+        self._update_delta = None
+        for signal in batch:
+            signal._commit()
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the event being dispatched."""

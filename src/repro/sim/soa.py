@@ -1,9 +1,9 @@
 """Structure-of-arrays slot engine: whole-world slot stepping.
 
 The object kernel dispatches one Python event per device per slot — the
-scheduling loops of :mod:`repro.link.connection`, the staged delivery of
-:mod:`repro.phy.channel` and the signal delta cycles each cost a heap
-round-trip.  Bluetooth is slot-synchronous, so for the steady connection
+scheduling loops of :mod:`repro.link.connection` and the staged delivery
+of :mod:`repro.phy.channel` each cost a heap round-trip, and every
+``enable_rx`` change an update-phase commit.  Bluetooth is slot-synchronous, so for the steady connection
 state all of that structure is *static*: the same handful of event shapes
 recurs every 1250 µs.  This module exploits that.
 
@@ -60,7 +60,6 @@ from repro.link.states import ConnectionMode
 from repro.link.traffic import SaturatedTraffic
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.phy.transmission import Transmission, TxMeta
-from repro.sim.signal import Signal
 
 #: Environment variable selecting the default engine of new Sessions.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
@@ -95,8 +94,6 @@ K_SYNC = 7
 K_SYNC_BATCH = 8
 K_HEADER = 9
 K_END = 10
-K_EXPIRE = 11
-K_TX_DONE = 12
 
 _attach_index = attrgetter("attach_index")
 
@@ -269,7 +266,7 @@ class SlotEngine:
             rf = device.rf
             if rf.enable_tx._subscribers or rf.enable_rx._subscribers \
                     or device.sig_state._subscribers:
-                return None  # probes / tracers watch the skipped commits
+                return None  # probes / tracers watch the skipped writes
             h = device.active_handler
             if h is None:
                 if rf.rx_open or rf.locked_tx is not None:
@@ -332,17 +329,13 @@ class SlotEngine:
         f_slave_close = ConnectionSlave._rx_close
         f_slave_reply = ConnectionSlave._reply
         f_refill = SaturatedTraffic._refill
-        f_tx_done = RfFrontEnd._tx_done
-        f_commit = Signal._commit
         f_scan = type(channel)._scan_listeners
-        f_expire = type(channel)._expire
         f_sync = type(channel)._sync_stage
         f_sync_batch = type(channel)._sync_batch
         f_header = type(channel)._header_stage
         f_end = type(channel)._end_stage
 
         micro: list[tuple] = []
-        commits: list[tuple[int, Signal]] = []
         now = sim.now
 
         def tx_ok(tx: Transmission) -> bool:
@@ -350,6 +343,9 @@ class SlotEngine:
             return packet.ptype not in (PacketType.ID, PacketType.FHS) \
                 and getattr(packet, "llid", 2) != 3
 
+        for signal in sim._updates:
+            if signal._subscribers:
+                return None  # a pending write someone observes
         for t, delta, seq, event in sim._queue._heap:
             if event.cancelled:
                 continue
@@ -357,16 +353,6 @@ class SlotEngine:
             func = getattr(cb, "__func__", None)
             if func is not None:
                 owner = cb.__self__
-                if func is f_commit:
-                    if t != now or owner._subscribers:
-                        return None
-                    commits.append((seq, owner))
-                    continue
-                if func is f_tx_done:
-                    if id(owner) not in by_rf:
-                        return None
-                    micro.append((t, delta, seq, K_TX_DONE, owner, None))
-                    continue
                 if func is f_refill:
                     if type(owner) is not SaturatedTraffic \
                             or not owner.ptype.is_data:
@@ -404,10 +390,6 @@ class SlotEngine:
                     if not tx_ok(args[0]):
                         return None
                     micro.append((t, delta, seq, K_SCAN, args[0], None))
-                elif pf is f_expire:
-                    if not tx_ok(args[0]):
-                        return None
-                    micro.append((t, delta, seq, K_EXPIRE, args[0], None))
                 elif pf is f_sync:
                     if not tx_ok(args[0]) or id(args[1]) not in by_rf:
                         return None
@@ -433,9 +415,10 @@ class SlotEngine:
                 continue
             return None
 
-        # classification succeeded — commit the absorb
-        for _seq, sig in sorted(commits, key=lambda item: item[0]):
-            sig._commit()
+        # classification succeeded — commit the absorb; the pending
+        # writes nobody subscribes to go through the update phase first
+        if sim._updates:
+            sim._update()
         sim._queue._heap.clear()
         sim._queue._live = 0
         heapq.heapify(micro)
@@ -499,7 +482,6 @@ class SlotEngine:
         # empty and rx_freq_fn is never set by the inlined handlers), so
         # listener_retuned reduces to plain-dict bucket moves
         listen_keys = channel._listen_keys
-        active_by_freq = channel._active_by_freq
         resolve = channel._resolve
         # spatial worlds: per-(tx, listener) capture verdicts, drawn
         # through the shared channel method so the sticky sets, capture
@@ -532,8 +514,6 @@ class SlotEngine:
         k_sync_batch = K_SYNC_BATCH
         k_header = K_HEADER
         k_end = K_END
-        k_expire = K_EXPIRE
-        k_tx_done = K_TX_DONE
         master_cls = _MasterState
         slave_cls = _SlaveState
         slim_packet = SlimPacket
@@ -564,8 +544,8 @@ class SlotEngine:
 
         def transmit(st, t: int, delta: int, freq: int, packet, uap: int,
                      meta: TxMeta) -> Transmission:
-            # mirrors RfFrontEnd.transmit + Channel.transmit, minus the
-            # enable_tx signal write (a skipped no-op delta commit)
+            # mirrors RfFrontEnd.transmit + Channel.transmit of a radio
+            # whose enable_tx nobody subscribes to (the gate's premise)
             nonlocal seq
             rf = st.rf
             ptype = packet.ptype
@@ -596,18 +576,11 @@ class SlotEngine:
             channel.transmissions += 1
             if cap is not None:
                 cap.tx_start(t, tx)
+                cap.defer_tx_end(sim, tx)
             resolve(tx, t, 0.0)
-            end = t + duration
-            rf._tx_until_ns = end
-            seq_scan = seq + 1
-            # the third seq is reserved for the kernel's _tx_done slot;
-            # the micro loop itself has no work to do at tx end (the
-            # enable_tx signal is reconciled at handback), so no event
-            # is pushed — the handback synthesises the pending _tx_done
-            # for still-transmitting radios
-            seq += 3
-            push(heap, (t, delta + 1, seq_scan, k_scan, tx, None))
-            push(heap, (end, 0, seq_scan + 1, k_expire, tx, None))
+            rf._tx_until_ns = t + duration
+            seq += 1
+            push(heap, (t, delta + 1, seq, k_scan, tx, None))
             return tx
 
         dr_new = DecodeResult.__new__
@@ -1149,24 +1122,13 @@ class SlotEngine:
                                                  enqueued_ns=t))
                     ts.traffic.generated += refilled
 
-            elif kind == k_expire:
-                tx = a
-                if cap is not None:
-                    cap.tx_end(t, tx)
-                live = active_by_freq.get(tx.freq)
-                if live is not None:
-                    live.pop(id(tx), None)
-
-            # K_TX_DONE: only toggles enable_tx in the object kernel; the
-            # handback's write_now reconciles the signal, so nothing to do.
-
         if dispatched:
             sim.now = t
             sim.delta = delta
         sim._queue._sequence = seq
         self.micro_events += dispatched
-        # micro dispatch skips the Signal delta commits the object kernel
-        # fires, so events_dispatched is the one documented divergence
+        # the lazy refill (see K_REFILL) makes events_dispatched the one
+        # documented divergence from the object kernel
         sim._events_dispatched += dispatched
 
     # -- handback -------------------------------------------------------
@@ -1178,13 +1140,12 @@ class SlotEngine:
         K_SLAVE_LISTEN: lambda st: st.h._master_slot,
         K_SLAVE_REPLY: lambda st: st.h._reply,
         K_REFILL: lambda ts: ts.traffic._refill,
-        K_TX_DONE: lambda rf: rf._tx_done,
     }
 
     def _handback(self, plan, until_ns: int) -> None:
         """Re-materialise the remaining micro events as kernel events and
-        reconcile the skipped signal state, leaving the world exactly
-        where ``Simulator.run(until_ns)`` would have."""
+        reconcile the skipped ``enable_rx`` writes, leaving the world
+        exactly where ``Simulator.run(until_ns)`` would have."""
         heap, _by_rf, masters, slaves, traffic = plan
         session = self.session
         sim = session.sim
@@ -1193,19 +1154,14 @@ class SlotEngine:
         if queue._heap:
             raise RuntimeError("object events scheduled during micro window")
         sim.now = until_ns
-        if heap:
-            sim.delta = 0  # mirrors the kernel's bound-stop rule
+        sim.delta = 0  # the kernel's rule when time moves forward
         unary = self._HANDBACK_CALLBACKS
-        tx_done_present = {id(a) for _t, _d, _q, kind, a, _b in heap
-                           if kind == K_TX_DONE}
         for t, delta, _seq, kind, a, b in sorted(heap):
             maker = unary.get(kind)
             if maker is not None:
                 callback = maker(a)
             elif kind == K_SCAN:
                 callback = partial(channel._scan_listeners, a)
-            elif kind == K_EXPIRE:
-                callback = partial(channel._expire, a)
             elif kind == K_SYNC:
                 callback = partial(channel._sync_stage, a, b)
             elif kind == K_SYNC_BATCH:
@@ -1224,12 +1180,7 @@ class SlotEngine:
                 queue.push(until_ns + (slot_ns - rem if rem else 0), 0,
                            ts.traffic._refill)
         for st in list(masters) + list(slaves):
-            rf = st.rf
-            # transmit() defers the kernel's tx-end event; synthesise it
-            # for radios still on air at the window boundary
-            if until_ns <= rf._tx_until_ns \
-                    and st.rid not in tx_done_present:
-                queue.push(rf._tx_until_ns, 0, rf._tx_done)
-            rf.enable_rx.write_now(rf.rx_open)
-            # at until == end_ns the kernel's _tx_done has not fired yet
-            rf.enable_tx.write_now(until_ns <= rf._tx_until_ns)
+            # the inlined rx_on/rx_off skip the enable_rx writes, whose
+            # value a probe attached later would read; enable_tx needs no
+            # reconciling, it settles from the radio's transmissions
+            st.rf.enable_rx.write_now(st.rf.rx_open)

@@ -77,6 +77,18 @@ _TWO64 = float(1 << 64)
 _process_fired: set = set()
 
 
+def _number(key: str, value: str, cast):
+    """``cast(value)`` for one ``REPRO_CHAOS`` entry, or a ValueError that
+    names the variable and the entry."""
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(
+            f"{CHAOS_ENV_VAR} entry {key}={value!r} is not a number; "
+            f"expected comma-separated key=number pairs (state=<dir> "
+            f"takes a path)") from None
+
+
 class ChaosError(RuntimeError):
     """An injected transient trial fault (retryable by construction)."""
 
@@ -154,11 +166,11 @@ class ChaosConfig:
             if not sep or not val:
                 raise ValueError(f"malformed {CHAOS_ENV_VAR} entry {pair!r}")
             if key == "seed":
-                fields["seed"] = int(val, 0)
+                fields["seed"] = _number(key, val, lambda v: int(v, 0))
             elif key in ("crash", "hang", "exc", "hang_s", "drop",
                          "blackhole", "dup", "delay", "blackhole_s",
                          "delay_s"):
-                fields[key] = float(val)
+                fields[key] = _number(key, val, float)
             elif key == "state":
                 fields["state_dir"] = val
             else:

@@ -817,7 +817,15 @@ class FabricExecutor(LeaseExecutor):
                     fields["bind"] = parse_address(value)
                 elif key in cls._SPEC_KEYS:
                     name, cast = cls._SPEC_KEYS[key]
-                    fields[name] = cast(value)
+                    try:
+                        fields[name] = cast(value)
+                    except ValueError:
+                        raise ValueError(
+                            f"{FABRIC_ENV_VAR} entry {key}={value!r} is not "
+                            f"a valid {cast.__name__}; expected "
+                            f"comma-separated key=value pairs with keys "
+                            f"{', '.join(['bind', *cls._SPEC_KEYS])}"
+                        ) from None
                 else:
                     raise ValueError(
                         f"unknown {FABRIC_ENV_VAR} key {key!r}")

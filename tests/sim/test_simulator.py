@@ -65,6 +65,15 @@ class TestRunControl:
         sim.run(until_ns=12345)
         assert sim.now == 12345
 
+    def test_delta_restarts_when_a_bounded_run_drains(self, sim):
+        sim.schedule(10, lambda: sim.schedule_delta(lambda: None))
+        sim.run(until_ns=100)
+        assert (sim.now, sim.delta) == (100, 0)
+        seen = []
+        sim.schedule_delta(lambda: seen.append((sim.now, sim.delta)))
+        sim.run()
+        assert seen == [(100, 1)]
+
     def test_max_events(self, sim):
         fired = []
         for i in range(5):

@@ -38,7 +38,6 @@ from repro.stats.montecarlo import (
     derive_seed,
 )
 from repro.stats.resilient import ResilientExecutor
-from repro.stats.store import ResultStore, campaign_digest
 from repro.stats.sweep import (
     SWEEP_POINT_STREAM,
     Sweep,
@@ -108,24 +107,22 @@ class TestExecutorContract:
         whenever ``REPRO_FABRIC`` is set."""
         for variable in (CHAOS_ENV_VAR, PROGRESS_ENV_VAR, FABRIC_ENV_VAR):
             monkeypatch.delenv(variable, raising=False)
-        assert isinstance(_campaign_executor(1, None), SequentialExecutor)
-        with _campaign_executor(2, None) as executor:
+        assert isinstance(_campaign_executor(1, False), SequentialExecutor)
+        with _campaign_executor(2, False) as executor:
             assert isinstance(executor, ResilientExecutor)
             assert executor.jobs == 2
-        with ResultStore(str(tmp_path / "j.jsonl"),
-                         campaign_digest({"campaign": "select"})) as journal:
-            with _campaign_executor(1, journal) as executor:
-                assert isinstance(executor, ResilientExecutor)
-                assert executor.jobs == 1
+        with _campaign_executor(1, True) as executor:  # journalled
+            assert isinstance(executor, ResilientExecutor)
+            assert executor.jobs == 1
         monkeypatch.setenv(CHAOS_ENV_VAR,
                            f"seed=1,exc=0.1,state={tmp_path / 'ledger'}")
-        assert isinstance(_campaign_executor(1, None), ResilientExecutor)
+        assert isinstance(_campaign_executor(1, False), ResilientExecutor)
         monkeypatch.delenv(CHAOS_ENV_VAR)
         monkeypatch.setenv(PROGRESS_ENV_VAR, "1")
-        assert isinstance(_campaign_executor(1, None), ResilientExecutor)
+        assert isinstance(_campaign_executor(1, False), ResilientExecutor)
         monkeypatch.delenv(PROGRESS_ENV_VAR)
         monkeypatch.setenv(FABRIC_ENV_VAR, "workers=1")
-        assert isinstance(_campaign_executor(1, None), FabricExecutor)
+        assert isinstance(_campaign_executor(1, False), FabricExecutor)
 
 
 #: The real simulation trial functions behind the paper's Monte-Carlo

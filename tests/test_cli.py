@@ -44,6 +44,10 @@ class TestCli:
         ("REPRO_ENGINE", "SOA"),
         ("REPRO_JOBS", "two"),
         ("REPRO_TRIALS", "lots"),
+        ("REPRO_CHAOS", "seed=7,crash=lots"),
+        ("REPRO_FABRIC", "workers=two"),
+        ("REPRO_PROGRESS", "fast"),
+        ("REPRO_BIT_ACCURATE", "maybe"),
     ])
     def test_bad_env_value_fails_before_any_journal(
             self, variable, value, monkeypatch, tmp_path):
