@@ -378,8 +378,7 @@ class Channel(Module):
         self.transmissions += 1
         cap = self.capture
         if cap is not None:
-            cap.tx_start(now, tx)
-            cap.defer_tx_end(self.sim, tx)
+            cap.tx_start(now, tx, self.sim)
 
         self._resolve(tx, now, power_dbm)
 

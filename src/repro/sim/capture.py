@@ -37,8 +37,8 @@ import io
 import json
 import math
 from collections import Counter, deque
-from heapq import heappop, heappush
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.sim.trace import TracedSignal, TraceRecorder
@@ -128,9 +128,9 @@ class TimelineCapture:
         self._append = self._events.append
         self._evicted: Counter[str] = Counter()
         # tx_end records of transmissions still on the air, as a heap of
-        # (end_ns, transmit order, tx); see defer_tx_end.  No kernel event
-        # fires per packet end: every recorder first flushes the ends due
-        # at its own time stamp, and every query those before the clock.
+        # (end_ns, transmit order, tx); see tx_start.  Every recorder first
+        # flushes the ends due at its own time stamp, and every query
+        # those before the clock.
         self._ends: list[tuple] = []
         self._ends_order = 0
         self._clock = None
@@ -160,7 +160,8 @@ class TimelineCapture:
         if set(data) != set(fields):
             raise ValueError(
                 f"{kind!r} records carry fields {fields}, got {tuple(data)}")
-        if self._ends and self._ends[0][0] <= t_ns:
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
@@ -170,72 +171,67 @@ class TimelineCapture:
 
     def hop(self, t_ns: int, src: str, clk: int, freq: int) -> None:
         """Master slot loop selected ``freq`` at piconet clock ``clk``."""
-        if self._ends and self._ends[0][0] <= t_ns:
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
         events.append((t_ns, "hop", src, freq, clk))
 
-    def tx_start(self, t_ns: int, tx: "Transmission") -> None:
+    def tx_start(self, t_ns: int, tx: "Transmission",
+                 clock=None) -> None:
         """A transmission entered the air.  Fields are copied out *now*
         rather than pinning ``tx`` in the ring: a retained Transmission
         graph would survive its natural lifetime and multiply young-gen
-        GC passes — measurably pricier than the five eager reads."""
-        if self._ends and self._ends[0][0] <= t_ns:
+        GC passes — measurably pricier than the five eager reads.
+
+        With ``clock``, the world's :class:`~repro.sim.simulator.Simulator`,
+        the matching ``tx_end`` follows on its own, with no kernel event
+        for the packet end: it lands in front of the first record stamped
+        at or after the end, or at the next query once the clock has
+        passed it.  Packets ending at one instant record in transmit
+        order, each with its corruption flag as of its end (no resolver
+        changes the flag of a packet off the air).
+        """
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
             self._evicted[events[0][1]] += 1
         events.append((t_ns, "tx_start", tx.radio.path, tx.freq,
                        tx.packet.ptype, tx.meta.purpose, tx.duration_ns))
+        if clock is not None:
+            self._clock = clock
+            heappush(ends, (tx.start_ns + tx.duration_ns, self._ends_order,
+                            tx))
+            self._ends_order += 1
 
     def tx_end(self, t_ns: int, tx: "Transmission") -> None:
         """A transmission left the air (with its final corruption flag)."""
-        if self._ends and self._ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        self._append_tx_end(t_ns, tx)
-
-    def _append_tx_end(self, t_ns: int, tx: "Transmission") -> None:
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "tx_end", tx.radio.path, tx.freq,
-                       tx.packet.ptype, tx.corrupted))
-
-    def defer_tx_end(self, clock, tx: "Transmission") -> None:
-        """Record ``tx``'s ``tx_end`` once it has left the air.
-
-        The channel calls this at transmit time instead of scheduling an
-        event for the packet end.  The record lands in front of the first
-        record stamped at or after ``tx.end_ns`` (a transmission leaves
-        the air before anything else is recorded at its end time), or at
-        the next query once ``clock``, the world's
-        :class:`~repro.sim.simulator.Simulator`, has passed its end.
-        Transmissions ending at one instant record in transmit order.
-        The corruption flag is read then; no resolver changes it after
-        the packet's end.
-        """
-        self._clock = clock
-        heappush(self._ends, (tx.start_ns + tx.duration_ns,
-                              self._ends_order, tx))
+        heappush(self._ends, (t_ns, self._ends_order, tx))
         self._ends_order += 1
+        self._flush_ends(t_ns)
 
     def _flush_ends(self, limit_ns) -> None:
-        """Record every deferred ``tx_end`` due at or before ``limit_ns``."""
+        """Record every pending ``tx_end`` due at or before ``limit_ns``."""
         ends = self._ends
+        events = self._events
         while ends and ends[0][0] <= limit_ns:
             end_ns, _, tx = heappop(ends)
-            self._append_tx_end(end_ns, tx)
+            if len(events) == self.capacity:
+                self._evicted[events[0][1]] += 1
+            events.append((end_ns, "tx_end", tx.radio.path, tx.freq,
+                           tx.packet.ptype, tx.corrupted))
 
     def _flush_passed(self) -> None:
-        """Before a query: record the deferred ends the clock has passed,
+        """Before a query: record the pending ends the clock has passed,
         or all of them once the world's event queue has drained."""
-        ends = self._ends
-        if ends:
+        if self._ends:
             clock = self._clock
             self._flush_ends(clock.now - 1 if clock.pending_events
-                             else max(end for end, _, _ in ends))
+                             else math.inf)
 
     def capture_loss(self, t_ns: int, tx: "Transmission",
                      sir_db: Any = _TX_SIR,
@@ -256,7 +252,8 @@ class TimelineCapture:
                     10.0 * math.log10(tx.power_mw / tx.interference_mw), 2)
             else:
                 sir_db = None
-        if self._ends and self._ends[0][0] <= t_ns:
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
@@ -267,7 +264,8 @@ class TimelineCapture:
     def arq_retx(self, t_ns: int, src: str, freq: int, am_addr: int,
                  seqn: int) -> None:
         """The ARQ scheme re-sent an unacknowledged payload."""
-        if self._ends and self._ends[0][0] <= t_ns:
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
@@ -277,7 +275,8 @@ class TimelineCapture:
     def afh_map(self, t_ns: int, src: str, n_used: int,
                 excluded: list[int]) -> None:
         """An adaptive hop set was installed (or cleared: all 79 used)."""
-        if self._ends and self._ends[0][0] <= t_ns:
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:
@@ -287,7 +286,8 @@ class TimelineCapture:
     def assess(self, t_ns: int, src: str, n_bad: int,
                installed: bool) -> None:
         """The classifier ran an assessment."""
-        if self._ends and self._ends[0][0] <= t_ns:
+        ends = self._ends
+        if ends and ends[0][0] <= t_ns:
             self._flush_ends(t_ns)
         events = self._events
         if len(events) == self.capacity:

@@ -16,22 +16,21 @@ class Module:
 
     Provides helpers for creating child signals and processes whose
     hierarchical names (``top.dev0.rf.enable_rx``) show up in traces.
+
+    Attributes:
+        path: full dotted hierarchical name of the module, fixed at
+            construction (the timeline capture stamps it on every
+            record).
     """
 
     def __init__(self, sim: Simulator, name: str, parent: Optional["Module"] = None):
         self.sim = sim
         self.basename = name
         self.parent = parent
+        self.path = name if parent is None else f"{parent.path}.{name}"
         self.children: list[Module] = []
         if parent is not None:
             parent.children.append(self)
-
-    @property
-    def path(self) -> str:
-        """Full dotted hierarchical name of the module."""
-        if self.parent is None:
-            return self.basename
-        return f"{self.parent.path}.{self.basename}"
 
     def signal(self, name: str, initial: T) -> Signal[T]:
         """Create a signal named under this module."""

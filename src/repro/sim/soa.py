@@ -575,8 +575,7 @@ class SlotEngine:
                 tx.air_bits = encode_packet(packet, uap=uap, clk=tx.tx_clk)
             channel.transmissions += 1
             if cap is not None:
-                cap.tx_start(t, tx)
-                cap.defer_tx_end(sim, tx)
+                cap.tx_start(t, tx, sim)
             resolve(tx, t, 0.0)
             rf._tx_until_ns = t + duration
             seq += 1

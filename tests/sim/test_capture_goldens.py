@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 
 import pytest
 

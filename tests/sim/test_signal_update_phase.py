@@ -6,10 +6,14 @@ bounds, ``stop()``, subscriber chains and radios whose ``enable_tx``
 nobody watches.
 """
 
+import pytest
+
 from repro import Session
 from repro.baseband.packets import Packet, PacketType
+from repro.experiments.ext_interference import build_campaign_session
 from repro.power.rf_activity import RfActivityProbe
 from repro.sim.signal import Signal
+from repro.sim.soa import ENGINE_ENV_VAR
 from repro.sim.trace import TraceRecorder
 
 
@@ -67,6 +71,21 @@ class TestVisibility:
         assert sig.read() == 0
         sim.run(until_ns=60)
         assert (sig.read(), sig.last_change_ns) == (1, 50)
+
+    def test_event_scheduled_back_at_delta_zero_precedes_the_commit(self,
+                                                                   sim):
+        sig = Signal(sim, "s", 0)
+        seen = []
+
+        def writer():  # runs at delta 1
+            sig.write(1)
+            sim.schedule(0, lambda: seen.append((sim.delta, sig.read())))
+            sim.schedule_delta(lambda: seen.append((sim.delta, sig.read())))
+
+        sim.schedule(10, lambda: sim.schedule_delta(writer))
+        sim.run()
+        # the delta-0 event belongs to no later delta than the write's
+        assert seen == [(0, 0), (2, 1)]
 
     def test_max_events_leaves_the_write_pending(self, sim):
         sig = Signal(sim, "s", 0)
@@ -135,19 +154,44 @@ class TestUnobservedEnableTx:
     def test_probe_attached_in_the_transmitting_delta(self):
         sim, device = _radio()
         box = []
-        sim.schedule(1_000, lambda: (device.rf.transmit(5, _dh5(device)),
-                                     box.append(RfActivityProbe(device))))
+        sim.schedule(1_000, lambda: (
+            device.rf.transmit(5, _dh5(device)),
+            box.append(RfActivityProbe(device)),
+            box.append(TraceRecorder(sim).watch(device.rf.enable_tx))))
         sim.run(until_ns=20_000_000)
-        assert box[0]._tx.on_time_ns() == _dh5(device).duration_ns
+        probe, traced = box
+        end = 1_000 + _dh5(device).duration_ns
+        assert probe._tx.on_time_ns() == _dh5(device).duration_ns
+        # the rise is still pending when the tracer attaches
+        assert traced.times == [1_000, 1_000, end]
+        assert traced.values == [False, True, False]
 
     def test_probe_attached_at_the_packet_end(self):
         sim, device = _radio()
         box = []
         end = 1_000 + _dh5(device).duration_ns
-        sim.schedule(end, lambda: box.append(RfActivityProbe(device)))
+        sim.schedule(end, lambda: (
+            box.append(RfActivityProbe(device)),
+            box.append(TraceRecorder(sim).watch(device.rf.enable_tx))))
         sim.schedule(1_000, lambda: device.rf.transmit(5, _dh5(device)))
         sim.run(until_ns=20_000_000)
-        assert box[0]._tx.on_time_ns() == 0
+        probe, traced = box
+        assert probe._tx.on_time_ns() == 0
+        # the fall commits when delta 0 of the end time is over
+        assert (traced.times, traced.values) == ([end, end], [True, False])
+
+    def test_tracer_attached_after_a_back_to_back_transmit(self):
+        sim, device = _radio()
+        box = []
+        end = 1_000 + _dh5(device).duration_ns
+        sim.schedule(1_000, lambda: device.rf.transmit(5, _dh5(device)))
+        sim.schedule(end, lambda: (
+            device.rf.transmit(6, _dh5(device)),
+            box.append(TraceRecorder(sim).watch(device.rf.enable_tx))))
+        sim.run(until_ns=20_000_000)
+        # enable_tx never fell between the two packets
+        assert box[0].times == [end, end + _dh5(device).duration_ns]
+        assert box[0].values == [True, False]
 
     def test_tracer_attached_mid_transmission(self):
         sim, device = _radio()
@@ -199,3 +243,18 @@ def test_traced_world_still_schedules_tx_done():
         seen |= _queued(session.sim)
     assert "RfFrontEnd._tx_done" in seen
     assert not seen & {"Signal._commit", "Channel._expire"}
+
+
+@pytest.mark.parametrize("engine", ["object", "soa"])
+def test_enable_rx_follows_the_receiver_after_a_run(engine, monkeypatch):
+    """The SoA micro loop skips the enable_rx writes; its handback sets
+    the signal to the receiver state, so a probe attached between runs
+    starts from the right value on either engine."""
+    monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+    session, _ = build_campaign_session(2, 97)
+    for slots in (40.5, 17.25, 3.1):
+        session.run_slots(slots)
+        assert [device.rf.enable_rx.read() for device in session.devices] \
+            == [device.rf.rx_open for device in session.devices]
+    if engine == "soa":
+        assert session.slot_engine.windows_absorbed > 0
