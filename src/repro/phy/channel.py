@@ -422,13 +422,10 @@ class Channel(Module):
         random overlap patterns."""
         cap = self.capture
         live = self._active_by_freq.setdefault(tx.freq, {})
-        stale = None
+        stale = []
         for key, other in live.items():
             if other.end_ns <= now:  # off the air: prune below
-                if stale is None:
-                    stale = [key]
-                else:
-                    stale.append(key)
+                stale.append(key)
                 continue
             if cap is not None:
                 if not other.corrupted:
@@ -438,9 +435,8 @@ class Channel(Module):
             other.corrupted = True
             tx.corrupted = True
             self.collisions += 1
-        if stale is not None:
-            for key in stale:
-                del live[key]
+        for key in stale:
+            del live[key]
         live[id(tx)] = tx
 
     def _resolve_capture(self, tx: Transmission, now: int) -> None:
@@ -477,13 +473,10 @@ class Channel(Module):
             live = self._active_by_freq.get(neighbour)
             if not live:
                 continue
-            stale = None
+            stale = []
             for key, other in live.items():
                 if other.end_ns <= now:  # off the air: prune below
-                    if stale is None:
-                        stale = [key]
-                    else:
-                        stale.append(key)
+                    stale.append(key)
                     continue
                 interference += other.power_mw * gain
                 other.interference_mw += power * gain
@@ -496,9 +489,8 @@ class Channel(Module):
                     corrupted = True
                 if corrupted or other.corrupted:
                     self.collisions += 1
-            if stale is not None:
-                for key in stale:
-                    del live[key]
+            for key in stale:
+                del live[key]
         tx.interference_mw = interference
         if power <= interference * capture:
             corrupted = True
@@ -539,22 +531,18 @@ class Channel(Module):
             live = self._active_by_freq.get(neighbour)
             if not live:
                 continue
-            stale = None
+            stale = []
             for key, other in live.items():
                 if other.end_ns <= now:  # off the air: prune below
-                    if stale is None:
-                        stale = [key]
-                    else:
-                        stale.append(key)
+                    stale.append(key)
                     continue
                 if other.overlap_mw is None:
                     other.overlap_mw = []
                 other.overlap_mw.append((tx.radio, power * gain))
                 tx.overlap_mw.append((other.radio, other.power_mw * gain))
                 self.collisions += 1
-            if stale is not None:
-                for key in stale:
-                    del live[key]
+            for key in stale:
+                del live[key]
         self._active_by_freq.setdefault(tx.freq, {})[id(tx)] = tx
 
     def _static_floor_at(self, freq: int, rx_key) -> float:

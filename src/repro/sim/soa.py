@@ -3,9 +3,10 @@
 The object kernel dispatches one Python event per device per slot — the
 scheduling loops of :mod:`repro.link.connection` and the staged delivery
 of :mod:`repro.phy.channel` each cost a heap round-trip, and every
-``enable_rx`` change an update-phase commit.  Bluetooth is slot-synchronous, so for the steady connection
-state all of that structure is *static*: the same handful of event shapes
-recurs every 1250 µs.  This module exploits that.
+``enable_rx`` change an update-phase commit.  Bluetooth is
+slot-synchronous, so for the steady connection state all of that
+structure is *static*: the same handful of event shapes recurs every
+1250 µs.  This module exploits that.
 
 :class:`SlotEngine` advances a whole window ``[now, until)`` for every
 piconet at once:
