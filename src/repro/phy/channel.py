@@ -378,7 +378,7 @@ class Channel(Module):
         self.transmissions += 1
         cap = self.capture
         if cap is not None:
-            cap.tx_start(now, tx, self.sim)
+            cap.tx_start(now, tx)
 
         self._resolve(tx, now, power_dbm)
 

@@ -107,7 +107,10 @@ class TimelineCapture:
     :class:`~repro.api.Session` constructor does this when asked);
     every hook site in the channel, connection logic and AFH controller
     then appends through the typed recorder methods below.  Simulation
-    time is monotone, so the ring is always in time order.
+    time is monotone, so the ring is in time order.  The one exception
+    is a world driven on after a run without a bound fired its last
+    event: a query in between records the ends of the packets still on
+    the air (see ``_flush_passed``).
     """
 
     def __init__(self, capacity: int = 1 << 16):
@@ -130,10 +133,9 @@ class TimelineCapture:
         # tx_end records of transmissions still on the air, as a heap of
         # (end_ns, transmit order, tx); see tx_start.  Every recorder first
         # flushes the ends due at its own time stamp, and every query
-        # those before the clock.
+        # those the world's clock has passed.
         self._ends: list[tuple] = []
         self._ends_order = 0
-        self._clock = None
 
     @staticmethod
     def _data(row: tuple) -> dict[str, Any]:
@@ -179,20 +181,18 @@ class TimelineCapture:
             self._evicted[events[0][1]] += 1
         events.append((t_ns, "hop", src, freq, clk))
 
-    def tx_start(self, t_ns: int, tx: "Transmission",
-                 clock=None) -> None:
+    def tx_start(self, t_ns: int, tx: "Transmission") -> None:
         """A transmission entered the air.  Fields are copied out *now*
         rather than pinning ``tx`` in the ring: a retained Transmission
         graph would survive its natural lifetime and multiply young-gen
         GC passes — measurably pricier than the five eager reads.
 
-        With ``clock``, the world's :class:`~repro.sim.simulator.Simulator`,
-        the matching ``tx_end`` follows on its own, with no kernel event
+        The matching ``tx_end`` follows on its own, with no kernel event
         for the packet end: it lands in front of the first record stamped
-        at or after the end, or at the next query once the clock has
-        passed it.  Packets ending at one instant record in transmit
-        order, each with its corruption flag as of its end (no resolver
-        changes the flag of a packet off the air).
+        at or after the end, or at the next query once the world's clock
+        (``tx.radio.sim``) has passed it.  Packets ending at one instant
+        record in transmit order, each with its corruption flag as of its
+        end (no resolver changes the flag of a packet off the air).
         """
         ends = self._ends
         if ends and ends[0][0] <= t_ns:
@@ -202,17 +202,8 @@ class TimelineCapture:
             self._evicted[events[0][1]] += 1
         events.append((t_ns, "tx_start", tx.radio.path, tx.freq,
                        tx.packet.ptype, tx.meta.purpose, tx.duration_ns))
-        if clock is not None:
-            self._clock = clock
-            heappush(ends, (tx.start_ns + tx.duration_ns, self._ends_order,
-                            tx))
-            self._ends_order += 1
-
-    def tx_end(self, t_ns: int, tx: "Transmission") -> None:
-        """A transmission left the air (with its final corruption flag)."""
-        heappush(self._ends, (t_ns, self._ends_order, tx))
+        heappush(ends, (tx.start_ns + tx.duration_ns, self._ends_order, tx))
         self._ends_order += 1
-        self._flush_ends(t_ns)
 
     def _flush_ends(self, limit_ns) -> None:
         """Record every pending ``tx_end`` due at or before ``limit_ns``."""
@@ -226,12 +217,17 @@ class TimelineCapture:
                            tx.packet.ptype, tx.corrupted))
 
     def _flush_passed(self) -> None:
-        """Before a query: record the pending ends the clock has passed,
-        or all of them once the world's event queue has drained."""
-        if self._ends:
-            clock = self._clock
-            self._flush_ends(clock.now - 1 if clock.pending_events
-                             else math.inf)
+        """Before a query: record the pending ends the clock has passed.
+
+        Those are the ends before ``now``, as a packet-end event at
+        ``now`` would not have fired yet, and all of them once a run
+        without a bound has fired every event of the world."""
+        ends = self._ends
+        if ends:
+            clock = ends[0][2].radio.sim
+            self._flush_ends(
+                math.inf if clock._ran_dry and not clock.pending_events
+                else clock.now - 1)
 
     def capture_loss(self, t_ns: int, tx: "Transmission",
                      sir_db: Any = _TX_SIR,

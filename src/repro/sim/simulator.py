@@ -45,6 +45,9 @@ class Simulator:
         #: the delta those writes belong to; None until the dispatch loop
         #: first sees them pending
         self._update_delta: Optional[int] = None
+        #: True once a run() without ``until_ns`` has emptied the queue:
+        #: every event the world scheduled has fired
+        self._ran_dry = False
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -91,6 +94,7 @@ class Simulator:
         Returns the number of events dispatched by this call.
         """
         self._stopped = False
+        self._ran_dry = False
         dispatched = 0
         queue = self._queue
         updates = self._updates
@@ -116,6 +120,8 @@ class Simulator:
                     if until_ns > self.now or len(queue):
                         self.delta = 0
                     self.now = max(self.now, until_ns)
+                else:
+                    self._ran_dry = True
                 break
             self.now = event.time_ns
             self.delta = event.delta

@@ -576,7 +576,7 @@ class SlotEngine:
                 tx.air_bits = encode_packet(packet, uap=uap, clk=tx.tx_clk)
             channel.transmissions += 1
             if cap is not None:
-                cap.tx_start(t, tx, sim)
+                cap.tx_start(t, tx)
             resolve(tx, t, 0.0)
             rf._tx_until_ns = t + duration
             seq += 1

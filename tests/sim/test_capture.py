@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import Session
+from repro.baseband.packets import Packet, PacketType
 from repro.sim.capture import (
     KINDS,
     SCHEMA_VERSION,
@@ -22,14 +24,17 @@ from repro.sim.trace import TraceRecorder
 
 
 def _fake_tx(path="m0.rf", freq=17, ptype="DM1", purpose="data",
-             duration_ns=366_000, corrupted=False,
-             power_mw=1.0, interference_mw=0.0):
-    """The attribute subset of a Transmission the recorders read."""
+             start_ns=0, duration_ns=366_000, corrupted=False,
+             power_mw=1.0, interference_mw=0.0, sim=None):
+    """The attribute subset of a Transmission the recorders read; the
+    radio's ``sim`` is the clock its deferred ``tx_end`` waits for."""
     return SimpleNamespace(
-        radio=SimpleNamespace(path=path), freq=freq,
+        radio=SimpleNamespace(path=path,
+                              sim=Simulator() if sim is None else sim),
+        freq=freq,
         packet=SimpleNamespace(ptype=SimpleNamespace(value=ptype)),
-        meta=SimpleNamespace(purpose=purpose), duration_ns=duration_ns,
-        corrupted=corrupted, power_mw=power_mw,
+        meta=SimpleNamespace(purpose=purpose), start_ns=start_ns,
+        duration_ns=duration_ns, corrupted=corrupted, power_mw=power_mw,
         interference_mw=interference_mw)
 
 
@@ -37,9 +42,10 @@ class TestRecording:
     def test_typed_records_land_with_kind_and_counts(self):
         cap = TimelineCapture()
         cap.hop(1000, "m0", clk=4, freq=33)
-        cap.tx_start(1000, _fake_tx())
-        cap.tx_end(1366, _fake_tx(corrupted=True))
-        cap.capture_loss(1200, _fake_tx(interference_mw=2.0))
+        cap.tx_start(1000, _fake_tx(start_ns=1000, duration_ns=366,
+                                    corrupted=True))
+        # the first record stamped after the packet end brings its tx_end
+        cap.capture_loss(1400, _fake_tx(interference_mw=2.0))
         cap.arq_retx(2000, "m0", freq=5, am_addr=1, seqn=0)
         cap.afh_map(3000, "afh.9E8B33", n_used=59, excluded=[0, 1])
         cap.assess(3000, "afh.9E8B33", n_bad=2, installed=True)
@@ -63,6 +69,40 @@ class TestRecording:
         assert cap.counts()["hop"] == 20
         # oldest evicted first: the retained ring is the tail
         assert [event.t_ns for event in cap.events()] == list(range(12, 20))
+
+    def test_tx_end_lands_once_the_clock_passes_the_packet_end(self):
+        sim = Simulator()
+        cap = TimelineCapture()
+        tx = _fake_tx(start_ns=1000, duration_ns=366, sim=sim)
+        cap.tx_start(1000, tx)
+        sim.run(until_ns=1366)  # an end event at the bound would not fire
+        assert cap.counts() == {"tx_start": 1}
+        tx.corrupted = True
+        sim.run(until_ns=1367)
+        assert cap.counts() == {"tx_start": 1, "tx_end": 1}
+        (end,) = cap.events(kind="tx_end")
+        assert (end.t_ns, end.src, end.freq) == (1366, "m0.rf", 17)
+        assert end.data == {"ptype": "DM1", "corrupted": True}
+
+    def test_unbounded_drain_records_every_end(self):
+        sim = Simulator()
+        cap = TimelineCapture()
+        cap.tx_start(0, _fake_tx(duration_ns=500, sim=sim))
+        sim.run(until_ns=100)
+        assert "tx_end" not in cap.counts()
+        sim.run()  # every event of the world has fired
+        assert [event.t_ns for event in cap.events(kind="tx_end")] == [500]
+
+    def test_ends_at_one_instant_record_in_transmit_order(self):
+        cap = TimelineCapture()
+        cap.tx_start(10, _fake_tx(path="a.rf", start_ns=10, duration_ns=90))
+        cap.tx_start(50, _fake_tx(path="b.rf", start_ns=50, duration_ns=50))
+        cap.tx_start(60, _fake_tx(path="c.rf", start_ns=60, duration_ns=20))
+        cap.hop(100, "m0", clk=0, freq=3)
+        assert [(event.kind, event.t_ns, event.src)
+                for event in cap.events()][3:] == [
+            ("tx_end", 80, "c.rf"), ("tx_end", 100, "a.rf"),
+            ("tx_end", 100, "b.rf"), ("hop", 100, "m0")]
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -190,3 +230,34 @@ class TestDescribe:
     def test_describe_omits_channel_when_absent(self):
         line = TimelineEvent(5, "assess", "afh.1").describe()
         assert "ch=" not in line
+
+
+class TestTxEndInAWorld:
+    def test_bounded_run_that_drains_mid_packet(self):
+        """A run whose queue drains before its bound leaves a packet on
+        the air unrecorded: a later overlapping transmit still corrupts
+        it, and its tx_end lands at the packet end, in time order."""
+        session = Session(seed=1, capture=True)
+        first = session.add_device("first")
+        second = session.add_device("second")
+        packet = Packet(ptype=PacketType.DH5, lap=first.addr.lap,
+                        payload=bytes(100))
+        end = 1_000 + packet.duration_ns
+        sim = session.sim
+        sim.schedule(1_000, lambda: first.rf.transmit(5, packet))
+        sim.run(until_ns=200_000)
+        assert sim.pending_events == 0
+        assert session.capture.counts() == {"tx_start": 1}
+        sim.schedule(100_000, lambda: second.rf.transmit(5, packet))
+        sim.run(until_ns=5_000_000)
+        records = session.capture.events()
+        assert [(event.kind, event.t_ns, event.src) for event in records] \
+            == [("tx_start", 1_000, "first.rf"),
+                ("tx_start", 300_000, "second.rf"),
+                ("capture_loss", 300_000, "first.rf"),
+                ("capture_loss", 300_000, "second.rf"),
+                ("tx_end", end, "first.rf"),
+                ("tx_end", 300_000 + packet.duration_ns, "second.rf")]
+        assert [event.data["corrupted"] for event in records[4:]] \
+            == [True, True]
+
