@@ -109,6 +109,8 @@ class RfFrontEnd(Module):
         # what _settle_tx needs when it runs in the transmitting delta
         self._tx_delta = 0
         self._tx_prev_until_ns = -1
+        # start of the latest run of packets that kept enable_tx high
+        self._tx_rise_ns = -1
         # end time of the scheduled _tx_done, if any
         self._tx_done_ns = -1
         channel.attach(self)
@@ -200,9 +202,14 @@ class RfFrontEnd(Module):
             raise ChannelError(f"{self.path}: transmit while already transmitting")
         tx = self.channel.transmit(self, freq, packet, uap=uap, meta=meta,
                                    power_dbm=power_dbm)
-        self._tx_prev_until_ns = self._tx_until_ns
-        end = self._tx_until_ns = tx.start_ns + tx.duration_ns
-        self._tx_delta = self.sim.delta
+        start = tx.start_ns
+        previous = self._tx_prev_until_ns = self._tx_until_ns
+        end = self._tx_until_ns = start + tx.duration_ns
+        delta = self._tx_delta = self.sim.delta
+        if previous != start or delta:
+            # enable_tx rises, unless a packet ending in this delta 0
+            # leaves it high
+            self._tx_rise_ns = start
         if self.enable_tx._subscribers:
             self.enable_tx.write(True)
             self._arm_tx_done(end)
@@ -235,13 +242,14 @@ class RfFrontEnd(Module):
         signal = self.enable_tx
         pending = None
         if now == tx.start_ns and sim.delta == self._tx_delta:
-            # the transmitting delta: the rise is still a pending write
+            # the transmitting delta: the rise is still a pending write,
+            # unless the previous packet ends now and left enable_tx high
             previous = self._tx_prev_until_ns
             on = previous == now and sim.delta == 0
-            changed = previous
+            changed = self._tx_rise_ns if on else previous
             pending = True
         elif now < end or (now == end and sim.delta == 0):
-            on, changed = True, tx.start_ns
+            on, changed = True, self._tx_rise_ns
             if now == end:
                 pending = False  # the fall is pending in this delta
         else:

@@ -578,6 +578,8 @@ class SlotEngine:
             if cap is not None:
                 cap.tx_start(t, tx)
             resolve(tx, t, 0.0)
+            if rf._tx_until_ns != t or delta:
+                rf._tx_rise_ns = t
             rf._tx_until_ns = t + duration
             seq += 1
             push(heap, (t, delta + 1, seq, k_scan, tx, None))

@@ -193,6 +193,43 @@ class TestUnobservedEnableTx:
         assert box[0].times == [end, end + _dh5(device).duration_ns]
         assert box[0].values == [True, False]
 
+    @pytest.mark.parametrize("watched", [False, True])
+    def test_last_change_across_back_to_back_transmits(self, watched):
+        """A packet sent in delta 0 of the previous one's end keeps
+        enable_tx high from the first rise; one sent a delta later follows
+        the fall, as the update phase commits it between the deltas."""
+        sim, device = _radio()
+        if watched:
+            device.rf.enable_tx.subscribe(lambda old, new: None)
+        duration = _dh5(device).duration_ns
+        first_end = 1_000 + duration
+        seen = []
+
+        def read(tag):
+            signal = device.rf.enable_tx
+            seen.append((tag, signal.read(), signal.last_change_ns))
+
+        def send(tag):
+            device.rf.transmit(5, _dh5(device))
+            read(tag)
+
+        sim.schedule(1_000, lambda: device.rf.transmit(5, _dh5(device)))
+        sim.schedule(first_end, lambda: send("delta 0"))
+        second_end = first_end + duration
+        sim.schedule(second_end,
+                     lambda: sim.schedule_delta(lambda: send("delta 1")))
+        third_end = second_end + duration
+        sim.schedule(first_end + 100, lambda: read("second"))
+        sim.schedule(second_end + 100, lambda: read("third"))
+        sim.schedule(third_end + 100, lambda: read("off"))
+        sim.run(until_ns=third_end + 50)
+        read("bounded")
+        sim.run(until_ns=20_000_000)
+        assert seen == [
+            ("delta 0", True, 1_000), ("second", True, 1_000),
+            ("delta 1", False, second_end), ("third", True, second_end),
+            ("bounded", False, third_end), ("off", False, third_end)]
+
     def test_tracer_attached_mid_transmission(self):
         sim, device = _radio()
         sim.schedule(1_000, lambda: device.rf.transmit(5, _dh5(device)))
@@ -258,3 +295,21 @@ def test_enable_rx_follows_the_receiver_after_a_run(engine, monkeypatch):
             == [device.rf.rx_open for device in session.devices]
     if engine == "soa":
         assert session.slot_engine.windows_absorbed > 0
+
+
+def test_enable_tx_settles_alike_after_soa_windows(monkeypatch):
+    """An unobserved enable_tx settles from the radio's transmissions,
+    which the SoA micro loop keeps as the object kernel does."""
+    seen = {}
+    for engine in ("object", "soa"):
+        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+        session, _ = build_campaign_session(2, 97)
+        seen[engine] = []
+        for slots in (40.5, 17.25, 3.1, 200):
+            session.run_slots(slots)
+            seen[engine].append([
+                (device.rf.enable_tx.read(),
+                 device.rf.enable_tx.last_change_ns)
+                for device in session.devices])
+    assert session.slot_engine.windows_absorbed > 0
+    assert seen["soa"] == seen["object"]
