@@ -39,10 +39,10 @@ thousands of these per second):
   identical to the full-walk implementation.
 * Live transmissions and pending decodes are keyed dicts with per-radio
   indexes, so :meth:`abort_reception` is O(1) instead of an identity/key
-  scan.  Expiry is lazy and schedules no event: a resolver deletes the
-  entries whose ``end_ns`` has passed while it walks them, and a radio's
-  previous transmission is deleted when it transmits again, so a live
-  set never holds more than one stale entry per radio.
+  scan.  Expiry is lazy and schedules no event: a radio's previous
+  transmission leaves the live set when it transmits again, so the live
+  sets hold at most one ended entry per radio, which the resolvers
+  skip.
 * Stage callbacks are ``functools.partial`` bindings of bound methods, not
   capturing lambdas — no closure-cell allocation per scheduled stage.
 * All receptions of a transmission resolved at the same sync instant are
@@ -129,9 +129,8 @@ class Channel(Module):
         #: pays one attribute test and stays byte-identical.
         self.capture = None
         self.radios: list[RfFrontEnd] = []
-        # live transmissions per RF channel, keyed by id(tx); entries past
-        # their end_ns stay until a resolver walks them or their radio
-        # transmits again
+        # live transmissions per RF channel, keyed by id(tx); an entry
+        # past its end_ns stays until its radio transmits again
         self._active_by_freq: dict[int, dict[int, Transmission]] = {}
         # each radio's latest transmission, by attach index
         self._last_tx: list[Transmission | None] = []
@@ -422,10 +421,8 @@ class Channel(Module):
         random overlap patterns."""
         cap = self.capture
         live = self._active_by_freq.setdefault(tx.freq, {})
-        stale = []
-        for key, other in live.items():
-            if other.end_ns <= now:  # off the air: prune below
-                stale.append(key)
+        for other in live.values():
+            if other.end_ns <= now:  # off the air, not yet pruned
                 continue
             if cap is not None:
                 if not other.corrupted:
@@ -435,8 +432,6 @@ class Channel(Module):
             other.corrupted = True
             tx.corrupted = True
             self.collisions += 1
-        for key in stale:
-            del live[key]
         live[id(tx)] = tx
 
     def _resolve_capture(self, tx: Transmission, now: int) -> None:
@@ -473,10 +468,8 @@ class Channel(Module):
             live = self._active_by_freq.get(neighbour)
             if not live:
                 continue
-            stale = []
-            for key, other in live.items():
-                if other.end_ns <= now:  # off the air: prune below
-                    stale.append(key)
+            for other in live.values():
+                if other.end_ns <= now:  # off the air, not yet pruned
                     continue
                 interference += other.power_mw * gain
                 other.interference_mw += power * gain
@@ -489,8 +482,6 @@ class Channel(Module):
                     corrupted = True
                 if corrupted or other.corrupted:
                     self.collisions += 1
-            for key in stale:
-                del live[key]
         tx.interference_mw = interference
         if power <= interference * capture:
             corrupted = True
@@ -531,18 +522,14 @@ class Channel(Module):
             live = self._active_by_freq.get(neighbour)
             if not live:
                 continue
-            stale = []
-            for key, other in live.items():
-                if other.end_ns <= now:  # off the air: prune below
-                    stale.append(key)
+            for other in live.values():
+                if other.end_ns <= now:  # off the air, not yet pruned
                     continue
                 if other.overlap_mw is None:
                     other.overlap_mw = []
                 other.overlap_mw.append((tx.radio, power * gain))
                 tx.overlap_mw.append((other.radio, other.power_mw * gain))
                 self.collisions += 1
-            for key in stale:
-                del live[key]
         self._active_by_freq.setdefault(tx.freq, {})[id(tx)] = tx
 
     def _static_floor_at(self, freq: int, rx_key) -> float:
