@@ -268,10 +268,14 @@ class HopSelector:
     world, :data:`DEFAULT_REGISTRY` when none is given.
     """
 
-    #: Entry bound of one address's shared connection memo: cleared when
-    #: it reaches _MEMO_MAX entries (the kernel mixes clock bits up to
-    #: CLK26, so there is no small cycle to exploit).
-    _MEMO_MAX = 1 << 15
+    #: Entry bound of one address's shared connection memo: a window fill
+    #: that would take it past _MEMO_MAX entries clears it first.  The
+    #: slot loops query clocks in increasing order and fill only on a
+    #: miss, when the windows the memo holds already lie behind them, so
+    #: the bound caps memory without adding fills.  It holds 16 windows of
+    #: WINDOW_SLOTS (the kernel mixes clock bits up to CLK26, so there is
+    #: no small cycle to exploit).
+    _MEMO_MAX = 1 << 10
 
     def __init__(self, address: int, registry: HopRegistry | None = None):
         self.address = address & 0xFFFFFFF

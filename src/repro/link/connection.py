@@ -1,9 +1,13 @@
 """Connection state: master polling loop and slave listening loop.
 
-Master side (:class:`ConnectionMaster`): every even (master TX) slot a
+Master side (:class:`ConnectionMaster`): at an even (master TX) slot a
 polling policy picks one action — beacon for parked slaves, eager poll for
 a slave returning from hold, data or keep-alive poll — the packet goes out
 on the channel hopping sequence, and the reply window opens one slot later.
+After a pair with nothing to do the master sleeps until the pair its policy
+names as the next one that can act (:meth:`PollingPolicy.next_due`); a
+queued payload or a sniff, hold or park change wakes it at the next pair
+boundary (:meth:`ConnectionMaster.wake`).
 
 Slave side (:class:`ConnectionSlave`): in **active** mode the slave opens a
 short uncertainty window (default 32.5 µs) at every master slot start and
@@ -33,11 +37,13 @@ from repro.link.buffers import InboundData
 from repro.link.hold import HoldSchedule, schedule_hold
 from repro.link.piconet import HoldParams, ParkParams, Piconet, SniffParams
 from repro.link.polling import PollingPolicy, RoundRobinPolicy, SlotAction
-from repro.link.sniff import in_attempt_window, validate as validate_sniff
+from repro.link.sniff import (
+    in_attempt_window, next_attempt_slot, validate as validate_sniff)
 from repro.link.park import next_beacon_slot, validate as validate_park
 from repro.link.states import ConnectionMode, DeviceState
 from repro.phy.rf import RxExpect
 from repro.phy.transmission import Transmission, TxMeta
+from repro.sim.event import EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.channel import Reception
@@ -62,6 +68,11 @@ class ConnectionMaster:
         self._resync_needed: set[int] = set()
         self._last_resync_poll: dict[int, int] = {}
         self._running = False
+        #: the pending slot-loop event, and the last pair the loop served
+        self._wake_event: Optional[EventHandle] = None
+        self._served_pair = -1
+        #: when the reply window of the last transmission opens
+        self._reply_ns = 0
         self._beacon_interval_pairs: Optional[int] = None
         self.stats_tx_packets = 0
         self.stats_rx_packets = 0
@@ -82,20 +93,39 @@ class ConnectionMaster:
         self.device.active_handler = self
         for am_addr in self.piconet.slaves:
             self.arq.setdefault(am_addr, LinkArq())
-        self.device.sim.schedule_abs(self._next_master_slot(), self._even_slot)
+        self._arm(self.pair_index() + 1)
 
     def suspend(self) -> None:
         """Pause the loop (e.g. while paging an additional slave)."""
         self._running = False
+        if self._wake_event is not None:
+            self._wake_event.cancel()
 
     def add_slave(self, am_addr: int) -> None:
         """Register ARQ state for a freshly connected slave."""
         self.arq.setdefault(am_addr, LinkArq())
+        self.wake()
+
+    def wake(self) -> None:
+        """Serve the first pair boundary at or after now that the loop has
+        not served yet: something changed that can make the policy act
+        before the pair the loop sleeps until."""
+        if not self._running:
+            return
+        # the first boundary at or after now, and after the last one served
+        pair = max(self.pair_index(self.device.sim.now - 1), self._served_pair) + 1
+        event = self._wake_event
+        if event is not None and event.pending:
+            if event.time_ns <= self.device.clock.time_at_tick(4 * pair):
+                return
+            event.cancel()
+        self._arm(pair)
+
+    def _arm(self, pair: int) -> None:
+        self._wake_event = self.device.sim.schedule_abs(
+            self.device.clock.time_at_tick(4 * pair), self._even_slot)
 
     # -- clock helpers ------------------------------------------------------
-
-    def _next_master_slot(self) -> int:
-        return self.device.clock.next_tick_time(self.device.sim.now, modulo=4, residue=0)
 
     def pair_index(self, now_ns: Optional[int] = None) -> int:
         """Index of the current master-slot pair (one per 1250 µs)."""
@@ -105,24 +135,27 @@ class ConnectionMaster:
 
     # -- scheduling hooks used by the policy ---------------------------------
 
-    def beacon_due(self, pair: int) -> bool:
-        """Do parked slaves expect a beacon at this pair?"""
+    def next_beacon(self, pair: int) -> Optional[int]:
+        """First pair at or after ``pair`` at which parked slaves expect a
+        beacon; None when no slave is parked."""
         if self._beacon_interval_pairs is None:
-            return False
-        return pair % self._beacon_interval_pairs == 0
+            return None
+        return pair + -pair % self._beacon_interval_pairs
 
     def needs_resync(self, am_addr: int) -> bool:
         """Has this slave's hold expired without contact yet?"""
         return am_addr in self._resync_needed
 
-    def resync_poll_due(self, am_addr: int, pair: int) -> bool:
-        """Resync polls ride the master's free-running schedule: one poll per
+    def next_resync_poll(self, pair: int) -> int:
+        """First resync-poll pair at or after ``pair``.
+
+        Resync polls ride the master's free-running schedule: one poll per
         ``hold_resync_poll_slots``, *not* anchored at the hold expiry. The
         returning slave therefore waits uniformly in [0, interval) — the
         resynchronisation cost that produces the paper's Fig. 12 crossover
         (see DESIGN.md calibration notes)."""
         interval = _pairs(self.device.cfg.link.hold_resync_poll_slots)
-        return pair % interval == 0
+        return pair + -pair % interval
 
     # -- the slot loop -------------------------------------------------------
 
@@ -130,13 +163,13 @@ class ConnectionMaster:
         if not self._running:
             return
         device = self.device
-        sim = device.sim
-        sim.schedule_abs(self._next_master_slot(), self._even_slot)
-        if device.rf.rx_locked or device.rf.tx_busy:
+        rf = device.rf
+        pair = self._served_pair = self.pair_index()
+        if rf.rx_locked or rf.tx_busy:
+            self._arm(pair + 1)
             return
-        if device.rf.rx_open:
-            device.rf.rx_off()
-        pair = self.pair_index()
+        if rf.rx_open:
+            rf.rx_off()
         if self.afh is not None:
             # assess before picking this pair's frequency, so a fresh map
             # applies from this very slot on (the slaves' selectors see it
@@ -144,9 +177,19 @@ class ConnectionMaster:
             self.afh.maybe_assess(pair)
         self._expire_holds(pair)
         action = self.policy.choose(self, pair)
-        if action is None:
+        if action is None and self.afh is None \
+                and device.sim.now >= self._reply_ns:
+            # idle, with the radio off and no reply window ahead: sleep
+            # until the policy can act (AFH assesses at every pair)
+            due = self.policy.next_due(self, pair + 1)
+            if due is not None:
+                self._arm(due)
             return
-        self._transmit_action(action, pair)
+        # the next pair is armed before this one transmits, so it keeps its
+        # place among the events the transmission schedules
+        self._arm(pair + 1)
+        if action is not None:
+            self._transmit_action(action, pair)
 
     def _expire_holds(self, pair: int) -> None:
         for am_addr, schedule in list(self.hold_schedules.items()):
@@ -196,6 +239,7 @@ class ConnectionMaster:
         if self.afh is not None:
             self.afh.note_tx(freq)  # data/POLL both solicit a reply
         reply_offset = packet.ptype.info.slots * units.SLOT_NS
+        self._reply_ns = device.sim.now + reply_offset
         device.sim.schedule(reply_offset, self._rx_slot)
 
     def _rx_slot(self) -> None:
@@ -284,12 +328,14 @@ class ConnectionMaster:
             n_attempt_slots=params.n_attempt_slots,
             d_sniff_slots=_pairs(params.d_sniff_slots) if params.d_sniff_slots else 0,
         )
+        self.wake()
 
     def exit_sniff(self, am_addr: int) -> None:
         """Return a sniffing slave to active mode (master's view)."""
         link = self._link(am_addr)
         link.mode = ConnectionMode.ACTIVE
         link.sniff = None
+        self.wake()
 
     def set_hold(self, am_addr: int, params: HoldParams) -> None:
         """Suspend a slave's link for ``params.hold_slots`` (master's view)."""
@@ -297,6 +343,7 @@ class ConnectionMaster:
         link.mode = ConnectionMode.HOLD
         link.hold = params
         self.hold_schedules[am_addr] = schedule_hold(self.pair_index(), params)
+        self.wake()
 
     def park(self, am_addr: int, params: ParkParams) -> None:
         """Park a slave, freeing its AM_ADDR (master's view)."""
@@ -308,6 +355,7 @@ class ConnectionMaster:
             self._beacon_interval_pairs = pairs
         else:
             self._beacon_interval_pairs = min(self._beacon_interval_pairs, pairs)
+        self.wake()
 
     def unpark(self, pm_addr: int) -> int:
         """Re-activate a parked slave; returns its new AM_ADDR."""
@@ -315,6 +363,7 @@ class ConnectionMaster:
         self.arq[link.am_addr] = LinkArq()
         if not self.piconet.parked:
             self._beacon_interval_pairs = None
+        self.wake()
         return link.am_addr
 
     def detach(self, am_addr: int) -> None:
@@ -428,12 +477,7 @@ class ConnectionSlave:
 
     def _next_listen_pair(self, from_pair: int) -> int:
         if self.mode is ConnectionMode.SNIFF and self.sniff_params is not None:
-            pair = from_pair
-            while not in_attempt_window(pair, self.sniff_params):
-                params = self.sniff_params
-                delta = (pair - params.d_sniff_slots) % params.t_sniff_slots
-                pair += params.t_sniff_slots - delta
-            return pair
+            return next_attempt_slot(from_pair, self.sniff_params)
         if self.mode is ConnectionMode.PARK and self.park_params is not None:
             return next_beacon_slot(from_pair, ParkParams(
                 beacon_interval_slots=_pairs(self.park_params.beacon_interval_slots),

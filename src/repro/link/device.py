@@ -152,7 +152,10 @@ class BluetoothDevice(Module):
                 f"{ptype.info.max_payload}B; pick a larger type or segment")
         item = OutboundData(payload=payload, ptype=ptype,
                             enqueued_ns=self.sim.now, is_lmp=is_lmp)
-        return self.tx_buffer_for(am_addr).load(item)
+        loaded = self.tx_buffer_for(am_addr).load(item)
+        if loaded and self.connection_master is not None:
+            self.connection_master.wake()
+        return loaded
 
     # ------------------------------------------------------------------
     # Procedures (host-facing)

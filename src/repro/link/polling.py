@@ -1,11 +1,14 @@
 """Master-side slot scheduling policies.
 
-Every even (master TX) slot the master picks at most one action: serve a
-parked-slave beacon, eagerly poll a slave returning from hold, serve a
-sniffing slave at its anchor, send queued data, or keep-alive poll the
-active slave whose T_poll deadline is closest. The policy object makes the
-choice; the default round-robin policy reproduces the paper's behaviour and
-an exhaustive policy is provided for the scheduling ablation.
+At every even (master TX) slot it serves, the master picks at most one
+action: serve a parked-slave beacon, eagerly poll a slave returning from
+hold, serve a sniffing slave at its anchor, send queued data, or
+keep-alive poll the active slave whose T_poll deadline is closest. The
+policy object makes the choice, and it also tells the master the next
+pair at which a choice can be made (:meth:`PollingPolicy.next_due`), so
+an idle master sleeps through the pairs in between. The default
+round-robin policy reproduces the paper's behaviour and an exhaustive
+policy is provided for the scheduling ablation.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.link.piconet import SlaveLink
-from repro.link.sniff import in_attempt_window
+from repro.link.sniff import in_attempt_window, next_attempt_slot
 from repro.link.states import ConnectionMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,13 +43,21 @@ class PollingPolicy:
     def choose(self, master: "ConnectionMaster", slot_index: int) -> Optional[SlotAction]:
         raise NotImplementedError
 
+    def next_due(self, master: "ConnectionMaster", slot_index: int) -> Optional[int]:
+        """The earliest pair >= ``slot_index`` at which :meth:`choose` can
+        return an action (or the master's hold bookkeeping can change),
+        given the current state; None when no pair can.  The master
+        sleeps until then and is woken earlier by any change of that
+        state.  The default wakes it at every pair."""
+        return slot_index
+
 
 class RoundRobinPolicy(PollingPolicy):
     """Default: beacons first, hold-returners, sniff anchors, data, T_poll."""
 
     def choose(self, master: "ConnectionMaster", slot_index: int) -> Optional[SlotAction]:
         # 1. beacon for parked slaves
-        if master.beacon_due(slot_index):
+        if master.next_beacon(slot_index) == slot_index:
             return SlotAction(kind="beacon", am_addr=0)
 
         reachable: list[SlaveLink] = []
@@ -59,7 +70,7 @@ class RoundRobinPolicy(PollingPolicy):
                 continue  # unreachable during hold
             if master.needs_resync(link.am_addr):
                 # returned from hold: poll on the resync schedule until heard
-                if master.resync_poll_due(link.am_addr, slot_index):
+                if master.next_resync_poll(slot_index) == slot_index:
                     return SlotAction(kind="poll", am_addr=link.am_addr)
                 continue
             if link.mode is ConnectionMode.SNIFF and link.sniff is not None:
@@ -92,10 +103,40 @@ class RoundRobinPolicy(PollingPolicy):
             return SlotAction(kind="poll", am_addr=most_overdue.am_addr)
         return None
 
+    def next_due(self, master: "ConnectionMaster", slot_index: int) -> Optional[int]:
+        """The next beacon, or the first pair at which some slave becomes
+        due: the end of its hold (where the master expires it), the next
+        resync poll, or its data / T_poll deadline moved into the next
+        sniff attempt window.  A deadline that falls in a hold which has
+        not begun yet waits for the hold's end."""
+        due = master.next_beacon(slot_index)
+        t_poll = max(1, master.device.cfg.link.t_poll_slots // 2)
+        for link in master.piconet.slaves.values():
+            schedule = master.hold_schedules.get(link.am_addr)
+            if schedule is not None and schedule.start_slot <= slot_index:
+                at = max(slot_index, schedule.end_slot)
+            else:
+                if master.needs_resync(link.am_addr):
+                    at = master.next_resync_poll(slot_index)
+                else:
+                    if master.device.tx_buffer_for(link.am_addr).empty:
+                        at = max(slot_index, link.last_poll_slot + t_poll)
+                    else:
+                        at = slot_index
+                    if link.mode is ConnectionMode.SNIFF and link.sniff is not None:
+                        at = next_attempt_slot(at, link.sniff)
+                if schedule is not None and at >= schedule.start_slot:
+                    at = schedule.end_slot
+            if due is None or at < due:
+                due = at
+        return due
+
 
 class ExhaustivePolicy(RoundRobinPolicy):
     """Ablation: poll every reachable slave each slot pair, regardless of
     T_poll (maximum responsiveness, maximum power)."""
+
+    next_due = PollingPolicy.next_due
 
     def choose(self, master: "ConnectionMaster", slot_index: int) -> Optional[SlotAction]:
         action = super().choose(master, slot_index)

@@ -18,16 +18,17 @@ class EventQueue:
     never reach the event object.
 
     Cancelled events stay in the heap and are skipped on pop (lazy deletion),
-    which keeps cancellation O(1).
+    which keeps cancellation O(1); the queue keeps no live count for
+    cancellation to update, so ``len`` walks the heap.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, int, ScheduledEvent]] = []
         self._sequence = 0
-        self._live = 0
 
     def __len__(self) -> int:
-        return self._live
+        """Number of live (uncancelled, unfired) events."""
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def push(self, time_ns: int, delta: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute time ``time_ns``, delta ``delta``.
@@ -38,7 +39,6 @@ class EventQueue:
         self._sequence += 1
         event = ScheduledEvent(time_ns, delta, self._sequence, callback)
         heapq.heappush(self._heap, (time_ns, delta, self._sequence, event))
-        self._live += 1
         return event
 
     def pop(self) -> Optional[ScheduledEvent]:
@@ -46,12 +46,8 @@ class EventQueue:
         heap = self._heap
         while heap:
             event = heapq.heappop(heap)[3]
-            if event.cancelled:
-                self._live -= 1
-                continue
-            self._live -= 1
-            return event
-        self._live = 0
+            if not event.cancelled:
+                return event
         return None
 
     def pop_due(self, until_ns: Optional[int] = None) -> Optional[ScheduledEvent]:
@@ -69,14 +65,11 @@ class EventQueue:
             event = head[3]
             if event.cancelled:
                 pop(heap)
-                self._live -= 1
                 continue
             if until_ns is not None and head[0] >= until_ns:
                 return None
             pop(heap)
-            self._live -= 1
             return event
-        self._live = 0
         return None
 
     def peek_time(self) -> Optional[tuple[int, int]]:
@@ -84,13 +77,10 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
-            self._live -= 1
         if not heap:
-            self._live = 0
             return None
         return (heap[0][0], heap[0][1])
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
-        self._live = 0

@@ -117,7 +117,7 @@ class Simulator:
                 if until_ns is not None:
                     # time moves to the bound; a stop by the bound (not by
                     # exhaustion) also starts the delta count afresh
-                    if until_ns > self.now or len(queue):
+                    if until_ns > self.now or queue.peek_time() is not None:
                         self.delta = 0
                     self.now = max(self.now, until_ns)
                 else:

@@ -421,7 +421,6 @@ class SlotEngine:
         if sim._updates:
             sim._update()
         sim._queue._heap.clear()
-        sim._queue._live = 0
         heapq.heapify(micro)
 
         self._prefill_hops(masters, slaves, now, until_ns)
@@ -1172,7 +1171,9 @@ class SlotEngine:
                 callback = partial(channel._header_stage, a, b)
             else:  # K_END
                 callback = partial(channel._end_stage, a, b)
-            queue.push(t, delta, callback)
+            event = queue.push(t, delta, callback)
+            if kind == K_MASTER_EVEN:
+                a.h._wake_event = event  # ConnectionMaster.wake re-arms it
         slot_ns = units.SLOT_NS
         for ts in traffic:
             # the kernel self-schedules _refill every slot; restore the

@@ -43,6 +43,53 @@ class TestMemoBound:
         assert [selector.connection(2 * k) for k in range(8)] == expected
 
 
+def _saturated_pair_memo_run(slots: int):
+    """Peak entries of any connection memo, and the number of window
+    fills, over a saturated object-kernel link run ``slots`` long."""
+    from repro.api import Session
+    from repro.baseband.packets import PacketType
+    from repro.link.traffic import SaturatedTraffic
+
+    session = Session(seed=5, ber=0.0, engine="object")
+    master = session.add_device("master")
+    slave = session.add_device("slave")
+    assert session.run_page(master, slave).success
+    SaturatedTraffic(master, 1, ptype=PacketType.DM1).start()
+    memos = session.channel.hop_registry.connection_memos
+    peak = 0
+    for _ in range(slots // 100):
+        session.run_slots(100)
+        peak = max(peak, max(len(memo) for memo in memos.values()))
+    return peak
+
+
+class TestSlotLoopMemoBound:
+    SLOTS = 3000
+
+    def test_memo_stays_within_the_bound_plus_one_window(self):
+        from repro.baseband.hop import WINDOW_SLOTS
+
+        assert HopSelector._MEMO_MAX < self.SLOTS  # the run must hit it
+        peak = _saturated_pair_memo_run(self.SLOTS)
+        assert peak <= HopSelector._MEMO_MAX + WINDOW_SLOTS
+
+    def test_bound_adds_no_window_fills(self, monkeypatch):
+        fills = []
+        window = HopSelector.connection_window
+
+        def counted(selector, clk_start, size):
+            fills.append(clk_start)
+            return window(selector, clk_start, size)
+
+        monkeypatch.setattr(HopSelector, "connection_window", counted)
+        _saturated_pair_memo_run(self.SLOTS)
+        bounded = list(fills)
+        fills.clear()
+        monkeypatch.setattr(HopSelector, "_MEMO_MAX", 1 << 30)
+        assert _saturated_pair_memo_run(self.SLOTS) > 1 << 11
+        assert fills == bounded
+
+
 class TestAfhMapEviction:
     """Regression: the AFH-map table is bounded like the memo table.
 

@@ -123,6 +123,15 @@ class TestCancellation:
         sim.run()
         assert handle.pending is False
 
+    def test_pending_events_counts_only_live_events(self, sim):
+        sim.schedule(50, lambda: None)
+        sim.schedule(100, lambda: None).cancel()
+        assert sim.pending_events == 1  # the cancelled entry is not live
+        sim.run(until_ns=60)
+        assert sim.pending_events == 0
+        sim.schedule(10, lambda: None).cancel()
+        assert sim.pending_events == 0
+
 
 class TestDeltaCycles:
     def test_delta_events_run_after_same_time_events(self, sim):
