@@ -122,7 +122,7 @@ class ConnectionMaster:
         self._arm(pair)
 
     def _arm(self, pair: int) -> None:
-        self._wake_event = self.device.sim.schedule_abs(
+        self._wake_event = self.device.sim.schedule_cancellable(
             self.device.clock.time_at_tick(4 * pair), self._even_slot)
 
     # -- clock helpers ------------------------------------------------------

@@ -23,13 +23,12 @@ class Timer:
 
     def arm(self, delay_ns: int) -> None:
         """(Re)start the timer to fire after ``delay_ns``."""
-        self.cancel()
-        self._handle = self._sim.schedule(delay_ns, self._fire)
+        self.arm_abs(self._sim.now + delay_ns)
 
     def arm_abs(self, time_ns: int) -> None:
         """(Re)start the timer to fire at absolute ``time_ns``."""
         self.cancel()
-        self._handle = self._sim.schedule_abs(time_ns, self._fire)
+        self._handle = self._sim.schedule_cancellable(time_ns, self._callback)
 
     def cancel(self) -> None:
         """Stop the timer if pending."""
@@ -41,7 +40,3 @@ class Timer:
     def pending(self) -> bool:
         """True while armed."""
         return self._handle is not None and self._handle.pending
-
-    def _fire(self) -> None:
-        self._handle = None
-        self._callback()

@@ -200,6 +200,9 @@ class Channel(Module):
             self._aci_span == 0 and self._capture_ratio == 1.0
         self.transmissions = 0
         self.collisions = 0
+        # transmissions of the current delta awaiting their listener scan
+        self._unscanned: list[Transmission] = []
+        self._scan_hook = self._scan_unscanned
 
     # ------------------------------------------------------------------
 
@@ -357,7 +360,16 @@ class Channel(Module):
     def transmit(self, radio: RfFrontEnd, freq: int, packet: Packet,
                  uap: int = 0, meta: TxMeta | None = None,
                  power_dbm: float = 0.0) -> Transmission:
-        """Put a packet on the air and schedule listener-side stages."""
+        """Put a packet on the air; its listener scan follows.
+
+        The scan, which finds the receivers and schedules their stages,
+        queues no event: it runs in the simulator's update phase that ends
+        the transmitting delta, after the signal commits and in transmit
+        order.  Receivers retuned or opened by other events at this same
+        instant (e.g. a slave hopping at the slot boundary the master
+        transmits on) are therefore seen in their settled state.  Physical
+        timing is unaffected: the sync stage is 68 us away.
+        """
         if not 0 <= freq < 79:
             raise ChannelError(f"RF channel out of range: {freq}")
         now = self.sim.now
@@ -380,14 +392,19 @@ class Channel(Module):
             cap.tx_start(now, tx)
 
         self._resolve(tx, now, power_dbm)
-
-        # Scan for listeners one delta cycle later, so that receivers being
-        # retuned/opened by other events at this same instant (e.g. a slave
-        # hopping at the slot boundary the master transmits on) are seen in
-        # their settled state. Physical timing is unaffected: the sync stage
-        # is 68 us away.
-        self.sim.schedule_delta(partial(self._scan_listeners, tx))
+        unscanned = self._unscanned
+        if not unscanned:
+            self.sim._update_hooks.append(self._scan_hook)
+        unscanned.append(tx)
         return tx
+
+    def _scan_unscanned(self) -> None:
+        """The update-phase hook: scan for the listeners of the
+        transmissions of the delta that just ended, in transmit order."""
+        unscanned = self._unscanned
+        for tx in unscanned:
+            self._scan_listeners(tx)
+        unscanned.clear()
 
     def _resolve(self, tx: Transmission, now: int, power_dbm: float) -> None:
         """Admit ``tx`` into the live set through the applicable resolver —
@@ -682,8 +699,8 @@ class Channel(Module):
         in bit-accurate mode), then deliver in the same order.
 
         Byte-identical to one :meth:`_sync_stage` event per listener: those
-        events would be scheduled back-to-back inside one atomic
-        ``_scan_listeners`` event, so they would hold consecutive sequence
+        events would be scheduled back-to-back inside one
+        ``_scan_listeners`` call, so they would hold consecutive sequence
         numbers and fire consecutively — nothing can interleave.  Within
         that run, every listener callback (``on_sync`` / ID-packet
         ``on_reception``) only mutates its *own* device's receiver state,

@@ -5,10 +5,13 @@ front-end does no signal processing itself — it models *when* the radio is
 powered, delegates decoding to the channel, and forwards receptions to its
 listener (the link controller).
 
-``enable_tx_rf`` is written only while someone subscribes to it: a radio
-nobody probes or traces skips its two writes and its end-of-packet event
-per transmission, and the signal settles from the radio's transmit
-history when it is next read or gains a subscriber.
+Both enable signals are written only while someone subscribes to them.
+A radio nobody probes or traces skips the two ``enable_tx_rf`` writes and
+the end-of-packet event of each transmission, and keeps its receiver
+writes (``rx_on`` / ``rx_off``) in a record of its own instead of writing
+``enable_rx_rf``.  Each signal settles from the radio's history when it is
+next read or gains a subscriber, so a probe or tracer attached at any time
+reads and is notified as if the signal had been written all along.
 """
 
 from __future__ import annotations
@@ -43,22 +46,24 @@ class RxExpect:
         self.clk = clk if clk is not None else (lambda: 0)
 
 
-class _TxEnable(Signal[bool]):
-    """``enable_tx_rf``: kept up to date by its radio only while it has a
+class _RadioEnable(Signal[bool]):
+    """An enable signal kept up to date by its radio only while it has a
     subscriber.  Without one, reading it (or subscribing to it) first
-    settles it to the value the radio's transmit writes would have left,
-    so a probe or tracer attached at any time reads and is notified as if
-    the signal had been written all along."""
+    calls ``settle(subscribing)``, which brings it to the state the
+    radio's writes would have left at the current ``(now, delta)``, so a
+    probe or tracer attached at any time reads and is notified as if the
+    signal had been written all along."""
 
-    __slots__ = ("_rf",)
+    __slots__ = ("_settle",)
 
-    def __init__(self, rf: "RfFrontEnd"):
-        super().__init__(rf.sim, f"{rf.path}.enable_tx_rf", False)
-        self._rf = rf
+    def __init__(self, rf: "RfFrontEnd", name: str,
+                 settle: Callable[[bool], None]):
+        super().__init__(rf.sim, f"{rf.path}.{name}", False)
+        self._settle = settle
 
     def read(self) -> bool:
         if not self._subscribers:
-            self._rf._settle_tx()
+            self._settle(False)
         return self._value
 
     @property
@@ -68,12 +73,12 @@ class _TxEnable(Signal[bool]):
     @property
     def last_change_ns(self) -> int:
         if not self._subscribers:
-            self._rf._settle_tx()
+            self._settle(False)
         return self._last_change_ns
 
     def subscribe(self, callback) -> None:
         if not self._subscribers:
-            self._rf._settle_tx()
+            self._settle(True)
         super().subscribe(callback)
 
 
@@ -92,8 +97,10 @@ class RfFrontEnd(Module):
         super().__init__(sim, name, parent)
         self.channel = channel
         self.clock = clock
-        self.enable_tx: Signal[bool] = _TxEnable(self)
-        self.enable_rx: Signal[bool] = self.signal("enable_rx_rf", False)
+        self.enable_tx: Signal[bool] = _RadioEnable(
+            self, "enable_tx_rf", self._settle_tx)
+        self.enable_rx: Signal[bool] = _RadioEnable(
+            self, "enable_rx_rf", self._settle_rx)
         self.rx_freq: Optional[int] = None
         self.rx_freq_fn: Optional[Callable[[], int]] = None
         self.expect: Optional[RxExpect] = None
@@ -113,6 +120,17 @@ class RfFrontEnd(Module):
         self._tx_rise_ns = -1
         # end time of the scheduled _tx_done, if any
         self._tx_done_ns = -1
+        # the receiver-write record enable_rx settles from: the latest
+        # value written, the point of that write ((now, delta) plus the
+        # simulator's run-end count, which tells a delta that ended at a
+        # run's return), and the committed value and change time it
+        # overwrites (the two values differ while the write is pending)
+        self._rx_on = False
+        self._rx_ns = -1
+        self._rx_delta = 0
+        self._rx_runs = 0
+        self._rx_was = False
+        self._rx_was_ns = 0
         channel.attach(self)
 
     # ------------------------------------------------------------------
@@ -151,7 +169,8 @@ class RfFrontEnd(Module):
         self.rx_freq_fn = None
         self.expect = expect
         self.channel.listener_retuned(self)
-        self.enable_rx.write(True)
+        if not self._rx_on:
+            self.write_rx(True, self.sim.now, self.sim.delta)
 
     def rx_on_follow(self, freq_fn: Callable[[], int], expect: RxExpect) -> None:
         """Power the receiver in frequency-following mode: it is considered
@@ -163,7 +182,8 @@ class RfFrontEnd(Module):
         self.rx_freq_fn = freq_fn
         self.expect = expect
         self.channel.listener_retuned(self)
-        self.enable_rx.write(True)
+        if not self._rx_on:
+            self.write_rx(True, self.sim.now, self.sim.delta)
 
     def rx_retune(self, freq: int, expect: Optional[RxExpect] = None) -> None:
         """Change frequency without an off/on glitch (no effect if locked)."""
@@ -182,7 +202,58 @@ class RfFrontEnd(Module):
         self.rx_freq_fn = None
         self.locked_tx = None
         self.channel.listener_retuned(self)
-        self.enable_rx.write(False)
+        if self._rx_on:
+            self.write_rx(False, self.sim.now, self.sim.delta)
+
+    def write_rx(self, on: bool, now: int, delta: int) -> None:
+        """Record a receiver write of ``on`` made at ``(now, delta)``, and
+        write ``enable_rx`` while it has a subscriber.  Callers skip
+        writes of the latest value written, which change nothing.
+
+        A write is taken to commit once the kernel is at another
+        ``(now, delta)`` or a run has returned since.  That is where the
+        update phase commits it, unless events of one instant run out of
+        delta order, which takes a ``schedule(0)`` made at a delta above 0.
+        The SoA micro loop calls this with its own event time, as the
+        simulator's clock stays at the window start while it runs.
+        """
+        runs = self.sim._run_ends
+        if self._rx_on is not self._rx_was and (
+                now != self._rx_ns or delta != self._rx_delta
+                or runs != self._rx_runs):
+            # the pending write's delta is over: it committed
+            self._rx_was = self._rx_on
+            self._rx_was_ns = self._rx_ns
+        if self._rx_on is self._rx_was:
+            # no write pending: this one opens the next
+            self._rx_ns = now
+            self._rx_delta = delta
+            self._rx_runs = runs
+        self._rx_on = on
+        if self.enable_rx._subscribers:
+            self.enable_rx.write(on)
+
+    def _settle_rx(self, subscribing: bool) -> None:
+        """Bring an unobserved ``enable_rx`` to the state the receiver
+        writes would have left at the current ``(now, delta)``: a write
+        commits, changing the value at its own time, once its delta is
+        over.  A subscriber inherits a write still pending; a read leaves
+        the kernel's update phase alone."""
+        sim = self.sim
+        on = self._rx_on
+        pending = on is not self._rx_was
+        if pending and (sim.now != self._rx_ns
+                        or sim.delta != self._rx_delta
+                        or sim._run_ends != self._rx_runs):
+            self._rx_was = on
+            self._rx_was_ns = self._rx_ns
+            pending = False
+        signal = self.enable_rx
+        signal._value = self._rx_was
+        signal._last_change_ns = self._rx_was_ns
+        signal._pending = _NO_WRITE
+        if pending and subscribing:
+            signal.write(on)
 
     # ------------------------------------------------------------------
     # Transmitter control
@@ -224,9 +295,10 @@ class RfFrontEnd(Module):
         if not self.tx_busy:
             self.enable_tx.write(False)
 
-    def _settle_tx(self) -> None:
+    def _settle_tx(self, subscribing: bool) -> None:
         """Bring an unobserved ``enable_tx`` to the state the transmit
-        writes would have left at the current ``(now, delta)``.
+        writes would have left at the current ``(now, delta)``.  Readers
+        and subscribers alike inherit a pending write.
 
         A transmit writes True, committed when its delta ends; the
         ``_tx_done`` at the packet end writes False unless the radio

@@ -34,11 +34,13 @@ existing waveform tooling with :meth:`to_signals` /
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.sim.trace import TracedSignal, TraceRecorder
@@ -56,8 +58,8 @@ KINDS = ("hop", "tx_start", "tx_end", "capture_loss", "arq_retx",
 #: details with None.
 SCHEMA_VERSION = 2
 
-#: Detail-field names per kind, positionally matching the flat ring
-#: tuples the typed recorders append (see TimelineCapture.__init__).
+#: Detail-field names per kind, positionally matching the record tuples
+#: the typed recorders stage (see TimelineCapture.__init__).
 _FIELDS = {
     "hop": ("clk",),
     "tx_start": ("ptype", "purpose", "duration_ns"),
@@ -67,6 +69,16 @@ _FIELDS = {
     "afh_map": ("n_used", "excluded"),
     "assess": ("n_bad", "installed"),
 }
+
+#: Slots per record in the flat ring: time, kind, source, channel and up
+#: to four details, padded with None.
+_WIDTH = 8
+
+#: Staged records at which the next recorder that checks the batch merges
+#: it into the ring.
+_BATCH = 128
+
+_AT = itemgetter(0)
 
 #: Sentinel for "derive sir_db from the transmission's accumulated
 #: interference" (the flat resolvers' behaviour; the spatial resolver
@@ -117,29 +129,26 @@ class TimelineCapture:
         if capacity <= 0:
             raise ValueError("capture capacity must be positive")
         self.capacity = capacity
-        # the ring holds flat (t_ns, kind, src, freq, *details) tuples —
-        # one allocation per record, detail names resolved positionally
-        # through _FIELDS at query time; TimelineEvent objects (and their
-        # detail dicts) are materialized lazily, so the hot recording
-        # path pays one tuple literal and one bounded append per record.
-        # Per-kind totals are NOT tallied per append: while the ring has
-        # room the ring itself is the tally, and once it is full each
-        # append banks the kind of the record it evicts — so counts()
-        # stays exact over the whole run while the hot path never touches
-        # a counting dict until eviction actually starts.
-        self._events: deque[tuple] = deque(maxlen=capacity)
-        self._append = self._events.append
+        # a record is a (t_ns, kind, src, freq, *details) tuple padded to
+        # _WIDTH, detail names resolved positionally through _FIELDS at
+        # query time; TimelineEvent objects (and their detail dicts) are
+        # materialized lazily.  The ring stores the records' slots flat,
+        # so it keeps no container per record: the tuples are transient
+        # and a capture adds no young-generation garbage-collector passes.
+        self._events: deque = deque(maxlen=_WIDTH * capacity)
+        # the kinds of the records the ring dropped, so counts() stays
+        # exact over the whole run
         self._evicted: Counter[str] = Counter()
-        # tx_end records of transmissions still on the air, as a heap of
-        # (end_ns, transmit order, tx); see tx_start.  Every recorder first
-        # flushes the ends due at its own time stamp, and every query
-        # those the world's clock has passed.
-        self._ends: list[tuple] = []
-        self._ends_order = 0
+        # records reach the ring in batches: the recorders stage them in
+        # arrival (= time) order, and a transmission also notes its end
+        # in _pending as (end_ns, src, freq, ptype, tx), in transmit
+        # order; _merge interleaves the due tx_end records
+        self._staged: list[tuple] = []
+        self._pending: list[tuple] = []
 
     @staticmethod
     def _data(row: tuple) -> dict[str, Any]:
-        """The detail dict of one flat ring tuple.  The tx recorders
+        """The detail dict of one ring record.  The tx recorders
         carry the raw PacketType member (an Enum ``.value`` read costs a
         descriptor call, too slow for the hot path); it is resolved to
         its string here."""
@@ -162,24 +171,15 @@ class TimelineCapture:
         if set(data) != set(fields):
             raise ValueError(
                 f"{kind!r} records carry fields {fields}, got {tuple(data)}")
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, kind, src, freq,
-                       *(data[field] for field in fields)))
+        row = (t_ns, kind, src, freq, *(data[field] for field in fields))
+        self._stage(row + (None,) * (_WIDTH - len(row)))
 
     def hop(self, t_ns: int, src: str, clk: int, freq: int) -> None:
         """Master slot loop selected ``freq`` at piconet clock ``clk``."""
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "hop", src, freq, clk))
+        staged = self._staged
+        if len(staged) >= _BATCH:
+            self._merge()
+        staged.append((t_ns, "hop", src, freq, clk, None, None, None))
 
     def tx_start(self, t_ns: int, tx: "Transmission") -> None:
         """A transmission entered the air.  Fields are copied out *now*
@@ -192,42 +192,78 @@ class TimelineCapture:
         at or after the end, or at the next query once the world's clock
         (``tx.radio.sim``) has passed it.  Packets ending at one instant
         record in transmit order, each with its corruption flag as of its
-        end (no resolver changes the flag of a packet off the air).
+        end (no resolver changes the flag of a packet off the air), read
+        when the batch that passes the end merges.
         """
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "tx_start", tx.radio.path, tx.freq,
-                       tx.packet.ptype, tx.meta.purpose, tx.duration_ns))
-        heappush(ends, (tx.start_ns + tx.duration_ns, self._ends_order, tx))
-        self._ends_order += 1
+        staged = self._staged
+        if len(staged) >= _BATCH:
+            self._merge()
+        src = tx.radio.path
+        freq = tx.freq
+        ptype = tx.packet.ptype
+        duration = tx.duration_ns
+        staged.append((t_ns, "tx_start", src, freq, ptype, tx.meta.purpose,
+                       duration, None))
+        self._pending.append((tx.start_ns + duration, src, freq, ptype, tx))
 
-    def _flush_ends(self, limit_ns) -> None:
-        """Record every pending ``tx_end`` due at or before ``limit_ns``."""
-        ends = self._ends
+    def _stage(self, row: tuple) -> None:
+        """Stage a record of a rare kind (the hot recorders inline this).
+        Every kind but capture_loss and arq_retx, which only come with a
+        transmission, checks the batch, so the staged list stays short."""
+        staged = self._staged
+        if len(staged) >= _BATCH:
+            self._merge()
+        staged.append(row)
+
+    def _merge(self) -> None:
+        """Move the staged records into the ring, with the ``tx_end``
+        records of the pending ends they have passed in front of them."""
+        staged = self._staged
+        if not staged:
+            return
+        self._end_records(staged[-1][0])
         events = self._events
-        while ends and ends[0][0] <= limit_ns:
-            end_ns, _, tx = heappop(ends)
-            if len(events) == self.capacity:
-                self._evicted[events[0][1]] += 1
-            events.append((end_ns, "tx_end", tx.radio.path, tx.freq,
-                           tx.packet.ptype, tx.corrupted))
+        overflow = len(events) // _WIDTH + len(staged) - self.capacity
+        if overflow > 0:
+            # bank the kinds of the records the ring is about to drop
+            self._evicted.update(itertools.islice(itertools.chain(
+                itertools.islice(events, 1, None, _WIDTH),
+                (row[1] for row in staged)), overflow))
+        events.extend(itertools.chain.from_iterable(staged))
+        staged.clear()
+
+    def _end_records(self, limit_ns) -> None:
+        """Stage the ``tx_end`` records of the pending ends at or before
+        ``limit_ns``, each in front of the first staged record stamped at
+        or after its end."""
+        pending = self._pending
+        pending.sort(key=_AT)  # stable: one instant's ends in transmit order
+        due = bisect_right(pending, limit_ns, key=_AT)
+        if not due:
+            return
+        rows = [(end_ns, "tx_end", src, freq, ptype, tx.corrupted, None, None)
+                for end_ns, src, freq, ptype, tx in pending[:due]]
+        del pending[:due]
+        staged = self._staged
+        rows += staged
+        rows.sort(key=_AT)  # stable: an end precedes its instant's records
+        staged[:] = rows
 
     def _flush_passed(self) -> None:
-        """Before a query: record the pending ends the clock has passed.
+        """Before a query: move the staged records into the ring, then
+        record the pending ends the clock has passed.
 
         Those are the ends before ``now``, as a packet-end event at
         ``now`` would not have fired yet, and all of them once a run
         without a bound has fired every event of the world."""
-        ends = self._ends
-        if ends:
-            clock = ends[0][2].radio.sim
-            self._flush_ends(
+        self._merge()
+        pending = self._pending
+        if pending:
+            clock = pending[0][4].radio.sim
+            self._end_records(
                 math.inf if clock._ran_dry and not clock.pending_events
                 else clock.now - 1)
+            self._merge()
 
     def capture_loss(self, t_ns: int, tx: "Transmission",
                      sir_db: Any = _TX_SIR,
@@ -248,55 +284,37 @@ class TimelineCapture:
                     10.0 * math.log10(tx.power_mw / tx.interference_mw), 2)
             else:
                 sir_db = None
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "capture_loss", tx.radio.path, tx.freq,
-                       tx.packet.ptype, sir_db, distance_m, rx_dbm))
+        self._staged.append((t_ns, "capture_loss", tx.radio.path, tx.freq,
+                             tx.packet.ptype, sir_db, distance_m, rx_dbm))
 
     def arq_retx(self, t_ns: int, src: str, freq: int, am_addr: int,
                  seqn: int) -> None:
         """The ARQ scheme re-sent an unacknowledged payload."""
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "arq_retx", src, freq, am_addr, seqn))
+        self._staged.append((t_ns, "arq_retx", src, freq, am_addr, seqn, None,
+                             None))
 
     def afh_map(self, t_ns: int, src: str, n_used: int,
                 excluded: list[int]) -> None:
         """An adaptive hop set was installed (or cleared: all 79 used)."""
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "afh_map", src, None, n_used, excluded))
+        self._stage((t_ns, "afh_map", src, None, n_used, excluded, None,
+                     None))
 
     def assess(self, t_ns: int, src: str, n_bad: int,
                installed: bool) -> None:
         """The classifier ran an assessment."""
-        ends = self._ends
-        if ends and ends[0][0] <= t_ns:
-            self._flush_ends(t_ns)
-        events = self._events
-        if len(events) == self.capacity:
-            self._evicted[events[0][1]] += 1
-        events.append((t_ns, "assess", src, None, n_bad, installed))
+        self._stage((t_ns, "assess", src, None, n_bad, installed, None, None))
 
     # ------------------------------------------------------------------
     # Query / replay
     # ------------------------------------------------------------------
 
+    def _rows(self) -> Iterator[tuple]:
+        """The retained records, oldest first (padded to ``_WIDTH``)."""
+        return zip(*[iter(self._events)] * _WIDTH)
+
     def __len__(self) -> int:
         self._flush_passed()
-        return len(self._events)
+        return len(self._events) // _WIDTH
 
     def counts(self) -> dict[str, int]:
         """Exact per-kind totals over the whole run (eviction-proof):
@@ -304,7 +322,7 @@ class TimelineCapture:
         retained ring."""
         self._flush_passed()
         totals = Counter(self._evicted)
-        totals.update(row[1] for row in self._events)
+        totals.update(itertools.islice(self._events, 1, None, _WIDTH))
         return {kind: totals[kind] for kind in KINDS if totals[kind]}
 
     def events(self, kind: Optional[str] = None, src: Optional[str] = None,
@@ -318,7 +336,7 @@ class TimelineCapture:
         """
         self._flush_passed()
         out = []
-        for row in self._events:
+        for row in self._rows():
             t_ns, ekind, esrc, efreq = row[:4]
             if kind is not None and ekind != kind:
                 continue
@@ -352,7 +370,7 @@ class TimelineCapture:
         :class:`~repro.sim.trace.TraceRecorder` / VCD tooling."""
         self._flush_passed()
         by_kind: dict[str, TracedSignal] = {}
-        for row in self._events:
+        for row in self._rows():
             t_ns, ekind, esrc, efreq = row[:4]
             traced = by_kind.get(ekind)
             if traced is None:
@@ -376,7 +394,7 @@ class TimelineCapture:
         of the experiment harnesses, schema :data:`SCHEMA_VERSION`)."""
         self._flush_passed()
         written = 0
-        for row in self._events:
+        for row in self._rows():
             t_ns, kind, src, freq = row[:4]
             stream.write(json.dumps(
                 {"t_ns": t_ns, "kind": kind, "src": src, "freq": freq,

@@ -1,62 +1,61 @@
 """Scheduled-event bookkeeping for the kernel.
 
-Events are callbacks ordered by a ``(time_ns, delta, sequence)`` key.
-``delta`` implements SystemC-style delta cycles: signal writes commit in
-the update phase that ends the writing delta (see
-:class:`~repro.sim.simulator.Simulator`), so same-timestamp communication
-between modules is deterministic and race-free. ``sequence`` makes the ordering total and FIFO
-among equals.
+The queue holds plain ``(time_ns, delta, sequence, callback)`` tuples
+(see :class:`~repro.sim.scheduler.EventQueue`), so scheduling an event
+allocates one tuple and nothing else.  ``delta`` implements SystemC-style
+delta cycles: signal writes commit in the update phase that ends the
+writing delta (see :class:`~repro.sim.simulator.Simulator`), so
+same-timestamp communication between modules is deterministic and
+race-free.  ``sequence`` makes the ordering total and FIFO among equals.
+
+An event that may have to be taken back is scheduled through
+:meth:`~repro.sim.simulator.Simulator.schedule_cancellable`, which queues
+an :class:`EventHandle` as the entry's callback.  Only the few call sites
+that cancel pay for one.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 
-class ScheduledEvent:
-    """One scheduled callback; doubles as its own cancellation handle.
+class EventHandle:
+    """Cancellation handle of one queued event, queued as its callback.
 
-    Events carry no ordering of their own: the queue orders C-comparable
-    ``(time_ns, delta, sequence)`` tuple keys, so heap sifting never calls
-    back into Python (the dataclass-generated ``__lt__`` this replaces was
-    the hottest function of bit-accurate Monte-Carlo runs).
-
-    The scheduling entry points hand the event straight back to the caller
-    as the cancellation token — a separate wrapper object per scheduled
-    event (the previous ``EventHandle``) cost one allocation on the
-    kernel's hottest path.  Cancellation stays cheap and safe: cancelling
-    an event that already fired (or cancelling twice) is a no-op returning
-    False.
+    Cancelling takes the entry out of the heap at once, so a cancelled
+    event never counts among the simulator's pending or dispatched
+    events.  Cancelling an event that already fired (or cancelling twice)
+    is a no-op returning False.  A fired or cancelled handle drops its
+    callback, so a handle its owner keeps does not keep the callback's
+    object graph alive.
     """
 
-    __slots__ = ("time_ns", "delta", "sequence", "callback", "cancelled")
+    __slots__ = ("time_ns", "callback", "_queue", "_entry")
 
-    def __init__(self, time_ns: int, delta: int, sequence: int,
-                 callback: Callable[[], None]):
+    def __init__(self, queue, time_ns: int, callback: Callable[[], None]):
         self.time_ns = time_ns
-        self.delta = delta
-        self.sequence = sequence
         self.callback = callback
-        self.cancelled = False
+        self._queue = queue
+        #: the heap entry while the event is queued, else None
+        self._entry: Optional[tuple] = None
+
+    def __call__(self) -> None:
+        self._entry = None
+        callback = self.callback
+        self.callback = None
+        callback()
 
     def cancel(self) -> bool:
         """Prevent the event from firing. Returns True if it was pending."""
-        if self.cancelled or self.callback is _FIRED:
+        entry = self._entry
+        if entry is None:
             return False
-        self.cancelled = True
+        self._entry = None
+        self.callback = None
+        self._queue.remove(entry)
         return True
 
     @property
     def pending(self) -> bool:
         """True while the event is scheduled and not cancelled."""
-        return not self.cancelled and self.callback is not _FIRED
-
-
-#: Back-compat alias: the scheduling API used to return a wrapper class of
-#: this name; the event object itself now implements the same interface
-#: (``cancel()``, ``pending``, ``time_ns``).
-EventHandle = ScheduledEvent
-
-
-def _FIRED() -> None:  # sentinel callback installed after dispatch
-    raise AssertionError("fired sentinel must never be called")
+        return self._entry is not None

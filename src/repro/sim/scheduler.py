@@ -1,85 +1,60 @@
-"""The event queue: a binary heap of :class:`ScheduledEvent` entries."""
+"""The event queue: a binary heap of plain tuple entries."""
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import SimulationError
-from repro.sim.event import EventHandle, ScheduledEvent
+from repro.sim.event import EventHandle
 
 
 class EventQueue:
     """Priority queue ordered by ``(time_ns, delta, sequence)``.
 
-    Heap entries are ``(time_ns, delta, sequence, event)`` tuples: the
+    Heap entries are ``(time_ns, delta, sequence, callback)`` tuples: the
     unique, monotonically increasing sequence number breaks every tie, so
     heap comparisons resolve entirely inside the C tuple comparison and
-    never reach the event object.
+    never reach the callback.  The simulator's dispatch loop pops the
+    heap directly.
 
-    Cancelled events stay in the heap and are skipped on pop (lazy deletion),
-    which keeps cancellation O(1); the queue keeps no live count for
-    cancellation to update, so ``len`` walks the heap.
+    Every queued event passes through :meth:`push`.  Cancellation removes
+    the entry from the heap (:meth:`remove`), so the heap holds exactly
+    the live events and ``len`` is their count.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, ScheduledEvent]] = []
+        self._heap: list[tuple[int, int, int, Callable[[], None]]] = []
         self._sequence = 0
 
     def __len__(self) -> int:
         """Number of live (uncancelled, unfired) events."""
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return len(self._heap)
 
-    def push(self, time_ns: int, delta: int, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute time ``time_ns``, delta ``delta``.
-
-        The returned event is its own cancellation handle."""
+    def push(self, time_ns: int, delta: int, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute time ``time_ns``, delta ``delta``."""
         if time_ns < 0:
             raise SimulationError(f"cannot schedule at negative time {time_ns}")
         self._sequence += 1
-        event = ScheduledEvent(time_ns, delta, self._sequence, callback)
-        heapq.heappush(self._heap, (time_ns, delta, self._sequence, event))
-        return event
+        heapq.heappush(self._heap, (time_ns, delta, self._sequence, callback))
 
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Remove and return the earliest live event, or None when empty."""
+    def push_cancellable(self, time_ns: int, delta: int,
+                         callback: Callable[[], None]) -> EventHandle:
+        """:meth:`push` ``callback`` behind a handle that can cancel it."""
+        handle = EventHandle(self, time_ns, callback)
+        self.push(time_ns, delta, handle)
+        handle._entry = (time_ns, delta, self._sequence, handle)
+        return handle
+
+    def remove(self, entry: tuple) -> None:
+        """Take ``entry`` out of the heap (a cancellation).  Cancels are
+        rare, so a linear search and a re-heapify are cheap enough."""
         heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if not event.cancelled:
-                return event
-        return None
-
-    def pop_due(self, until_ns: Optional[int] = None) -> Optional[ScheduledEvent]:
-        """Pop the earliest live event strictly before ``until_ns``.
-
-        Returns None when the queue is empty or the head is at/after the
-        bound.  This fuses the ``peek_time`` + ``pop`` pair the simulator's
-        dispatch loop used to make — one heap inspection per event instead
-        of two, which is the kernel's single hottest code path.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            head = heap[0]
-            event = head[3]
-            if event.cancelled:
-                pop(heap)
-                continue
-            if until_ns is not None and head[0] >= until_ns:
-                return None
-            pop(heap)
-            return event
-        return None
-
-    def peek_time(self) -> Optional[tuple[int, int]]:
-        """Return (time_ns, delta) of the earliest live event without popping."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return (heap[0][0], heap[0][1])
+        index = heap.index(entry)
+        last = heap.pop()
+        if index < len(heap):
+            heap[index] = last
+            heapq.heapify(heap)
 
     def clear(self) -> None:
         """Drop every pending event."""

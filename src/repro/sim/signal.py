@@ -55,9 +55,8 @@ class Signal(Generic[T]):
 
         Writing the committed value again while no write is pending is a
         no-op: the commit would compare-equal and change neither the
-        value, ``last_change_ns`` nor any subscriber's view.  Link
-        controllers re-assert ``enable_rx`` every slot, so this skip keeps
-        most re-asserts out of the update phase.
+        value, ``last_change_ns`` nor any subscriber's view, so a
+        re-assert stays out of the update phase.
         """
         if not self._update_scheduled:
             if value == self._value:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import event as _event
 from repro.sim.event import EventHandle
 from repro.sim.scheduler import EventQueue
 
@@ -24,8 +24,15 @@ class Simulator:
     them, notifying their subscribers with ``delta`` advanced by one,
     before it dispatches the first event of a later ``(time, delta)``
     and before :meth:`run` returns after draining or reaching
-    ``until_ns``.  A run ended by :meth:`stop` or ``max_events`` leaves
-    the writes pending for the next run, as a queued commit would be.
+    ``until_ns``.  After the commits the update phase runs the hooks
+    registered in the ending delta, in registration order: the channel
+    runs each transmission's listener scan there, with no event of its
+    own.  A run ended by :meth:`stop` or ``max_events``
+    leaves the writes and hooks pending for the next run, as a queued
+    commit would be.
+
+    The queue holds plain tuples and the dispatch loop pops them itself;
+    only :meth:`schedule_cancellable` hands back a handle.
 
     Attributes:
         now: current simulation time in nanoseconds.
@@ -36,15 +43,23 @@ class Simulator:
         self.now: int = 0
         self.delta: int = 0
         self._queue = EventQueue()
+        self._push = self._queue.push
         self._stopped = False
         self._events_dispatched = 0
         self._end_callbacks: list[Callable[[], None]] = []
         #: signals written since the last update phase, in first-write
         #: order (Signal.write appends; _update commits)
         self._updates: list = []
-        #: the delta those writes belong to; None until the dispatch loop
-        #: first sees them pending
+        #: callbacks the next update phase runs after its commits
+        #: (Channel.transmit registers its listener scans)
+        self._update_hooks: list[Callable[[], None]] = []
+        #: the delta those writes and hooks belong to; None until the
+        #: dispatch loop first sees them pending
         self._update_delta: Optional[int] = None
+        #: runs that returned after draining or at their bound: each ends
+        #: the current delta even when no update phase had work to do
+        #: (an unobserved radio's receiver-write record reads it)
+        self._run_ends = 0
         #: True once a run() without ``until_ns`` has emptied the queue:
         #: every event the world scheduled has fired
         self._ran_dry = False
@@ -53,28 +68,38 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay_ns: int, callback: Callable[[], None]) -> EventHandle:
+    def schedule(self, delay_ns: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay_ns`` nanoseconds (>= 0)."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
-        return self._queue.push(self.now + delay_ns, 0, callback)
+        self._push(self.now + delay_ns, 0, callback)
 
-    def schedule_abs(self, time_ns: int, callback: Callable[[], None]) -> EventHandle:
+    def schedule_abs(self, time_ns: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute time ``time_ns`` (>= now)."""
         if time_ns < self.now:
             raise SimulationError(
                 f"cannot schedule at {time_ns} ns, already at {self.now} ns"
             )
-        return self._queue.push(time_ns, 0, callback)
+        self._push(time_ns, 0, callback)
 
-    def schedule_delta(self, callback: Callable[[], None]) -> EventHandle:
+    def schedule_delta(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` at the current time, one delta cycle later.
 
         Every event of the current delta runs before it, and it sees the
         signal writes of the current delta committed (the update phase
         between the two deltas commits them).
         """
-        return self._queue.push(self.now, self.delta + 1, callback)
+        self._push(self.now, self.delta + 1, callback)
+
+    def schedule_cancellable(self, time_ns: int,
+                             callback: Callable[[], None]) -> EventHandle:
+        """:meth:`schedule_abs`, returning a handle that can cancel the
+        event (the only scheduling call that builds one)."""
+        if time_ns < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time_ns} ns, already at {self.now} ns"
+            )
+        return self._queue.push_cancellable(time_ns, 0, callback)
 
     # ------------------------------------------------------------------
     # Execution
@@ -96,37 +121,41 @@ class Simulator:
         self._stopped = False
         self._ran_dry = False
         dispatched = 0
-        queue = self._queue
+        heap = self._queue._heap
         updates = self._updates
-        fired = _event._FIRED
+        hooks = self._update_hooks
         while not self._stopped:
             if max_events is not None and dispatched >= max_events:
                 break
-            if updates:
+            if updates or hooks:
                 # update phase: commit once the writing delta is over
                 if self._update_delta is None:
                     self._update_delta = self.delta
-                head = queue.peek_time()
-                if head is None or head[0] != self.now \
-                        or head[1] > self._update_delta \
-                        or (until_ns is not None and head[0] >= until_ns):
+                if not heap or heap[0][0] != self.now \
+                        or heap[0][1] > self._update_delta \
+                        or (until_ns is not None and heap[0][0] >= until_ns):
                     self._update()
                     continue
-            event = queue.pop_due(until_ns)
-            if event is None:
+            if not heap:
                 if until_ns is not None:
-                    # time moves to the bound; a stop by the bound (not by
-                    # exhaustion) also starts the delta count afresh
-                    if until_ns > self.now or queue.peek_time() is not None:
+                    if until_ns > self.now:
                         self.delta = 0
-                    self.now = max(self.now, until_ns)
+                        self.now = until_ns
                 else:
                     self._ran_dry = True
+                self._run_ends += 1
                 break
-            self.now = event.time_ns
-            self.delta = event.delta
-            callback = event.callback
-            event.callback = fired
+            time_ns, delta, _, callback = heap[0]
+            if until_ns is not None and time_ns >= until_ns:
+                # time moves to the bound; a stop by the bound (not by
+                # exhaustion) also starts the delta count afresh
+                self.delta = 0
+                self.now = max(self.now, until_ns)
+                self._run_ends += 1
+                break
+            heappop(heap)
+            self.now = time_ns
+            self.delta = delta
             callback()
             dispatched += 1
         self._events_dispatched += dispatched
@@ -134,16 +163,21 @@ class Simulator:
 
     def _update(self) -> None:
         """The update phase: commit every pending signal write in
-        first-write order, with ``delta`` advanced past the writing delta.
-        Writes made by subscribers while it runs belong to the new delta
-        and wait for the next update phase."""
+        first-write order, with ``delta`` advanced past the writing delta,
+        then run the hooks registered in that delta.  Writes and hooks
+        made while it runs belong to the new delta and wait for the next
+        update phase."""
         batch = self._updates[:]
         self._updates.clear()
+        hooks = self._update_hooks[:]
+        self._update_hooks.clear()
         stamp = self._update_delta
         self.delta = (self.delta if stamp is None else stamp) + 1
         self._update_delta = None
         for signal in batch:
             signal._commit()
+        for hook in hooks:
+            hook()
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the event being dispatched."""

@@ -1,12 +1,11 @@
 """Structure-of-arrays slot engine: whole-world slot stepping.
 
-The object kernel dispatches one Python event per device per slot — the
-scheduling loops of :mod:`repro.link.connection` and the staged delivery
-of :mod:`repro.phy.channel` each cost a heap round-trip, and every
-``enable_rx`` change an update-phase commit.  Bluetooth is
-slot-synchronous, so for the steady connection state all of that
-structure is *static*: the same handful of event shapes recurs every
-1250 µs.  This module exploits that.
+The object kernel dispatches one Python event per active device per
+slot — the scheduling loops of :mod:`repro.link.connection` and the
+staged delivery of :mod:`repro.phy.channel` each cost a heap round-trip.
+Bluetooth is slot-synchronous, so for the steady connection state all of
+that structure is *static*: the same handful of event shapes recurs
+every 1250 µs.  This module exploits that.
 
 :class:`SlotEngine` advances a whole window ``[now, until)`` for every
 piconet at once:
@@ -61,6 +60,7 @@ from repro.link.states import ConnectionMode
 from repro.link.traffic import SaturatedTraffic
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.phy.transmission import Transmission, TxMeta
+from repro.sim.event import EventHandle
 
 #: Environment variable selecting the default engine of new Sessions.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
@@ -330,7 +330,6 @@ class SlotEngine:
         f_slave_close = ConnectionSlave._rx_close
         f_slave_reply = ConnectionSlave._reply
         f_refill = SaturatedTraffic._refill
-        f_scan = type(channel)._scan_listeners
         f_sync = type(channel)._sync_stage
         f_sync_batch = type(channel)._sync_batch
         f_header = type(channel)._header_stage
@@ -347,10 +346,13 @@ class SlotEngine:
         for signal in sim._updates:
             if signal._subscribers:
                 return None  # a pending write someone observes
-        for t, delta, seq, event in sim._queue._heap:
-            if event.cancelled:
-                continue
-            cb = event.callback
+        if sim._update_hooks:
+            return None  # listener scans of the current delta are pending
+        handles: list[EventHandle] = []
+        for t, delta, seq, cb in sim._queue._heap:
+            if type(cb) is EventHandle:
+                handles.append(cb)
+                cb = cb.callback
             func = getattr(cb, "__func__", None)
             if func is not None:
                 owner = cb.__self__
@@ -387,11 +389,7 @@ class SlotEngine:
                 if getattr(cb.func, "__self__", None) is not channel:
                     return None
                 args = cb.args
-                if pf is f_scan:
-                    if not tx_ok(args[0]):
-                        return None
-                    micro.append((t, delta, seq, K_SCAN, args[0], None))
-                elif pf is f_sync:
+                if pf is f_sync:
                     if not tx_ok(args[0]) or id(args[1]) not in by_rf:
                         return None
                     micro.append((t, delta, seq, K_SYNC, args[0], args[1]))
@@ -420,6 +418,8 @@ class SlotEngine:
         # writes nobody subscribes to go through the update phase first
         if sim._updates:
             sim._update()
+        for handle in handles:
+            handle._entry = None  # the micro loop owns the event now
         sim._queue._heap.clear()
         heapq.heapify(micro)
 
@@ -524,9 +524,10 @@ class SlotEngine:
         ptype_null = PacketType.NULL
         ts_by_buf = {id(ts.buffer): ts for ts in _traffic}
 
-        def rx_off(rf: RfFrontEnd, rid: int) -> None:
-            # mirrors RfFrontEnd.rx_off minus the enable_rx signal write,
-            # with Channel.abort_reception + listener_retuned inlined
+        def rx_off(rf: RfFrontEnd, rid: int, t: int, delta: int) -> None:
+            # mirrors RfFrontEnd.rx_off of a radio whose enable_rx nobody
+            # subscribes to (the gate's premise), with
+            # Channel.abort_reception + listener_retuned inlined
             if rf.locked_tx is not None:
                 keys = pending_by_radio.pop(rid, None)
                 if keys:
@@ -541,6 +542,8 @@ class SlotEngine:
                 if bucket is not None:
                     bucket.pop(rid, None)
                 listen_keys[rid] = None
+            if rf._rx_on:
+                rf.write_rx(False, t, delta)
 
         def transmit(st, t: int, delta: int, freq: int, packet, uap: int,
                      meta: TxMeta) -> Transmission:
@@ -618,7 +621,7 @@ class SlotEngine:
             return result
 
         def sync_deliver(tx: Transmission, listener: RfFrontEnd,
-                         result, now: int) -> None:
+                         result, now: int, delta: int) -> None:
             # mirrors Channel._sync_deliver + RfFrontEnd.deliver_sync +
             # the handlers' on_sync (ID packets are gated out of absorb)
             nonlocal seq
@@ -627,7 +630,8 @@ class SlotEngine:
                 spatial and corrupted_for(tx, listener, now))
             if not matched \
                     and by_rf[lid].__class__ is slave_cls:
-                rx_off(listener, lid)  # ConnectionSlave.on_sync
+                # ConnectionSlave.on_sync
+                rx_off(listener, lid, now, delta)
             if matched:  # both handlers return `matched` as keep
                 listener.locked_tx = tx
             elif listener.locked_tx is tx:
@@ -649,7 +653,10 @@ class SlotEngine:
             dispatched += 1
 
             if kind == k_scan:
-                # Channel._scan_listeners (no following receivers by gate)
+                # Channel._scan_listeners (no following receivers by gate),
+                # which the object kernel runs in the update phase that
+                # ends the transmitting delta: no kernel event
+                dispatched -= 1
                 tx = a
                 fixed = tuned_by_freq.get(tx.freq)
                 if not fixed:
@@ -697,7 +704,7 @@ class SlotEngine:
                     continue
                 result = fast_result(tx, listener) if fast_decode \
                     else full_decode(tx, listener)
-                sync_deliver(tx, listener, result, t)
+                sync_deliver(tx, listener, result, t, delta)
 
             elif kind == k_sync_batch:
                 tx, receivers = a, b
@@ -711,7 +718,7 @@ class SlotEngine:
                 else:
                     results = full_decode_batch(tx, admitted)
                 for listener, result in zip(admitted, results):
-                    sync_deliver(tx, listener, result, t)
+                    sync_deliver(tx, listener, result, t, delta)
 
             elif kind == k_header:
                 # Channel._header_stage + the handlers' on_header
@@ -732,11 +739,13 @@ class SlotEngine:
                 if st.__class__ is master_cls:
                     keep = ok
                     if not ok:
-                        rx_off(listener, lid)  # ConnectionMaster.on_header
+                        # ConnectionMaster.on_header
+                        rx_off(listener, lid, t, delta)
                 else:
                     keep = ok and (am == st.am_addr or am == 0)
                     if not keep:
-                        rx_off(listener, lid)  # ConnectionSlave.on_header
+                        # ConnectionSlave.on_header
+                        rx_off(listener, lid, t, delta)
                 if not keep:
                     # inline Channel._pop_pending
                     if pending.pop(key, None) is not None:
@@ -774,7 +783,7 @@ class SlotEngine:
                     if not result.header_ok or result.header_am is None:
                         if listener.rx_freq is not None \
                                 and listener.locked_tx is None:
-                            rx_off(listener, lid)
+                            rx_off(listener, lid, t, delta)
                         continue
                     am = result.header_am
                     link = st.piconet.slaves.get(am)
@@ -815,13 +824,13 @@ class SlotEngine:
                         arq.rx.on_data(result.header_seqn or 0, False)
                     if listener.rx_freq is not None \
                             and listener.locked_tx is None:
-                        rx_off(listener, lid)
+                        rx_off(listener, lid, t, delta)
                 else:
                     h = st.h
                     if not result.header_ok:
                         if listener.rx_freq is not None \
                                 and listener.locked_tx is None:
-                            rx_off(listener, lid)
+                            rx_off(listener, lid, t, delta)
                         continue
                     addressed = result.header_am == st.am_addr
                     if not (addressed or result.header_am == 0):
@@ -875,7 +884,7 @@ class SlotEngine:
                                         k_slave_reply, st, None))
                     if listener.rx_freq is not None \
                             and listener.locked_tx is None:
-                        rx_off(listener, lid)
+                        rx_off(listener, lid, t, delta)
 
             elif kind == k_master_even:
                 # ConnectionMaster._even_slot + RoundRobinPolicy.choose +
@@ -894,7 +903,7 @@ class SlotEngine:
                 if rf.locked_tx is not None or t < rf._tx_until_ns:
                     continue
                 if rf.rx_freq is not None:  # rx_open: rx_freq_fn unset
-                    rx_off(rf, st.rid)
+                    rx_off(rf, st.rid, t, delta)
                 ticks = (t + st.phase_ns) // tick_ns + st.offset_ticks
                 pair = ticks // 4
                 # queued data, oldest-first across reachable slaves
@@ -984,11 +993,12 @@ class SlotEngine:
                 freq = st.memo.get(clk)
                 if freq is None:
                     freq = st.selector.connection(clk)
-                # mirrors rx_on minus the enable_rx write, with
-                # listener_retuned's bucket move inlined
+                # mirrors rx_on with listener_retuned's bucket move inlined
                 rf.rx_freq = freq
                 rf.rx_freq_fn = None
                 rf.expect = st.expect
+                if not rf._rx_on:
+                    rf.write_rx(True, t, delta)
                 rid = st.rid
                 old = listen_keys.get(rid)
                 if old != freq:
@@ -1007,7 +1017,7 @@ class SlotEngine:
             elif kind == k_rx_close:
                 rf = a.rf
                 if rf.rx_freq is not None and rf.locked_tx is None:
-                    rx_off(rf, a.rid)
+                    rx_off(rf, a.rid, t, delta)
 
             elif kind == k_slave_listen:
                 # ConnectionSlave._master_slot (ACTIVE mode by gate)
@@ -1040,6 +1050,8 @@ class SlotEngine:
                     rf.rx_freq = freq
                     rf.rx_freq_fn = None
                     rf.expect = st.expect
+                    if not rf._rx_on:
+                        rf.write_rx(True, t, delta)
                 rid = st.rid
                 old = listen_keys.get(rid)
                 if old != freq:
@@ -1065,7 +1077,7 @@ class SlotEngine:
                 if t < rf._tx_until_ns:
                     continue
                 if rf.rx_freq is not None:  # rx_open
-                    rx_off(rf, st.rid)
+                    rx_off(rf, st.rid, t, delta)
                 clk = ((t + st.phase_ns) // tick_ns
                        + st.offset_ticks) & clk_mask
                 freq = st.memo.get(clk)
@@ -1144,9 +1156,11 @@ class SlotEngine:
     }
 
     def _handback(self, plan, until_ns: int) -> None:
-        """Re-materialise the remaining micro events as kernel events and
-        reconcile the skipped ``enable_rx`` writes, leaving the world
-        exactly where ``Simulator.run(until_ns)`` would have."""
+        """Re-materialise the remaining micro events as kernel events,
+        leaving the world exactly where ``Simulator.run(until_ns)`` would
+        have.  The enable signals need no reconciling: the micro loop
+        keeps the radios' transmit and receiver-write records, which they
+        settle from."""
         heap, _by_rf, masters, slaves, traffic = plan
         session = self.session
         sim = session.sim
@@ -1156,13 +1170,14 @@ class SlotEngine:
             raise RuntimeError("object events scheduled during micro window")
         sim.now = until_ns
         sim.delta = 0  # the kernel's rule when time moves forward
+        sim._run_ends += 1  # and a run returning at its bound ends a delta
         unary = self._HANDBACK_CALLBACKS
+        # a K_SCAN sits one delta after its transmission, which fired
+        # before the bound, so none is left to hand back
         for t, delta, _seq, kind, a, b in sorted(heap):
             maker = unary.get(kind)
             if maker is not None:
                 callback = maker(a)
-            elif kind == K_SCAN:
-                callback = partial(channel._scan_listeners, a)
             elif kind == K_SYNC:
                 callback = partial(channel._sync_stage, a, b)
             elif kind == K_SYNC_BATCH:
@@ -1171,9 +1186,11 @@ class SlotEngine:
                 callback = partial(channel._header_stage, a, b)
             else:  # K_END
                 callback = partial(channel._end_stage, a, b)
-            event = queue.push(t, delta, callback)
             if kind == K_MASTER_EVEN:
-                a.h._wake_event = event  # ConnectionMaster.wake re-arms it
+                # the handle ConnectionMaster.wake cancels to re-arm
+                a.h._wake_event = queue.push_cancellable(t, delta, callback)
+            else:
+                queue.push(t, delta, callback)
         slot_ns = units.SLOT_NS
         for ts in traffic:
             # the kernel self-schedules _refill every slot; restore the
@@ -1182,8 +1199,3 @@ class SlotEngine:
                 rem = (until_ns - ts.anchor) % slot_ns
                 queue.push(until_ns + (slot_ns - rem if rem else 0), 0,
                            ts.traffic._refill)
-        for st in list(masters) + list(slaves):
-            # the inlined rx_on/rx_off skip the enable_rx writes, whose
-            # value a probe attached later would read; enable_tx needs no
-            # reconciling, it settles from the radio's transmissions
-            st.rf.enable_rx.write_now(st.rf.rx_open)

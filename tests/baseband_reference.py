@@ -12,7 +12,9 @@ random inputs.
 The module deliberately imports nothing from the fast modules (it
 duplicates their constants), so a bug in a fast path cannot leak into its
 own oracle.  The hop oracle reads only a selector's address fields and its
-scalar selection box, which the page/scan modes share.
+scalar selection box, which the page/scan modes share.  The channel's
+bursty noise has its oracle here too: the two-state Gilbert-Elliott chain
+stepped bit by bit, reading only a noise model's parameters and state.
 """
 
 from __future__ import annotations
@@ -238,3 +240,26 @@ def connection_reference(selector, clk: int) -> int:
         used = [ch for ch in CHANNEL_REGISTER if afh.used_mask[ch]]
         freq = used[index % len(used)]
     return freq
+
+
+def gilbert_elliott_positions_reference(noise, n: int) -> np.ndarray:
+    """Error positions of an ``n``-bit frame from ``noise`` (a
+    ``GilbertElliottNoise``), drawn by the original two-uniforms-per-bit
+    chain step: the statistical reference for the vectorized sampler.
+    Carries the model's good/bad state across frames, as the sampler does."""
+    if noise.ber <= 0.0 or n == 0:
+        return np.zeros(0, dtype=np.int64)
+    positions = []
+    bad = noise._bad
+    enter, leave = noise._p_enter_bad, noise._p_leave_bad
+    uniforms = noise._rng.random(2 * n)
+    for i in range(n):
+        if bad:
+            if uniforms[2 * i] < noise.bad_ber:
+                positions.append(i)
+            if uniforms[2 * i + 1] < leave:
+                bad = False
+        elif uniforms[2 * i + 1] < enter:
+            bad = True
+    noise._bad = bad
+    return np.array(positions, dtype=np.int64)

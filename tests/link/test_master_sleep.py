@@ -400,9 +400,8 @@ def test_idle_pair_dispatches_a_handful_of_wake_ups_per_t_poll():
 
 def _live_even_slots(sim):
     return [entry for entry in sim._queue._heap
-            if not entry[3].cancelled
-            and getattr(entry[3].callback, "__func__", None)
-            is ConnectionMaster._even_slot]
+            if getattr(getattr(entry[3], "callback", entry[3]), "__func__",
+                       None) is ConnectionMaster._even_slot]
 
 
 def test_soa_window_hands_back_the_wake_up_handle():

@@ -13,15 +13,20 @@ import numpy as np
 import pytest
 
 from repro.phy.noise import GilbertElliottNoise
+from tests.baseband_reference import gilbert_elliott_positions_reference
 
 #: Frames drawn per statistical comparison.
 FRAMES = 400
 FRAME_BITS = 2000
 
 
-def _burst_stats(sampler_name: str, noise: GilbertElliottNoise):
-    """Total errors, adjacent-gap counts and per-frame error counts."""
-    sampler = getattr(noise, sampler_name)
+def _reference(noise: GilbertElliottNoise):
+    return lambda n: gilbert_elliott_positions_reference(noise, n)
+
+
+def _burst_stats(sampler):
+    """Total errors, adjacent-gap counts and per-frame error counts of
+    ``sampler`` (a positions function of a frame length)."""
     total = 0
     small_gaps = 0
     gaps = 0
@@ -44,9 +49,8 @@ class TestStatisticalEquivalence:
         vec = GilbertElliottNoise(ber, burst_len, np.random.default_rng(101))
         ref = GilbertElliottNoise(ber, burst_len, np.random.default_rng(202))
         n_bits = FRAMES * FRAME_BITS
-        total_vec, _, _, frames_vec = _burst_stats("error_positions", vec)
-        total_ref, _, _, frames_ref = _burst_stats(
-            "error_positions_reference", ref)
+        total_vec, _, _, frames_vec = _burst_stats(vec.error_positions)
+        total_ref, _, _, frames_ref = _burst_stats(_reference(ref))
         # both must sit within a generous CI of the configured BER; burst
         # correlation inflates the variance well beyond Bernoulli, so the
         # bound uses the empirical per-frame spread of each sampler
@@ -63,9 +67,8 @@ class TestStatisticalEquivalence:
     def test_burst_length_distribution_matches_reference(self):
         vec = GilbertElliottNoise(0.02, 16.0, np.random.default_rng(303))
         ref = GilbertElliottNoise(0.02, 16.0, np.random.default_rng(404))
-        _, small_vec, gaps_vec, _ = _burst_stats("error_positions", vec)
-        _, small_ref, gaps_ref, _ = _burst_stats(
-            "error_positions_reference", ref)
+        _, small_vec, gaps_vec, _ = _burst_stats(vec.error_positions)
+        _, small_ref, gaps_ref, _ = _burst_stats(_reference(ref))
         frac_vec = small_vec / gaps_vec
         frac_ref = small_ref / gaps_ref
         # the clustered-gap fraction is the burst fingerprint: both

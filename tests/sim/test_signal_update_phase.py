@@ -245,10 +245,10 @@ class TestUnobservedEnableTx:
 
 def _queued(sim) -> set:
     names = set()
-    for _t, _d, _s, event in sim._queue._heap:
-        if not event.cancelled:
-            callback = getattr(event.callback, "func", event.callback)
-            names.add(getattr(callback, "__qualname__", repr(callback)))
+    for _t, _d, _s, callback in sim._queue._heap:
+        callback = getattr(callback, "callback", callback)  # EventHandle
+        callback = getattr(callback, "func", callback)
+        names.add(getattr(callback, "__qualname__", repr(callback)))
     return names
 
 
@@ -262,7 +262,8 @@ def _piconet(trace: bool) -> Session:
     return session
 
 
-UNOBSERVED = {"Signal._commit", "RfFrontEnd._tx_done", "Channel._expire"}
+UNOBSERVED = {"Signal._commit", "RfFrontEnd._tx_done", "Channel._expire",
+              "Channel._scan_listeners"}
 
 
 def test_unobserved_world_queues_no_commit_tx_done_or_expire():
@@ -279,7 +280,8 @@ def test_traced_world_still_schedules_tx_done():
         session.sim.run(max_events=1)
         seen |= _queued(session.sim)
     assert "RfFrontEnd._tx_done" in seen
-    assert not seen & {"Signal._commit", "Channel._expire"}
+    assert not seen & {"Signal._commit", "Channel._expire",
+                       "Channel._scan_listeners"}
 
 
 @pytest.mark.parametrize("engine", ["object", "soa"])
@@ -310,6 +312,24 @@ def test_enable_tx_settles_alike_after_soa_windows(monkeypatch):
             seen[engine].append([
                 (device.rf.enable_tx.read(),
                  device.rf.enable_tx.last_change_ns)
+                for device in session.devices])
+    assert session.slot_engine.windows_absorbed > 0
+    assert seen["soa"] == seen["object"]
+
+
+def test_enable_rx_settles_alike_after_soa_windows(monkeypatch):
+    """An unobserved enable_rx settles from the radio's receiver-write
+    record, which the SoA micro loop keeps as the object kernel does."""
+    seen = {}
+    for engine in ("object", "soa"):
+        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+        session, _ = build_campaign_session(2, 97)
+        seen[engine] = []
+        for slots in (40.5, 17.25, 3.1, 200):
+            session.run_slots(slots)
+            seen[engine].append([
+                (device.rf.enable_rx.read(),
+                 device.rf.enable_rx.last_change_ns)
                 for device in session.devices])
     assert session.slot_engine.windows_absorbed > 0
     assert seen["soa"] == seen["object"]

@@ -101,36 +101,49 @@ class TestRunControl:
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
-        handle = sim.schedule(10, lambda: fired.append(1))
+        handle = sim.schedule_cancellable(10, lambda: fired.append(1))
         assert handle.cancel() is True
         sim.run()
         assert fired == []
 
     def test_double_cancel_returns_false(self, sim):
-        handle = sim.schedule(10, lambda: None)
+        handle = sim.schedule_cancellable(10, lambda: None)
         assert handle.cancel() is True
         assert handle.cancel() is False
 
     def test_cancel_after_fire_returns_false(self, sim):
-        handle = sim.schedule(10, lambda: None)
+        handle = sim.schedule_cancellable(10, lambda: None)
         sim.run()
         assert handle.pending is False
         assert handle.cancel() is False
 
     def test_pending_property(self, sim):
-        handle = sim.schedule(10, lambda: None)
+        handle = sim.schedule_cancellable(10, lambda: None)
         assert handle.pending is True
         sim.run()
         assert handle.pending is False
 
     def test_pending_events_counts_only_live_events(self, sim):
         sim.schedule(50, lambda: None)
-        sim.schedule(100, lambda: None).cancel()
+        sim.schedule_cancellable(100, lambda: None).cancel()
         assert sim.pending_events == 1  # the cancelled entry is not live
         sim.run(until_ns=60)
         assert sim.pending_events == 0
-        sim.schedule(10, lambda: None).cancel()
+        sim.schedule_cancellable(sim.now + 10, lambda: None).cancel()
         assert sim.pending_events == 0
+
+    def test_cancelled_event_is_not_dispatched(self, sim):
+        sim.schedule(10, lambda: None)
+        handle = sim.schedule_cancellable(10, lambda: None)
+        sim.schedule_cancellable(20, lambda: None)
+        handle.cancel()
+        assert sim.run() == 2
+        assert sim.events_dispatched == 2
+
+    def test_scheduling_returns_no_handle(self, sim):
+        assert sim.schedule(10, lambda: None) is None
+        assert sim.schedule_abs(10, lambda: None) is None
+        assert sim.schedule_delta(lambda: None) is None
 
 
 class TestDeltaCycles:
