@@ -302,7 +302,7 @@ def _run_spatial_world(engine: str, radius_m: float) -> tuple:
     session.run_slots(600)
     absorbed = session.slot_engine.windows_absorbed \
         if session.slot_engine is not None else 0
-    return _outcome(session, pairs), list(session.capture._events), absorbed
+    return _outcome(session, pairs), session.capture.events(), absorbed
 
 
 @pytest.mark.parametrize("radius_m", [0.5, 2.0])

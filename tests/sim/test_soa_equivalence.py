@@ -113,8 +113,8 @@ def test_soa_capture_stream_identical():
     soa_session.run_slots(800)
     assert _outcome(soa_session, soa_pairs) == _outcome(obj_session,
                                                         obj_pairs)
-    obj_events = list(obj_session.capture._events)
-    soa_events = list(soa_session.capture._events)
+    obj_events = obj_session.capture.events()
+    soa_events = soa_session.capture.events()
     assert len(soa_events) == len(obj_events)
     assert soa_events == obj_events
     assert soa_session.slot_engine.windows_absorbed > 0
@@ -179,7 +179,7 @@ def _build_random_world(engine: str, scenario) -> tuple:
     session.run_slots(observe_slots)
     absorbed = session.slot_engine.windows_absorbed \
         if session.slot_engine is not None else 0
-    return _outcome(session, pairs), list(session.capture._events), absorbed
+    return _outcome(session, pairs), session.capture.events(), absorbed
 
 
 @given(scenario=_worlds())
