@@ -37,7 +37,7 @@ from repro.power.rf_activity import RfActivityProbe
 from repro.sim.capture import TimelineCapture
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
-from repro.sim.soa import ENGINES, SlotEngine, configured_engine
+from repro.sim.soa import SlotEngine
 from repro.sim.trace import TraceRecorder
 
 
@@ -64,16 +64,9 @@ class Session:
 
     def __init__(self, seed: int = 0, ber: float = 0.0,
                  config: Optional[SimulationConfig] = None,
-                 trace: bool = False, capture: bool = False,
-                 engine: Optional[str] = None):
+                 trace: bool = False, capture: bool = False):
         if config is None:
             config = SimulationConfig(seed=seed).with_ber(ber)
-        if engine is None:
-            engine = configured_engine()
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
         self.config = config
         self.sim = Simulator()
         self.rngs = RandomStreams(config.seed)
@@ -93,10 +86,9 @@ class Session:
         self.devices: list[BluetoothDevice] = []
         self.trace: Optional[TraceRecorder] = TraceRecorder(self.sim) \
             if (trace or config.trace) else None
-        #: SoA slot engine (``engine="soa"`` / ``REPRO_ENGINE=soa``);
-        #: ``None`` routes everything through the object kernel.
-        self.slot_engine: Optional[SlotEngine] = \
-            SlotEngine(self) if engine == "soa" else None
+        #: The SoA slot engine: the simulator offers it every bounded run
+        #: and steps the window itself when the engine declines it.
+        self.slot_engine = self.sim._slot_engine = SlotEngine(self)
 
     # ------------------------------------------------------------------
     # World building
@@ -155,23 +147,13 @@ class Session:
     # Time control
     # ------------------------------------------------------------------
 
-    def _advance(self, until_ns: int) -> None:
-        """Advance to ``until_ns`` through the selected engine.
-
-        The SoA engine executes the window when the world is in the
-        steady connection state and silently falls back to the object
-        kernel otherwise (bring-up procedures, LMP, sniff/hold, …)."""
-        if self.slot_engine is not None and self.slot_engine.run(until_ns):
-            return
-        self.sim.run(until_ns=until_ns)
-
     def run_slots(self, slots: float) -> None:
         """Advance the simulation by a number of 625 µs slots."""
-        self._advance(self.sim.now + round(slots * units.SLOT_NS))
+        self.sim.run(until_ns=self.sim.now + round(slots * units.SLOT_NS))
 
     def run_until(self, time_ns: int) -> None:
         """Advance to an absolute time."""
-        self._advance(time_ns)
+        self.sim.run(until_ns=time_ns)
 
     @property
     def now_slots(self) -> float:

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 from repro import units
 from repro.config import SimulationConfig
 from repro.link.page import PageTarget
-from repro.sim.soa import configured_engine
 from repro.stats.chaos import ChaosConfig
 from repro.stats.executor import Executor, SequentialExecutor, default_jobs
 from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
@@ -208,13 +207,15 @@ def _campaign(name: str, spec, jobs: Optional[int], resume: Optional[str],
     (``REPRO_JOBS`` wins) and :func:`_campaign_executor` picks the
     backend, closed on exit like the journal (None when off).  Every
     ``REPRO_*`` value a campaign reads is checked *before* the journal
-    opens, so a malformed one fails with no journal written."""
+    opens, so a malformed one fails with no journal written.  The journal
+    binds ``spec`` with the channel mode (``REPRO_BIT_ACCURATE``) added,
+    so a journal of one mode is refused under the other."""
     if executor is None:
         jobs = default_jobs(jobs)
     directory = resume if resume is not None else resume_dir()
     with (nullcontext(executor) if executor is not None
           else _campaign_executor(jobs, directory is not None)) as chosen:
-        bit_accurate_default()
+        spec = dict(spec, bit_accurate=bit_accurate_default())
         store = campaign_store(name, spec, directory)
         try:
             yield chosen, store
@@ -385,12 +386,10 @@ def map_points(fn: Callable, tasks: list, jobs: Optional[int] = None,
     ``resume``/``REPRO_RESUME_DIR`` journal completed points keyed by
     ``(0, index, 0, fingerprint)`` — the same kill-and-resume contract as
     :func:`run_sweep`, with the task list itself digest-bound so a grid
-    change refuses the stale journal.  Like :func:`campaign_spec`, the
-    spec carries the configured engine, so a journal written under one
-    engine is refused under the other; version 2 added that key.
+    change refuses the stale journal.  Its version follows
+    :func:`campaign_spec`'s.
     """
-    spec = {"version": 2, "engine": configured_engine(),
-            "map": callable_name(fn),
+    spec = {"version": 3, "map": callable_name(fn),
             "tasks": [repr(task) for task in tasks]}
     with _campaign(store_name or _store_name(fn), spec, jobs,
                    resume) as (executor, store):

@@ -63,6 +63,9 @@ class Simulator:
         #: True once a run() without ``until_ns`` has emptied the queue:
         #: every event the world scheduled has fired
         self._ran_dry = False
+        #: the slot engine a Session attaches (repro.sim.soa.SlotEngine):
+        #: every bounded run offers it the window first
+        self._slot_engine = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -116,10 +119,20 @@ class Simulator:
         Events scheduled exactly at ``until_ns`` are *not* executed; time is
         left at ``until_ns`` in that case (mirrors SystemC's sc_start).
 
+        A run with ``until_ns`` and no ``max_events`` first offers its
+        window to the attached slot engine, which steps it itself when the
+        world is in the steady connection state, with the same outcome;
+        otherwise the engine declines and the events are dispatched here.
+
         Returns the number of events dispatched by this call.
         """
         self._stopped = False
         self._ran_dry = False
+        engine = self._slot_engine
+        if engine is not None and until_ns is not None and max_events is None:
+            before = self._events_dispatched
+            if engine.run(until_ns):
+                return self._events_dispatched - before
         dispatched = 0
         heap = self._queue._heap
         updates = self._updates

@@ -23,14 +23,18 @@ piconet at once:
   ``_full_decode_batch``) so SIR capture, batched stage draws and batched
   decode run through exactly one code path with the scalar kernel.
 
+Every :class:`~repro.api.Session` attaches one to its simulator, and
+:meth:`Simulator.run <repro.sim.simulator.Simulator.run>` offers it the
+window of every bounded run before dispatching a single event.
+
 **Byte identity is the contract.**  Every inlined handler replicates its
 object-kernel counterpart statement for statement — same event ordering,
 same RNG consumption, same counters — so outcomes (and the
 :class:`~repro.sim.capture.TimelineCapture` record stream) are identical
-to ``Simulator.run``.  The golden digests and the hypothesis equivalence
-suite in ``tests/sim/test_soa_equivalence.py`` pin this, and every
-registered experiment's table digest (``tests/experiment_goldens.py``)
-holds on both engines.
+to the object kernel's.  The golden digests and the hypothesis equivalence
+suite in ``tests/sim/test_soa_equivalence.py`` pin this against the same
+worlds with the engine detached, and every registered experiment's table
+digest (``tests/experiment_goldens.py``) holds either way.
 
 **Fallback boundary.**  The engine only absorbs worlds in the steady
 connection state: active masters/slaves under the default round-robin
@@ -38,19 +42,18 @@ policy, saturated traffic, optional static interferers and manual AFH
 maps.  Anything rarer — inquiry/page bring-up, LMP traffic, sniff/hold/
 park, AFH controllers, frequency-following receivers, probe/trace
 subscribers — fails the eligibility gate or the event classification and
-the call silently falls back to the object kernel for that window.
+the engine declines the window, which the object kernel then dispatches.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from functools import partial
 from operator import attrgetter
 
 from repro import units
 from repro.baseband.codec import DecodeResult, encode_packet
-from repro.baseband.hop import connection_windows_many
+from repro.baseband.hop import HopSelector, connection_windows_many
 from repro.baseband.packets import Packet, PacketType, packet_duration_ns
 from repro.baseband.timing import HEADER_DECISION_NS, SYNC_DECISION_NS
 from repro.link.buffers import InboundData, OutboundData
@@ -61,27 +64,6 @@ from repro.link.traffic import SaturatedTraffic
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.phy.transmission import Transmission, TxMeta
 from repro.sim.event import EventHandle
-
-#: Environment variable selecting the default engine of new Sessions.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Engines a Session accepts.
-ENGINES = ("object", "soa")
-
-
-def configured_engine() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default ``"object"``).
-
-    Anything but one of :data:`ENGINES` raises a ``ValueError`` naming the
-    variable, before a campaign binds a journal to the value.
-    """
-    engine = os.environ.get(ENGINE_ENV_VAR, "object")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV_VAR}={engine!r} is not an engine; expected one "
-            f"of {', '.join(ENGINES)}")
-    return engine
-
 
 # micro event kinds (dispatch-frequency ordered in the loop, not here)
 K_MASTER_EVEN = 0
@@ -213,9 +195,9 @@ class SlotEngine:
     """Slot-synchronous SoA engine for one Session's world.
 
     ``run(until_ns)`` returns True when the window was executed here
-    (byte-identically to ``Simulator.run``); False means the world is not
-    absorbable right now and the caller must fall back to the object
-    kernel.  Construction is cheap; all binding happens per window.
+    (byte-identically to the object kernel); False means the world is not
+    absorbable right now and ``Simulator.run`` dispatches the window
+    itself.  Construction is cheap; all binding happens per window.
     """
 
     def __init__(self, session):
@@ -431,9 +413,14 @@ class SlotEngine:
 
         Masters and their slaves share the per-address memo through the
         world's HopRegistry, so one row per master serves both sides; the
-        handlers then resolve each slot with a dict hit.
+        handlers then resolve each slot with a dict hit.  The pass covers
+        at most ``HopSelector._MEMO_MAX // 2`` slots: the later slots of a
+        longer window fill on a miss, as on the object kernel, where one
+        row of the whole window would hold all of its slots in every
+        memo, past the memo's bound.
         """
-        window = int(until_ns - now) // units.SLOT_NS + 8
+        window = min(int(until_ns - now) // units.SLOT_NS + 8,
+                     HopSelector._MEMO_MAX // 2)
         if masters:
             # even-parity CLK at the window start: the slot grid's hop clock
             connection_windows_many(
@@ -899,13 +886,13 @@ class SlotEngine:
                     continue
                 seq += 1
                 push(heap, (t + pair_ns, 0, seq, k_master_even, st, None))
+                ticks = (t + st.phase_ns) // tick_ns + st.offset_ticks
+                pair = h._served_pair = ticks // 4
                 rf = st.rf
                 if rf.locked_tx is not None or t < rf._tx_until_ns:
                     continue
                 if rf.rx_freq is not None:  # rx_open: rx_freq_fn unset
                     rx_off(rf, st.rid, t, delta)
-                ticks = (t + st.phase_ns) // tick_ns + st.offset_ticks
-                pair = ticks // 4
                 # queued data, oldest-first across reachable slaves
                 # (_lmp deques are empty by gate, so peek == _data[0])
                 best = None
@@ -978,9 +965,9 @@ class SlotEngine:
                 slots = slots_cache.get(pid)
                 if slots is None:
                     slots = slots_cache[pid] = ptype.info.slots
+                reply_ns = h._reply_ns = t + slots * slot_ns
                 seq += 1
-                push(heap, (t + slots * slot_ns, 0, seq,
-                            k_master_rx, st, None))
+                push(heap, (reply_ns, 0, seq, k_master_rx, st, None))
 
             elif kind == k_master_rx:
                 # ConnectionMaster._rx_slot
@@ -1157,7 +1144,7 @@ class SlotEngine:
 
     def _handback(self, plan, until_ns: int) -> None:
         """Re-materialise the remaining micro events as kernel events,
-        leaving the world exactly where ``Simulator.run(until_ns)`` would
+        leaving the world exactly where the object kernel's run would
         have.  The enable signals need no reconciling: the micro loop
         keeps the radios' transmit and receiver-write records, which they
         settle from."""

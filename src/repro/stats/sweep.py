@@ -30,7 +30,6 @@ from repro.stats.montecarlo import (
     TrialOutcome,
     derive_seed,
 )
-from repro.sim.soa import configured_engine
 from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import ResultStore
 
@@ -185,22 +184,18 @@ def campaign_spec(
 ) -> dict:
     """The JSON-serialisable identity of a flattened campaign.
 
-    Everything that determines the task queue and its outcomes: per sweep,
-    the master seed, trial count, x grid and trial-function name — plus
-    the configured simulation engine, because a journal
-    holding object-kernel outcomes must not be resumed under
-    ``REPRO_ENGINE=soa`` (or vice versa): the engines are byte-identical
-    by contract, but a digest mismatch is the cheap, load-bearing guard
-    if that contract ever regresses.
-    :func:`~repro.stats.store.campaign_digest` of this dict is the
-    binding a result journal's header carries — change any of it and a
-    stale journal is refused instead of silently mixing campaigns.
-    Version 2 dropped the per-sweep seed-formula flag, so journals written
-    under version 1 are refused rather than resumed.
+    Everything that determines the task queue: per sweep, the master
+    seed, trial count, x grid and trial-function name (the campaign
+    runner of :mod:`repro.experiments.common` adds the run options that
+    change outcomes).  :func:`~repro.stats.store.campaign_digest` of
+    that dict is the binding a result journal's header carries — change
+    any of it and a stale journal is refused instead of silently mixing
+    campaigns.  Version 2 dropped the per-sweep seed-formula flag and
+    version 3 the simulation engine, so journals written under an older
+    version are refused rather than resumed.
     """
     return {
-        "version": 2,
-        "engine": configured_engine(),
+        "version": 3,
         "sweeps": [
             {
                 "master_seed": sweep.master_seed,

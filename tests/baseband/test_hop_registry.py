@@ -43,19 +43,29 @@ class TestMemoBound:
         assert [selector.connection(2 * k) for k in range(8)] == expected
 
 
-def _saturated_pair_memo_run(slots: int):
-    """Peak entries of any connection memo, and the number of window
-    fills, over a saturated object-kernel link run ``slots`` long."""
+def _saturated_pair(detached: bool = True):
+    """A paged-up pair under saturated DM1 traffic, on the object kernel
+    alone unless ``detached`` is False, and its world's connection memos."""
     from repro.api import Session
     from repro.baseband.packets import PacketType
     from repro.link.traffic import SaturatedTraffic
 
-    session = Session(seed=5, ber=0.0, engine="object")
+    from tests.kernels import detach
+
+    session = Session(seed=5, ber=0.0)
+    if detached:
+        detach(session)
     master = session.add_device("master")
     slave = session.add_device("slave")
     assert session.run_page(master, slave).success
     SaturatedTraffic(master, 1, ptype=PacketType.DM1).start()
-    memos = session.channel.hop_registry.connection_memos
+    return session, session.channel.hop_registry.connection_memos
+
+
+def _saturated_pair_memo_run(slots: int):
+    """Peak entries of any connection memo over a saturated object-kernel
+    link run ``slots`` long, in 100-slot runs."""
+    session, memos = _saturated_pair()
     peak = 0
     for _ in range(slots // 100):
         session.run_slots(100)
@@ -88,6 +98,20 @@ class TestSlotLoopMemoBound:
         monkeypatch.setattr(HopSelector, "_MEMO_MAX", 1 << 30)
         assert _saturated_pair_memo_run(self.SLOTS) > 1 << 11
         assert fills == bounded
+
+    def test_an_absorbed_window_prefills_within_the_bound(self):
+        """The slot engine prefills at most half a memo, so one long
+        absorbed window leaves every memo within the bound plus one
+        window as well."""
+        from repro.baseband.hop import WINDOW_SLOTS
+
+        session, memos = _saturated_pair(detached=False)
+        session.run_slots(100)  # past the page procedure's last event
+        absorbed = session.slot_engine.windows_absorbed
+        session.run_slots(self.SLOTS)
+        assert session.slot_engine.windows_absorbed == absorbed + 1
+        assert max(len(memo) for memo in memos.values()) \
+            <= HopSelector._MEMO_MAX + WINDOW_SLOTS
 
 
 class TestAfhMapEviction:

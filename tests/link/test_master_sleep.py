@@ -4,6 +4,8 @@ cannot act, and every change that can make the policy act earlier wakes it.
 The reference for "nothing was skipped" is the same world with a policy
 that keeps the per-pair wake-up (:meth:`PollingPolicy.next_due`'s
 default): both must put the same packets on the air at the same instants.
+The worlds run on the object kernel alone (slot engine detached): the
+tests spy on its handlers, which an absorbed window never calls.
 """
 
 import dataclasses
@@ -25,6 +27,8 @@ from repro.link.polling import ExhaustivePolicy, PollingPolicy, RoundRobinPolicy
 from repro.link.states import ConnectionMode
 from repro.link.traffic import PeriodicTraffic
 
+from tests.kernels import detach
+
 PAIR_NS = units.SLOT_PAIR_NS
 
 
@@ -34,16 +38,16 @@ class EveryPairPolicy(RoundRobinPolicy):
     next_due = PollingPolicy.next_due
 
 
-def _session(seed, engine="object", **link):
+def _session(seed, **link):
     config = SimulationConfig(seed=seed).with_ber(0.0)
     if link:
         config = dataclasses.replace(
             config, link=dataclasses.replace(config.link, **link))
-    return Session(config=config, engine=engine)
+    return detach(Session(config=config))
 
 
-def _connected(seed=71, engine="object", policy=None, **link):
-    session = _session(seed, engine, **link)
+def _connected(seed=71, policy=None, **link):
+    session = _session(seed, **link)
     master = session.add_device("master")
     slave = session.add_device("slave")
     assert session.run_page(master, slave).success
@@ -129,7 +133,7 @@ def _bare_master(t_poll_slots, resync_slots):
     config = dataclasses.replace(config, link=dataclasses.replace(
         config.link, t_poll_slots=t_poll_slots,
         hold_resync_poll_slots=resync_slots))
-    session = Session(config=config, engine="object")
+    session = detach(Session(config=config))
     device = session.add_device("m")
     device.piconet = Piconet(device.addr, registry=device.hop_registry)
     return device, ConnectionMaster(device, device.piconet)
@@ -405,9 +409,9 @@ def _live_even_slots(sim):
 
 
 def test_soa_window_hands_back_the_wake_up_handle():
-    session, master, slave = _connected(seed=82, engine="soa",
-                                        t_poll_slots=4000)
+    session, master, slave = _connected(seed=82, t_poll_slots=4000)
     _sleep(session, master)
+    session.sim._slot_engine = session.slot_engine  # attach it again
     absorbed = session.slot_engine.windows_absorbed
     session.run_slots(300)
     assert session.slot_engine.windows_absorbed == absorbed + 1

@@ -27,9 +27,9 @@ import pytest
 from repro.baseband.hop import HopRegistry, HopSelector
 from repro.experiments.ext_interference import build_campaign_session
 from repro.phy.channel import Channel
-from repro.sim.soa import ENGINE_ENV_VAR
 
 from tests.baseband_reference import connection_reference
+from tests.kernels import object_kernel
 
 #: sha256 prefixes of the scenario outcomes (same goldens as
 #: ``tests/sim/test_soa_equivalence.py``).
@@ -40,9 +40,11 @@ GOLDEN_BIT = "cd5dc5712ed5b940"
 def _run_scenario(n_piconets: int, seed: int, observe_slots: int,
                   ber: float = 0.0, bit_accurate: bool = False) -> tuple:
     """Build ``n_piconets`` saturated piconets (the campaign's own bring-up
-    protocol) and return the physical outcome tuple of the run."""
-    session, pairs = build_campaign_session(n_piconets, seed, ber=ber,
-                                            bit_accurate=bit_accurate)
+    protocol) and return the physical outcome tuple of the run on the
+    object kernel, whose fast paths and oracles are compared here."""
+    with object_kernel():
+        session, pairs = build_campaign_session(n_piconets, seed, ber=ber,
+                                                bit_accurate=bit_accurate)
     session.run_slots(observe_slots)
     return (
         session.channel.collisions,
@@ -67,10 +69,10 @@ def _sync_per_listener(self, tx, receivers):
 
 def _install_scalar_oracles(monkeypatch) -> None:
     """Route every multi-listener sync and every connection-state hop
-    lookup through the scalar oracles.  The object kernel is pinned: the
-    SoA micro-loop prefills hops in bulk and inlines its own batch
-    dispatch, and its equivalence is pinned separately."""
-    monkeypatch.setenv(ENGINE_ENV_VAR, "object")
+    lookup through the scalar oracles.  Only the object kernel calls
+    them (the scenarios run with the slot engine detached): the SoA
+    micro-loop prefills hops in bulk and inlines its own batch dispatch,
+    and its equivalence is pinned separately."""
     monkeypatch.setattr(Channel, "_sync_batch", _sync_per_listener)
     monkeypatch.setattr(HopSelector, "connection", connection_reference)
 

@@ -10,9 +10,9 @@ Three layers of evidence:
   and placements;
 * the identity contract — a world carrying a :class:`FlatLoss` topology
   (devices placed and all) reproduces the *same pre-PR golden digests*
-  as a world with no topology at all, on both engines, and a genuinely
-  spatial world is byte-identical between the object kernel and the SoA
-  micro-kernel including its capture stream.
+  as a world with no topology at all, on both kernels, and a genuinely
+  spatial world is byte-identical between the object kernel (slot engine
+  detached) and the SoA micro-kernel including its capture stream.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def _run_flat_topology_scenario(engine: str, kwargs: dict,
         topology.place(master.addr, (5.0 * index, 0.0))
         topology.place(slave.addr, (5.0 * index, 123.0))  # absurdly far
     session.run_slots(slots)
-    return _outcome(session, pairs)
+    return _outcome(session, pairs), session.slot_engine.windows_absorbed
 
 
 @pytest.mark.parametrize("engine", ["object", "soa"])
@@ -286,9 +286,10 @@ def _run_flat_topology_scenario(engine: str, kwargs: dict,
 ])
 def test_flat_topology_matches_no_topology_golden(engine, name, kwargs,
                                                   slots, golden):
-    outcome = _run_flat_topology_scenario(engine, kwargs, slots)
+    outcome, absorbed = _run_flat_topology_scenario(engine, kwargs, slots)
     assert _digest(outcome) == golden, \
         f"{name}/{engine}: a FlatLoss topology changed the physics"
+    assert (absorbed > 0) == (engine == "soa")
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +301,8 @@ def _run_spatial_world(engine: str, radius_m: float) -> tuple:
         session, pairs = build_spatial_session(3, radius_m, seed=97,
                                                capture=True)
     session.run_slots(600)
-    absorbed = session.slot_engine.windows_absorbed \
-        if session.slot_engine is not None else 0
-    return _outcome(session, pairs), session.capture.events(), absorbed
+    return (_outcome(session, pairs), session.capture.events(),
+            session.slot_engine.windows_absorbed)
 
 
 @pytest.mark.parametrize("radius_m", [0.5, 2.0])
@@ -355,9 +355,7 @@ def test_mobility_declines_soa_absorption_but_stays_equivalent():
         for master, _ in pairs:
             SaturatedTraffic(master, 1).start()
         session.run_slots(600)
-        absorbed = session.slot_engine.windows_absorbed \
-            if session.slot_engine is not None else 0
-        return _outcome(session, pairs), absorbed
+        return _outcome(session, pairs), session.slot_engine.windows_absorbed
 
     obj_outcome, _ = build("object")
     soa_outcome, absorbed = build("soa")

@@ -1,23 +1,26 @@
 """Timeline capture streams pinned against recorded digests.
 
-``test_soa_equivalence.py`` compares the two engines' capture streams
-with each other; these tests pin both against sha256 digests of
-``TimelineCapture.to_jsonl`` recorded before the kernel stopped
-dispatching unobserved events, so a change that moves a record — its
-time, its order or its fields — fails here even when both engines move
-together.
+``test_soa_equivalence.py`` compares the two kernels' capture streams
+with each other; these tests pin both — the default path, where the slot
+engine absorbs what it can, and the object kernel with the slot engine
+detached — against sha256 digests of ``TimelineCapture.to_jsonl``
+recorded before the kernel stopped dispatching unobserved events, so a
+change that moves a record — its time, its order or its fields — fails
+here even when both kernels move together.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+from contextlib import nullcontext
 
 import pytest
 
 from repro import PacketType, Session
 from repro.experiments.ext_interference import build_campaign_session
-from repro.sim.soa import ENGINE_ENV_VAR
+
+from tests.kernels import object_kernel
 
 #: (records, sha256 prefix of the JSONL stream) per world
 GOLDEN_STREAMS = {
@@ -54,15 +57,11 @@ WORLDS = {
 }
 
 
-@pytest.fixture(params=["object", "soa"])
-def engine(request, monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV_VAR, request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("world", sorted(WORLDS))
+@pytest.mark.parametrize("engine", ["object", "soa"])
 def test_capture_stream_matches_golden(world, engine):
-    session = WORLDS[world]()
+    with object_kernel() if engine == "object" else nullcontext():
+        session = WORLDS[world]()
     buffer = io.StringIO()
     records = session.capture.to_jsonl(buffer)
     digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()[:16]

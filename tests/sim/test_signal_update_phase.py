@@ -6,6 +6,8 @@ bounds, ``stop()``, subscriber chains and radios whose ``enable_tx``
 nobody watches.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro import Session
@@ -13,8 +15,17 @@ from repro.baseband.packets import Packet, PacketType
 from repro.experiments.ext_interference import build_campaign_session
 from repro.power.rf_activity import RfActivityProbe
 from repro.sim.signal import Signal
-from repro.sim.soa import ENGINE_ENV_VAR
 from repro.sim.trace import TraceRecorder
+
+from tests.kernels import object_kernel
+
+
+def _campaign(engine: str):
+    """The two-piconet campaign world, on the object kernel alone for
+    ``"object"`` and with its slot engine attached for ``"soa"``."""
+    with object_kernel() if engine == "object" else nullcontext():
+        session, _ = build_campaign_session(2, 97)
+    return session
 
 
 class TestVisibility:
@@ -285,12 +296,11 @@ def test_traced_world_still_schedules_tx_done():
 
 
 @pytest.mark.parametrize("engine", ["object", "soa"])
-def test_enable_rx_follows_the_receiver_after_a_run(engine, monkeypatch):
+def test_enable_rx_follows_the_receiver_after_a_run(engine):
     """The SoA micro loop skips the enable_rx writes; its handback sets
     the signal to the receiver state, so a probe attached between runs
-    starts from the right value on either engine."""
-    monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-    session, _ = build_campaign_session(2, 97)
+    starts from the right value on either kernel."""
+    session = _campaign(engine)
     for slots in (40.5, 17.25, 3.1):
         session.run_slots(slots)
         assert [device.rf.enable_rx.read() for device in session.devices] \
@@ -299,13 +309,12 @@ def test_enable_rx_follows_the_receiver_after_a_run(engine, monkeypatch):
         assert session.slot_engine.windows_absorbed > 0
 
 
-def test_enable_tx_settles_alike_after_soa_windows(monkeypatch):
+def test_enable_tx_settles_alike_after_soa_windows():
     """An unobserved enable_tx settles from the radio's transmissions,
     which the SoA micro loop keeps as the object kernel does."""
     seen = {}
     for engine in ("object", "soa"):
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-        session, _ = build_campaign_session(2, 97)
+        session = _campaign(engine)
         seen[engine] = []
         for slots in (40.5, 17.25, 3.1, 200):
             session.run_slots(slots)
@@ -317,13 +326,12 @@ def test_enable_tx_settles_alike_after_soa_windows(monkeypatch):
     assert seen["soa"] == seen["object"]
 
 
-def test_enable_rx_settles_alike_after_soa_windows(monkeypatch):
+def test_enable_rx_settles_alike_after_soa_windows():
     """An unobserved enable_rx settles from the radio's receiver-write
     record, which the SoA micro loop keeps as the object kernel does."""
     seen = {}
     for engine in ("object", "soa"):
-        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-        session, _ = build_campaign_session(2, 97)
+        session = _campaign(engine)
         seen[engine] = []
         for slots in (40.5, 17.25, 3.1, 200):
             session.run_slots(slots)

@@ -1,30 +1,33 @@
 """SoA slot engine equivalence: byte-identical to the object kernel.
 
-The engine contract is *identity, not approximation*: a world stepped
-through the SoA micro-kernel (``REPRO_ENGINE=soa``) must produce exactly
-the physical outcomes of the object kernel — collisions, transmissions,
-delivered bytes, per-link packet counters — and exactly the same
-:class:`~repro.sim.capture.TimelineCapture` record stream.  Two layers
-of evidence:
+The engine contract is *identity, not approximation*: a world whose
+windows the SoA micro-kernel absorbs (every Session's default) must
+produce exactly the physical outcomes of the same world with the slot
+engine detached, which the object kernel runs alone — collisions,
+transmissions, delivered bytes, per-link packet counters — and exactly
+the same :class:`~repro.sim.capture.TimelineCapture` record stream.  Two
+layers of evidence:
 
 * two dense campaign scenarios (statistical and bit-accurate), run on
-  both engines and pinned against sha256 digests captured on the
+  both kernels and pinned against sha256 digests captured on the
   scalar-path tree (a matched pair of bugs in both engines cannot slip
   through);
 * a Hypothesis sweep over randomized worlds — piconet count, DM1/DM3/DH5
   traffic mixes, adaptive hop maps, static interferers — comparing
   outcome tuples and capture streams record for record.
 
-The deterministic tests also assert the engine actually *absorbed*
-windows (``windows_absorbed > 0``): a silently-declining engine would
-fall back to the object kernel and pass equivalence vacuously.
+The tests also assert the engine actually *absorbed* windows
+(``windows_absorbed > 0``): a silently-declining engine would fall back
+to the object kernel and pass equivalence vacuously.  The master's
+slot-loop state is compared after absorbed windows too, since the object
+kernel's next window starts from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -36,7 +39,8 @@ from repro.baseband.packets import PacketType
 from repro.experiments.common import page_up_pair, paper_config
 from repro.experiments.ext_interference import build_campaign_session
 from repro.link.traffic import SaturatedTraffic
-from repro.sim.soa import ENGINE_ENV_VAR
+
+from tests.kernels import detach, object_kernel
 
 #: sha256 prefixes of the scenario outcomes, captured on the tree that
 #: still resolved syncs per listener and filled hops one clock at a time.
@@ -44,22 +48,11 @@ GOLDEN_STAT = "ea87f0b01df77318"
 GOLDEN_BIT = "cd5dc5712ed5b940"
 
 
-class _engine:
-    """Context manager pinning ``REPRO_ENGINE`` (engine choice binds at
-    ``Session`` construction, so the scope only needs to cover it)."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        self.saved = os.environ.get(ENGINE_ENV_VAR)
-        os.environ[ENGINE_ENV_VAR] = self.name
-
-    def __exit__(self, *exc):
-        if self.saved is None:
-            os.environ.pop(ENGINE_ENV_VAR, None)
-        else:
-            os.environ[ENGINE_ENV_VAR] = self.saved
+def _engine(name: str):
+    """The scope of building a world for one kernel: Sessions built in
+    it run on the object kernel alone for ``"object"`` and offer their
+    windows to the slot engine for ``"soa"``."""
+    return object_kernel() if name == "object" else nullcontext()
 
 
 def _outcome(session, pairs) -> tuple:
@@ -78,7 +71,7 @@ def _digest(outcome: tuple) -> str:
 
 
 # ----------------------------------------------------------------------
-# Golden-digest scenarios (both engines pinned to the pre-PR outcomes)
+# Golden-digest scenarios (both kernels pinned to the pre-PR outcomes)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,kwargs,slots,golden", [
@@ -120,11 +113,40 @@ def test_soa_capture_stream_identical():
     assert soa_session.slot_engine.windows_absorbed > 0
 
 
-def test_object_engine_has_no_slot_engine():
-    with _engine("object"):
-        assert Session(seed=1).slot_engine is None
-    with _engine("soa"):
-        assert Session(seed=1).slot_engine is not None
+def test_only_a_bounded_run_offers_its_window():
+    session = Session(seed=1)
+    engine = session.slot_engine
+
+    def offers():
+        return engine.windows_absorbed + engine.windows_declined
+
+    session.run_slots(4)
+    assert offers() == 1
+    session.sim.run(until_ns=session.sim.now + 10_000, max_events=5)
+    session.sim.run()
+    assert offers() == 1
+    detach(session).run_slots(4)
+    assert offers() == 1
+
+
+def test_handback_leaves_the_masters_slot_loop_state():
+    """After absorbed windows the master's last served pair and the
+    opening of its last reply window are where the object kernel leaves
+    them: its next idle pair reads both to decide whether it may sleep."""
+    state = {}
+    for engine in ("object", "soa"):
+        with _engine(engine):
+            session = Session(seed=9)
+        master, _ = page_up_pair(session, label="handback")
+        SaturatedTraffic(master, 1, ptype=PacketType.DM3,
+                         payload_len=10).start()
+        side = master.connection_master
+        state[engine] = []
+        for slots in (64, 1001):
+            session.run_slots(slots)
+            state[engine].append((side._served_pair, side._reply_ns))
+    assert session.slot_engine.windows_absorbed == 2
+    assert state["soa"] == state["object"]
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +199,8 @@ def _build_random_world(engine: str, scenario) -> tuple:
         SaturatedTraffic(master, 1, ptype=ptype).start()
     session.run_slots(100)  # warm-up past traffic start
     session.run_slots(observe_slots)
-    absorbed = session.slot_engine.windows_absorbed \
-        if session.slot_engine is not None else 0
-    return _outcome(session, pairs), session.capture.events(), absorbed
+    return (_outcome(session, pairs), session.capture.events(),
+            session.slot_engine.windows_absorbed)
 
 
 @given(scenario=_worlds())

@@ -1,75 +1,77 @@
-"""Regression: result journals are bound to the simulation engine and to
-the campaign-spec version.
+"""Regression: result journals are bound to the channel mode and to the
+campaign-spec version.
 
-A journal written under the object kernel holds object-kernel outcomes;
-resuming it under ``REPRO_ENGINE=soa`` (or vice versa) must be refused
-through the existing spec-digest handshake, not silently mixed.  The
-engines are byte-identical by contract, so this guard only ever fires
-when that contract has regressed — exactly when mixing would corrupt a
-campaign.  A journal written under an older spec version is refused the
-same way.
+``REPRO_BIT_ACCURATE`` switches every experiment between the statistical
+per-stage channel and full air-frame encode/decode, so the two modes give
+different outcomes.  A journal written in one mode must be refused when
+resumed in the other through the spec-digest handshake, not silently
+mixed into a table of the other mode.  A journal written under an older
+spec version is refused the same way.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
-from repro.experiments import ext_interference
-from repro.experiments.common import map_points, run_sweep
-from repro.sim.soa import ENGINE_ENV_VAR
+from repro.experiments.common import BIT_ACCURATE_ENV_VAR, map_points, run_sweep
+from repro.stats.montecarlo import TrialOutcome
 from repro.stats.store import ResultStore, SpecMismatchError, campaign_digest
 from repro.stats.sweep import Sweep, campaign_spec
 
 SEED = 606
+XS = [(1.0, "1"), (2.0, "2")]
 
 
-def _spec(monkeypatch, engine):
-    monkeypatch.setenv(ENGINE_ENV_VAR, engine)
-    sweep = Sweep(master_seed=SEED, trials_per_point=1)
-    xs = [(0.0, "0")]
-    return campaign_spec([(sweep, xs, ext_interference.run_trial)])
+def _trial(x, seed):
+    """Module-level trial body: the journal binding does not depend on it."""
+    return TrialOutcome(seed=seed, success=True, value=x)
 
 
-def test_campaign_spec_carries_engine(monkeypatch):
-    spec_obj = _spec(monkeypatch, "object")
-    spec_soa = _spec(monkeypatch, "soa")
-    assert spec_obj["engine"] == "object"
-    assert spec_soa["engine"] == "soa"
-    assert campaign_digest(spec_obj) != campaign_digest(spec_soa)
+def _sweep(resume_dir, store_name="mode"):
+    return run_sweep(SEED, 2, XS, _trial, jobs=1, resume=str(resume_dir),
+                     store_name=store_name)
 
 
-def test_journal_refuses_other_engine(tiny_experiments, monkeypatch,
-                                      tmp_path):
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    resume_dir = str(tmp_path / "journals")
-    xs = [(float(count), str(count))
-          for count in ext_interference.PICONET_COUNTS]
-    reference = run_sweep(SEED, 1, xs, ext_interference.run_trial, jobs=1,
-                          resume=resume_dir, store_name="engine")
-    # same engine: the journal is replayed and reproduces the run
-    resumed = run_sweep(SEED, 1, xs, ext_interference.run_trial, jobs=1,
-                        resume=resume_dir, store_name="engine")
-    assert pickle.dumps(resumed) == pickle.dumps(reference)
-    # other engine: same journal name, different campaign — refused
-    monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
+def test_journal_spec_carries_the_channel_mode(monkeypatch, tmp_path):
+    """The journal header binds the campaign spec with the channel mode
+    added."""
+    spec = campaign_spec([(Sweep(master_seed=SEED, trials_per_point=2), XS,
+                           _trial)])
+    assert spec["version"] == 3 and "bit_accurate" not in spec
+    for mode, value in ((False, "0"), (True, "1")):
+        monkeypatch.setenv(BIT_ACCURATE_ENV_VAR, value)
+        _sweep(tmp_path / value)
+        with open(tmp_path / value / "mode.jsonl", encoding="utf-8") as stream:
+            header = json.loads(stream.readline())
+        assert header["spec_digest"] == \
+            campaign_digest(dict(spec, bit_accurate=mode))
+
+
+def test_journal_refuses_other_channel_mode(monkeypatch, tmp_path):
+    monkeypatch.delenv(BIT_ACCURATE_ENV_VAR, raising=False)
+    reference = _sweep(tmp_path)
+    # same mode: the journal is replayed and reproduces the run
+    assert pickle.dumps(_sweep(tmp_path)) == pickle.dumps(reference)
+    # other mode: same journal name, different campaign — refused
+    monkeypatch.setenv(BIT_ACCURATE_ENV_VAR, "1")
     with pytest.raises(SpecMismatchError, match="refusing to resume"):
-        run_sweep(SEED, 1, xs, ext_interference.run_trial, jobs=1,
-                  resume=resume_dir, store_name="engine")
+        _sweep(tmp_path)
 
 
-def test_journal_from_spec_version_1_is_refused(monkeypatch, tmp_path):
-    """Version 2 dropped the per-sweep seed-formula flag: a journal whose
-    header carries a version-1 digest of the same campaign is refused
-    before any trial runs."""
-    spec = _spec(monkeypatch, "object")
-    assert spec["version"] == 2
-    old_spec = dict(spec, version=1)
+def test_journal_from_spec_version_2_is_refused(monkeypatch, tmp_path):
+    """Version 3 dropped the engine key: a journal whose header carries
+    the version-2 digest of the same campaign is refused before any trial
+    runs."""
+    monkeypatch.delenv(BIT_ACCURATE_ENV_VAR, raising=False)
+    spec = campaign_spec([(Sweep(master_seed=SEED, trials_per_point=2), XS,
+                           _trial)])
+    old_spec = dict(spec, version=2, engine="object")
     ResultStore(str(tmp_path / "old.jsonl"), campaign_digest(old_spec)).close()
     with pytest.raises(SpecMismatchError, match="refusing to resume"):
-        run_sweep(SEED, 1, [(0.0, "0")], ext_interference.run_trial, jobs=1,
-                  resume=str(tmp_path), store_name="old")
+        _sweep(tmp_path, store_name="old")
 
 
 def _point_value(x):
@@ -77,11 +79,12 @@ def _point_value(x):
     return x * x
 
 
-def test_map_points_journal_refuses_other_engine(monkeypatch, tmp_path):
+def test_map_points_journal_refuses_other_channel_mode(monkeypatch,
+                                                       tmp_path):
     """``map_points`` grids (fig10-12, ext_throughput) bind their journals
-    to the engine too: resumed under the same engine, refused under the
+    to the channel mode too: resumed in the same mode, refused in the
     other."""
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    monkeypatch.delenv(BIT_ACCURATE_ENV_VAR, raising=False)
     tasks = [(1,), (2,), (3,)]
     resume_dir = str(tmp_path / "journals")
     first = map_points(_point_value, tasks, jobs=1, resume=resume_dir,
@@ -89,7 +92,7 @@ def test_map_points_journal_refuses_other_engine(monkeypatch, tmp_path):
     assert first == [1, 4, 9]
     assert map_points(_point_value, tasks, jobs=1, resume=resume_dir,
                       store_name="points") == first
-    monkeypatch.setenv(ENGINE_ENV_VAR, "soa")
+    monkeypatch.setenv(BIT_ACCURATE_ENV_VAR, "1")
     with pytest.raises(SpecMismatchError, match="refusing to resume"):
         map_points(_point_value, tasks, jobs=1, resume=resume_dir,
                    store_name="points")

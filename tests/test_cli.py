@@ -41,7 +41,6 @@ class TestCli:
         assert "unknown experiment" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variable, value", [
-        ("REPRO_ENGINE", "SOA"),
         ("REPRO_JOBS", "two"),
         ("REPRO_TRIALS", "lots"),
         ("REPRO_CHAOS", "seed=7,crash=lots"),
