@@ -10,7 +10,8 @@ at jobs ∈ {1, 4} (byte-identical, with the same no-regression guard).  A
 20-piconet dense point is measured on the SoA slot engine, which every
 session offers its windows, against the object kernel (the same world
 with the slot engine detached) — paired rounds, outcomes asserted
-identical, the speedup archived in the ``soa`` section.  The AFH workload rides along too: an 8-piconet
+identical, the speedup archived in the ``soa`` section.  The AFH
+workload rides along too: an 8-piconet
 deployment next to a 20-channel static interferer, measured with AFH off
 and on — the archived entry pins that the adaptive hop set recovers the
 goodput the fixed sequence keeps losing.  The timeline-capture overhead

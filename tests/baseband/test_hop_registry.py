@@ -100,8 +100,8 @@ class TestSlotLoopMemoBound:
         assert fills == bounded
 
     def test_an_absorbed_window_prefills_within_the_bound(self):
-        """The slot engine prefills at most half a memo, so one long
-        absorbed window leaves every memo within the bound plus one
+        """The slot engine fills at most half a memo at a time, so one
+        long absorbed window leaves every memo within the bound plus one
         window as well."""
         from repro.baseband.hop import WINDOW_SLOTS
 

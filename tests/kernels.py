@@ -9,7 +9,7 @@ calls), detach it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from repro.api import Session
 
@@ -34,3 +34,10 @@ def object_kernel():
         yield
     finally:
         Session.__init__ = init
+
+
+def kernel(engine: str):
+    """The scope in which to build a world for one side of a comparison:
+    ``"object"`` detaches the slot engine of every Session built in it,
+    ``"soa"`` leaves it attached."""
+    return object_kernel() if engine == "object" else nullcontext()

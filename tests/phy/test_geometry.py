@@ -46,11 +46,11 @@ from repro.phy.geometry import (
     uniform_disc_layout,
 )
 
+from tests.kernels import kernel
 from tests.sim.test_soa_equivalence import (
     GOLDEN_BIT,
     GOLDEN_STAT,
     _digest,
-    _engine,
     _outcome,
 )
 
@@ -268,7 +268,7 @@ def _run_flat_topology_scenario(engine: str, kwargs: dict,
                                 slots: int) -> tuple:
     """The golden campaign scenario with a FlatLoss topology installed
     and every device *placed* — the placements must be inert."""
-    with _engine(engine):
+    with kernel(engine):
         session, pairs = build_campaign_session(**kwargs)
     topology = session.install_topology(FlatLoss())
     for index, (master, slave) in enumerate(pairs):
@@ -297,7 +297,7 @@ def test_flat_topology_matches_no_topology_golden(engine, name, kwargs,
 # ----------------------------------------------------------------------
 
 def _run_spatial_world(engine: str, radius_m: float) -> tuple:
-    with _engine(engine):
+    with kernel(engine):
         session, pairs = build_spatial_session(3, radius_m, seed=97,
                                                capture=True)
     session.run_slots(600)
@@ -339,7 +339,7 @@ def test_mobility_declines_soa_absorption_but_stays_equivalent():
         config = dataclasses.replace(
             paper_config(seed=11, t_poll_slots=4000),
             sir=SirConfig(capture_threshold_db=10.0))
-        with _engine(engine):
+        with kernel(engine):
             from repro.api import Session
             session = Session(config=config)
         pairs = [page_up_pair(session, index, label="mobility")

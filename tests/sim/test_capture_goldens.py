@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import io
-from contextlib import nullcontext
 
 import pytest
 
 from repro import PacketType, Session
 from repro.experiments.ext_interference import build_campaign_session
 
-from tests.kernels import object_kernel
+from tests.kernels import kernel
 
 #: (records, sha256 prefix of the JSONL stream) per world
 GOLDEN_STREAMS = {
@@ -60,7 +59,7 @@ WORLDS = {
 @pytest.mark.parametrize("world", sorted(WORLDS))
 @pytest.mark.parametrize("engine", ["object", "soa"])
 def test_capture_stream_matches_golden(world, engine):
-    with object_kernel() if engine == "object" else nullcontext():
+    with kernel(engine):
         session = WORLDS[world]()
     buffer = io.StringIO()
     records = session.capture.to_jsonl(buffer)

@@ -6,8 +6,6 @@ bounds, ``stop()``, subscriber chains and radios whose ``enable_tx``
 nobody watches.
 """
 
-from contextlib import nullcontext
-
 import pytest
 
 from repro import Session
@@ -17,13 +15,13 @@ from repro.power.rf_activity import RfActivityProbe
 from repro.sim.signal import Signal
 from repro.sim.trace import TraceRecorder
 
-from tests.kernels import object_kernel
+from tests.kernels import kernel
 
 
 def _campaign(engine: str):
     """The two-piconet campaign world, on the object kernel alone for
     ``"object"`` and with its slot engine attached for ``"soa"``."""
-    with object_kernel() if engine == "object" else nullcontext():
+    with kernel(engine):
         session, _ = build_campaign_session(2, 97)
     return session
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -40,19 +39,12 @@ from repro.experiments.common import page_up_pair, paper_config
 from repro.experiments.ext_interference import build_campaign_session
 from repro.link.traffic import SaturatedTraffic
 
-from tests.kernels import detach, object_kernel
+from tests.kernels import detach, kernel
 
 #: sha256 prefixes of the scenario outcomes, captured on the tree that
 #: still resolved syncs per listener and filled hops one clock at a time.
 GOLDEN_STAT = "ea87f0b01df77318"
 GOLDEN_BIT = "cd5dc5712ed5b940"
-
-
-def _engine(name: str):
-    """The scope of building a world for one kernel: Sessions built in
-    it run on the object kernel alone for ``"object"`` and offer their
-    windows to the slot engine for ``"soa"``."""
-    return object_kernel() if name == "object" else nullcontext()
 
 
 def _outcome(session, pairs) -> tuple:
@@ -80,10 +72,10 @@ def _digest(outcome: tuple) -> str:
                           bit_accurate=True), 400, GOLDEN_BIT),
 ])
 def test_soa_matches_object_golden(name, kwargs, slots, golden):
-    with _engine("object"):
+    with kernel("object"):
         obj_session, obj_pairs = build_campaign_session(**kwargs)
     obj_session.run_slots(slots)
-    with _engine("soa"):
+    with kernel("soa"):
         soa_session, soa_pairs = build_campaign_session(**kwargs)
     soa_session.run_slots(slots)
     obj, soa = _outcome(obj_session, obj_pairs), _outcome(soa_session,
@@ -98,10 +90,10 @@ def test_soa_matches_object_golden(name, kwargs, slots, golden):
 def test_soa_capture_stream_identical():
     """Capture-on worlds on both engines: every timeline record —
     ordering, timestamps, payload fields — must match exactly."""
-    with _engine("object"):
+    with kernel("object"):
         obj_session, obj_pairs = build_campaign_session(3, 97, capture=True)
     obj_session.run_slots(800)
-    with _engine("soa"):
+    with kernel("soa"):
         soa_session, soa_pairs = build_campaign_session(3, 97, capture=True)
     soa_session.run_slots(800)
     assert _outcome(soa_session, soa_pairs) == _outcome(obj_session,
@@ -132,10 +124,11 @@ def test_only_a_bounded_run_offers_its_window():
 def test_handback_leaves_the_masters_slot_loop_state():
     """After absorbed windows the master's last served pair and the
     opening of its last reply window are where the object kernel leaves
-    them: its next idle pair reads both to decide whether it may sleep."""
+    them: ``wake`` re-arms after the served pair, and an idle pair sleeps
+    only once the reply window has opened."""
     state = {}
     for engine in ("object", "soa"):
-        with _engine(engine):
+        with kernel(engine):
             session = Session(seed=9)
         master, _ = page_up_pair(session, label="handback")
         SaturatedTraffic(master, 1, ptype=PacketType.DM3,
@@ -182,7 +175,7 @@ def _worlds(draw):
 
 def _build_random_world(engine: str, scenario) -> tuple:
     n_piconets, seed, ptypes, afh_spans, jam, observe_slots = scenario
-    with _engine(engine):
+    with kernel(engine):
         session = Session(config=paper_config(seed=seed, t_poll_slots=4000),
                           capture=True)
     pairs = [page_up_pair(session, index, label="soa-equivalence")

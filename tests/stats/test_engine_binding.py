@@ -16,7 +16,11 @@ import pickle
 
 import pytest
 
-from repro.experiments.common import BIT_ACCURATE_ENV_VAR, map_points, run_sweep
+from repro.experiments.common import (
+    BIT_ACCURATE_ENV_VAR,
+    map_points,
+    run_sweep,
+)
 from repro.stats.montecarlo import TrialOutcome
 from repro.stats.store import ResultStore, SpecMismatchError, campaign_digest
 from repro.stats.sweep import Sweep, campaign_spec
@@ -68,7 +72,7 @@ def test_journal_from_spec_version_2_is_refused(monkeypatch, tmp_path):
     monkeypatch.delenv(BIT_ACCURATE_ENV_VAR, raising=False)
     spec = campaign_spec([(Sweep(master_seed=SEED, trials_per_point=2), XS,
                            _trial)])
-    old_spec = dict(spec, version=2, engine="object")
+    old_spec = {**spec, "version": 2, "engine": "object"}
     ResultStore(str(tmp_path / "old.jsonl"), campaign_digest(old_spec)).close()
     with pytest.raises(SpecMismatchError, match="refusing to resume"):
         _sweep(tmp_path, store_name="old")
