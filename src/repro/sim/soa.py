@@ -78,11 +78,9 @@ K_SYNC_BATCH = 8
 K_HEADER = 9
 K_END = 10
 
-#: Slots of hop frequencies one fill covers, both the window prefill and
-#: each refill on a memo miss past it: half a connection memo, so the
-#: memo bound holds (a prefill of a whole long window would put every one
-#: of its slots in each memo), while refills of WINDOW_SLOTS, as the
-#: object kernel makes, measured ext_throughput 10 % slower.
+#: Slots of hop frequencies the window prefill covers at most: half a
+#: connection memo, so the memo bound holds (a prefill of a whole long
+#: window would put every one of its slots in each memo).
 FILL_SLOTS = HopSelector._MEMO_MAX // 2
 
 _attach_index = attrgetter("attach_index")
@@ -421,8 +419,8 @@ class SlotEngine:
         Masters and their slaves share the per-address memo through the
         world's HopRegistry, so one row per master serves both sides; the
         handlers then resolve each slot with a dict hit.  The pass covers
-        at most :data:`FILL_SLOTS` slots; the micro loop refills the rest
-        of a longer window on a miss.
+        at most :data:`FILL_SLOTS` slots; past them a longer window's
+        lookups miss and fill as the object kernel's do.
         """
         window = min(int(until_ns - now) // units.SLOT_NS + 8, FILL_SLOTS)
         if masters:
@@ -461,7 +459,6 @@ class SlotEngine:
         listen_ns = config.link.active_listen_ns
         slot_ns = units.SLOT_NS
         pair_ns = 2 * units.SLOT_NS
-        fill_slots = FILL_SLOTS
         tick_ns = units.TICK_NS
         clk_mask = units.CLKN_WRAP - 1
         sync_off = modem_delay + SYNC_DECISION_NS
@@ -926,8 +923,7 @@ class SlotEngine:
                 clk = ticks & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = int(st.selector.connection_window(
-                        clk, fill_slots)[0])
+                    freq = st.selector.connection(clk)
                 if cap is not None:
                     cap.hop(t, st.device.path, clk, freq)
                 am = best.am_addr
@@ -985,8 +981,7 @@ class SlotEngine:
                        + st.offset_ticks) & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = int(st.selector.connection_window(
-                        clk, fill_slots)[0])
+                    freq = st.selector.connection(clk)
                 # mirrors rx_on with listener_retuned's bucket move inlined
                 rf.rx_freq = freq
                 rf.rx_freq_fn = None
@@ -1030,8 +1025,7 @@ class SlotEngine:
                 clk = ticks & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = int(st.selector.connection_window(
-                        clk, fill_slots)[0])
+                    freq = st.selector.connection(clk)
                 if rf.rx_freq is not None:  # rx_open
                     if rf.locked_tx is None:  # rx_retune no-ops when locked
                         rf.rx_freq = freq
@@ -1077,8 +1071,7 @@ class SlotEngine:
                        + st.offset_ticks) & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = int(st.selector.connection_window(
-                        clk, fill_slots)[0])
+                    freq = st.selector.connection(clk)
                 data = st.buffer._data  # _lmp empty by gate: peek==data[0]
                 item = data[0] if data else None
                 arq = h.arq
