@@ -228,10 +228,8 @@ def _run_capture_overhead(chunk_slots: int = 50) -> dict:
     *better* median is archived — a real hook regression slows every
     pass, while one unluckily-laid-out pass must not fail the build.
     Outcomes must be byte-identical: capture is purely observational.
-    Both worlds run on the object kernel (slot engine detached), which
-    the guard has always measured: the slot engine steps the point about
-    2.5x faster, so the same capture work weighs more there (ratios of
-    0.93-0.96 over ten passes with it attached).
+    Both worlds take the default path, on which the slot engine absorbs
+    every observed window.
     """
     best: dict = {}
     outcomes: set = set()
@@ -240,7 +238,6 @@ def _run_capture_overhead(chunk_slots: int = 50) -> dict:
             DENSE_PICONETS, seed=606)
         session_on, pairs_on = ext_interference.build_campaign_session(
             DENSE_PICONETS, seed=606, capture=True)
-        session_off.sim._slot_engine = session_on.sim._slot_engine = None
         events_before = (session_off.sim.events_dispatched,
                          session_on.sim.events_dispatched)
         gc.collect()
@@ -388,10 +385,8 @@ def _run_afh_workload() -> dict:
 
 
 def _run_piconet_kernel() -> dict:
-    """Events/sec of a 7-slave piconet in steady connection state, on
-    the object kernel (slot engine detached)."""
+    """Events/sec of a 7-slave piconet in steady connection state."""
     session = Session(config=paper_config(seed=2))
-    session.sim._slot_engine = None
     master = session.add_device("master")
     slaves = [session.add_device(f"slave{i}") for i in range(PICONET_SLAVES)]
     session.build_piconet(master, slaves)

@@ -33,14 +33,15 @@ existing waveform tooling with :meth:`to_signals` /
 
 from __future__ import annotations
 
+import heapq
 import io
 import itertools
 import json
 import math
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.sim.trace import TracedSignal, TraceRecorder
@@ -74,11 +75,12 @@ _FIELDS = {
 #: to four details, padded with None.
 _WIDTH = 8
 
-#: Staged records at which the next recorder that checks the batch merges
-#: it into the ring.
+#: Pending transmissions past which the next ``tx_start`` records the
+#: ends that have passed.
 _BATCH = 128
 
 _AT = itemgetter(0)
+_CORRUPTED = attrgetter("corrupted")
 
 #: Sentinel for "derive sir_db from the transmission's accumulated
 #: interference" (the flat resolvers' behaviour; the spatial resolver
@@ -122,29 +124,33 @@ class TimelineCapture:
     time is monotone, so the ring is in time order.  The one exception
     is a world driven on after a run without a bound fired its last
     event: a query in between records the ends of the packets still on
-    the air (see ``_flush_passed``).
+    the air (see ``_flush_passed``), and those ends then stand before
+    every end recorded after them.
     """
 
     def __init__(self, capacity: int = 1 << 16):
         if capacity <= 0:
             raise ValueError("capture capacity must be positive")
         self.capacity = capacity
-        # a record is a (t_ns, kind, src, freq, *details) tuple padded to
-        # _WIDTH, detail names resolved positionally through _FIELDS at
-        # query time; TimelineEvent objects (and their detail dicts) are
-        # materialized lazily.  The ring stores the records' slots flat,
-        # so it keeps no container per record: the tuples are transient
-        # and a capture adds no young-generation garbage-collector passes.
-        self._events: deque = deque(maxlen=_WIDTH * capacity)
+        # a record is the slots (t_ns, kind, src, freq, *details) padded
+        # to _WIDTH, detail names resolved positionally through _FIELDS
+        # at query time; TimelineEvent objects (and their detail dicts)
+        # are materialized lazily.  The ring keeps the slots flat, so it
+        # holds no container per record and a capture adds no
+        # young-generation garbage-collector passes: the tx_end records
+        # in _ends, the other kinds in _events, each in time order, and
+        # _rows merges the two.  They run up to half the capacity past
+        # it before _trim cuts the oldest records; queries trim exactly.
+        self._events: list = []
+        self._ends: list = []
+        self._limit = _WIDTH * (capacity + max(capacity // 2, _BATCH))
         # the kinds of the records the ring dropped, so counts() stays
         # exact over the whole run
         self._evicted: Counter[str] = Counter()
-        # records reach the ring in batches: the recorders stage them in
-        # arrival (= time) order, and a transmission also notes its end
-        # in _pending as (end_ns, src, freq, ptype, tx), in transmit
-        # order; _merge interleaves the due tx_end records
-        self._staged: list[tuple] = []
+        # the tx_end records still to come, in transmit order, each with
+        # its transmission in the slot of the corruption flag
         self._pending: list[tuple] = []
+        self._drain_at = _BATCH
 
     @staticmethod
     def _data(row: tuple) -> dict[str, Any]:
@@ -172,14 +178,11 @@ class TimelineCapture:
             raise ValueError(
                 f"{kind!r} records carry fields {fields}, got {tuple(data)}")
         row = (t_ns, kind, src, freq, *(data[field] for field in fields))
-        self._stage(row + (None,) * (_WIDTH - len(row)))
+        self._append(row + (None,) * (_WIDTH - len(row)))
 
     def hop(self, t_ns: int, src: str, clk: int, freq: int) -> None:
         """Master slot loop selected ``freq`` at piconet clock ``clk``."""
-        staged = self._staged
-        if len(staged) >= _BATCH:
-            self._merge()
-        staged.append((t_ns, "hop", src, freq, clk, None, None, None))
+        self._append((t_ns, "hop", src, freq, clk, None, None, None))
 
     def tx_start(self, t_ns: int, tx: "Transmission") -> None:
         """A transmission entered the air.  Fields are copied out *now*
@@ -188,82 +191,87 @@ class TimelineCapture:
         GC passes — measurably pricier than the five eager reads.
 
         The matching ``tx_end`` follows on its own, with no kernel event
-        for the packet end: it lands in front of the first record stamped
-        at or after the end, or at the next query once the world's clock
-        (``tx.radio.sim``) has passed it.  Packets ending at one instant
-        record in transmit order, each with its corruption flag as of its
-        end (no resolver changes the flag of a packet off the air), read
-        when the batch that passes the end merges.
+        for the packet end: it is recorded once a later ``tx_start`` or a
+        query finds a record or the world's clock (``tx.radio.sim``) past
+        the end, and stands in front of the first record stamped at or
+        after the end.  Packets ending at one instant record in transmit
+        order, each with its corruption flag as of its end (no resolver
+        changes the flag of a packet off the air).
         """
-        staged = self._staged
-        if len(staged) >= _BATCH:
-            self._merge()
+        pending = self._pending
+        if len(pending) >= self._drain_at:
+            self._end_records(t_ns)
         src = tx.radio.path
         freq = tx.freq
         ptype = tx.packet.ptype
         duration = tx.duration_ns
-        staged.append((t_ns, "tx_start", src, freq, ptype, tx.meta.purpose,
-                       duration, None))
-        self._pending.append((tx.start_ns + duration, src, freq, ptype, tx))
+        self._events.extend((t_ns, "tx_start", src, freq, ptype,
+                             tx.meta.purpose, duration, None))
+        pending.append((tx.start_ns + duration, "tx_end", src, freq, ptype,
+                        tx, None, None))
 
-    def _stage(self, row: tuple) -> None:
-        """Stage a record of a rare kind (the hot recorders inline this).
-        Every kind but capture_loss and arq_retx, which only come with a
-        transmission, checks the batch, so the staged list stays short."""
-        staged = self._staged
-        if len(staged) >= _BATCH:
-            self._merge()
-        staged.append(row)
-
-    def _merge(self) -> None:
-        """Move the staged records into the ring, with the ``tx_end``
-        records of the pending ends they have passed in front of them."""
-        staged = self._staged
-        if not staged:
-            return
-        self._end_records(staged[-1][0])
+    def _append(self, row: tuple) -> None:
+        """Append a record, checking the ring's bound (capture_loss and
+        arq_retx, which only come with a transmission, skip it)."""
         events = self._events
-        overflow = len(events) // _WIDTH + len(staged) - self.capacity
-        if overflow > 0:
-            # bank the kinds of the records the ring is about to drop
-            self._evicted.update(itertools.islice(itertools.chain(
-                itertools.islice(events, 1, None, _WIDTH),
-                (row[1] for row in staged)), overflow))
-        events.extend(itertools.chain.from_iterable(staged))
-        staged.clear()
+        if len(events) > self._limit:
+            self._trim()
+        events += row
 
     def _end_records(self, limit_ns) -> None:
-        """Stage the ``tx_end`` records of the pending ends at or before
-        ``limit_ns``, each in front of the first staged record stamped at
-        or after its end."""
+        """Record the pending ends at or before ``limit_ns`` in end order
+        (one instant's in transmit order), then check the ring's bound."""
         pending = self._pending
-        pending.sort(key=_AT)  # stable: one instant's ends in transmit order
+        pending.sort(key=_AT)
         due = bisect_right(pending, limit_ns, key=_AT)
-        if not due:
-            return
-        rows = [(end_ns, "tx_end", src, freq, ptype, tx.corrupted, None, None)
-                for end_ns, src, freq, ptype, tx in pending[:due]]
+        ends = self._ends
+        flags = len(ends) + 5
+        ends += itertools.chain.from_iterable(pending[:due])
         del pending[:due]
-        staged = self._staged
-        rows += staged
-        rows.sort(key=_AT)  # stable: an end precedes its instant's records
-        staged[:] = rows
+        ends[flags::_WIDTH] = map(_CORRUPTED, ends[flags::_WIDTH])
+        self._drain_at = len(pending) + _BATCH
+        if len(self._events) + len(ends) > self._limit:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Drop the oldest records past the capacity, banking their kinds
+        so counts() stays exact."""
+        events, ends = self._events, self._ends
+        drop = (len(events) + len(ends)) // _WIDTH - self.capacity
+        if drop <= 0:
+            return
+        times = events[::_WIDTH]
+        end_times = ends[::_WIDTH]
+        # they hold the first n ends: the largest n whose last end is not
+        # later than the first other record left
+        low, high = max(0, drop - len(times)), min(drop, len(end_times))
+        while low < high:
+            n = (low + high + 1) // 2
+            if drop - n == len(times) or end_times[n - 1] <= times[drop - n]:
+                low = n
+            else:
+                high = n - 1
+        cut = _WIDTH * (drop - low)
+        self._evicted.update(events[1:cut:_WIDTH])
+        self._evicted["tx_end"] += low
+        del events[:cut]
+        del ends[:_WIDTH * low]
 
     def _flush_passed(self) -> None:
-        """Before a query: move the staged records into the ring, then
-        record the pending ends the clock has passed.
+        """Before a query: record the pending ends that a record or the
+        clock has passed, then trim the ring to its capacity.
 
-        Those are the ends before ``now``, as a packet-end event at
-        ``now`` would not have fired yet, and all of them once a run
-        without a bound has fired every event of the world."""
-        self._merge()
-        pending = self._pending
-        if pending:
-            clock = pending[0][4].radio.sim
-            self._end_records(
-                math.inf if clock._ran_dry and not clock.pending_events
-                else clock.now - 1)
-            self._merge()
+        The clock has passed the ends before ``now``, as a packet-end
+        event at ``now`` would not have fired yet, and all of them once a
+        run without a bound has fired every event of the world."""
+        if self._pending:
+            clock = self._pending[0][5].radio.sim
+            limit = math.inf if clock._ran_dry and not clock.pending_events \
+                else clock.now - 1
+            if self._events:
+                limit = max(limit, self._events[-_WIDTH])
+            self._end_records(limit)
+        self._trim()
 
     def capture_loss(self, t_ns: int, tx: "Transmission",
                      sir_db: Any = _TX_SIR,
@@ -284,37 +292,41 @@ class TimelineCapture:
                     10.0 * math.log10(tx.power_mw / tx.interference_mw), 2)
             else:
                 sir_db = None
-        self._staged.append((t_ns, "capture_loss", tx.radio.path, tx.freq,
+        self._events.extend((t_ns, "capture_loss", tx.radio.path, tx.freq,
                              tx.packet.ptype, sir_db, distance_m, rx_dbm))
 
     def arq_retx(self, t_ns: int, src: str, freq: int, am_addr: int,
                  seqn: int) -> None:
         """The ARQ scheme re-sent an unacknowledged payload."""
-        self._staged.append((t_ns, "arq_retx", src, freq, am_addr, seqn, None,
-                             None))
+        self._events.extend((t_ns, "arq_retx", src, freq, am_addr, seqn,
+                             None, None))
 
     def afh_map(self, t_ns: int, src: str, n_used: int,
                 excluded: list[int]) -> None:
         """An adaptive hop set was installed (or cleared: all 79 used)."""
-        self._stage((t_ns, "afh_map", src, None, n_used, excluded, None,
-                     None))
+        self._append((t_ns, "afh_map", src, None, n_used, excluded, None,
+                      None))
 
     def assess(self, t_ns: int, src: str, n_bad: int,
                installed: bool) -> None:
         """The classifier ran an assessment."""
-        self._stage((t_ns, "assess", src, None, n_bad, installed, None, None))
+        self._append((t_ns, "assess", src, None, n_bad, installed, None,
+                      None))
 
     # ------------------------------------------------------------------
     # Query / replay
     # ------------------------------------------------------------------
 
     def _rows(self) -> Iterator[tuple]:
-        """The retained records, oldest first (padded to ``_WIDTH``)."""
-        return zip(*[iter(self._events)] * _WIDTH)
+        """The retained records, oldest first (padded to ``_WIDTH``):
+        the two rings merged by time, an end in front of its instant's
+        other records."""
+        return heapq.merge(zip(*[iter(self._ends)] * _WIDTH),
+                           zip(*[iter(self._events)] * _WIDTH), key=_AT)
 
     def __len__(self) -> int:
         self._flush_passed()
-        return len(self._events) // _WIDTH
+        return (len(self._events) + len(self._ends)) // _WIDTH
 
     def counts(self) -> dict[str, int]:
         """Exact per-kind totals over the whole run (eviction-proof):
@@ -322,7 +334,8 @@ class TimelineCapture:
         retained ring."""
         self._flush_passed()
         totals = Counter(self._evicted)
-        totals.update(itertools.islice(self._events, 1, None, _WIDTH))
+        totals.update(self._events[1::_WIDTH])
+        totals["tx_end"] += len(self._ends) // _WIDTH
         return {kind: totals[kind] for kind in KINDS if totals[kind]}
 
     def events(self, kind: Optional[str] = None, src: Optional[str] = None,

@@ -453,6 +453,9 @@ class SlotEngine:
         channel = session.channel
         config = session.config
         cap = channel.capture
+        if cap is not None:  # for TimelineCapture.tx_start, inlined
+            cap_record = cap._events.extend
+            cap_pending = cap._pending
         bit_accurate = config.bit_accurate
         fast_decode = not bit_accurate and config.noise.ber == 0.0
         modem_delay = config.rf.modem_delay_ns
@@ -567,7 +570,12 @@ class SlotEngine:
                 tx.air_bits = encode_packet(packet, uap=uap, clk=tx.tx_clk)
             channel.transmissions += 1
             if cap is not None:
-                cap.tx_start(t, tx)
+                if len(cap_pending) >= cap._drain_at:
+                    cap._end_records(t)
+                cap_record((t, "tx_start", rf.path, freq, ptype,
+                            meta.purpose, duration, None))
+                cap_pending.append((t + duration, "tx_end", rf.path, freq,
+                                    ptype, tx, None, None))
             resolve(tx, t, 0.0)
             if rf._tx_until_ns != t or delta:
                 rf._tx_rise_ns = t

@@ -104,6 +104,32 @@ class TestRecording:
             ("tx_end", 80, "c.rf"), ("tx_end", 100, "a.rf"),
             ("tx_end", 100, "b.rf"), ("hop", 100, "m0")]
 
+    def test_a_full_ring_keeps_the_newest_records_in_time_order(self):
+        # tx_end records are kept apart from the other kinds; a bounded
+        # capture must still retain exactly the newest records of the
+        # one time-ordered stream, an end in front of its instant's others
+        def rows(cap):
+            return [(event.t_ns, event.kind, event.src, event.data)
+                    for event in cap.events()]
+
+        sim = Simulator()
+        bounded, unbounded = TimelineCapture(capacity=7), TimelineCapture()
+        t = 0
+        for k in range(600):
+            t += 40 * (k % 3)  # every third record shares its instant
+            tx = _fake_tx(path=f"r{k % 5}.rf", freq=k % 79, start_ns=t,
+                          duration_ns=80 * (k % 4 + 1), corrupted=k % 7 == 0,
+                          sim=sim)
+            for cap in (bounded, unbounded):
+                cap.hop(t, "m0", clk=k, freq=k % 79)
+                if k % 2:
+                    cap.tx_start(t, tx)
+            if k % 13 == 0:  # each query trims to the capacity exactly
+                assert rows(bounded) == rows(unbounded)[-7:]
+        assert rows(bounded) == rows(unbounded)[-7:]
+        assert bounded.counts() == unbounded.counts()
+        assert unbounded.counts()["tx_end"] > 250
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             TimelineCapture(capacity=0)
