@@ -78,9 +78,9 @@ K_SYNC_BATCH = 8
 K_HEADER = 9
 K_END = 10
 
-#: Slots of hop frequencies the window prefill covers at most: half a
-#: connection memo, so the memo bound holds (a prefill of a whole long
-#: window would put every one of its slots in each memo).
+#: Slots of hop frequencies the window prefill and each miss past it fill:
+#: half a connection memo, so the memo bound holds (a prefill of a whole
+#: long window would put every one of its slots in each memo).
 FILL_SLOTS = HopSelector._MEMO_MAX // 2
 
 _attach_index = attrgetter("attach_index")
@@ -419,8 +419,8 @@ class SlotEngine:
         Masters and their slaves share the per-address memo through the
         world's HopRegistry, so one row per master serves both sides; the
         handlers then resolve each slot with a dict hit.  The pass covers
-        at most :data:`FILL_SLOTS` slots; past them a longer window's
-        lookups miss and fill as the object kernel's do.
+        at most :data:`FILL_SLOTS` slots; the micro loop fills as many
+        on each miss past them.
         """
         window = min(int(until_ns - now) // units.SLOT_NS + 8, FILL_SLOTS)
         if masters:
@@ -931,7 +931,7 @@ class SlotEngine:
                 clk = ticks & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = st.selector.connection(clk)
+                    freq = st.selector.connection(clk, FILL_SLOTS)
                 if cap is not None:
                     cap.hop(t, st.device.path, clk, freq)
                 am = best.am_addr
@@ -989,7 +989,7 @@ class SlotEngine:
                        + st.offset_ticks) & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = st.selector.connection(clk)
+                    freq = st.selector.connection(clk, FILL_SLOTS)
                 # mirrors rx_on with listener_retuned's bucket move inlined
                 rf.rx_freq = freq
                 rf.rx_freq_fn = None
@@ -1033,7 +1033,7 @@ class SlotEngine:
                 clk = ticks & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = st.selector.connection(clk)
+                    freq = st.selector.connection(clk, FILL_SLOTS)
                 if rf.rx_freq is not None:  # rx_open
                     if rf.locked_tx is None:  # rx_retune no-ops when locked
                         rf.rx_freq = freq
@@ -1079,7 +1079,7 @@ class SlotEngine:
                        + st.offset_ticks) & clk_mask
                 freq = st.memo.get(clk)
                 if freq is None:
-                    freq = st.selector.connection(clk)
+                    freq = st.selector.connection(clk, FILL_SLOTS)
                 data = st.buffer._data  # _lmp empty by gate: peek==data[0]
                 item = data[0] if data else None
                 arq = h.arq
