@@ -45,7 +45,13 @@ class PacketInfo:
 
 
 class PacketType(enum.Enum):
-    """The packet types of the ACL/common transport."""
+    """The packet types of the ACL/common transport.
+
+    Every member carries two plain attributes, set once below: ``info``,
+    its :class:`PacketInfo`, and ``is_data``, True for the six ACL
+    data-carrying types (and AUX1).  The slot handlers read them for
+    every packet, so no read runs code.
+    """
 
     ID = "ID"
     NULL = "NULL"
@@ -59,17 +65,12 @@ class PacketType(enum.Enum):
     DM5 = "DM5"
     DH5 = "DH5"
 
-    @property
-    def info(self) -> PacketInfo:
-        return _PACKET_INFO[self]
+    # members hash by identity: Enum's own hash runs Python code, and the
+    # air-time cache hashes the type of every packet sent
+    __hash__ = object.__hash__
 
-    @property
-    def is_data(self) -> bool:
-        """True for the six ACL data-carrying types (and AUX1)."""
-        return self in (
-            PacketType.DM1, PacketType.DH1, PacketType.AUX1,
-            PacketType.DM3, PacketType.DH3, PacketType.DM5, PacketType.DH5,
-        )
+    info: "PacketInfo"
+    is_data: bool
 
 
 _PACKET_INFO = {
@@ -96,6 +97,12 @@ _PACKET_INFO = {
     PacketType.DH5: PacketInfo(code=15, slots=5, fec=Fec.NONE, max_payload=339,
                                has_crc=True, payload_header_bytes=2),
 }
+
+for _ptype, _info in _PACKET_INFO.items():
+    _ptype.info = _info
+    _ptype.is_data = _ptype in (
+        PacketType.DM1, PacketType.DH1, PacketType.AUX1,
+        PacketType.DM3, PacketType.DH3, PacketType.DM5, PacketType.DH5)
 
 #: Symmetric single-link data rates from the spec (kb/s), used by the
 #: throughput experiment to sanity-check the simulator's zero-noise numbers.
@@ -147,6 +154,25 @@ class Packet:
             )
         if not 0 <= self.am_addr < 8:
             raise EncodingError(f"AM_ADDR out of range: {self.am_addr}")
+
+    @classmethod
+    def trusted(cls, ptype: PacketType, lap: int, am_addr: int, arqn: int,
+                seqn: int = 0, payload: bytes = b"", llid: int = 2) -> "Packet":
+        """A packet from parts checked upstream, built without the
+        constructor's checks.  The connection handlers build one per
+        transmission from their TX buffers, which check every payload
+        when it is queued."""
+        packet = object.__new__(cls)
+        packet.ptype = ptype
+        packet.lap = lap
+        packet.am_addr = am_addr
+        packet.flow = 1
+        packet.arqn = arqn
+        packet.seqn = seqn
+        packet.payload = payload
+        packet.fhs = None
+        packet.llid = llid
+        return packet
 
     # -- header ------------------------------------------------------------
 

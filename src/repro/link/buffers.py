@@ -35,6 +35,9 @@ class TxBuffer:
         self._lmp: deque[OutboundData] = deque()
         self._data: deque[OutboundData] = deque()
         self.dropped = 0
+        #: the source that tops the buffer up after an acknowledged pop
+        #: (a :class:`~repro.link.traffic.SaturatedTraffic`), if any
+        self.refill = None
 
     def __len__(self) -> int:
         return len(self._lmp) + len(self._data)
@@ -45,11 +48,13 @@ class TxBuffer:
 
     def load(self, item: OutboundData) -> bool:
         """Enqueue; returns False (and counts a drop) when full."""
-        queue = self._lmp if item.is_lmp else self._data
-        if len(self) >= self.capacity and not item.is_lmp:
+        if item.is_lmp:
+            self._lmp.append(item)
+            return True
+        if len(self._lmp) + len(self._data) >= self.capacity:
             self.dropped += 1
             return False
-        queue.append(item)
+        self._data.append(item)
         return True
 
     def peek(self) -> Optional[OutboundData]:

@@ -19,6 +19,13 @@ continuous listening at expiry (Fig. 12); in **park** it wakes only at
 beacon instants.
 
 The 1-bit ARQ (SEQN/ARQN) runs per link in both directions.
+
+Both kernels run the same handlers.  Each slot-loop step and each reception
+acts and then returns the events that follow it (``serve_pair``,
+``open_reply_window``, ``listen``, ``on_reception``); the object kernel's
+event callbacks (``_even_slot``, ``_rx_slot``, ``_master_slot``, the
+channel's end stage) queue them on the simulator, and the slot engine
+(:mod:`repro.sim.soa`) on its own heap.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from repro.baseband.packets import Packet, PacketType
 from repro.errors import ProtocolError
 from repro.link.afh import AfhController
 from repro.link.arq import LinkArq
-from repro.link.buffers import InboundData
+from repro.link.buffers import InboundData, TxBuffer
 from repro.link.hold import HoldSchedule, schedule_hold
 from repro.link.piconet import HoldParams, ParkParams, Piconet, SniffParams
 from repro.link.polling import PollingPolicy, RoundRobinPolicy, SlotAction
@@ -49,10 +56,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.channel import Reception
     from repro.link.device import BluetoothDevice
 
+#: Events a reception calls for, as ``(time_ns, callback)`` pairs.
+FollowUps = Optional[tuple]
+
+#: The transmission tags, one shared object per purpose.
+_META = {purpose: TxMeta(purpose=purpose)
+         for purpose in ("beacon", "data", "poll", "slave_reply")}
+
+_CLK_MASK = units.CLKN_WRAP - 1
+_TICK_NS = units.TICK_NS
+
+# Enum members the slot handlers test at every pair, as module constants:
+# the interpreter does not cache attribute lookups on an Enum class.
+_ACTIVE, _SNIFF, _HOLD, _PARK = (ConnectionMode.ACTIVE, ConnectionMode.SNIFF,
+                                 ConnectionMode.HOLD, ConnectionMode.PARK)
+_NULL, _POLL = PacketType.NULL, PacketType.POLL
+
 
 def _pairs(slots: int) -> int:
     """Convert a parameter given in time slots to master-slot pairs."""
     return max(1, slots // 2)
+
+
+def _pop_acked(buffer: TxBuffer, now_ns: int) -> FollowUps:
+    """Drop the acknowledged head of ``buffer``; returns the refill its
+    saturated source then calls for, if any."""
+    buffer.pop()
+    source = buffer.refill
+    if source is not None:
+        due = source.arm(now_ns)
+        if due is not None:
+            return ((due, source._refill),)
+    return None
 
 
 class ConnectionMaster:
@@ -68,11 +103,15 @@ class ConnectionMaster:
         self._resync_needed: set[int] = set()
         self._last_resync_poll: dict[int, int] = {}
         self._running = False
-        #: the pending slot-loop event, and the last pair the loop served
+        #: the pending slot-loop event and its time (None while the loop
+        #: sleeps until woken), and the last pair the loop served
         self._wake_event: Optional[EventHandle] = None
+        self._wake_ns: Optional[int] = None
         self._served_pair = -1
         #: when the reply window of the last transmission opens
         self._reply_ns = 0
+        self._expect = RxExpect(device.addr.lap, uap=device.addr.uap)
+        self._listen_ns = device.cfg.link.active_listen_ns
         self._beacon_interval_pairs: Optional[int] = None
         self.stats_tx_packets = 0
         self.stats_rx_packets = 0
@@ -98,6 +137,7 @@ class ConnectionMaster:
     def suspend(self) -> None:
         """Pause the loop (e.g. while paging an additional slave)."""
         self._running = False
+        self._wake_ns = None
         if self._wake_event is not None:
             self._wake_event.cancel()
 
@@ -112,18 +152,22 @@ class ConnectionMaster:
         before the pair the loop sleeps until."""
         if not self._running:
             return
+        now = self.device.sim.now
+        wake_ns = self._wake_ns
+        if wake_ns is not None and wake_ns < now + units.SLOT_PAIR_NS:
+            return  # the loop runs at the next boundary already
         # the first boundary at or after now, and after the last one served
-        pair = max(self.pair_index(self.device.sim.now - 1), self._served_pair) + 1
-        event = self._wake_event
-        if event is not None and event.pending:
-            if event.time_ns <= self.device.clock.time_at_tick(4 * pair):
+        pair = max(self.pair_index(now - 1), self._served_pair) + 1
+        if wake_ns is not None:
+            if wake_ns <= self.device.clock.time_at_tick(4 * pair):
                 return
-            event.cancel()
+            self._wake_event.cancel()
         self._arm(pair)
 
     def _arm(self, pair: int) -> None:
+        wake_ns = self._wake_ns = self.device.clock.time_at_tick(4 * pair)
         self._wake_event = self.device.sim.schedule_cancellable(
-            self.device.clock.time_at_tick(4 * pair), self._even_slot)
+            wake_ns, self._even_slot)
 
     # -- clock helpers ------------------------------------------------------
 
@@ -160,36 +204,54 @@ class ConnectionMaster:
     # -- the slot loop -------------------------------------------------------
 
     def _even_slot(self) -> None:
+        """The slot-loop event: serve the pair, queue what follows."""
+        wake_ns, reply_ns = self.serve_pair()
+        sim = self.device.sim
+        if wake_ns is not None:
+            self._wake_event = sim.schedule_cancellable(wake_ns,
+                                                        self._even_slot)
+        if reply_ns is not None:
+            sim.schedule_abs(reply_ns, self._rx_slot)
+
+    def serve_pair(self) -> tuple[Optional[int], Optional[int]]:
+        """Serve the master-slot pair that starts now: pick the policy's
+        action and send it.  Returns ``(wake_ns, reply_ns)``: when the
+        slot loop runs next (None: asleep until :meth:`wake`) and when
+        the reply window opens (None: nothing was sent)."""
         if not self._running:
-            return
+            self._wake_ns = None
+            return None, None
         device = self.device
+        now = device.sim.now
+        clock = device.clock
+        # BtClock.ticks, inlined: the slot loops read the clock every pair
+        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
+        pair = self._served_pair = ticks // 4
+        # the loop runs on its pair boundaries: the next is a pair later
+        wake_ns = self._wake_ns = now + units.SLOT_PAIR_NS
         rf = device.rf
-        pair = self._served_pair = self.pair_index()
-        if rf.rx_locked or rf.tx_busy:
-            self._arm(pair + 1)
-            return
-        if rf.rx_open:
+        if rf.locked_tx is not None or now < rf._tx_until_ns:
+            return wake_ns, None
+        if rf.rx_freq is not None or rf.rx_freq_fn is not None:  # rx_open
             rf.rx_off()
         if self.afh is not None:
             # assess before picking this pair's frequency, so a fresh map
             # applies from this very slot on (the slaves' selectors see it
             # through the shared per-address hop state)
             self.afh.maybe_assess(pair)
-        self._expire_holds(pair)
+        if self.hold_schedules:
+            self._expire_holds(pair)
         action = self.policy.choose(self, pair)
-        if action is None and self.afh is None \
-                and device.sim.now >= self._reply_ns:
+        if action is not None:
+            return wake_ns, self._transmit_action(action, pair,
+                                                  ticks & _CLK_MASK)
+        if self.afh is None and now >= self._reply_ns:
             # idle, with the radio off and no reply window ahead: sleep
             # until the policy can act (AFH assesses at every pair)
             due = self.policy.next_due(self, pair + 1)
-            if due is not None:
-                self._arm(due)
-            return
-        # the next pair is armed before this one transmits, so it keeps its
-        # place among the events the transmission schedules
-        self._arm(pair + 1)
-        if action is not None:
-            self._transmit_action(action, pair)
+            wake_ns = self._wake_ns = \
+                None if due is None else device.clock.time_at_tick(4 * due)
+        return wake_ns, None
 
     def _expire_holds(self, pair: int) -> None:
         for am_addr, schedule in list(self.hold_schedules.items()):
@@ -198,63 +260,71 @@ class ConnectionMaster:
                 self._resync_needed.add(am_addr)
                 self._last_resync_poll.pop(am_addr, None)
 
-    def _transmit_action(self, action: SlotAction, pair: int) -> None:
+    def _transmit_action(self, action: SlotAction, pair: int,
+                         clk: int) -> Optional[int]:
+        """Send ``action`` at piconet clock ``clk``; returns when the reply
+        window opens (None for a beacon or when nothing was sent)."""
         device = self.device
-        clk = device.clock.clk(device.sim.now)
+        now = device.sim.now
         freq = device.hop_selector.connection(clk)
         cap = device.channel.capture
         if cap is not None:
-            cap.hop(device.sim.now, device.path, clk, freq)
+            cap.hop(now, device.path, clk, freq)
+        addr = device.addr
         if action.kind == "beacon":
-            packet = Packet(ptype=PacketType.NULL, lap=device.addr.lap, am_addr=0)
-            device.rf.transmit(freq, packet, uap=device.addr.uap,
-                               meta=TxMeta(purpose="beacon"))
+            device.rf.transmit(freq, Packet.trusted(_NULL, addr.lap,
+                                                    0, 0),
+                               addr.uap, _META["beacon"])
             self.stats_tx_packets += 1
-            return
-        link = self.piconet.slaves.get(action.am_addr)
+            return None
+        am_addr = action.am_addr
+        link = self.piconet.slaves.get(am_addr)
         if link is None:
-            return
-        arq = self.arq[action.am_addr]
+            return None
+        arq = self.arq[am_addr]
         if action.kind == "data":
-            item = device.tx_buffer_for(action.am_addr).peek()
+            item = device.tx_buffer_for(am_addr).peek()
             if item is None:
-                return
+                return None
             if cap is not None and arq.tx.awaiting_ack:
                 # the head payload went unacknowledged: this send repeats it
-                cap.arq_retx(device.sim.now, device.path, freq,
-                             action.am_addr, arq.tx.seqn)
-            packet = Packet(ptype=item.ptype, lap=device.addr.lap,
-                            am_addr=action.am_addr,
-                            arqn=arq.rx.arqn,
-                            seqn=arq.tx.next_seqn(new_payload=True),
-                            payload=item.payload,
-                            llid=3 if item.is_lmp else 2)
+                cap.arq_retx(now, device.path, freq, am_addr, arq.tx.seqn)
+            packet = Packet.trusted(item.ptype, addr.lap, am_addr,
+                                    arq.rx.arqn,
+                                    arq.tx.next_seqn(new_payload=True),
+                                    item.payload, 3 if item.is_lmp else 2)
         else:
-            packet = Packet(ptype=PacketType.POLL, lap=device.addr.lap,
-                            am_addr=action.am_addr, arqn=arq.rx.arqn)
+            packet = Packet.trusted(_POLL, addr.lap, am_addr,
+                                    arq.rx.arqn)
         link.last_poll_slot = pair
-        device.rf.transmit(freq, packet, uap=device.addr.uap,
-                           meta=TxMeta(purpose=action.kind))
+        device.rf.transmit(freq, packet, addr.uap, _META[action.kind])
         self.stats_tx_packets += 1
         if self.afh is not None:
             self.afh.note_tx(freq)  # data/POLL both solicit a reply
-        reply_offset = packet.ptype.info.slots * units.SLOT_NS
-        self._reply_ns = device.sim.now + reply_offset
-        device.sim.schedule(reply_offset, self._rx_slot)
+        reply_ns = self._reply_ns = \
+            now + packet.ptype.info.slots * units.SLOT_NS
+        return reply_ns
 
     def _rx_slot(self) -> None:
-        if not self._running or self.device.rf.rx_locked:
-            return
+        close_ns = self.open_reply_window()
+        if close_ns is not None:
+            self.device.sim.schedule_abs(close_ns, self._rx_close)
+
+    def open_reply_window(self) -> Optional[int]:
+        """Open the receiver for the reply to the packet just sent;
+        returns when the window closes unless a carrier holds it."""
         device = self.device
-        clk = device.clock.clk(device.sim.now)
-        freq = device.hop_selector.connection(clk)
-        device.rf.rx_on(freq, RxExpect(device.addr.lap, uap=device.addr.uap))
-        device.sim.schedule(device.cfg.link.active_listen_ns, self._rx_close)
+        if not self._running or device.rf.locked_tx is not None:
+            return None
+        now = device.sim.now
+        clock = device.clock
+        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
+        device.rf.rx_on(device.hop_selector.connection(ticks & _CLK_MASK),
+                        self._expect)
+        return now + self._listen_ns
 
     def _rx_close(self) -> None:
-        rf = self.device.rf
-        if rf.rx_open and not rf.rx_locked:
-            rf.rx_off()
+        self.device.rf.rx_close()
 
     # -- RF callbacks ------------------------------------------------------
 
@@ -267,16 +337,17 @@ class ConnectionMaster:
             return False
         return True
 
-    def on_reception(self, reception: "Reception") -> None:
+    def on_reception(self, reception: "Reception") -> FollowUps:
+        """Act on a slave's reply; returns the refill an acknowledgement
+        calls for."""
         result = reception.result
         if not result.header_ok or result.header_am is None:
-            if not self.device.rf.rx_locked and self.device.rf.rx_open:
-                self.device.rf.rx_off()
-            return
+            self.device.rf.rx_close()
+            return None
         am_addr = result.header_am
         link = self.piconet.slaves.get(am_addr)
         if link is None:
-            return
+            return None
         arq = self.arq[am_addr]
         self.stats_rx_packets += 1
         if self.afh is not None:
@@ -286,13 +357,15 @@ class ConnectionMaster:
         # (the reply may have been in flight when it was set up)
         if am_addr in self._resync_needed:
             self._resync_needed.discard(am_addr)
-            if link.mode is ConnectionMode.HOLD \
+            if link.mode is _HOLD \
                     and am_addr not in self.hold_schedules:
                 link.mode = ConnectionMode.ACTIVE
                 link.hold = None
         # ARQN acknowledges the head of our queue
+        follow = None
         if result.header_arqn is not None and arq.tx.on_arqn(result.header_arqn):
-            self.device.tx_buffer_for(am_addr).pop()
+            follow = _pop_acked(self.device.tx_buffer_for(am_addr),
+                                self.device.sim.now)
         # payload processing
         packet = result.packet
         if packet is not None and packet.ptype.is_data:
@@ -302,13 +375,12 @@ class ConnectionMaster:
         elif result.header_type is not None and not result.payload_ok \
                 and result.header_type not in (0, 1):
             arq.rx.on_data(result.header_seqn or 0, False)
-        if self.device.rf.rx_open and not self.device.rf.rx_locked:
-            self.device.rf.rx_off()
+        self.device.rf.rx_close()
+        return follow
 
     def _deliver(self, am_addr: int, packet: Packet) -> None:
-        item = InboundData(src_am_addr=am_addr, payload=packet.payload,
-                           received_ns=self.device.sim.now,
-                           is_lmp=packet.llid == 3)
+        item = InboundData(am_addr, packet.payload, self.device.sim.now,
+                           packet.llid == 3)
         if item.is_lmp:
             self.device.lm.on_rx(am_addr, packet.payload)
         else:
@@ -399,6 +471,10 @@ class ConnectionSlave:
         self._hold_end_pair: Optional[int] = None
         self._resyncing = False
         self._running = False
+        self._expect = RxExpect(master_addr.lap, uap=master_addr.uap)
+        self._buffer = device.tx_buffer_for(0)  # toward the master
+        self._listen_ns = device.cfg.link.active_listen_ns
+        self._modem_delay = device.cfg.rf.modem_delay_ns
         self.stats_rx_packets = 0
         self.stats_tx_packets = 0
 
@@ -431,69 +507,75 @@ class ConnectionSlave:
     # -- the listening loop --------------------------------------------------
 
     def _master_slot(self) -> None:
+        """The listening-loop event: listen, queue what follows."""
+        next_ns, close_ns = self.listen()
+        sim = self.device.sim
+        if next_ns is not None:
+            sim.schedule_abs(next_ns, self._master_slot)
+        if close_ns is not None:
+            sim.schedule_abs(close_ns, self._rx_close)
+
+    def listen(self) -> tuple[Optional[int], Optional[int]]:
+        """Serve the master slot that starts now: open (or retune) the
+        receiver when the mode listens in it.  Returns ``(next_ns,
+        close_ns)``: when the loop runs next and when the window closes
+        unless a carrier holds it (None: no window opened)."""
         if not self._running:
-            return
+            return None, None
         device = self.device
-        sim = device.sim
-        pair = self.pair_index()
-
-        if self.mode is ConnectionMode.HOLD:
-            if self._hold_end_pair is not None and pair < self._hold_end_pair:
-                sim.schedule_abs(self.clock.time_at_tick(self._hold_end_pair * 4),
-                                 self._master_slot)
-                return
-            if not self._resyncing:
-                self._begin_resync()
-            # while resyncing the receiver stays on; nothing to schedule here
-
-        next_pair = self._next_listen_pair(pair + 1)
-        sim.schedule_abs(self.clock.time_at_tick(next_pair * 4), self._master_slot)
-
-        if self.mode is ConnectionMode.HOLD:
-            return
-        if device.rf.rx_locked or device.rf.tx_busy:
-            return
-        if not self._should_listen(pair):
-            return
-        clk = self.clock.clk(sim.now)
-        freq = self.selector.connection(clk)
-        if device.rf.rx_open:
-            device.rf.rx_retune(freq)
+        now = device.sim.now
+        clock = self.clock
+        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
+        pair = ticks // 4
+        mode = self.mode
+        if mode is _ACTIVE:
+            # the loop runs on its pair boundaries: the next is a pair later
+            next_ns = now + units.SLOT_PAIR_NS
         else:
-            device.rf.rx_on(freq, RxExpect(self.master_addr.lap,
-                                           uap=self.master_addr.uap))
-        window = self._listen_window_ns(pair)
-        if window is not None:
-            sim.schedule(window, self._rx_close)
+            if mode is _HOLD:
+                if self._hold_end_pair is not None \
+                        and pair < self._hold_end_pair:
+                    return clock.time_at_tick(self._hold_end_pair * 4), None
+                if not self._resyncing:
+                    self._begin_resync()
+                # while resyncing the receiver stays on: nothing to open
+                return clock.time_at_tick(
+                    self._next_listen_pair(pair + 1) * 4), None
+            next_ns = clock.time_at_tick(self._next_listen_pair(pair + 1) * 4)
+        rf = device.rf
+        if rf.locked_tx is not None or now < rf._tx_until_ns \
+                or mode is not _ACTIVE and not self._should_listen(pair):
+            return next_ns, None
+        freq = self.selector.connection(ticks & _CLK_MASK)
+        if rf.rx_freq is None and rf.rx_freq_fn is None:  # not rx_open
+            rf.rx_on(freq, self._expect)
+        else:
+            rf.rx_retune(freq)
+        if mode is _SNIFF:
+            # wide-open attempt window: the slave must re-acquire sync
+            return next_ns, now + units.SLOT_NS
+        return next_ns, now + self._listen_ns
 
     def _should_listen(self, pair: int) -> bool:
-        if self.mode is ConnectionMode.ACTIVE:
+        if self.mode is _ACTIVE:
             return True
-        if self.mode is ConnectionMode.SNIFF and self.sniff_params is not None:
+        if self.mode is _SNIFF and self.sniff_params is not None:
             return in_attempt_window(pair, self.sniff_params)
-        if self.mode is ConnectionMode.PARK and self.park_params is not None:
+        if self.mode is _PARK and self.park_params is not None:
             return pair % _pairs(self.park_params.beacon_interval_slots) == 0
         return False
 
     def _next_listen_pair(self, from_pair: int) -> int:
-        if self.mode is ConnectionMode.SNIFF and self.sniff_params is not None:
+        if self.mode is _SNIFF and self.sniff_params is not None:
             return next_attempt_slot(from_pair, self.sniff_params)
-        if self.mode is ConnectionMode.PARK and self.park_params is not None:
+        if self.mode is _PARK and self.park_params is not None:
             return next_beacon_slot(from_pair, ParkParams(
                 beacon_interval_slots=_pairs(self.park_params.beacon_interval_slots),
                 pm_addr=self.park_params.pm_addr))
         return from_pair
 
-    def _listen_window_ns(self, pair: int) -> Optional[int]:
-        if self.mode is ConnectionMode.SNIFF:
-            # wide-open attempt window: the slave must re-acquire sync
-            return units.SLOT_NS
-        return self.device.cfg.link.active_listen_ns
-
     def _rx_close(self) -> None:
-        rf = self.device.rf
-        if rf.rx_open and not rf.rx_locked:
-            rf.rx_off()
+        self.device.rf.rx_close()
 
     # -- hold resynchronisation ----------------------------------------------
 
@@ -505,7 +587,7 @@ class ConnectionSlave:
         device = self.device
         device.rf.rx_on_follow(
             lambda: self.selector.connection(self.clock.clk(device.sim.now)),
-            RxExpect(self.master_addr.lap, uap=self.master_addr.uap))
+            self._expect)
 
     def _end_resync(self) -> None:
         self._resyncing = False
@@ -526,23 +608,26 @@ class ConnectionSlave:
             self.device.rf.rx_off()
         return keep
 
-    def on_reception(self, reception: "Reception") -> None:
+    def on_reception(self, reception: "Reception") -> FollowUps:
+        """Act on a master packet; returns the reply it solicits and the
+        refill an acknowledgement calls for."""
         result = reception.result
         device = self.device
         if not result.header_ok:
-            if device.rf.rx_open and not device.rf.rx_locked and not self._resyncing:
-                device.rf.rx_off()
-            return
+            if not self._resyncing:
+                device.rf.rx_close()
+            return None
         addressed = result.header_am == self.am_addr
         broadcast = result.header_am == 0
         if not (addressed or broadcast):
-            return
+            return None
         self.stats_rx_packets += 1
         if self._resyncing:
             self._end_resync()
+        follow = None
         if addressed:
             if result.header_arqn is not None and self.arq.tx.on_arqn(result.header_arqn):
-                device.tx_buffer_for(0).pop()
+                follow = _pop_acked(self._buffer, device.sim.now)
             packet = result.packet
             if packet is not None and packet.ptype.is_data:
                 accept = self.arq.rx.on_data(result.header_seqn or 0, result.payload_ok)
@@ -554,16 +639,16 @@ class ConnectionSlave:
             # every addressed packet except NULL solicits a reply
             if result.header_type != 0:  # 0 == NULL
                 slots = result.packet.ptype.info.slots if result.packet else 1
-                delay = device.cfg.rf.modem_delay_ns
-                reply_at = reception.tx.start_ns + delay + slots * units.SLOT_NS
-                device.sim.schedule_abs(reply_at, self._reply)
-        if device.rf.rx_open and not device.rf.rx_locked:
-            device.rf.rx_off()
+                reply_at = reception.tx.start_ns + self._modem_delay \
+                    + slots * units.SLOT_NS
+                reply = ((reply_at, self._reply),)
+                follow = reply if follow is None else follow + reply
+        device.rf.rx_close()
+        return follow
 
     def _deliver(self, packet: Packet) -> None:
-        item = InboundData(src_am_addr=self.am_addr, payload=packet.payload,
-                           received_ns=self.device.sim.now,
-                           is_lmp=packet.llid == 3)
+        item = InboundData(self.am_addr, packet.payload, self.device.sim.now,
+                           packet.llid == 3)
         if item.is_lmp:
             self.device.lm.on_rx(0, packet.payload)
         else:
@@ -573,29 +658,31 @@ class ConnectionSlave:
         if not self._running:
             return
         device = self.device
-        if device.rf.tx_busy:
+        rf = device.rf
+        now = device.sim.now
+        if now < rf._tx_until_ns:
             return
-        if device.rf.rx_open:
-            device.rf.rx_off()
-        clk = self.clock.clk(device.sim.now)
-        freq = self.selector.connection(clk)
-        item = device.tx_buffer_for(0).peek()
+        if rf.rx_freq is not None or rf.rx_freq_fn is not None:  # rx_open
+            rf.rx_off()
+        clock = self.clock
+        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
+        freq = self.selector.connection(ticks & _CLK_MASK)
+        item = self._buffer.peek()
+        arq = self.arq
+        lap = self.master_addr.lap
         if item is not None:
             cap = device.channel.capture
-            if cap is not None and self.arq.tx.awaiting_ack:
-                cap.arq_retx(device.sim.now, device.path, freq,
-                             self.am_addr, self.arq.tx.seqn)
-            packet = Packet(ptype=item.ptype, lap=self.master_addr.lap,
-                            am_addr=self.am_addr,
-                            arqn=self.arq.rx.arqn,
-                            seqn=self.arq.tx.next_seqn(new_payload=True),
-                            payload=item.payload,
-                            llid=3 if item.is_lmp else 2)
+            if cap is not None and arq.tx.awaiting_ack:
+                cap.arq_retx(now, device.path, freq, self.am_addr,
+                             arq.tx.seqn)
+            packet = Packet.trusted(item.ptype, lap, self.am_addr,
+                                    arq.rx.arqn,
+                                    arq.tx.next_seqn(new_payload=True),
+                                    item.payload, 3 if item.is_lmp else 2)
         else:
-            packet = Packet(ptype=PacketType.NULL, lap=self.master_addr.lap,
-                            am_addr=self.am_addr, arqn=self.arq.rx.arqn)
-        device.rf.transmit(freq, packet, uap=self.master_addr.uap,
-                           meta=TxMeta(purpose="slave_reply"))
+            packet = Packet.trusted(_NULL, lap, self.am_addr,
+                                    arq.rx.arqn)
+        rf.transmit(freq, packet, self.master_addr.uap, _META["slave_reply"])
         self.stats_tx_packets += 1
 
     # ------------------------------------------------------------------

@@ -75,14 +75,13 @@ class BluetoothDevice(Module):
         self.hop_registry = channel.hop_registry
         self.hop_selector = HopSelector(addr.hop_address, self.hop_registry)
         self.rf = RfFrontEnd(sim, "rf", self, channel, self.clock)
-        self.rf.listener = self
         self.rf.topo_key = addr  # spatial layer: positions key on BD_ADDR
         self.sig_state: Signal[str] = self.signal("state", DeviceState.STANDBY.value)
         self.state = DeviceState.STANDBY
 
         self.rx_buffer = RxBuffer()
         self._tx_buffers: dict[int, TxBuffer] = {}
-        self.active_handler = None
+        self.active_handler = None  # the radio's listener is the device
 
         self.piconet: Optional[Piconet] = None
         self.connection_master: Optional[ConnectionMaster] = None
@@ -150,8 +149,7 @@ class BluetoothDevice(Module):
             raise ProtocolError(
                 f"payload of {len(payload)}B exceeds {ptype.value}'s "
                 f"{ptype.info.max_payload}B; pick a larger type or segment")
-        item = OutboundData(payload=payload, ptype=ptype,
-                            enqueued_ns=self.sim.now, is_lmp=is_lmp)
+        item = OutboundData(payload, ptype, self.sim.now, is_lmp)
         loaded = self.tx_buffer_for(am_addr).load(item)
         if loaded and self.connection_master is not None:
             self.connection_master.wake()
@@ -268,20 +266,26 @@ class BluetoothDevice(Module):
             )
 
     # ------------------------------------------------------------------
-    # RF listener interface (delegates to the active handler)
+    # RF listener (while no handler is active)
     # ------------------------------------------------------------------
 
+    @property
+    def active_handler(self):
+        """The procedure or connection handler driving the radio, if any.
+        The radio reports to it directly; with none, to the device."""
+        return self._active_handler
+
+    @active_handler.setter
+    def active_handler(self, handler) -> None:
+        self._active_handler = handler
+        self.rf.listener = self if handler is None else handler
+
     def on_sync(self, tx: "Transmission", matched: bool) -> bool:
-        if self.active_handler is not None:
-            return self.active_handler.on_sync(tx, matched)
         return False
 
     def on_header(self, tx: "Transmission", header_ok: bool,
                   am_addr: Optional[int]) -> bool:
-        if self.active_handler is not None and hasattr(self.active_handler, "on_header"):
-            return self.active_handler.on_header(tx, header_ok, am_addr)
         return header_ok
 
     def on_reception(self, reception: "Reception") -> None:
-        if self.active_handler is not None:
-            self.active_handler.on_reception(reception)
+        return None

@@ -37,6 +37,22 @@ class SlotAction:
     am_addr: int
 
 
+_ACTIONS: dict[tuple[str, int], SlotAction] = {}
+
+# an Enum class attribute lookup is not cached by the interpreter, and the
+# policy tests the mode of every slave at every pair
+_ACTIVE, _SNIFF = ConnectionMode.ACTIVE, ConnectionMode.SNIFF
+
+
+def _action(kind: str, am_addr: int) -> SlotAction:
+    """The one :class:`SlotAction` of ``kind`` toward ``am_addr`` (the
+    policy picks one per served pair; they are immutable, so shared)."""
+    action = _ACTIONS.get((kind, am_addr))
+    if action is None:
+        action = _ACTIONS[(kind, am_addr)] = SlotAction(kind, am_addr)
+    return action
+
+
 class PollingPolicy:
     """Interface for master slot scheduling."""
 
@@ -57,23 +73,26 @@ class RoundRobinPolicy(PollingPolicy):
 
     def choose(self, master: "ConnectionMaster", slot_index: int) -> Optional[SlotAction]:
         # 1. beacon for parked slaves
-        if master.next_beacon(slot_index) == slot_index:
-            return SlotAction(kind="beacon", am_addr=0)
+        if master._beacon_interval_pairs is not None \
+                and master.next_beacon(slot_index) == slot_index:
+            return _action("beacon", 0)
 
+        holds = master.hold_schedules
+        resyncing = master._resync_needed
         reachable: list[SlaveLink] = []
         for link in master.piconet.slaves.values():
             # hold bookkeeping is keyed on the schedule + resync set, not on
             # link.mode: a reply in flight when the next hold is scheduled
             # must not make the slave look reachable during that hold
-            schedule = master.hold_schedules.get(link.am_addr)
+            schedule = holds.get(link.am_addr) if holds else None
             if schedule is not None and schedule.active(slot_index):
                 continue  # unreachable during hold
-            if master.needs_resync(link.am_addr):
+            if resyncing and link.am_addr in resyncing:
                 # returned from hold: poll on the resync schedule until heard
                 if master.next_resync_poll(slot_index) == slot_index:
-                    return SlotAction(kind="poll", am_addr=link.am_addr)
+                    return _action("poll", link.am_addr)
                 continue
-            if link.mode is ConnectionMode.SNIFF and link.sniff is not None:
+            if link.mode is _SNIFF and link.sniff is not None:
                 if not in_attempt_window(slot_index, link.sniff):
                     continue
             reachable.append(link)
@@ -81,14 +100,15 @@ class RoundRobinPolicy(PollingPolicy):
         # 2. queued data, oldest-first across reachable slaves
         best: Optional[SlaveLink] = None
         best_age = -1
+        device = master.device
         for link in reachable:
-            item = master.device.tx_buffer_for(link.am_addr).peek()
+            item = device.tx_buffer_for(link.am_addr).peek()
             if item is not None:
-                age = master.device.sim.now - item.enqueued_ns
+                age = device.sim.now - item.enqueued_ns
                 if age > best_age:
                     best, best_age = link, age
         if best is not None:
-            return SlotAction(kind="data", am_addr=best.am_addr)
+            return _action("data", best.am_addr)
 
         # 3. keep-alive polling by most-overdue T_poll deadline
         # (T_poll is configured in slots; pair indices advance one per 2 slots)
@@ -100,7 +120,7 @@ class RoundRobinPolicy(PollingPolicy):
             if due_in <= 0 and -due_in >= overdue_by:
                 most_overdue, overdue_by = link, -due_in
         if most_overdue is not None:
-            return SlotAction(kind="poll", am_addr=most_overdue.am_addr)
+            return _action("poll", most_overdue.am_addr)
         return None
 
     def next_due(self, master: "ConnectionMaster", slot_index: int) -> Optional[int]:
@@ -123,7 +143,7 @@ class RoundRobinPolicy(PollingPolicy):
                         at = max(slot_index, link.last_poll_slot + t_poll)
                     else:
                         at = slot_index
-                    if link.mode is ConnectionMode.SNIFF and link.sniff is not None:
+                    if link.mode is _SNIFF and link.sniff is not None:
                         at = next_attempt_slot(at, link.sniff)
                 if schedule is not None and at >= schedule.start_slot:
                     at = schedule.end_slot
@@ -143,8 +163,8 @@ class ExhaustivePolicy(RoundRobinPolicy):
         if action is not None:
             return action
         links = [l for l in master.piconet.slaves.values()
-                 if l.mode is ConnectionMode.ACTIVE]
+                 if l.mode is _ACTIVE]
         if not links:
             return None
         target = links[slot_index % len(links)]
-        return SlotAction(kind="poll", am_addr=target.am_addr)
+        return _action("poll", target.am_addr)

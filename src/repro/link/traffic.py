@@ -36,11 +36,11 @@ class TrafficSource:
                 f"payload {payload_len}B exceeds {ptype.value} maximum"
             )
         self.payload_len = payload_len
+        self._payload = bytes(payload_len)
         self.generated = 0
 
     def _emit(self) -> None:
-        payload = bytes(self.payload_len)
-        self.device.enqueue_data(self.am_addr, payload, self.ptype)
+        self.device.enqueue_data(self.am_addr, self._payload, self.ptype)
         self.generated += 1
 
     def start(self) -> None:
@@ -116,12 +116,32 @@ class PoissonTraffic(TrafficSource):
 
 
 class SaturatedTraffic(TrafficSource):
-    """Always keeps the TX buffer non-empty (throughput experiments)."""
+    """Always keeps the TX buffer non-empty (throughput experiments).
+
+    The buffer is topped up to four payloads on a slot grid anchored at
+    :meth:`start`.  It drains only when the receiver acknowledges its
+    head, so the refill runs at the first grid slot after each such
+    acknowledgement rather than at every slot: the ARQ code arms it
+    through :meth:`arm` (the buffer names its source in ``refill``).
+    Payloads are stamped with the same ``enqueued_ns`` either way.
+    """
 
     def start(self) -> None:
+        self._anchor = self.device.sim.now
+        self._armed = False
+        self._buffer = self.device.tx_buffer_for(self.am_addr)
+        self._buffer.refill = self
         self._refill()
 
+    def arm(self, now_ns: int) -> Optional[int]:
+        """The time of the refill an acknowledgement at ``now_ns`` calls
+        for: the next grid slot, or None when one is already armed."""
+        if self._armed:
+            return None
+        self._armed = True
+        return now_ns + units.SLOT_NS - (now_ns - self._anchor) % units.SLOT_NS
+
     def _refill(self) -> None:
-        while len(self.device.tx_buffer_for(self.am_addr)) < 4:
+        self._armed = False
+        for _ in range(4 - len(self._buffer)):
             self._emit()
-        self.device.sim.schedule(units.SLOT_NS, self._refill)

@@ -46,10 +46,18 @@ thousands of these per second):
 * Stage callbacks are ``functools.partial`` bindings of bound methods, not
   capturing lambdas — no closure-cell allocation per scheduled stage.
 * All receptions of a transmission resolved at the same sync instant are
-  grouped into **one batch event** whose decode outcomes go through the
+  grouped into **one sync event** whose decode outcomes go through the
   batched :func:`~repro.baseband.codec.decode_packets` codec API
-  (bit-accurate mode) — see :meth:`Channel._sync_batch` for the
-  byte-identity argument.
+  (bit-accurate mode) — see :meth:`Channel.sync` for the byte-identity
+  argument.
+
+Each stage is one method that acts and returns what follows it:
+:meth:`Channel.scan` the receivers, :meth:`Channel.sync` the listeners
+whose header stage follows, :meth:`Channel.header` whether the end stage
+follows and :meth:`Channel.end` the events the reception calls for.  The
+object kernel's stage events (``_scan_listeners``, ``_sync_batch``,
+``_header_stage``, ``_end_stage``) queue those on the simulator; the slot
+engine (:mod:`repro.sim.soa`) calls the same methods from its own loop.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.baseband.codec import (
@@ -68,8 +77,9 @@ from repro.baseband.codec import (
 from repro.baseband.errormodel import StageErrorModel
 from repro.baseband.bits import flip_bits
 from repro.baseband.hop import HopRegistry
-from repro.baseband.packets import Packet, PacketType
+from repro.baseband.packets import Packet, PacketType, packet_air_bits
 from repro.baseband.timing import HEADER_DECISION_NS, SYNC_DECISION_NS
+from repro.units import BIT_NS, CLKN_WRAP, TICK_NS
 from repro.config import SimulationConfig
 from repro.errors import ChannelError
 from repro.phy.geometry import Position, Topology
@@ -79,6 +89,13 @@ from repro.phy.transmission import Transmission, TxMeta
 from repro.sim.module import Module
 from repro.sim.rng import RandomStreams
 from repro.sim.simulator import Simulator
+
+# packet types tested for every packet, as module constants: the
+# interpreter does not cache attribute lookups on an Enum class
+_ID, _FHS = PacketType.ID, PacketType.FHS
+
+_CLK_MASK = CLKN_WRAP - 1
+_new = object.__new__
 
 #: Registry key of a frequency-following receiver (its tuned channel is a
 #: function of time, so it is a candidate for every transmission).
@@ -90,7 +107,7 @@ def _dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class Reception:
     """A completed reception at one radio.
 
@@ -190,12 +207,17 @@ class Channel(Module):
         # trivial regime any live transmission that ever overlapped is
         # already corrupted, and an uncorrupted one has zero accumulated
         # interference — exactly what its interference_mw field says.
-        # Why the split stays: routing every flat world through
-        # _resolve_capture gave identical outcomes at a median CPU cost of
-        # +0.9 % and +3.7 % on the 20-piconet dense point (two sets of 20
-        # in-process paired rounds on a shared 2-vCPU host, 12 and 13
-        # slower), against a ~25 % spread between quartiles: unresolved
-        # against the 3 % bar for keeping a second path.
+        # Why the split stays: the two resolvers do not write the same
+        # capture records.  _resolve_trivial corrupts without tracking
+        # power, so its capture_loss records carry sir_db None, where
+        # _resolve_capture derives 0.0 dB from the equal powers.  Routing
+        # flat worlds through _resolve_capture moves the capture goldens
+        # of tests/sim/test_capture_goldens.py (campaign_3x97 from
+        # d2a6dbc465848018 to 0e8368e446affffa, campaign_8x606 from
+        # 680dc27eaf62f49e to 7eb23a4cc05202f4), so merging them is a
+        # record-format change, not a CPU trade (the CPU cost measured
+        # +0.9 % and +3.7 % median on the 20-piconet dense point, inside
+        # a ~25 % spread).
         self._capture_trivial = \
             self._aci_span == 0 and self._capture_ratio == 1.0
         self.transmissions = 0
@@ -203,6 +225,16 @@ class Channel(Module):
         # transmissions of the current delta awaiting their listener scan
         self._unscanned: list[Transmission] = []
         self._scan_hook = self._scan_unscanned
+        # stage offsets from a packet's start, as its receivers see them
+        delay = config.rf.modem_delay_ns
+        self._sync_offset = delay + SYNC_DECISION_NS
+        self._header_offset = delay + HEADER_DECISION_NS
+        self._end_delay = delay
+        # BER 0 in statistical mode: a framed packet's stage draws all
+        # pass and consume nothing, so the decode is the address screen
+        self._draw_free = not config.bit_accurate and config.noise.ber == 0.0
+        self._bit_accurate = config.bit_accurate
+        self._carrier_sense = config.rf.carrier_sense
 
     # ------------------------------------------------------------------
 
@@ -223,11 +255,9 @@ class Channel(Module):
         indexes instead of walking every attached radio.
         """
         rid = id(radio)
-        if radio.rx_freq_fn is not None:
-            new: int | None = _FOLLOWING
-        else:
-            new = radio.rx_freq
-        old = self._listen_keys.get(rid)
+        new = radio.rx_freq if radio.rx_freq_fn is None else _FOLLOWING
+        keys = self._listen_keys
+        old = keys.get(rid)
         if new == old:
             return
         if old == _FOLLOWING:
@@ -239,8 +269,11 @@ class Channel(Module):
         if new == _FOLLOWING:
             self._following[rid] = radio
         elif new is not None:
-            self._tuned_by_freq.setdefault(new, {})[rid] = radio
-        self._listen_keys[rid] = new
+            bucket = self._tuned_by_freq.get(new)
+            if bucket is None:
+                bucket = self._tuned_by_freq[new] = {}
+            bucket[rid] = radio
+        keys[rid] = new
 
     def abort_reception(self, radio: RfFrontEnd) -> None:
         """A radio powered down mid-lock; drop its pending decodes."""
@@ -373,25 +406,57 @@ class Channel(Module):
         if not 0 <= freq < 79:
             raise ChannelError(f"RF channel out of range: {freq}")
         now = self.sim.now
-        tx = Transmission(
-            radio=radio,
-            freq=freq,
-            packet=packet,
-            start_ns=now,
-            duration_ns=packet.duration_ns,
-            tx_clk=_whiten_clk(packet, radio, now),
-            tx_uap=uap,
-            power_mw=1.0 if power_dbm == 0.0 else _dbm_to_mw(power_dbm),
-            meta=meta if meta is not None else TxMeta(),
-        )
-        if self.config.bit_accurate:
+        ptype = packet.ptype
+        # every field stored directly: one Transmission per packet sent
+        tx = _new(Transmission)
+        tx.radio = radio
+        tx.freq = freq
+        tx.packet = packet
+        tx.start_ns = now
+        tx.duration_ns = packet_air_bits(ptype, len(packet.payload)) * BIT_NS
+        if ptype is _FHS:
+            # the ends of a page are not synchronised yet: FHS whitens
+            # with clock 0
+            tx.tx_clk = 0
+        else:  # the sender's clock (BtClock.clk)
+            clock = radio.clock
+            tx.tx_clk = ((now + clock.phase_ns) // TICK_NS
+                         + clock.offset_ticks) & _CLK_MASK
+        tx.tx_uap = uap
+        tx.air_bits = None
+        tx.corrupted = False
+        tx.power_mw = 1.0 if power_dbm == 0.0 else _dbm_to_mw(power_dbm)
+        tx.interference_mw = 0.0
+        tx.overlap_mw = None
+        tx.corrupt_rx = None
+        tx.meta = meta if meta is not None else TxMeta()
+        if self._bit_accurate:
             tx.air_bits = encode_packet(packet, uap=tx.tx_uap, clk=tx.tx_clk)
         self.transmissions += 1
         cap = self.capture
         if cap is not None:
             cap.tx_start(now, tx)
 
-        self._resolve(tx, now, power_dbm)
+        # admit tx into the live set through the applicable resolver.  The
+        # radio's previous transmission leaves it here: it is off the air
+        # (a radio sends one packet at a time), so no resolver would count
+        # it again
+        last_tx = self._last_tx
+        index = radio.attach_index
+        previous = last_tx[index]
+        if previous is not None \
+                and previous.start_ns + previous.duration_ns <= now:
+            live = self._active_by_freq.get(previous.freq)
+            if live:
+                live.pop(id(previous), None)
+        last_tx[index] = tx
+        if self._spatial:
+            self._resolve_spatial(tx, now)
+        elif not (self._capture_trivial and power_dbm == 0.0):
+            self._capture_trivial = False  # a custom-power tx is now live
+            self._resolve_capture(tx, now)
+        else:
+            self._resolve_trivial(tx, now)
         unscanned = self._unscanned
         if not unscanned:
             self.sim._update_hooks.append(self._scan_hook)
@@ -406,29 +471,11 @@ class Channel(Module):
             self._scan_listeners(tx)
         unscanned.clear()
 
-    def _resolve(self, tx: Transmission, now: int, power_dbm: float) -> None:
-        """Admit ``tx`` into the live set through the applicable resolver —
-        the single overlap-resolution entry point, shared by the scalar
-        :meth:`transmit` path and the SoA slot engine's micro stepping.
-
-        The radio's previous transmission leaves the live set here: it is
-        off the air (a radio transmits one packet at a time), so no
-        resolver would count it again."""
-        last_tx = self._last_tx
-        index = tx.radio.attach_index
-        previous = last_tx[index]
-        if previous is not None and previous.end_ns <= now:
-            live = self._active_by_freq.get(previous.freq)
-            if live:
-                live.pop(id(previous), None)
-        last_tx[index] = tx
-        if self._spatial:
-            self._resolve_spatial(tx, now)
-        elif not (self._capture_trivial and power_dbm == 0.0):
-            self._capture_trivial = False  # a custom-power tx is now live
-            self._resolve_capture(tx, now)
-        else:
-            self._resolve_trivial(tx, now)
+    def _scan_listeners(self, tx: Transmission) -> None:
+        receivers = self.scan(tx)
+        if receivers:
+            self.sim.schedule_abs(tx.start_ns + self._sync_offset,
+                                  partial(self._sync_batch, tx, receivers))
 
     def _resolve_trivial(self, tx: Transmission, now: int) -> None:
         """Binary overlap resolution: any live overlap on the same
@@ -437,10 +484,12 @@ class Channel(Module):
         agreement with :meth:`_resolve_capture` the capture suite pins on
         random overlap patterns."""
         cap = self.capture
-        live = self._active_by_freq.setdefault(tx.freq, {})
+        live = self._active_by_freq.get(tx.freq)
+        if live is None:
+            live = self._active_by_freq[tx.freq] = {}
         for other in live.values():
-            if other.end_ns <= now:  # off the air, not yet pruned
-                continue
+            if other.start_ns + other.duration_ns <= now:
+                continue  # off the air, not yet pruned
             if cap is not None:
                 if not other.corrupted:
                     cap.capture_loss(now, other)
@@ -560,14 +609,9 @@ class Channel(Module):
                 total += mw * topo.gain_from(position, rx_key)
         return total
 
-    def _corrupted_for(self, tx: Transmission, listener: RfFrontEnd,
-                       now: int) -> bool:
+    def _corrupted_for(self, tx: Transmission, listener: RfFrontEnd) -> bool:
         """The per-(transmission, listener) capture verdict of a spatial
-        world, evaluated at each staged delivery.  ``now`` is the stage's
-        decision time — passed explicitly because the SoA micro-kernel
-        runs whole windows with the simulator clock parked at the window
-        start, so ``self.sim.now`` would stamp its capture-loss records
-        with stale times.
+        world, evaluated at each staged delivery.
 
         The listener's wanted power is ``tx.power_mw`` through the
         src→dst path gain; interference is its static floor plus every
@@ -605,13 +649,16 @@ class Channel(Module):
                       if wanted > 0.0 and interference > 0.0 else None)
             rx_dbm = (round(10.0 * math.log10(wanted), 2)
                       if wanted > 0.0 else None)
-            cap.capture_loss(now, tx, sir_db=sir_db,
+            cap.capture_loss(self.sim.now, tx, sir_db=sir_db,
                              distance_m=topo.distance(tx.radio.topo_key,
                                                       rx_key),
                              rx_dbm=rx_dbm)
         return True
 
-    def _scan_listeners(self, tx: Transmission) -> None:
+    def scan(self, tx: Transmission) -> list[RfFrontEnd]:
+        """The receivers of ``tx``: radios with an open receiver tuned to
+        (or following onto) its channel that are not transmitting, in
+        attach order.  With carrier sense each one locks provisionally."""
         fixed = self._tuned_by_freq.get(tx.freq)
         if fixed:
             candidates = list(fixed.values())
@@ -620,106 +667,121 @@ class Channel(Module):
         elif self._following:
             candidates = list(self._following.values())
         else:
-            return
+            return []
         if len(candidates) > 1:
             # registry dicts are in retune order; visiting in attach order
             # keeps stage-event sequence numbers (and so every downstream
             # outcome) identical to the full-radio-walk implementation
             candidates.sort(key=_attach_index)
-        delay = self.config.rf.modem_delay_ns
-        sync_time = tx.start_ns + delay + SYNC_DECISION_NS
-        carrier_sense = self.config.rf.carrier_sense
+        carrier_sense = self._carrier_sense
+        now = self.sim.now
+        radio = tx.radio
+        freq = tx.freq
         receivers = []
         for listener in candidates:
-            if listener is tx.radio or not listener.rx_open or listener.tx_busy:
+            if listener is radio or now < listener._tx_until_ns:
                 continue
-            if not listener.tuned_to(tx.freq):
+            follow = listener.rx_freq_fn
+            # a closed receiver has neither a channel nor a hop function
+            if (listener.rx_freq if follow is None else follow()) != freq:
                 continue
-            if carrier_sense:
-                listener.carrier_detected(tx)
+            if carrier_sense and listener.locked_tx is None:
+                # energy on the tuned channel: the receiver locks
+                # provisionally, which keeps its window open until the
+                # sync decision
+                listener.locked_tx = tx
             receivers.append(listener)
-        if not receivers:
-            return
-        if len(receivers) > 1:
-            # one event resolves the whole slot batch (see _sync_batch)
-            self.sim.schedule_abs(
-                sync_time, partial(self._sync_batch, tx, receivers))
-        else:
-            for listener in receivers:
-                self.sim.schedule_abs(
-                    sync_time, partial(self._sync_stage, tx, listener))
+        return receivers
 
     # ------------------------------------------------------------------
     # Receive path (staged)
     # ------------------------------------------------------------------
 
-    def _sync_admit(self, tx: Transmission, listener: RfFrontEnd) -> bool:
-        """The sync-time receiver guard (shared by scalar and batch paths)."""
-        if not listener.rx_open or not (listener.locked_tx is tx
-                                        or listener.tuned_to(tx.freq)):
-            if listener.locked_tx is tx:
-                listener.locked_tx = None
-            return False
-        if listener.locked_tx is not None and listener.locked_tx is not tx:
-            return False  # already locked onto a different packet
-        return True
-
-    def _sync_deliver(self, tx: Transmission, listener: RfFrontEnd,
-                      result: DecodeResult) -> None:
-        """Post-decode half of the sync stage: deliver the decision and
-        schedule the header stage when the listener stays locked."""
-        matched = result.synced and not tx.corrupted and not (
-            self._spatial and self._corrupted_for(tx, listener,
-                                                  self.sim.now))
-        listener.deliver_sync(tx, matched)
-
-        if tx.packet.ptype is PacketType.ID:
-            self._deliver_end(tx, listener, result)
-            return
-        if not (matched and listener.locked_tx is tx):
-            return  # listener declined or sync failed; no further stages
-        key = (id(tx), id(listener))
-        self._pending[key] = result
-        self._pending_by_radio.setdefault(id(listener), set()).add(key)
-        delay = self.config.rf.modem_delay_ns
-        self.sim.schedule_abs(
-            tx.start_ns + delay + HEADER_DECISION_NS,
-            partial(self._header_stage, tx, listener))
-
-    def _sync_stage(self, tx: Transmission, listener: RfFrontEnd) -> None:
-        if not self._sync_admit(tx, listener):
-            return
-        result = self._full_decode(tx, listener)
-        self._sync_deliver(tx, listener, result)
-
     def _sync_batch(self, tx: Transmission,
                     receivers: list[RfFrontEnd]) -> None:
-        """Resolve every reception of ``tx`` in one event: admit in listener
-        order, draw all decode outcomes (one batched ``decode_packets`` call
-        in bit-accurate mode), then deliver in the same order.
+        """The sync event: :meth:`sync`, then the header stages."""
+        header_ns = tx.start_ns + self._header_offset
+        for listener in self.sync(tx, receivers):
+            self.sim.schedule_abs(header_ns,
+                                  partial(self._header_stage, tx, listener))
 
-        Byte-identical to one :meth:`_sync_stage` event per listener: those
-        events would be scheduled back-to-back inside one
-        ``_scan_listeners`` call, so they would hold consecutive sequence
-        numbers and fire consecutively — nothing can interleave.  Within
-        that run, every listener callback (``on_sync`` / ID-packet
-        ``on_reception``) only mutates its *own* device's receiver state,
-        and only ``_full_decode`` draws from the channel's noise/stage RNG
-        streams — so admitting all listeners first, drawing their decode
-        outcomes in listener order, and then delivering in the same order
-        consumes identical RNG state and observes identical guards.
-        (``tx.corrupted`` is re-read at each delivery, preserving collision
-        flags raised mid-batch.)  ``tests/phy/test_batch_window_golden.py``
-        checks this against a per-listener ``_sync_stage`` oracle end to
-        end.
+    def sync(self, tx: Transmission,
+             receivers: list[RfFrontEnd]) -> list[RfFrontEnd]:
+        """The sync stage of every reception of ``tx``: admit in listener
+        order, draw all decode outcomes (one batched ``decode_packets``
+        call in bit-accurate mode), then deliver in the same order.
+        Returns the listeners that stay locked, in that order: each one's
+        header stage follows ``HEADER_DECISION_NS`` after the start.
+
+        Byte-identical to one sync event per listener: those events would
+        be scheduled back-to-back by one scan, so they would hold
+        consecutive sequence numbers and fire consecutively — nothing can
+        interleave.  Within that run, every listener callback (``on_sync``
+        / ID-packet ``on_reception``) only mutates its *own* device's
+        receiver state and queues no event, and only the decode draws
+        from the channel's noise/stage RNG streams — so admitting all
+        listeners first, drawing their decode outcomes in listener order,
+        and then delivering in the same order consumes identical RNG state
+        and observes identical guards.  (``tx.corrupted`` is re-read at
+        each delivery, preserving collision flags raised mid-batch.)
+        ``tests/phy/test_batch_window_golden.py`` checks this against a
+        per-listener oracle end to end.
         """
-        admitted = [listener for listener in receivers
-                    if self._sync_admit(tx, listener)]
+        admitted = []
+        for listener in receivers:
+            locked = listener.locked_tx
+            if listener.rx_freq is None and listener.rx_freq_fn is None \
+                    or not (locked is tx or listener.tuned_to(tx.freq)):
+                if locked is tx:  # closed or retuned since the scan
+                    listener.locked_tx = None
+            elif locked is None or locked is tx:  # not locked on another
+                admitted.append(listener)
         if not admitted:
-            return
-        results = self._full_decode_batch(tx, admitted)
-        for listener, result in zip(admitted, results):
-            self._sync_deliver(tx, listener, result)
+            return admitted
+        packet = tx.packet
+        # a channel that draws nothing decodes each listener as it
+        # delivers: only its own access-code screen decides
+        results = None if self._draw_free \
+            else self._full_decode_batch(tx, admitted)
+        is_id = packet.ptype is _ID
+        spatial = self._spatial
+        pending = self._pending
+        by_radio = self._pending_by_radio
+        locked = []
+        for index, listener in enumerate(admitted):
+            if results is not None:
+                result = results[index]
+            else:
+                expect = listener.expect
+                if expect is None or expect.lap != packet.lap:
+                    result = DecodeResult(False)
+                elif is_id:
+                    result = self._id_result(packet.lap, True)
+                else:
+                    result = self._stage_result(packet, True, True, True)
+            matched = result.synced and not tx.corrupted and not (
+                spatial and self._corrupted_for(tx, listener))
+            handler = listener.listener
+            keep = handler is not None and handler.on_sync(tx, matched)
+            if matched and keep:
+                listener.locked_tx = tx
+            elif listener.locked_tx is tx:
+                listener.locked_tx = None
+            if is_id:
+                # ID packets reach procedures, which queue what follows
+                # themselves (a connection handler ignores them)
+                self._deliver_end(tx, listener, result)
+            elif matched and listener.locked_tx is tx:
+                # the header stage follows; else declined or sync failed
+                rid = id(listener)
+                key = (id(tx), rid)
+                pending[key] = result
+                keys = by_radio.get(rid)
+                if keys is None:
+                    keys = by_radio[rid] = set()
+                keys.add(key)
+                locked.append(listener)
+        return locked
 
     def _pop_pending(self, tx: Transmission,
                      listener: RfFrontEnd) -> DecodeResult | None:
@@ -732,42 +794,59 @@ class Channel(Module):
         return result
 
     def _header_stage(self, tx: Transmission, listener: RfFrontEnd) -> None:
+        if self.header(tx, listener):
+            self.sim.schedule_abs(tx.end_ns + self._end_delay,
+                                  partial(self._end_stage, tx, listener))
+
+    def header(self, tx: Transmission, listener: RfFrontEnd) -> bool:
+        """The header decision: the listener sees the AM_ADDR and may drop
+        out.  True when it stays locked to the packet's end."""
         result = self._pending.get((id(tx), id(listener)))
         if result is None or listener.locked_tx is not tx:
-            return
+            return False
         corrupted = tx.corrupted or (
-            self._spatial and self._corrupted_for(tx, listener, self.sim.now))
+            self._spatial and self._corrupted_for(tx, listener))
         am_addr = result.packet.am_addr if (result.header_ok and result.packet) else None
         if corrupted:
             am_addr = None
-        keep = True
-        if listener.listener is not None and hasattr(listener.listener, "on_header"):
-            keep = bool(listener.listener.on_header(tx, result.header_ok and not corrupted, am_addr))
+        on_header = getattr(listener.listener, "on_header", None)
+        keep = on_header is None or bool(
+            on_header(tx, result.header_ok and not corrupted, am_addr))
         if not keep:
             self._pop_pending(tx, listener)
             listener.locked_tx = None
-            return
-        delay = self.config.rf.modem_delay_ns
-        self.sim.schedule_abs(
-            tx.end_ns + delay, partial(self._end_stage, tx, listener))
+        return keep
 
     def _end_stage(self, tx: Transmission, listener: RfFrontEnd) -> None:
+        follow = self.end(tx, listener)
+        if follow:
+            for time_ns, callback in follow:
+                self.sim.schedule_abs(time_ns, callback)
+
+    def end(self, tx: Transmission, listener: RfFrontEnd):
+        """The end of the packet: deliver the reception.  Returns the
+        events the listener's ``on_reception`` calls for, as
+        ``(time_ns, callback)`` pairs, or None."""
         result = self._pop_pending(tx, listener)
         if result is None or listener.locked_tx is not tx:
-            return
-        self._deliver_end(tx, listener, result)
+            return None
+        return self._deliver_end(tx, listener, result)
 
     def _deliver_end(self, tx: Transmission, listener: RfFrontEnd,
-                     result: DecodeResult) -> None:
+                     result: DecodeResult):
         corrupted = tx.corrupted or (
-            self._spatial and self._corrupted_for(tx, listener, self.sim.now))
+            self._spatial and self._corrupted_for(tx, listener))
         if corrupted:
             # resolver 'X': whatever the stage draw said, the frame is junk
             result = DecodeResult(synced=result.synced, header_ok=False,
                                   payload_ok=False, packet=None, stage="header")
-        reception = Reception(tx=tx, result=result, collided=corrupted,
-                              rx_time_ns=self.sim.now)
-        listener.deliver_end(reception)
+        if listener.locked_tx is tx:
+            listener.locked_tx = None
+        handler = listener.listener
+        if handler is None:
+            return None
+        return handler.on_reception(
+            Reception(tx, result, corrupted, self.sim.now))
 
     # ------------------------------------------------------------------
     # Decode-outcome draw (once per transmission/listener pair)
@@ -776,7 +855,7 @@ class Channel(Module):
     def _threshold_for(self, packet: Packet) -> int:
         """ID packets are detected by the sliding correlator; framed packets
         use the (possibly stricter, paper-profile) sync threshold."""
-        if packet.ptype is PacketType.ID:
+        if packet.ptype is _ID:
             return self.config.link.id_sync_threshold
         return self.config.link.sync_threshold
 
@@ -797,20 +876,28 @@ class Channel(Module):
         """Framed-packet decode outcome from its stage draws (shared by
         the scalar and batch statistical paths)."""
         if not synced:
-            return DecodeResult(synced=False, stage="sync")
+            return DecodeResult(False)
         if not header_ok:
-            return DecodeResult(synced=True, header_ok=False, stage="header")
-        result = DecodeResult(synced=True, header_ok=True,
-                              payload_ok=payload_ok, packet=packet,
-                              stage="payload")
-        result.set_header_fields(packet.am_addr, packet.ptype.info.code,
-                                 packet.arqn, packet.seqn)
+            return DecodeResult(True, False, stage="header")
+        # every field stored directly: one result per reception
+        result = _new(DecodeResult)
+        result.synced = True
+        result.header_ok = True
+        result.payload_ok = payload_ok
+        result.packet = packet
+        result.stage = "payload"
+        result.corrected_header_bits = 0
+        result.corrected_codewords = 0
+        result.header_am = packet.am_addr
+        result.header_type = packet.ptype.info.code
+        result.header_arqn = packet.arqn
+        result.header_seqn = packet.seqn
         return result
 
     def _full_decode(self, tx: Transmission, listener: RfFrontEnd) -> DecodeResult:
         expect = listener.expect
         if expect is None or expect.lap != tx.packet.lap:
-            return DecodeResult(synced=False, stage="sync")
+            return DecodeResult(False)
         threshold = self._threshold_for(tx.packet)
         if self.config.bit_accurate:
             assert tx.air_bits is not None
@@ -822,7 +909,7 @@ class Channel(Module):
             return decode_packet(noisy, expect.lap, tx.tx_uap, tx.tx_clk,
                                  sync_threshold=threshold)
         packet = tx.packet
-        if packet.ptype is PacketType.ID:
+        if packet.ptype is _ID:
             return self._id_result(packet.lap,
                                    self.stage_model.sample_sync(threshold))
         # one batched call per framed packet: same draw sequence as the
@@ -854,7 +941,7 @@ class Channel(Module):
         for index, listener in enumerate(listeners):
             expect = listener.expect
             if expect is None or expect.lap != tx.packet.lap:
-                results[index] = DecodeResult(synced=False, stage="sync")
+                results[index] = DecodeResult(False)
                 continue
             positions = self.noise.error_positions(len(tx.air_bits))
             frames.append(flip_bits(tx.air_bits, positions) if len(positions)
@@ -879,13 +966,13 @@ class Channel(Module):
         for index, listener in enumerate(listeners):
             expect = listener.expect
             if expect is None or expect.lap != packet.lap:
-                results[index] = DecodeResult(synced=False, stage="sync")
+                results[index] = DecodeResult(False)
             else:
                 drawn.append(index)
         if not drawn:
             return results
         threshold = self._threshold_for(packet)
-        if packet.ptype is PacketType.ID:
+        if packet.ptype is _ID:
             synced = self.stage_model.sample_sync_batch(threshold, len(drawn))
             for index, ok in zip(drawn, synced):
                 results[index] = self._id_result(packet.lap, ok)
@@ -897,14 +984,4 @@ class Channel(Module):
         return results
 
 
-def _attach_index(radio: RfFrontEnd) -> int:
-    return radio.attach_index
-
-
-def _whiten_clk(packet: Packet, radio: RfFrontEnd, now_ns: int) -> int:
-    """Whitening clock: 0 for FHS (sender/receiver are not yet synchronised
-    during page/inquiry — documented simplification), else the sender's
-    current clock."""
-    if packet.ptype is PacketType.FHS:
-        return 0
-    return radio.clock.clk(now_ns)
+_attach_index = attrgetter("attach_index")

@@ -25,7 +25,7 @@ from repro.sim.signal import _NO_WRITE, Signal
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.phy.channel import Channel, Reception
+    from repro.phy.channel import Channel
     from repro.phy.transmission import Transmission
 
 
@@ -86,10 +86,17 @@ class RfFrontEnd(Module):
     """Half-duplex radio with explicit enable signals.
 
     The owner (link controller) drives :meth:`rx_on` / :meth:`rx_off` /
-    :meth:`transmit` and receives callbacks:
+    :meth:`transmit`, and the channel calls its ``listener`` back as a
+    reception progresses (locking the receiver onto the packet from the
+    carrier on, and releasing it when the listener declines or the packet
+    ends):
 
     * ``listener.on_sync(tx, matched)`` at the sync-word decision point;
-    * ``listener.on_reception(reception)`` at packet end (only when locked).
+    * ``listener.on_header(tx, header_ok, am_addr)`` at the header
+      decision, if it has one;
+    * ``listener.on_reception(reception)`` at packet end (only when
+      locked).  It may return the events the reception calls for, as
+      ``(time_ns, callback)`` pairs, which the kernel then queues.
     """
 
     def __init__(self, sim: Simulator, name: str, parent: Module,
@@ -170,7 +177,7 @@ class RfFrontEnd(Module):
         self.expect = expect
         self.channel.listener_retuned(self)
         if not self._rx_on:
-            self.write_rx(True, self.sim.now, self.sim.delta)
+            self.write_rx(True)
 
     def rx_on_follow(self, freq_fn: Callable[[], int], expect: RxExpect) -> None:
         """Power the receiver in frequency-following mode: it is considered
@@ -183,7 +190,7 @@ class RfFrontEnd(Module):
         self.expect = expect
         self.channel.listener_retuned(self)
         if not self._rx_on:
-            self.write_rx(True, self.sim.now, self.sim.delta)
+            self.write_rx(True)
 
     def rx_retune(self, freq: int, expect: Optional[RxExpect] = None) -> None:
         """Change frequency without an off/on glitch (no effect if locked)."""
@@ -196,28 +203,37 @@ class RfFrontEnd(Module):
 
     def rx_off(self) -> None:
         """Power the receiver down (aborts any in-progress lock)."""
-        if self.rx_locked:
+        if self.locked_tx is not None:
             self.channel.abort_reception(self)
         self.rx_freq = None
         self.rx_freq_fn = None
         self.locked_tx = None
         self.channel.listener_retuned(self)
         if self._rx_on:
-            self.write_rx(False, self.sim.now, self.sim.delta)
+            self.write_rx(False)
 
-    def write_rx(self, on: bool, now: int, delta: int) -> None:
-        """Record a receiver write of ``on`` made at ``(now, delta)``, and
-        write ``enable_rx`` while it has a subscriber.  Callers skip
-        writes of the latest value written, which change nothing.
+    def rx_close(self) -> None:
+        """The end of a listen window: power down unless a carrier holds
+        the receiver."""
+        if self.locked_tx is None and (self.rx_freq is not None
+                                       or self.rx_freq_fn is not None):
+            self.rx_off()
+
+    def write_rx(self, on: bool) -> None:
+        """Record a receiver write of ``on`` made at the kernel's current
+        ``(now, delta)``, and write ``enable_rx`` while it has a
+        subscriber.  Callers skip writes of the latest value written,
+        which change nothing.
 
         A write is taken to commit once the kernel is at another
         ``(now, delta)`` or a run has returned since.  That is where the
         update phase commits it, unless events of one instant run out of
         delta order, which takes a ``schedule(0)`` made at a delta above 0.
-        The SoA micro loop calls this with its own event time, as the
-        simulator's clock stays at the window start while it runs.
         """
-        runs = self.sim._run_ends
+        sim = self.sim
+        now = sim.now
+        delta = sim.delta
+        runs = sim._run_ends
         if self._rx_on is not self._rx_was and (
                 now != self._rx_ns or delta != self._rx_delta
                 or runs != self._rx_runs):
@@ -269,10 +285,9 @@ class RfFrontEnd(Module):
         transmit at the same 0 dBm default, so links never specify it; the
         capture test-benches do).
         """
-        if self.tx_busy:
+        if self.sim.now < self._tx_until_ns:  # tx_busy
             raise ChannelError(f"{self.path}: transmit while already transmitting")
-        tx = self.channel.transmit(self, freq, packet, uap=uap, meta=meta,
-                                   power_dbm=power_dbm)
+        tx = self.channel.transmit(self, freq, packet, uap, meta, power_dbm)
         start = tx.start_ns
         previous = self._tx_prev_until_ns = self._tx_until_ns
         end = self._tx_until_ns = start + tx.duration_ns
@@ -334,33 +349,3 @@ class RfFrontEnd(Module):
             signal.write(pending)
         if now < end:
             self._arm_tx_done(end)
-
-    # ------------------------------------------------------------------
-    # Channel-side hooks
-    # ------------------------------------------------------------------
-
-    def carrier_detected(self, tx: "Transmission") -> None:
-        """Energy appeared on the tuned frequency (keeps the window open
-        until the sync decision; the link controller's window-close handlers
-        check :attr:`rx_locked` / carrier before powering down)."""
-        # Lock provisionally; the sync stage decides whether to keep it.
-        if self.locked_tx is None:
-            self.locked_tx = tx
-
-    def deliver_sync(self, tx: "Transmission", matched: bool) -> None:
-        """Sync-word decision point."""
-        keep = False
-        if self.listener is not None:
-            keep = bool(self.listener.on_sync(tx, matched))
-        if matched and keep:
-            self.locked_tx = tx
-        else:
-            if self.locked_tx is tx:
-                self.locked_tx = None
-
-    def deliver_end(self, reception: "Reception") -> None:
-        """Full-packet delivery (only when locked on that transmission)."""
-        if self.locked_tx is reception.tx:
-            self.locked_tx = None
-        if self.listener is not None:
-            self.listener.on_reception(reception)

@@ -113,6 +113,26 @@ class TestSlotLoopMemoBound:
         assert max(len(memo) for memo in memos.values()) \
             <= HopSelector._MEMO_MAX + WINDOW_SLOTS
 
+    def test_an_absorbed_window_fills_each_memo_row_once(self, monkeypatch):
+        """A slave shares its master's memo and start clock, whose row the
+        batched pass has just filled, so the prefill fills no slave: the
+        window makes no per-selector fill at all."""
+        from repro.experiments.ext_interference import build_campaign_session
+
+        session, _ = build_campaign_session(3, 97)
+        fills = []
+        window = HopSelector.connection_window
+
+        def counted(selector, clk_start, size):
+            fills.append(selector.address)
+            return window(selector, clk_start, size)
+
+        monkeypatch.setattr(HopSelector, "connection_window", counted)
+        absorbed = session.slot_engine.windows_absorbed
+        session.run_slots(800)
+        assert session.slot_engine.windows_absorbed == absorbed + 1
+        assert fills == []
+
 
 class TestAfhMapEviction:
     """Regression: the AFH-map table is bounded like the memo table.

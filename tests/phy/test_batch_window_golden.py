@@ -4,8 +4,8 @@ vs test-local scalar oracles.
 Two multi-piconet scenarios (statistical and bit-accurate channels) are
 run twice in-process — once on the fast paths (one ``Channel._sync_batch``
 event per multi-listener transmission, 64-slot windowed hop prefill) and
-once with both replaced by scalar oracles: a ``_sync_stage`` call per
-listener (the decomposition the ``_sync_batch`` docstring argues is
+once with both replaced by scalar oracles: a one-listener sync stage per
+listener (the decomposition the ``Channel.sync`` docstring argues is
 byte-identical) and the per-clock hop formula of
 ``tests/baseband_reference.py``.  Their *physical outcomes* (collisions,
 transmissions, delivered bytes, per-device packet counts) must match bit
@@ -60,19 +60,21 @@ def _digest(outcome: tuple) -> str:
     return hashlib.sha256(json.dumps(outcome).encode()).hexdigest()[:16]
 
 
+_SYNC_EVENT = Channel._sync_batch
+
+
 def _sync_per_listener(self, tx, receivers):
     """Scalar oracle for ``Channel._sync_batch``: admit, decode and deliver
     one listener at a time, as consecutive per-listener events would."""
     for listener in receivers:
-        self._sync_stage(tx, listener)
+        _SYNC_EVENT(self, tx, [listener])
 
 
 def _install_scalar_oracles(monkeypatch) -> None:
     """Route every multi-listener sync and every connection-state hop
-    lookup through the scalar oracles.  Only the object kernel calls
-    them (the scenarios run with the slot engine detached): the SoA
-    micro-loop prefills hops in bulk and inlines its own batch dispatch,
-    and its equivalence is pinned separately."""
+    lookup through the scalar oracles.  The scenarios run with the slot
+    engine detached: the engine prefills hops in bulk and calls the sync
+    stage without the event, and its equivalence is pinned separately."""
     monkeypatch.setattr(Channel, "_sync_batch", _sync_per_listener)
     monkeypatch.setattr(HopSelector, "connection", connection_reference)
 

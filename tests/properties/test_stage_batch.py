@@ -5,7 +5,7 @@ consume the channel's stage RNG stream exactly like a loop of the scalar
 ``sample_stages`` / ``sample_sync`` calls — same outcomes *and* same
 final generator state, so every event after the batch draws identical
 variates.  The channel still takes the scalar samplers for a transmission
-with a single listener (``Channel._sync_stage``), so the two must agree.
+with a single listener (``Channel._full_decode``), so the two must agree.
 """
 
 from __future__ import annotations

@@ -295,8 +295,8 @@ def test_traced_world_still_schedules_tx_done():
 
 @pytest.mark.parametrize("engine", ["object", "soa"])
 def test_enable_rx_follows_the_receiver_after_a_run(engine):
-    """The SoA micro loop skips the enable_rx writes; its handback sets
-    the signal to the receiver state, so a probe attached between runs
+    """An unobserved radio skips the enable_rx writes and settles the
+    signal from its receiver record, so a probe attached between runs
     starts from the right value on either kernel."""
     session = _campaign(engine)
     for slots in (40.5, 17.25, 3.1):
@@ -309,7 +309,7 @@ def test_enable_rx_follows_the_receiver_after_a_run(engine):
 
 def test_enable_tx_settles_alike_after_soa_windows():
     """An unobserved enable_tx settles from the radio's transmissions,
-    which the SoA micro loop keeps as the object kernel does."""
+    which both kernels keep through the same handlers."""
     seen = {}
     for engine in ("object", "soa"):
         session = _campaign(engine)
@@ -326,7 +326,7 @@ def test_enable_tx_settles_alike_after_soa_windows():
 
 def test_enable_rx_settles_alike_after_soa_windows():
     """An unobserved enable_rx settles from the radio's receiver-write
-    record, which the SoA micro loop keeps as the object kernel does."""
+    record, which both kernels keep through the same handlers."""
     seen = {}
     for engine in ("object", "soa"):
         session = _campaign(engine)
