@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 from repro import units
 
+_TICK_NS = units.TICK_NS
+_CLK_MASK = units.CLKN_WRAP - 1
+
 
 @dataclass
 class BtClock:
@@ -38,11 +41,12 @@ class BtClock:
 
     def ticks(self, now_ns: int) -> int:
         """Monotonic (unwrapped) tick count at ``now_ns``."""
-        return (now_ns + self.phase_ns) // units.TICK_NS + self.offset_ticks
+        return (now_ns + self.phase_ns) // _TICK_NS + self.offset_ticks
 
     def clk(self, now_ns: int) -> int:
         """The 28-bit clock value at ``now_ns``."""
-        return self.ticks(now_ns) & (units.CLKN_WRAP - 1)
+        return ((now_ns + self.phase_ns) // _TICK_NS
+                + self.offset_ticks) & _CLK_MASK
 
     def time_at_tick(self, tick: int) -> int:
         """Simulation time at which (unwrapped) ``tick`` begins."""

@@ -388,16 +388,17 @@ class HopSelector:
         phase ``phase``; ``n`` counts responses (spec's N register)."""
         return self._phase_select("resp", (phase + n) % 32, 1, 32)
 
-    def connection(self, clk: int, window: int = WINDOW_SLOTS) -> int:
+    def connection(self, clk: int) -> int:
         """Channel hopping in connection state at piconet clock CLK (with
         the AFH remap applied whenever an adaptive hop set is installed
-        for this address).  A memo miss fills ``window`` slots from here."""
+        for this address).  A memo miss fills :data:`WINDOW_SLOTS` slots
+        from here."""
         if self._afh_seen_generation != self.registry.generation:
             self._bind_shared_memo()
         freq = self._connection_memo.get(clk)
         if freq is None:
             # memo miss: prefill the window of slots starting here
-            freq = int(self.connection_window(clk, window)[0])
+            freq = int(self.connection_window(clk, WINDOW_SLOTS)[0])
         return freq
 
     def _connection_indices(self, clks: np.ndarray) -> np.ndarray:

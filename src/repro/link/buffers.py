@@ -34,6 +34,8 @@ class TxBuffer:
         self.capacity = capacity
         self._lmp: deque[OutboundData] = deque()
         self._data: deque[OutboundData] = deque()
+        #: the next payload to transmit (LMP first), None when empty
+        self.head: Optional[OutboundData] = None
         self.dropped = 0
         #: the source that tops the buffer up after an acknowledged pop
         #: (a :class:`~repro.link.traffic.SaturatedTraffic`), if any
@@ -50,33 +52,33 @@ class TxBuffer:
         """Enqueue; returns False (and counts a drop) when full."""
         if item.is_lmp:
             self._lmp.append(item)
+            self.head = self._lmp[0]
             return True
         if len(self._lmp) + len(self._data) >= self.capacity:
             self.dropped += 1
             return False
         self._data.append(item)
+        if self.head is None:
+            self.head = item
         return True
-
-    def peek(self) -> Optional[OutboundData]:
-        """Next payload to transmit, LMP first; None when empty."""
-        if self._lmp:
-            return self._lmp[0]
-        if self._data:
-            return self._data[0]
-        return None
 
     def pop(self) -> Optional[OutboundData]:
         """Remove and return the next payload."""
-        if self._lmp:
-            return self._lmp.popleft()
-        if self._data:
-            return self._data.popleft()
-        return None
+        lmp, data = self._lmp, self._data
+        if lmp:
+            item = lmp.popleft()
+        elif data:
+            item = data.popleft()
+        else:
+            return None
+        self.head = lmp[0] if lmp else data[0] if data else None
+        return item
 
     def flush(self) -> int:
         """Drop all queued *data* (keeps LMP); returns the number dropped."""
         count = len(self._data)
         self._data.clear()
+        self.head = self._lmp[0] if self._lmp else None
         return count
 
 

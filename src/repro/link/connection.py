@@ -64,7 +64,8 @@ _META = {purpose: TxMeta(purpose=purpose)
          for purpose in ("beacon", "data", "poll", "slave_reply")}
 
 _CLK_MASK = units.CLKN_WRAP - 1
-_TICK_NS = units.TICK_NS
+_SLOT_NS = units.SLOT_NS
+_PAIR_NS = units.SLOT_PAIR_NS
 
 # Enum members the slot handlers test at every pair, as module constants:
 # the interpreter does not cache attribute lookups on an Enum class.
@@ -154,7 +155,7 @@ class ConnectionMaster:
             return
         now = self.device.sim.now
         wake_ns = self._wake_ns
-        if wake_ns is not None and wake_ns < now + units.SLOT_PAIR_NS:
+        if wake_ns is not None and wake_ns < now + _PAIR_NS:
             return  # the loop runs at the next boundary already
         # the first boundary at or after now, and after the last one served
         pair = max(self.pair_index(now - 1), self._served_pair) + 1
@@ -223,16 +224,14 @@ class ConnectionMaster:
             return None, None
         device = self.device
         now = device.sim.now
-        clock = device.clock
-        # BtClock.ticks, inlined: the slot loops read the clock every pair
-        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
+        ticks = device.clock.ticks(now)
         pair = self._served_pair = ticks // 4
         # the loop runs on its pair boundaries: the next is a pair later
-        wake_ns = self._wake_ns = now + units.SLOT_PAIR_NS
+        wake_ns = self._wake_ns = now + _PAIR_NS
         rf = device.rf
-        if rf.locked_tx is not None or now < rf._tx_until_ns:
-            return wake_ns, None
-        if rf.rx_freq is not None or rf.rx_freq_fn is not None:  # rx_open
+        if rf.locked_tx is not None or now < rf.tx_until_ns:
+            return wake_ns, None  # locked onto a packet, or transmitting
+        if rf.rx_open:
             rf.rx_off()
         if self.afh is not None:
             # assess before picking this pair's frequency, so a fresh map
@@ -283,7 +282,7 @@ class ConnectionMaster:
             return None
         arq = self.arq[am_addr]
         if action.kind == "data":
-            item = device.tx_buffer_for(am_addr).peek()
+            item = device.tx_buffers[am_addr].head
             if item is None:
                 return None
             if cap is not None and arq.tx.awaiting_ack:
@@ -302,7 +301,7 @@ class ConnectionMaster:
         if self.afh is not None:
             self.afh.note_tx(freq)  # data/POLL both solicit a reply
         reply_ns = self._reply_ns = \
-            now + packet.ptype.info.slots * units.SLOT_NS
+            now + packet.ptype.info.slots * _SLOT_NS
         return reply_ns
 
     def _rx_slot(self) -> None:
@@ -317,9 +316,7 @@ class ConnectionMaster:
         if not self._running or device.rf.locked_tx is not None:
             return None
         now = device.sim.now
-        clock = device.clock
-        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
-        device.rf.rx_on(device.hop_selector.connection(ticks & _CLK_MASK),
+        device.rf.rx_on(device.hop_selector.connection(device.clock.clk(now)),
                         self._expect)
         return now + self._listen_ns
 
@@ -364,7 +361,7 @@ class ConnectionMaster:
         # ARQN acknowledges the head of our queue
         follow = None
         if result.header_arqn is not None and arq.tx.on_arqn(result.header_arqn):
-            follow = _pop_acked(self.device.tx_buffer_for(am_addr),
+            follow = _pop_acked(self.device.tx_buffers[am_addr],
                                 self.device.sim.now)
         # payload processing
         packet = result.packet
@@ -525,12 +522,12 @@ class ConnectionSlave:
         device = self.device
         now = device.sim.now
         clock = self.clock
-        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
+        ticks = clock.ticks(now)
         pair = ticks // 4
         mode = self.mode
         if mode is _ACTIVE:
             # the loop runs on its pair boundaries: the next is a pair later
-            next_ns = now + units.SLOT_PAIR_NS
+            next_ns = now + _PAIR_NS
         else:
             if mode is _HOLD:
                 if self._hold_end_pair is not None \
@@ -543,17 +540,17 @@ class ConnectionSlave:
                     self._next_listen_pair(pair + 1) * 4), None
             next_ns = clock.time_at_tick(self._next_listen_pair(pair + 1) * 4)
         rf = device.rf
-        if rf.locked_tx is not None or now < rf._tx_until_ns \
+        if rf.locked_tx is not None or now < rf.tx_until_ns \
                 or mode is not _ACTIVE and not self._should_listen(pair):
             return next_ns, None
         freq = self.selector.connection(ticks & _CLK_MASK)
-        if rf.rx_freq is None and rf.rx_freq_fn is None:  # not rx_open
-            rf.rx_on(freq, self._expect)
-        else:
+        if rf.rx_open:
             rf.rx_retune(freq)
+        else:
+            rf.rx_on(freq, self._expect)
         if mode is _SNIFF:
             # wide-open attempt window: the slave must re-acquire sync
-            return next_ns, now + units.SLOT_NS
+            return next_ns, now + _SLOT_NS
         return next_ns, now + self._listen_ns
 
     def _should_listen(self, pair: int) -> bool:
@@ -640,7 +637,7 @@ class ConnectionSlave:
             if result.header_type != 0:  # 0 == NULL
                 slots = result.packet.ptype.info.slots if result.packet else 1
                 reply_at = reception.tx.start_ns + self._modem_delay \
-                    + slots * units.SLOT_NS
+                    + slots * _SLOT_NS
                 reply = ((reply_at, self._reply),)
                 follow = reply if follow is None else follow + reply
         device.rf.rx_close()
@@ -660,14 +657,12 @@ class ConnectionSlave:
         device = self.device
         rf = device.rf
         now = device.sim.now
-        if now < rf._tx_until_ns:
+        if now < rf.tx_until_ns:
             return
-        if rf.rx_freq is not None or rf.rx_freq_fn is not None:  # rx_open
+        if rf.rx_open:
             rf.rx_off()
-        clock = self.clock
-        ticks = (now + clock.phase_ns) // _TICK_NS + clock.offset_ticks
-        freq = self.selector.connection(ticks & _CLK_MASK)
-        item = self._buffer.peek()
+        freq = self.selector.connection(self.clock.clk(now))
+        item = self._buffer.head
         arq = self.arq
         lap = self.master_addr.lap
         if item is not None:

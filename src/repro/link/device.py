@@ -37,6 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.transmission import Transmission
 
 
+class _TxBuffers(dict):
+    """Outbound buffers by AM_ADDR, each created on first use."""
+
+    def __missing__(self, am_addr: int) -> TxBuffer:
+        buffer = self[am_addr] = TxBuffer()
+        return buffer
+
+
 class BluetoothDevice(Module):
     """One Bluetooth unit: radio + link controller + link manager.
 
@@ -49,6 +57,8 @@ class BluetoothDevice(Module):
         sig_state: traced signal carrying the link-controller state name.
         piconet: membership table (master role only).
         connection_master / connection_slave: active connection logic.
+        tx_buffers: the outbound buffer toward each link by AM_ADDR (a
+            slave's toward its master is 0), created on first lookup.
     """
 
     def __init__(self, sim: Simulator, name: str, channel: "Channel",
@@ -80,7 +90,7 @@ class BluetoothDevice(Module):
         self.state = DeviceState.STANDBY
 
         self.rx_buffer = RxBuffer()
-        self._tx_buffers: dict[int, TxBuffer] = {}
+        self.tx_buffers: dict[int, TxBuffer] = _TxBuffers()
         self.active_handler = None  # the radio's listener is the device
 
         self.piconet: Optional[Piconet] = None
@@ -128,11 +138,7 @@ class BluetoothDevice(Module):
 
     def tx_buffer_for(self, am_addr: int) -> TxBuffer:
         """The outbound buffer toward a link (slaves use am_addr=0)."""
-        buffer = self._tx_buffers.get(am_addr)
-        if buffer is None:
-            buffer = TxBuffer()
-            self._tx_buffers[am_addr] = buffer
-        return buffer
+        return self.tx_buffers[am_addr]
 
     def enqueue_data(self, am_addr: int, payload: bytes,
                      ptype: PacketType = PacketType.DM1,

@@ -165,9 +165,7 @@ class InquiryProcedure:
     def _rx_close(self) -> None:
         if self._done:
             return
-        rf = self.device.rf
-        if rf.rx_open and not rf.rx_locked:
-            rf.rx_off()
+        self.device.rf.rx_close()
 
     # -- RF callbacks ------------------------------------------------------
 
@@ -183,8 +181,7 @@ class InquiryProcedure:
         result = reception.result
         if not (result.complete and result.packet is not None
                 and result.packet.ptype is PacketType.FHS):
-            if not self.device.rf.rx_locked and self.device.rf.rx_open:
-                self.device.rf.rx_off()
+            self.device.rf.rx_close()
             return
         fhs = result.packet.fhs
         assert fhs is not None

@@ -37,20 +37,15 @@ class SlotAction:
     am_addr: int
 
 
-_ACTIONS: dict[tuple[str, int], SlotAction] = {}
+# The one SlotAction of each kind toward each AM_ADDR: the policy picks
+# one per served pair, and they are immutable, so shared.
+_BEACON = SlotAction("beacon", 0)
+_DATA = tuple(SlotAction("data", am_addr) for am_addr in range(8))
+_POLL = tuple(SlotAction("poll", am_addr) for am_addr in range(8))
 
 # an Enum class attribute lookup is not cached by the interpreter, and the
 # policy tests the mode of every slave at every pair
 _ACTIVE, _SNIFF = ConnectionMode.ACTIVE, ConnectionMode.SNIFF
-
-
-def _action(kind: str, am_addr: int) -> SlotAction:
-    """The one :class:`SlotAction` of ``kind`` toward ``am_addr`` (the
-    policy picks one per served pair; they are immutable, so shared)."""
-    action = _ACTIONS.get((kind, am_addr))
-    if action is None:
-        action = _ACTIONS[(kind, am_addr)] = SlotAction(kind, am_addr)
-    return action
 
 
 class PollingPolicy:
@@ -75,11 +70,18 @@ class RoundRobinPolicy(PollingPolicy):
         # 1. beacon for parked slaves
         if master._beacon_interval_pairs is not None \
                 and master.next_beacon(slot_index) == slot_index:
-            return _action("beacon", 0)
+            return _BEACON
 
         holds = master.hold_schedules
         resyncing = master._resync_needed
+        device = master.device
+        buffers = device.tx_buffers
+        now = device.sim.now
         reachable: list[SlaveLink] = []
+        # 2. (in the same pass) queued data, oldest-first across reachable
+        # slaves
+        best: Optional[SlaveLink] = None
+        best_age = -1
         for link in master.piconet.slaves.values():
             # hold bookkeeping is keyed on the schedule + resync set, not on
             # link.mode: a reply in flight when the next hold is scheduled
@@ -90,25 +92,19 @@ class RoundRobinPolicy(PollingPolicy):
             if resyncing and link.am_addr in resyncing:
                 # returned from hold: poll on the resync schedule until heard
                 if master.next_resync_poll(slot_index) == slot_index:
-                    return _action("poll", link.am_addr)
+                    return _POLL[link.am_addr]
                 continue
             if link.mode is _SNIFF and link.sniff is not None:
                 if not in_attempt_window(slot_index, link.sniff):
                     continue
             reachable.append(link)
-
-        # 2. queued data, oldest-first across reachable slaves
-        best: Optional[SlaveLink] = None
-        best_age = -1
-        device = master.device
-        for link in reachable:
-            item = device.tx_buffer_for(link.am_addr).peek()
+            item = buffers[link.am_addr].head
             if item is not None:
-                age = device.sim.now - item.enqueued_ns
+                age = now - item.enqueued_ns
                 if age > best_age:
                     best, best_age = link, age
         if best is not None:
-            return _action("data", best.am_addr)
+            return _DATA[best.am_addr]
 
         # 3. keep-alive polling by most-overdue T_poll deadline
         # (T_poll is configured in slots; pair indices advance one per 2 slots)
@@ -120,7 +116,7 @@ class RoundRobinPolicy(PollingPolicy):
             if due_in <= 0 and -due_in >= overdue_by:
                 most_overdue, overdue_by = link, -due_in
         if most_overdue is not None:
-            return _action("poll", most_overdue.am_addr)
+            return _POLL[most_overdue.am_addr]
         return None
 
     def next_due(self, master: "ConnectionMaster", slot_index: int) -> Optional[int]:
@@ -139,7 +135,7 @@ class RoundRobinPolicy(PollingPolicy):
                 if master.needs_resync(link.am_addr):
                     at = master.next_resync_poll(slot_index)
                 else:
-                    if master.device.tx_buffer_for(link.am_addr).empty:
+                    if master.device.tx_buffers[link.am_addr].empty:
                         at = max(slot_index, link.last_poll_slot + t_poll)
                     else:
                         at = slot_index
@@ -167,4 +163,4 @@ class ExhaustivePolicy(RoundRobinPolicy):
         if not links:
             return None
         target = links[slot_index % len(links)]
-        return _action("poll", target.am_addr)
+        return _POLL[target.am_addr]

@@ -15,6 +15,7 @@ import numpy as np
 from repro import units
 from repro.baseband.packets import PacketType
 from repro.errors import ConfigError
+from repro.link.buffers import OutboundData
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.link.device import BluetoothDevice
@@ -29,6 +30,8 @@ class TrafficSource:
         self.device = device
         self.am_addr = am_addr
         self.ptype = ptype
+        if not ptype.is_data:
+            raise ConfigError(f"{ptype.value} cannot carry user data")
         if payload_len is None:
             payload_len = ptype.info.max_payload
         if payload_len > ptype.info.max_payload:
@@ -123,7 +126,9 @@ class SaturatedTraffic(TrafficSource):
     head, so the refill runs at the first grid slot after each such
     acknowledgement rather than at every slot: the ARQ code arms it
     through :meth:`arm` (the buffer names its source in ``refill``).
-    Payloads are stamped with the same ``enqueued_ns`` either way.
+    Payloads are stamped with the same ``enqueued_ns`` either way.  The
+    source checks its payload once, at construction, and loads the
+    buffer directly.
     """
 
     def start(self) -> None:
@@ -143,5 +148,15 @@ class SaturatedTraffic(TrafficSource):
 
     def _refill(self) -> None:
         self._armed = False
-        for _ in range(4 - len(self._buffer)):
-            self._emit()
+        buffer = self._buffer
+        missing = 4 - len(buffer)
+        if missing <= 0:
+            return
+        device = self.device
+        # queued payloads are never mutated: one item fills every gap
+        item = OutboundData(self._payload, self.ptype, device.sim.now)
+        for _ in range(missing):
+            buffer.load(item)
+        self.generated += missing
+        if device.connection_master is not None:
+            device.connection_master.wake()

@@ -37,12 +37,13 @@ thousands of these per second):
   on channel), not O(all radios).  Candidates are visited in attach order,
   which keeps event sequence numbers — and therefore every outcome —
   identical to the full-walk implementation.
-* Live transmissions and pending decodes are keyed dicts with per-radio
-  indexes, so :meth:`abort_reception` is O(1) instead of an identity/key
-  scan.  Expiry is lazy and schedules no event: a radio's previous
-  transmission leaves the live set when it transmits again, so the live
-  sets hold at most one ended entry per radio, which the resolvers
-  skip.
+* Live transmissions are keyed dicts per RF channel.  Expiry is lazy and
+  schedules no event: a radio's previous transmission leaves the live set
+  when it transmits again, so the live sets hold at most one ended entry
+  per radio, which the resolvers skip.
+* A receiver locks onto one packet at a time, so the decode outcome its
+  header and end stages read is kept on the radio beside the lock
+  (``locked_tx`` / ``locked_result``); powering down clears both.
 * Stage callbacks are ``functools.partial`` bindings of bound methods, not
   capturing lambdas — no closure-cell allocation per scheduled stage.
 * All receptions of a transmission resolved at the same sync instant are
@@ -79,7 +80,7 @@ from repro.baseband.bits import flip_bits
 from repro.baseband.hop import HopRegistry
 from repro.baseband.packets import Packet, PacketType, packet_air_bits
 from repro.baseband.timing import HEADER_DECISION_NS, SYNC_DECISION_NS
-from repro.units import BIT_NS, CLKN_WRAP, TICK_NS
+from repro.units import BIT_NS
 from repro.config import SimulationConfig
 from repro.errors import ChannelError
 from repro.phy.geometry import Position, Topology
@@ -94,7 +95,6 @@ from repro.sim.simulator import Simulator
 # interpreter does not cache attribute lookups on an Enum class
 _ID, _FHS = PacketType.ID, PacketType.FHS
 
-_CLK_MASK = CLKN_WRAP - 1
 _new = object.__new__
 
 #: Registry key of a frequency-following receiver (its tuned channel is a
@@ -151,14 +151,10 @@ class Channel(Module):
         self._active_by_freq: dict[int, dict[int, Transmission]] = {}
         # each radio's latest transmission, by attach index
         self._last_tx: list[Transmission | None] = []
-        self._pending: dict[tuple[int, int], DecodeResult] = {}
-        # per-radio index over _pending keys: abort_reception is O(own keys)
-        self._pending_by_radio: dict[int, set[tuple[int, int]]] = {}
         # tuning registry: RF channel -> {id(radio): radio}; following
         # receivers are kept apart (their channel is evaluated on demand)
         self._tuned_by_freq: dict[int, dict[int, RfFrontEnd]] = {}
         self._following: dict[int, RfFrontEnd] = {}
-        self._listen_keys: dict[int, int | None] = {}
         noise_rng = rngs.stream("channel.noise")
         if config.noise.burst_avg_len > 1.0:
             self.noise: NoiseModel = GilbertElliottNoise(
@@ -245,7 +241,6 @@ class Channel(Module):
         radio.attach_index = len(self.radios)
         self.radios.append(radio)
         self._last_tx.append(None)
-        self._listen_keys[id(radio)] = None
 
     def listener_retuned(self, radio: RfFrontEnd) -> None:
         """Sync the tuning registry with ``radio``'s current receiver state.
@@ -254,12 +249,11 @@ class Channel(Module):
         ``rx_off`` transition; the registry is what :meth:`_scan_listeners`
         indexes instead of walking every attached radio.
         """
-        rid = id(radio)
         new = radio.rx_freq if radio.rx_freq_fn is None else _FOLLOWING
-        keys = self._listen_keys
-        old = keys.get(rid)
+        old = radio.registry_key
         if new == old:
             return
+        rid = id(radio)
         if old == _FOLLOWING:
             self._following.pop(rid, None)
         elif old is not None:
@@ -273,14 +267,7 @@ class Channel(Module):
             if bucket is None:
                 bucket = self._tuned_by_freq[new] = {}
             bucket[rid] = radio
-        keys[rid] = new
-
-    def abort_reception(self, radio: RfFrontEnd) -> None:
-        """A radio powered down mid-lock; drop its pending decodes."""
-        keys = self._pending_by_radio.pop(id(radio), None)
-        if keys:
-            for key in keys:
-                self._pending.pop(key, None)
+        radio.registry_key = new
 
     # ------------------------------------------------------------------
     # Spatial layer
@@ -418,10 +405,8 @@ class Channel(Module):
             # the ends of a page are not synchronised yet: FHS whitens
             # with clock 0
             tx.tx_clk = 0
-        else:  # the sender's clock (BtClock.clk)
-            clock = radio.clock
-            tx.tx_clk = ((now + clock.phase_ns) // TICK_NS
-                         + clock.offset_ticks) & _CLK_MASK
+        else:  # the sender's clock
+            tx.tx_clk = radio.clock.clk(now)
         tx.tx_uap = uap
         tx.air_bits = None
         tx.corrupted = False
@@ -679,8 +664,8 @@ class Channel(Module):
         freq = tx.freq
         receivers = []
         for listener in candidates:
-            if listener is radio or now < listener._tx_until_ns:
-                continue
+            if listener is radio or now < listener.tx_until_ns:
+                continue  # a transmitting radio does not receive
             follow = listener.rx_freq_fn
             # a closed receiver has neither a channel nor a hop function
             if (listener.rx_freq if follow is None else follow()) != freq:
@@ -730,7 +715,7 @@ class Channel(Module):
         admitted = []
         for listener in receivers:
             locked = listener.locked_tx
-            if listener.rx_freq is None and listener.rx_freq_fn is None \
+            if not listener.rx_open \
                     or not (locked is tx or listener.tuned_to(tx.freq)):
                 if locked is tx:  # closed or retuned since the scan
                     listener.locked_tx = None
@@ -745,8 +730,6 @@ class Channel(Module):
             else self._full_decode_batch(tx, admitted)
         is_id = packet.ptype is _ID
         spatial = self._spatial
-        pending = self._pending
-        by_radio = self._pending_by_radio
         locked = []
         for index, listener in enumerate(admitted):
             if results is not None:
@@ -773,25 +756,9 @@ class Channel(Module):
                 self._deliver_end(tx, listener, result)
             elif matched and listener.locked_tx is tx:
                 # the header stage follows; else declined or sync failed
-                rid = id(listener)
-                key = (id(tx), rid)
-                pending[key] = result
-                keys = by_radio.get(rid)
-                if keys is None:
-                    keys = by_radio[rid] = set()
-                keys.add(key)
+                listener.locked_result = result
                 locked.append(listener)
         return locked
-
-    def _pop_pending(self, tx: Transmission,
-                     listener: RfFrontEnd) -> DecodeResult | None:
-        key = (id(tx), id(listener))
-        result = self._pending.pop(key, None)
-        if result is not None:
-            keys = self._pending_by_radio.get(id(listener))
-            if keys is not None:
-                keys.discard(key)
-        return result
 
     def _header_stage(self, tx: Transmission, listener: RfFrontEnd) -> None:
         if self.header(tx, listener):
@@ -801,7 +768,7 @@ class Channel(Module):
     def header(self, tx: Transmission, listener: RfFrontEnd) -> bool:
         """The header decision: the listener sees the AM_ADDR and may drop
         out.  True when it stays locked to the packet's end."""
-        result = self._pending.get((id(tx), id(listener)))
+        result = listener.locked_result
         if result is None or listener.locked_tx is not tx:
             return False
         corrupted = tx.corrupted or (
@@ -813,8 +780,8 @@ class Channel(Module):
         keep = on_header is None or bool(
             on_header(tx, result.header_ok and not corrupted, am_addr))
         if not keep:
-            self._pop_pending(tx, listener)
             listener.locked_tx = None
+            listener.locked_result = None
         return keep
 
     def _end_stage(self, tx: Transmission, listener: RfFrontEnd) -> None:
@@ -827,9 +794,10 @@ class Channel(Module):
         """The end of the packet: deliver the reception.  Returns the
         events the listener's ``on_reception`` calls for, as
         ``(time_ns, callback)`` pairs, or None."""
-        result = self._pop_pending(tx, listener)
+        result = listener.locked_result
         if result is None or listener.locked_tx is not tx:
             return None
+        listener.locked_result = None
         return self._deliver_end(tx, listener, result)
 
     def _deliver_end(self, tx: Transmission, listener: RfFrontEnd,
@@ -845,8 +813,13 @@ class Channel(Module):
         handler = listener.listener
         if handler is None:
             return None
-        return handler.on_reception(
-            Reception(tx, result, corrupted, self.sim.now))
+        # every field stored directly: one Reception per delivery
+        reception = _new(Reception)
+        reception.tx = tx
+        reception.result = result
+        reception.collided = corrupted
+        reception.rx_time_ns = self.sim.now
+        return handler.on_reception(reception)
 
     # ------------------------------------------------------------------
     # Decode-outcome draw (once per transmission/listener pair)

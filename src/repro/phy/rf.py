@@ -110,15 +110,27 @@ class RfFrontEnd(Module):
             self, "enable_rx_rf", self._settle_rx)
         self.rx_freq: Optional[int] = None
         self.rx_freq_fn: Optional[Callable[[], int]] = None
+        #: True while the receiver is powered and tuned (to ``rx_freq``,
+        #: or following ``rx_freq_fn``)
+        self.rx_open = False
         self.expect: Optional[RxExpect] = None
         self.locked_tx: Optional["Transmission"] = None
+        #: the decode outcome of ``locked_tx``, drawn at its sync stage
+        #: and read by its header and end stages (kept by the channel)
+        self.locked_result = None
         self.listener = None  # set by the link controller
         self.attach_index = -1  # assigned by Channel.attach
+        #: the channel's tuning-registry key of this receiver (kept by
+        #: Channel.listener_retuned): its RF channel, a following marker,
+        #: or None while closed
+        self.registry_key = None
         # spatial-layer identity: the Topology key this radio's position
         # is registered under (devices set their BdAddr; None = unplaced,
         # which the topology maps to unit gain)
         self.topo_key = None
-        self._tx_until_ns = -1
+        #: when the latest transmission leaves the air: the transmitter
+        #: is busy while ``sim.now < tx_until_ns`` (:attr:`tx_busy`)
+        self.tx_until_ns = -1
         # the latest transmit's delta and the end of the one before it:
         # what _settle_tx needs when it runs in the transmitting delta
         self._tx_delta = 0
@@ -144,11 +156,6 @@ class RfFrontEnd(Module):
     # Receiver control
     # ------------------------------------------------------------------
 
-    @property
-    def rx_open(self) -> bool:
-        """True while the receiver is powered and tuned."""
-        return self.rx_freq is not None or self.rx_freq_fn is not None
-
     def tuned_to(self, freq: int) -> bool:
         """Is the (open) receiver currently tuned to ``freq``?
 
@@ -168,12 +175,13 @@ class RfFrontEnd(Module):
     @property
     def tx_busy(self) -> bool:
         """True while the transmitter is on air."""
-        return self.sim.now < self._tx_until_ns
+        return self.sim.now < self.tx_until_ns
 
     def rx_on(self, freq: int, expect: RxExpect) -> None:
         """Power the receiver, tuned to ``freq``, expecting ``expect``."""
         self.rx_freq = freq
         self.rx_freq_fn = None
+        self.rx_open = True
         self.expect = expect
         self.channel.listener_retuned(self)
         if not self._rx_on:
@@ -187,6 +195,7 @@ class RfFrontEnd(Module):
         as 'RF receiver always active'."""
         self.rx_freq = None
         self.rx_freq_fn = freq_fn
+        self.rx_open = True
         self.expect = expect
         self.channel.listener_retuned(self)
         if not self._rx_on:
@@ -194,20 +203,21 @@ class RfFrontEnd(Module):
 
     def rx_retune(self, freq: int, expect: Optional[RxExpect] = None) -> None:
         """Change frequency without an off/on glitch (no effect if locked)."""
-        if self.rx_locked:
+        if self.locked_tx is not None:
             return
         self.rx_freq = freq
+        self.rx_open = True
         if expect is not None:
             self.expect = expect
         self.channel.listener_retuned(self)
 
     def rx_off(self) -> None:
         """Power the receiver down (aborts any in-progress lock)."""
-        if self.locked_tx is not None:
-            self.channel.abort_reception(self)
         self.rx_freq = None
         self.rx_freq_fn = None
+        self.rx_open = False
         self.locked_tx = None
+        self.locked_result = None
         self.channel.listener_retuned(self)
         if self._rx_on:
             self.write_rx(False)
@@ -215,8 +225,7 @@ class RfFrontEnd(Module):
     def rx_close(self) -> None:
         """The end of a listen window: power down unless a carrier holds
         the receiver."""
-        if self.locked_tx is None and (self.rx_freq is not None
-                                       or self.rx_freq_fn is not None):
+        if self.rx_open and self.locked_tx is None:
             self.rx_off()
 
     def write_rx(self, on: bool) -> None:
@@ -285,12 +294,12 @@ class RfFrontEnd(Module):
         transmit at the same 0 dBm default, so links never specify it; the
         capture test-benches do).
         """
-        if self.sim.now < self._tx_until_ns:  # tx_busy
+        if self.sim.now < self.tx_until_ns:  # tx_busy
             raise ChannelError(f"{self.path}: transmit while already transmitting")
         tx = self.channel.transmit(self, freq, packet, uap, meta, power_dbm)
         start = tx.start_ns
-        previous = self._tx_prev_until_ns = self._tx_until_ns
-        end = self._tx_until_ns = start + tx.duration_ns
+        previous = self._tx_prev_until_ns = self.tx_until_ns
+        end = self.tx_until_ns = start + tx.duration_ns
         delta = self._tx_delta = self.sim.delta
         if previous != start or delta:
             # enable_tx rises, unless a packet ending in this delta 0
@@ -325,7 +334,7 @@ class RfFrontEnd(Module):
             return
         sim = self.sim
         now = sim.now
-        end = self._tx_until_ns
+        end = self.tx_until_ns
         signal = self.enable_tx
         pending = None
         if now == tx.start_ns and sim.delta == self._tx_delta:

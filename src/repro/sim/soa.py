@@ -195,7 +195,7 @@ class SlotEngine:
                 slaves.append(h)
             else:
                 return None
-            for buffer in device._tx_buffers.values():
+            for buffer in device.tx_buffers.values():
                 if buffer._lmp:
                     return None  # LMP is control plane: object kernel only
         return masters, slaves
