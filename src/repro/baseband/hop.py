@@ -454,8 +454,9 @@ class HopSelector:
 
     def train_frequencies(self, clke: int, koffset: int) -> list[int]:
         """The 16 distinct frequencies the train sweeps around ``clke``:
-        phases CLKE16-12 + koffset + j for j = 0..15 (diagnostic helper used
-        by tests and the inquiry analysis)."""
+        phases CLKE16-12 + koffset + j for j = 0..15.  A sleeping inquiry or
+        page train tests receivers against this set, one CLKE16-12 epoch at
+        a time (:mod:`repro.link.train`)."""
         x0 = (clke >> 12) & 0x1F
         phases = [(x0 + koffset + j) % 32 for j in range(16)]
         return [

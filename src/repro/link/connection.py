@@ -581,9 +581,8 @@ class ConnectionSlave:
         until any master transmission is caught (paper: the slave 'must
         resynchronize' after hold)."""
         self._resyncing = True
-        device = self.device
-        device.rf.rx_on_follow(
-            lambda: self.selector.connection(self.clock.clk(device.sim.now)),
+        self.device.rf.rx_on_follow(
+            lambda now_ns: self.selector.connection(self.clock.clk(now_ns)),
             self._expect)
 
     def _end_resync(self) -> None:

@@ -14,6 +14,12 @@ Timeline of a successful discovery (all per spec v1.2):
 
 The ~1556-slot mean of the paper's Fig. 6 *emerges* from these mechanics
 (see DESIGN.md "Calibration notes").
+
+The inquirer's train is :class:`~repro.link.train.IdTrain`, shared with
+page.  It sleeps through the even slots whose IDs no radio can hear (a
+scanner backing off, or listening on a frequency the current train never
+visits) and counts them in closed form: ``id_transmissions`` includes the
+IDs sent while asleep.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from repro import units
 from repro.baseband.address import BdAddr, GIAC_LAP
 from repro.baseband.clock import BtClock
 from repro.baseband.fhs import FhsPayload
-from repro.baseband.hop import KOFFSET_TRAIN_A, KOFFSET_TRAIN_B, inquiry_selector
+from repro.baseband.hop import inquiry_selector
 from repro.baseband.packets import Packet, PacketType
 from repro.phy.rf import RxExpect
 from repro.phy.transmission import Transmission, TxMeta
 from repro.link.states import DeviceState
-from repro.link.timers import Timer
+from repro.link.train import IdTrain, ScanFrequency
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.channel import Reception
@@ -55,7 +61,11 @@ class DiscoveredDevice:
 
 @dataclass
 class InquiryResult:
-    """Outcome of one inquiry attempt."""
+    """Outcome of one inquiry attempt.
+
+    ``id_transmissions`` counts every ID of the train, those it slept
+    through because no radio could hear them included.
+    """
 
     success: bool
     duration_slots: float
@@ -63,109 +73,33 @@ class InquiryResult:
     id_transmissions: int = 0
 
 
-class InquiryProcedure:
+class InquiryProcedure(IdTrain):
     """Inquiry substate driver for one device (the would-be master)."""
+
+    #: ID packets are immutable on the air path; one shared instance avoids
+    #: a dataclass construction per inquiry half-slot.
+    _ID_PACKET = Packet(ptype=PacketType.ID, lap=GIAC_LAP)
+    _EXPECT = RxExpect(GIAC_LAP, uap=0)
 
     def __init__(self, device: "BluetoothDevice",
                  timeout_slots: Optional[int] = None,
                  num_responses: int = 1,
                  on_complete: Optional[Callable[[InquiryResult], None]] = None):
-        self.device = device
-        self.cfg = device.cfg.link
-        self.timeout_slots = timeout_slots if timeout_slots is not None \
-            else self.cfg.inquiry_timeout_slots
+        super().__init__(
+            device,
+            timeout_slots if timeout_slots is not None
+            else device.cfg.link.inquiry_timeout_slots,
+            inquiry_selector(), device.clock, self._ID_PACKET, self._EXPECT,
+            "inquiry_id")
         self.num_responses = num_responses
         self.on_complete = on_complete
-        self.selector = inquiry_selector()
-        self.koffset = KOFFSET_TRAIN_A
         self.discovered: list[DiscoveredDevice] = []
-        self.id_transmissions = 0
-        self._train_tx_slots = 0
-        self._done = False
-        self._start_ns = 0
-        self._k1 = 0
-        self._k2 = 0
-        self._timeout = Timer(device.sim, self._on_timeout)
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         """Enter the inquiry state (paper's Enable_inquiry)."""
-        device = self.device
-        device.set_state(DeviceState.INQUIRY)
-        device.active_handler = self
-        self._start_ns = device.sim.now
-        self._timeout.arm(self.timeout_slots * units.SLOT_NS)
-        device.sim.schedule_abs(self._next_even_slot(), self._tx_slot)
-
-    def stop(self) -> None:
-        """Abort the procedure (no completion callback)."""
-        self._done = True
-        self._timeout.cancel()
-
-    # -- slot actions ---------------------------------------------------
-
-    def _next_even_slot(self) -> int:
-        return self.device.clock.next_tick_time(self.device.sim.now, modulo=4, residue=0)
-
-    def _tx_slot(self) -> None:
-        if self._done:
-            return
-        device = self.device
-        sim = device.sim
-        sim.schedule_abs(self._next_even_slot(), self._tx_slot)
-        if device.rf.rx_locked:
-            return  # still receiving a response; skip this train slot
-        if device.rf.rx_open:
-            device.rf.rx_off()  # last slot's listening window expires here
-        clkn = device.clock.clk(sim.now)
-        self._k1 = self.selector.train_phase(clkn, self.koffset)
-        freq1 = self.selector.page(clkn, self.koffset)
-        self._send_id(freq1, self._k1)
-        sim.schedule(units.HALF_SLOT_NS, self._tx_half2)
-        sim.schedule(units.SLOT_NS, self._rx_slot)
-        self._train_tx_slots += 1
-        if self._train_tx_slots >= self.cfg.train_repetitions * (self.cfg.train_size // 2):
-            self._train_tx_slots = 0
-            self.koffset = (KOFFSET_TRAIN_B if self.koffset == KOFFSET_TRAIN_A
-                            else KOFFSET_TRAIN_A)
-
-    def _tx_half2(self) -> None:
-        if self._done or self.device.rf.rx_locked:
-            return
-        clkn = self.device.clock.clk(self.device.sim.now)
-        self._k2 = self.selector.train_phase(clkn, self.koffset)
-        freq2 = self.selector.page(clkn, self.koffset)
-        self._send_id(freq2, self._k2)
-
-    #: ID packets are immutable on the air path; one shared instance avoids
-    #: a dataclass construction per inquiry half-slot.
-    _ID_PACKET = Packet(ptype=PacketType.ID, lap=GIAC_LAP)
-
-    def _send_id(self, freq: int, phase: int) -> None:
-        self.device.rf.transmit(freq, self._ID_PACKET,
-                                meta=TxMeta(hop_phase=phase, purpose="inquiry_id"))
-        self.id_transmissions += 1
-
-    def _rx_slot(self) -> None:
-        if self._done or self.device.rf.rx_locked:
-            return
-        rf = self.device.rf
-        rf.rx_on(self.selector.response(self._k1),
-                 RxExpect(GIAC_LAP, uap=0))
-        sim = self.device.sim
-        sim.schedule(units.HALF_SLOT_NS, self._rx_retune)
-        sim.schedule(units.SLOT_NS, self._rx_close)
-
-    def _rx_retune(self) -> None:
-        if self._done:
-            return
-        self.device.rf.rx_retune(self.selector.response(self._k2))
-
-    def _rx_close(self) -> None:
-        if self._done:
-            return
-        self.device.rf.rx_close()
+        self._start_train(DeviceState.INQUIRY)
 
     # -- RF callbacks ------------------------------------------------------
 
@@ -197,23 +131,14 @@ class InquiryProcedure:
 
     # -- completion --------------------------------------------------------
 
-    def _on_timeout(self) -> None:
-        self._finish(success=False)
-
     def _finish(self, success: bool) -> None:
         if self._done:
             return
-        self._done = True
-        self._timeout.cancel()
-        device = self.device
-        if device.rf.rx_open:
-            device.rf.rx_off()
-        device.set_state(DeviceState.STANDBY)
-        device.active_handler = None
-        duration = (device.sim.now - self._start_ns) / units.SLOT_NS
+        duration = self._end_train()
+        self.device.set_state(DeviceState.STANDBY)
         result = InquiryResult(success=success, duration_slots=duration,
                                discovered=list(self.discovered),
-                               id_transmissions=self.id_transmissions)
+                               id_transmissions=self._ids)
         if self.on_complete is not None:
             self.on_complete(result)
 
@@ -258,9 +183,8 @@ class InquiryScanProcedure:
     def _listen(self) -> None:
         """Continuous inquiry-scan listen; the scan frequency follows CLKN
         bits 16-12 automatically (redrawn every 1.28 s)."""
-        device = self.device
-        device.rf.rx_on_follow(
-            lambda: self.selector.page_scan(device.clock.clk(device.sim.now)),
+        self.device.rf.rx_on_follow(
+            ScanFrequency(self.selector, self.device.clock),
             RxExpect(GIAC_LAP, uap=0))
 
     # -- RF callbacks ------------------------------------------------------

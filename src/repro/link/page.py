@@ -18,6 +18,12 @@ A page connects a known device into the piconet:
 All response timing is 625 µs after the start of the packet being answered,
 per the spec; every handshake step can be destroyed by noise, which is what
 makes the page phase the bottleneck of piconet creation (paper Fig. 8).
+
+The master's page train is :class:`~repro.link.train.IdTrain`, shared with
+inquiry.  A page scanner hears at most one train frequency in 16, so the
+train sleeps through the even slots whose IDs no radio can hear and counts
+them in closed form: ``id_transmissions`` includes the IDs sent while
+asleep.
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from repro import units
 from repro.baseband.address import BdAddr
 from repro.baseband.clock import BtClock
 from repro.baseband.fhs import FhsPayload
-from repro.baseband.hop import HopSelector, KOFFSET_TRAIN_A, KOFFSET_TRAIN_B
+from repro.baseband.hop import HopSelector
 from repro.baseband.packets import Packet, PacketType
 from repro.phy.rf import RxExpect
 from repro.phy.transmission import Transmission, TxMeta
 from repro.link.states import DeviceState
 from repro.link.timers import Timer
+from repro.link.train import IdTrain, ScanFrequency
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.channel import Reception
@@ -56,7 +63,11 @@ class PageTarget:
 
 @dataclass
 class PageResult:
-    """Outcome of one page attempt."""
+    """Outcome of one page attempt.
+
+    ``id_transmissions`` counts every ID of the page train, those it slept
+    through because no radio could hear them included.
+    """
 
     success: bool
     duration_slots: float
@@ -65,7 +76,7 @@ class PageResult:
     fhs_transmissions: int = 0
 
 
-class PageProcedure:
+class PageProcedure(IdTrain):
     """Master-side page + master-response + connection-setup driver."""
 
     PAGING = "paging"
@@ -76,73 +87,38 @@ class PageProcedure:
                  am_addr: int = 1,
                  timeout_slots: Optional[int] = None,
                  on_complete: Optional[Callable[[PageResult], None]] = None):
-        self.device = device
-        self.cfg = device.cfg.link
+        lap = target.addr.lap
+        super().__init__(
+            device,
+            timeout_slots if timeout_slots is not None
+            else device.cfg.link.page_timeout_slots,
+            HopSelector(target.addr.hop_address, device.hop_registry),
+            target.clock_estimate, Packet(ptype=PacketType.ID, lap=lap),
+            RxExpect(lap, uap=target.addr.uap), "page_id")
         self.target = target
         self.am_addr = am_addr
-        self.timeout_slots = timeout_slots if timeout_slots is not None \
-            else self.cfg.page_timeout_slots
         self.on_complete = on_complete
-        self.selector = HopSelector(target.addr.hop_address,
-                                    device.hop_registry)
-        self.koffset = KOFFSET_TRAIN_A
         self.state = self.PAGING
-        self.id_transmissions = 0
         self.fhs_transmissions = 0
-        self._train_tx_slots = 0
         self._resp_phase = 0
         self._resp_deadline_ns = 0
         self._poll_deadline_ns = 0
-        self._k1 = 0
-        self._k2 = 0
-        self._done = False
-        self._start_ns = 0
-        self._timeout = Timer(device.sim, self._on_timeout)
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         """Enter the page state (paper's Enable_page)."""
-        device = self.device
-        device.set_state(DeviceState.PAGE)
-        device.active_handler = self
-        self._start_ns = device.sim.now
-        self._timeout.arm(self.timeout_slots * units.SLOT_NS)
-        device.sim.schedule_abs(self._next_even_slot(), self._tx_slot)
-
-    def stop(self) -> None:
-        """Abort the page attempt."""
-        self._done = True
-        self._timeout.cancel()
-
-    def _next_even_slot(self) -> int:
-        return self.device.clock.next_tick_time(self.device.sim.now, modulo=4, residue=0)
+        self._start_train(DeviceState.PAGE)
 
     # -- slot actions ---------------------------------------------------------
 
-    def _tx_slot(self) -> None:
-        if self._done:
-            return
-        device = self.device
-        sim = device.sim
-        sim.schedule_abs(self._next_even_slot(), self._tx_slot)
-        if device.rf.rx_locked:
-            return
-        if device.rf.rx_open:
-            device.rf.rx_off()
+    def _in_train(self) -> bool:
+        return self.state == self.PAGING
+
+    def _other_slot(self) -> None:
+        sim = self.device.sim
         now = sim.now
-        if self.state == self.PAGING:
-            clke = self.target.clock_estimate.clk(now)
-            self._k1 = self.selector.train_phase(clke, self.koffset)
-            self._send_id(self.selector.page(clke, self.koffset), self._k1)
-            sim.schedule(units.HALF_SLOT_NS, self._tx_half2)
-            sim.schedule(units.SLOT_NS, self._rx_slot_paging)
-            self._train_tx_slots += 1
-            if self._train_tx_slots >= self.cfg.train_repetitions * (self.cfg.train_size // 2):
-                self._train_tx_slots = 0
-                self.koffset = (KOFFSET_TRAIN_B if self.koffset == KOFFSET_TRAIN_A
-                                else KOFFSET_TRAIN_A)
-        elif self.state == self.MASTER_RESPONSE:
+        if self.state == self.MASTER_RESPONSE:
             if now >= self._resp_deadline_ns:
                 self.state = self.PAGING  # pagerespTO expired, back to paging
                 self.device.set_state(DeviceState.PAGE)
@@ -156,19 +132,6 @@ class PageProcedure:
                 return
             self._send_poll()
             sim.schedule(units.SLOT_NS, self._rx_slot_connection)
-
-    def _tx_half2(self) -> None:
-        if self._done or self.state != self.PAGING or self.device.rf.rx_locked:
-            return
-        clke = self.target.clock_estimate.clk(self.device.sim.now)
-        self._k2 = self.selector.train_phase(clke, self.koffset)
-        self._send_id(self.selector.page(clke, self.koffset), self._k2)
-
-    def _send_id(self, freq: int, phase: int) -> None:
-        packet = Packet(ptype=PacketType.ID, lap=self.target.addr.lap)
-        self.device.rf.transmit(freq, packet,
-                                meta=TxMeta(hop_phase=phase, purpose="page_id"))
-        self.id_transmissions += 1
 
     def _send_fhs(self) -> None:
         device = self.device
@@ -191,24 +154,11 @@ class PageProcedure:
 
     # -- listening windows -------------------------------------------------
 
-    def _rx_slot_paging(self) -> None:
-        if self._done or self.state != self.PAGING or self.device.rf.rx_locked:
-            return
-        rf = self.device.rf
-        rf.rx_on(self.selector.response(self._k1),
-                 RxExpect(self.target.addr.lap, uap=self.target.addr.uap))
-        self.device.sim.schedule(units.HALF_SLOT_NS, self._rx_retune_paging)
-
-    def _rx_retune_paging(self) -> None:
-        if self._done or self.state != self.PAGING:
-            return
-        self.device.rf.rx_retune(self.selector.response(self._k2))
-
     def _rx_slot_response(self) -> None:
         if self._done or self.state != self.MASTER_RESPONSE or self.device.rf.rx_locked:
             return
         self.device.rf.rx_on(self.selector.response(self._resp_phase, n=2),
-                             RxExpect(self.target.addr.lap, uap=self.target.addr.uap))
+                             self._expect)
 
     def _rx_slot_connection(self) -> None:
         if self._done or self.state != self.NEW_CONNECTION or self.device.rf.rx_locked:
@@ -254,25 +204,16 @@ class PageProcedure:
 
     # -- completion --------------------------------------------------------
 
-    def _on_timeout(self) -> None:
-        self._finish(success=False)
-
     def _finish(self, success: bool) -> None:
         if self._done:
             return
-        self._done = True
-        self._timeout.cancel()
-        device = self.device
-        if device.rf.rx_open:
-            device.rf.rx_off()
-        device.active_handler = None
-        duration = (device.sim.now - self._start_ns) / units.SLOT_NS
+        duration = self._end_train()
         result = PageResult(success=success, duration_slots=duration,
                             am_addr=self.am_addr if success else 0,
-                            id_transmissions=self.id_transmissions,
+                            id_transmissions=self._ids,
                             fhs_transmissions=self.fhs_transmissions)
         if not success:
-            device.set_state(DeviceState.STANDBY)
+            self.device.set_state(DeviceState.STANDBY)
         if self.on_complete is not None:
             self.on_complete(result)
 
@@ -325,7 +266,7 @@ class PageScanProcedure:
         bits 16-12 automatically (redrawn every 1.28 s)."""
         device = self.device
         device.rf.rx_on_follow(
-            lambda: self.selector.page_scan(device.clock.clk(device.sim.now)),
+            ScanFrequency(self.selector, device.clock),
             RxExpect(device.addr.lap, uap=device.addr.uap))
 
     # -- RF callbacks ------------------------------------------------------
@@ -424,7 +365,7 @@ class PageScanProcedure:
                                device.hop_registry)
         clock = self.piconet_clock
         device.rf.rx_on_follow(
-            lambda: selector.connection(clock.clk(device.sim.now)),
+            lambda now_ns: selector.connection(clock.clk(now_ns)),
             RxExpect(self.master_addr.lap, uap=self.master_addr.uap))
 
     def _on_first_poll(self, reception: "Reception") -> None:

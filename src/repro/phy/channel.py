@@ -216,8 +216,12 @@ class Channel(Module):
         # a ~25 % spread).
         self._capture_trivial = \
             self._aci_span == 0 and self._capture_ratio == 1.0
-        self.transmissions = 0
+        self._transmissions = 0
         self.collisions = 0
+        #: the inquiry or page train sleeping through IDs nobody can hear
+        #: (:mod:`repro.link.train`), if any: the channel tells it about
+        #: receivers that open or retune and about other transmissions
+        self.sleeper = None
         # transmissions of the current delta awaiting their listener scan
         self._unscanned: list[Transmission] = []
         self._scan_hook = self._scan_unscanned
@@ -234,6 +238,14 @@ class Channel(Module):
 
     # ------------------------------------------------------------------
 
+    @property
+    def transmissions(self) -> int:
+        """Packets put on the air so far, the IDs of a sleeping train
+        included."""
+        if self.sleeper is not None:
+            self.sleeper.settle()
+        return self._transmissions
+
     def attach(self, radio: RfFrontEnd) -> None:
         """Register a radio on the medium."""
         if radio in self.radios:
@@ -247,8 +259,11 @@ class Channel(Module):
 
         The RF front-end calls this after every ``rx_on`` / ``rx_retune`` /
         ``rx_off`` transition; the registry is what :meth:`_scan_listeners`
-        indexes instead of walking every attached radio.
+        indexes instead of walking every attached radio.  A sleeping train
+        hears of the change first: it may have to wake earlier.
         """
+        if self.sleeper is not None:
+            self.sleeper.receiver_changed(radio)
         new = radio.rx_freq if radio.rx_freq_fn is None else _FOLLOWING
         old = radio.registry_key
         if new == old:
@@ -322,6 +337,8 @@ class Channel(Module):
         for channel in channels:  # validate before any state mutates
             if not 0 <= channel < 79:
                 raise ChannelError(f"RF channel out of range: {channel}")
+        if self.sleeper is not None:
+            self.sleeper.settle()  # its IDs on the air see the new floor
         self._capture_trivial = False
         power = _dbm_to_mw(power_dbm)
         if self._static_mw is None:
@@ -374,6 +391,8 @@ class Channel(Module):
         power-tracking path (:attr:`_capture_trivial` is sticky), so
         outcomes remain well-defined for transmissions already in the
         air."""
+        if self.sleeper is not None:
+            self.sleeper.settle()
         self._static_mw = None
         self._static_sources = []
 
@@ -389,10 +408,36 @@ class Channel(Module):
         instant (e.g. a slave hopping at the slot boundary the master
         transmits on) are therefore seen in their settled state.  Physical
         timing is unaffected: the sync stage is 68 us away.
+
+        A sleeping train resumes first, so that its ID on the air and its
+        response window are live for this packet.
         """
         if not 0 <= freq < 79:
             raise ChannelError(f"RF channel out of range: {freq}")
-        now = self.sim.now
+        if self.sleeper is not None:
+            self.sleeper.resume()
+        tx = self._admit(radio, freq, packet, uap, meta, power_dbm,
+                         self.sim.now)
+        self._transmissions += 1
+        unscanned = self._unscanned
+        if not unscanned:
+            self.sim._update_hooks.append(self._scan_hook)
+        unscanned.append(tx)
+        return tx
+
+    def enter_transmit(self, radio: RfFrontEnd, freq: int, packet: Packet,
+                       meta: TxMeta, start_ns: int) -> Transmission:
+        """Enter the latest ID of a sleeping train, sent at ``start_ns``,
+        as :meth:`transmit` would have left it: ``radio``'s latest
+        transmission, admitted into the live set.  Nobody could hear it,
+        so it has no listener scan; the train counts it."""
+        return self._admit(radio, freq, packet, 0, meta, 0.0, start_ns)
+
+    def _admit(self, radio: RfFrontEnd, freq: int, packet: Packet, uap: int,
+               meta: TxMeta | None, power_dbm: float,
+               now: int) -> Transmission:
+        """Build the transmission ``radio`` starts at ``now`` and admit it
+        into the live set through the applicable resolver."""
         ptype = packet.ptype
         # every field stored directly: one Transmission per packet sent
         tx = _new(Transmission)
@@ -417,7 +462,6 @@ class Channel(Module):
         tx.meta = meta if meta is not None else TxMeta()
         if self._bit_accurate:
             tx.air_bits = encode_packet(packet, uap=tx.tx_uap, clk=tx.tx_clk)
-        self.transmissions += 1
         cap = self.capture
         if cap is not None:
             cap.tx_start(now, tx)
@@ -442,10 +486,6 @@ class Channel(Module):
             self._resolve_capture(tx, now)
         else:
             self._resolve_trivial(tx, now)
-        unscanned = self._unscanned
-        if not unscanned:
-            self.sim._update_hooks.append(self._scan_hook)
-        unscanned.append(tx)
         return tx
 
     def _scan_unscanned(self) -> None:
@@ -668,7 +708,7 @@ class Channel(Module):
                 continue  # a transmitting radio does not receive
             follow = listener.rx_freq_fn
             # a closed receiver has neither a channel nor a hop function
-            if (listener.rx_freq if follow is None else follow()) != freq:
+            if (listener.rx_freq if follow is None else follow(now)) != freq:
                 continue
             if carrier_sense and listener.locked_tx is None:
                 # energy on the tuned channel: the receiver locks

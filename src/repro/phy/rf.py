@@ -12,6 +12,8 @@ writes (``rx_on`` / ``rx_off``) in a record of its own instead of writing
 ``enable_rx_rf``.  Each signal settles from the radio's history when it is
 next read or gains a subscriber, so a probe or tracer attached at any time
 reads and is notified as if the signal had been written all along.
+An inquiry or page train asleep on the radio (:mod:`repro.link.train`)
+enters the IDs it skipped in these records first.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ class RfFrontEnd(Module):
         self.enable_rx: Signal[bool] = _RadioEnable(
             self, "enable_rx_rf", self._settle_rx)
         self.rx_freq: Optional[int] = None
-        self.rx_freq_fn: Optional[Callable[[], int]] = None
+        #: a following receiver's channel as a function of time (ns)
+        self.rx_freq_fn: Optional[Callable[[int], int]] = None
         #: True while the receiver is powered and tuned (to ``rx_freq``,
         #: or following ``rx_freq_fn``)
         self.rx_open = False
@@ -159,12 +162,12 @@ class RfFrontEnd(Module):
     def tuned_to(self, freq: int) -> bool:
         """Is the (open) receiver currently tuned to ``freq``?
 
-        Frequency-following receivers evaluate their hop function at call
-        time, so a continuous listen tracks the hop sequence without per-
-        slot retune events.
+        Frequency-following receivers evaluate their hop function at the
+        current time, so a continuous listen tracks the hop sequence
+        without per-slot retune events.
         """
         if self.rx_freq_fn is not None:
-            return self.rx_freq_fn() == freq
+            return self.rx_freq_fn(self.sim.now) == freq
         return self.rx_freq == freq
 
     @property
@@ -187,9 +190,11 @@ class RfFrontEnd(Module):
         if not self._rx_on:
             self.write_rx(True)
 
-    def rx_on_follow(self, freq_fn: Callable[[], int], expect: RxExpect) -> None:
+    def rx_on_follow(self, freq_fn: Callable[[int], int],
+                     expect: RxExpect) -> None:
         """Power the receiver in frequency-following mode: it is considered
-        tuned to ``freq_fn()`` (evaluated on demand), so a continuous listen
+        tuned to ``freq_fn(now_ns)`` (evaluated on demand, and by a
+        sleeping train at instants to come), so a continuous listen
         tracks a hop sequence exactly — used by scan states, the new-
         connection wait and hold resynchronisation, which the paper draws
         as 'RF receiver always active'."""
@@ -258,12 +263,24 @@ class RfFrontEnd(Module):
         if self.enable_rx._subscribers:
             self.enable_rx.write(on)
 
+    def _settle_sleeper(self, subscribing: bool) -> None:
+        """Enter the IDs of a train asleep on this radio in its records; a
+        first subscriber also wakes the train, since it sees every
+        write."""
+        sleeper = self.channel.sleeper
+        if sleeper is not None and sleeper.device.rf is self:
+            if subscribing:
+                sleeper.resume()
+            else:
+                sleeper.settle()
+
     def _settle_rx(self, subscribing: bool) -> None:
         """Bring an unobserved ``enable_rx`` to the state the receiver
         writes would have left at the current ``(now, delta)``: a write
         commits, changing the value at its own time, once its delta is
         over.  A subscriber inherits a write still pending; a read leaves
         the kernel's update phase alone."""
+        self._settle_sleeper(subscribing)
         sim = self.sim
         on = self._rx_on
         pending = on is not self._rx_was
@@ -279,6 +296,15 @@ class RfFrontEnd(Module):
         signal._pending = _NO_WRITE
         if pending and subscribing:
             signal.write(on)
+
+    def enter_rx_write(self, on: bool, at_ns: int) -> None:
+        """Enter a receiver write of ``on`` that a sleeping train made in
+        delta 0 of ``at_ns``, before the current ``(now, delta)``: it is
+        the latest write, and committed."""
+        self._rx_on = self._rx_was = on
+        self._rx_ns = self._rx_was_ns = at_ns
+        self._rx_delta = 0
+        self._rx_runs = self.sim._run_ends
 
     # ------------------------------------------------------------------
     # Transmitter control
@@ -310,6 +336,20 @@ class RfFrontEnd(Module):
             self._arm_tx_done(end)
         return tx
 
+    def enter_transmit(self, freq: int, packet, meta, start_ns: int,
+                       previous_until_ns: int) -> "Transmission":
+        """Enter the latest ID of a sleeping train, sent in delta 0 of
+        ``start_ns`` after a transmission that ended at
+        ``previous_until_ns``, in the channel and in the transmit record,
+        as :meth:`transmit` would have left them."""
+        tx = self.channel.enter_transmit(self, freq, packet, meta, start_ns)
+        self._tx_prev_until_ns = previous_until_ns
+        self.tx_until_ns = start_ns + tx.duration_ns
+        self._tx_delta = 0
+        if previous_until_ns != start_ns:
+            self._tx_rise_ns = start_ns
+        return tx
+
     def _arm_tx_done(self, end_ns: int) -> None:
         if self._tx_done_ns != end_ns:
             self._tx_done_ns = end_ns
@@ -329,6 +369,7 @@ class RfFrontEnd(Module):
         transmits again at that instant, committed when delta 0 of the end
         time ends.  A transmission still on the air arms its ``_tx_done``.
         """
+        self._settle_sleeper(subscribing)
         tx = self.channel._last_tx[self.attach_index]
         if tx is None:
             return

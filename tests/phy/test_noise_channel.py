@@ -200,7 +200,7 @@ class TestChannelDelivery:
         listener = Listener()
         b.listener = listener
         freq_box = {"value": 10}
-        b.rx_on_follow(lambda: freq_box["value"], RxExpect(0x123456))
+        b.rx_on_follow(lambda now_ns: freq_box["value"], RxExpect(0x123456))
         sim.schedule(100, lambda: a.transmit(10, Packet(ptype=PacketType.ID, lap=0x123456)))
 
         def hop_and_send():
