@@ -30,8 +30,9 @@ twins, in which nothing sleeps).
 onto, a frequency within the channel's ACI span of one of the slot's
 IDs.  A train never sleeps while the world has timeline capture on,
 while either enable signal of its radio has a subscriber, while another
-radio is on the air or locked onto a packet, or while another train of
-the world sleeps.
+radio is on the air or locked onto a packet, while another radio's clock
+grid coincides with its own (to the nanosecond, modulo a half slot), or
+while another train of the world sleeps.
 
 The train wakes at the first even slot that can be heard, before its
 timeout.  The search runs an epoch at a time: while the train's clock
@@ -277,10 +278,16 @@ class IdTrain:
                 or rf.enable_tx._subscribers or rf.enable_rx._subscribers:
             return False
         now = device.sim.now
+        phase = device.clock.phase_ns
         for radio in channel.radios:
-            if radio is not rf and (now < radio.tx_until_ns
-                                    or radio.locked_tx is not None):
-                return False  # another radio is on the air or receiving
+            if radio is not rf and (
+                    now < radio.tx_until_ns or radio.locked_tx is not None
+                    or (radio.clock.phase_ns - phase) % _HALF == 0):
+                # another radio is on the air or receiving, or shares the
+                # train's clock grid: its packets can start at the instant
+                # of an ID, and a train resumed then would send after
+                # them, not in its own turn
+                return False
         self._sleep_ns = now
         self._sleep_slots = self._train_tx_slots
         self._sleep_koffset = self.koffset

@@ -337,7 +337,7 @@ class RfFrontEnd(Module):
         return tx
 
     def enter_transmit(self, freq: int, packet, meta, start_ns: int,
-                       previous_until_ns: int) -> "Transmission":
+                       previous_until_ns: int) -> None:
         """Enter the latest ID of a sleeping train, sent in delta 0 of
         ``start_ns`` after a transmission that ended at
         ``previous_until_ns``, in the channel and in the transmit record,
@@ -348,7 +348,6 @@ class RfFrontEnd(Module):
         self._tx_delta = 0
         if previous_until_ns != start_ns:
             self._tx_rise_ns = start_ns
-        return tx
 
     def _arm_tx_done(self, end_ns: int) -> None:
         if self._tx_done_ns != end_ns:

@@ -47,11 +47,16 @@ class World:
 
     def __init__(self, kind: str, ber: float, seed: int, observed: bool,
                  timeout_slots: int = TIMEOUT_SLOTS, spatial: bool = False,
-                 scanner: bool = True, **link):
+                 scanner: bool = True, aligned: bool = False, **link):
         self.session = session = Session(config=paper_config(
             ber=ber, seed=seed, sync_threshold=0, **link))
-        self.a, self.b, self.c, self.d = (
-            session.add_device(name) for name in "abcd")
+        self.a, self.b = session.add_device("a"), session.add_device("b")
+        # `aligned` puts c and d on a's clock grid (modulo a half slot)
+        phase = self.a.clock.phase_ns if aligned else None
+        self.c = session.add_device("c", clock_phase_ns=phase)
+        self.d = session.add_device(
+            "d", clock_phase_ns=None if phase is None
+            else (phase + units.HALF_SLOT_NS) % units.SLOT_PAIR_NS)
         if spatial:
             mobility = WaypointMobility(speed_mps=40.0)
             topology = session.install_topology(mobility=mobility,
@@ -161,7 +166,7 @@ host_step = st.one_of(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(kind=st.sampled_from(["inquiry", "page"]),
        ber=st.sampled_from([0.0, 1 / 50, 1 / 30]),
        seed=st.integers(0, 10_000),
@@ -248,6 +253,15 @@ def test_train_swap_inside_a_sleep(seed):
                   ("run", 333 * units.SLOT_NS), ("probe", 0),
                   ("run", 5 * units.SLOT_NS)],
                  train_repetitions=1)
+
+
+def test_third_devices_on_the_train_clock_grid():
+    """c pages d and polls it on a's clock grid, so their packets start at
+    the instants of a's IDs; a resumed train would send after them, so a
+    stays awake (found by a twin search over aligned worlds)."""
+    assert_twins("page", 1 / 30, 8753,
+                 [("run", 30_686_496), ("third", "connection"),
+                  ("run", 148_811_365), ("read", 1)], aligned=True)
 
 
 @pytest.mark.parametrize("kind", ["inquiry", "page"])
