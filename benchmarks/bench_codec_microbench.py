@@ -1,14 +1,21 @@
-"""Bench: baseband codec microbenchmarks (encode/decode/whitening/FEC).
+"""Bench: baseband codec microbenchmarks (encode/decode/whitening/FEC)
+and the connection hop kernel.
 
 Measures single-thread throughput of the table-driven fast paths and
 archives the numbers in ``BENCH_codec.json`` at the repo root, so future
 PRs have a perf trajectory to compare against.  The ``baseline_pre_refactor``
 section of that file is pinned (measured on the bit-serial codebase,
 commit b683d58) and is preserved across runs; only ``current`` is rewritten.
+
+The hop cases time one connection-memo miss (every call asks for a clock
+no earlier call has covered), :meth:`HopSelector.connection_many` over 64
+slots, and the slot engine's whole-world prefill
+(:func:`connection_windows_many`, 20 piconets x 504 slots).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 import time
@@ -20,6 +27,7 @@ from repro.baseband.codec import decode_packet, encode_packet
 from repro.baseband.crc import crc16_compute
 from repro.baseband.fec import fec13_decode, fec13_encode, fec23_decode, fec23_encode
 from repro.baseband.hec import hec_compute
+from repro.baseband.hop import HopRegistry, HopSelector, connection_windows_many
 from repro.baseband.packets import Packet, PacketType, packet_air_bits
 from repro.baseband.whitening import whitening_sequence
 
@@ -27,6 +35,11 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_codec.json"
 
 #: A max-payload DM5/DH5 body is ~2745 bits — the paper's worst-case frame.
 STREAM_BITS = 2744
+
+#: The slot engine's prefill shape on ext_interference's densest point: 20
+#: piconets, a 512-slot fill less its 8-slot margin.
+PREFILL_PICONETS = 20
+PREFILL_SLOTS = 504
 
 
 def _per_op_us(fn, reps: int) -> float:
@@ -88,7 +101,36 @@ def _run_microbench() -> dict:
             "us_per_op": round(us, 3),
             "bits_per_s": round(bits / (us * 1e-6)),
         }
+    for name, (fn, reps, slots) in _hop_cases(rng).items():
+        us = _per_op_us(fn, reps)
+        results[name] = {
+            "us_per_op": round(us, 3),
+            "slots_per_s": round(slots / (us * 1e-6)),
+        }
     return results
+
+
+def _hop_cases(rng: np.random.Generator) -> dict:
+    """``name -> (fn, reps, slots per call)`` of the hop kernel cases."""
+    selector = HopSelector(0x2A96EF25, HopRegistry())
+    # 4,096 CLK ticks apart: no call's clock is in a slot an earlier one
+    # could have memoized, so each is a miss
+    fresh_clocks = itertools.count(0, 4096)
+    clks = 4096 + 2 * np.arange(64, dtype=np.int64)
+    world = HopRegistry()
+    selectors = [HopSelector(int(address), world) for address in
+                 rng.integers(0, 1 << 28, size=PREFILL_PICONETS)]
+    starts = [int(clk) & ~1 for clk in
+              rng.integers(0, 1 << 27, size=PREFILL_PICONETS)]
+    return {
+        "hop_connection_miss": (
+            lambda: selector.connection(next(fresh_clocks)), 2000, 1),
+        "hop_connection_many_64": (
+            lambda: selector.connection_many(clks), 500, 64),
+        "hop_connection_windows_many_20x504": (
+            lambda: connection_windows_many(selectors, starts, PREFILL_SLOTS),
+            50, PREFILL_PICONETS * PREFILL_SLOTS),
+    }
 
 
 def _archive(results: dict) -> None:
@@ -108,13 +150,16 @@ def bench_codec_microbench(benchmark, capsys):
                                  warmup_rounds=0)
     with capsys.disabled():
         print()
-        print(f"{'kernel':<22}{'us/op':>12}{'Mbit/s':>12}")
+        print(f"{'kernel':<36}{'us/op':>12}{'M/s':>12}")
         for name, row in results.items():
-            print(f"{name:<22}{row['us_per_op']:>12.2f}"
-                  f"{row['bits_per_s'] / 1e6:>12.1f}")
+            rate = row.get("bits_per_s", row.get("slots_per_s"))
+            print(f"{name:<36}{row['us_per_op']:>12.2f}{rate / 1e6:>12.1f}")
     _archive(results)
     # fast-path floor: the bit-serial whitening generator ran at ~5 Mbit/s;
     # the table path must clear it by an order of magnitude even on slow CI
     assert results["whitening_sequence"]["bits_per_s"] > 50e6
     assert results["fec23_encode"]["bits_per_s"] > 20e6
     assert results["encode_id"]["us_per_op"] < 100
+    # a connection-memo miss computes its one slot: the 64-slot numpy
+    # window it replaced cost ~220 us
+    assert results["hop_connection_miss"]["us_per_op"] < 50

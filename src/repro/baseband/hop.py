@@ -27,13 +27,16 @@ Modes:
   the same kernel runs, and selections landing on an unused channel are
   remapped onto index ``k mod N`` of the N used channels (ordered like the
   channel register: even ascending, then odd), ``k`` being the kernel's
-  pre-register output — the spec's remapping rule.  The remap is an array
-  transform on the windowed/vectorized kernel, so the hot path keeps being
-  served by :meth:`HopSelector.connection_many` prefills.
+  pre-register output — the spec's remapping rule.  A memo miss of
+  :meth:`HopSelector.connection` remaps its one slot; the array kernels
+  (:meth:`HopSelector.connection_many`, :func:`connection_windows_many`)
+  remap with a mask-gather on the used-channel register.
 
 The PERM5 butterfly *wiring* below follows the spec's structure (7 stages,
 two controlled exchanges each); the exact wire order is not load-bearing for
-any statistic we reproduce (validated by uniformity/coverage tests).
+any statistic we reproduce (validated by uniformity/coverage tests).  The
+kernel reads it through two lookup tables derived from it at import, one
+per half of the butterfly, so no call walks the stages.
 """
 
 from __future__ import annotations
@@ -55,14 +58,6 @@ CHANNEL_REGISTER = tuple(range(0, units.NUM_CHANNELS, 2)) + tuple(
 _CHANNEL_REGISTER_ARRAY = np.array(CHANNEL_REGISTER, dtype=np.int64)
 _CHANNEL_REGISTER_ARRAY.setflags(write=False)
 
-#: Slots precomputed per connection-memo miss: a miss at clock ``clk``
-#: fills a sliding window ``clk, clk+2, ..`` (same clock parity — the
-#: simulation queries at slot boundaries, stride 2 CLK ticks) in one
-#: vectorized :meth:`HopSelector.connection_many` pass, so the master slot
-#: loop, slave listeners and the channel's frequency-following receivers
-#: stop paying a scalar kernel evaluation per slot.
-WINDOW_SLOTS = 64
-
 #: PERM5 butterfly exchanges, 7 stages x 2, controlled by P13..P0.
 _BUTTERFLIES = (
     (1, 2), (3, 4),
@@ -75,27 +70,48 @@ _BUTTERFLIES = (
 )
 
 
+def _perm5_table(butterflies: tuple[tuple[int, int], ...]) -> bytes:
+    """Seven butterfly exchanges as a 4,096-entry table indexed by
+    ``control << 5 | z``: the 7 control bits drive the exchanges in order,
+    the first by the lowest bit.
+
+    Each exchange doubles the table: the new half is the old one with the
+    exchange applied after it (``bytes.translate``), so the build leaves
+    nothing behind but the table (a numpy build raised peak RSS at import
+    by about 90 KB)."""
+    table = bytes(range(32))
+    for i, j in butterflies:
+        mask = (1 << i) | (1 << j)
+        table += table.translate(bytes(
+            z ^ mask if ((z >> i) ^ (z >> j)) & 1 else z for z in range(256)))
+    return table
+
+
+#: PERM5 in two halves: stages 0-6 under control bits 0-6, then stages
+#: 7-13 under bits 7-13.  The scalar kernel indexes the ``bytes`` (which
+#: yields a plain int); the vectorized gathers read the same memory as
+#: read-only ``uint8`` arrays.
+_PERM5_LO = _perm5_table(_BUTTERFLIES[:7])
+_PERM5_HI = _perm5_table(_BUTTERFLIES[7:])
+_PERM5_LO_ARRAY = np.frombuffer(_PERM5_LO, dtype=np.uint8)
+_PERM5_HI_ARRAY = np.frombuffer(_PERM5_HI, dtype=np.uint8)
+
+
 def perm5(z: int, control: int) -> int:
     """Apply the 14-bit-controlled butterfly permutation to a 5-bit value."""
-    z &= 0x1F
-    for index, (i, j) in enumerate(_BUTTERFLIES):
-        if (control >> index) & 1:
-            bit_i = (z >> i) & 1
-            bit_j = (z >> j) & 1
-            if bit_i != bit_j:
-                z ^= (1 << i) | (1 << j)
-    return z
+    low = _PERM5_LO[(control & 0x7F) << 5 | (z & 0x1F)]
+    return _PERM5_HI[((control >> 7) & 0x7F) << 5 | low]
 
 
 def perm5_many(z: np.ndarray, control: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`perm5` over aligned arrays of values and controls."""
-    z = np.asarray(z, dtype=np.int64) & 0x1F
+    """Vectorized :func:`perm5` over aligned arrays of values and controls
+    (``int64``: the ``uint8`` table entries are cast up before any caller
+    adds to them)."""
     control = np.asarray(control, dtype=np.int64)
-    for index, (i, j) in enumerate(_BUTTERFLIES):
-        enabled = (control >> index) & 1
-        differ = ((z >> i) ^ (z >> j)) & 1
-        z = z ^ ((enabled & differ) * ((1 << i) | (1 << j)))
-    return z
+    low = _PERM5_LO_ARRAY[(control & 0x7F) << 5
+                          | (np.asarray(z, dtype=np.int64) & 0x1F)]
+    return _PERM5_HI_ARRAY[((control >> 7) & 0x7F) << 5 | low].astype(
+        np.int64)
 
 
 def _bits(value: int, positions: tuple[int, ...]) -> int:
@@ -268,23 +284,30 @@ class HopSelector:
     world, :data:`DEFAULT_REGISTRY` when none is given.
     """
 
-    #: Entry bound of one address's shared connection memo: a window fill
-    #: that would take it past _MEMO_MAX entries clears it first.  The
-    #: slot loops query clocks in increasing order and fill only on a
-    #: miss, when the windows the memo holds already lie behind them, so
-    #: the bound caps memory without adding fills.  It holds 16 windows of
-    #: WINDOW_SLOTS (the kernel mixes clock bits up to CLK26, so there is
-    #: no small cycle to exploit).
+    #: Entry bound of one address's shared connection memo: a miss (or a
+    #: :func:`connection_windows_many` row) that would take it past
+    #: _MEMO_MAX entries clears it first.  The slot loops query clocks in
+    #: increasing order, so what a full memo holds already lies behind
+    #: them, and the bound caps memory without adding misses (the kernel
+    #: mixes clock bits up to CLK26, so there is no small cycle to
+    #: exploit).
     _MEMO_MAX = 1 << 10
 
     def __init__(self, address: int, registry: HopRegistry | None = None):
-        self.address = address & 0xFFFFFFF
+        self.address = address = address & 0xFFFFFFF
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
+        # the address fields (spec notation A27..A0); every mode reads them
+        # and the connection kernel mixes clock bits into A, C and D
+        self._a = _bits(address, (27, 26, 25, 24, 23))
+        self._b = _bits(address, (22, 21, 20, 19))
+        self._c = _bits(address, (8, 6, 4, 2, 0))
+        self._d = _bits(address, (18, 17, 16, 15, 14, 13, 12, 11, 10))
+        self._e = _bits(address, (13, 11, 9, 7, 5, 3, 1))
         # memo for the 32-phase page/scan/response kernels (the A..F inputs
         # are address-fixed there, so each mode has at most 32 outputs);
-        # the connection kernel mixes clock bits into A/C/D/F and is served
-        # by the vectorized connection_many for bulk queries and by the
-        # shared per-address memo for the slot-by-slot simulation path.
+        # the connection kernel is served by the shared per-address memo,
+        # which a miss extends by the one clock asked for, and by the
+        # vectorized connection_many for bulk queries.
         self._phase_memo: dict[tuple[str, int, int], int] = {}
         # Monte-Carlo campaigns draw fresh addresses per trial, so the
         # registry of shared memos is bounded: at MAX_ADDRESSES the whole
@@ -297,28 +320,6 @@ class HopSelector:
         record the AFH generation the binding is valid for."""
         self._connection_memo = self.registry.bind_memo(self.address)
         self._afh_seen_generation = self.registry.generation
-
-    # -- derived address fields (spec notation A27..A0) --------------------
-
-    @property
-    def _a(self) -> int:
-        return _bits(self.address, (27, 26, 25, 24, 23))
-
-    @property
-    def _b(self) -> int:
-        return _bits(self.address, (22, 21, 20, 19))
-
-    @property
-    def _c(self) -> int:
-        return _bits(self.address, (8, 6, 4, 2, 0))
-
-    @property
-    def _d(self) -> int:
-        return _bits(self.address, (18, 17, 16, 15, 14, 13, 12, 11, 10))
-
-    @property
-    def _e(self) -> int:
-        return _bits(self.address, (13, 11, 9, 7, 5, 3, 1))
 
     # -- the selection box ---------------------------------------------------
 
@@ -391,29 +392,39 @@ class HopSelector:
     def connection(self, clk: int) -> int:
         """Channel hopping in connection state at piconet clock CLK (with
         the AFH remap applied whenever an adaptive hop set is installed
-        for this address).  A memo miss fills :data:`WINDOW_SLOTS` slots
-        from here."""
+        for this address), served from the shared memo; a miss evaluates
+        this one clock."""
         if self._afh_seen_generation != self.registry.generation:
             self._bind_shared_memo()
         freq = self._connection_memo.get(clk)
         if freq is None:
-            # memo miss: prefill the window of slots starting here
-            freq = int(self.connection_window(clk, WINDOW_SLOTS)[0])
+            freq = self._connection_miss(clk)
         return freq
 
     def _connection_indices(self, clks: np.ndarray) -> np.ndarray:
         """Vectorized pre-register kernel output for an array of clocks."""
-        clks = np.asarray(clks, dtype=np.int64)
-        x = (clks >> 2) & 0x1F
-        y1 = (clks >> 1) & 1
-        a = self._a ^ ((clks >> 21) & 0x1F)
-        c = self._c ^ ((clks >> 16) & 0x1F)
-        d = self._d ^ ((clks >> 7) & 0x1FF)
-        f = (16 * ((clks >> 7) & 0x1FFFFF)) % units.NUM_CHANNELS
-        z1 = (x + a) % 32
-        z2 = z1 ^ (self._b & 0xF) ^ (y1 * 0b10000)
-        z3 = perm5_many(z2, (c << 9) | d)
-        return (z3 + self._e + f + 32 * y1) % units.NUM_CHANNELS
+        return _kernel_indices(np.asarray(clks, dtype=np.int64), self._a,
+                               self._b, self._c, self._d, self._e)
+
+    def _connection_miss(self, clk: int) -> int:
+        """Evaluate the connection kernel at ``clk`` alone, remap it onto
+        the adaptive hop set if one is installed, and memoize it (a full
+        memo is cleared first)."""
+        y1 = (clk >> 1) & 1
+        index = self._select_index(
+            x=(clk >> 2) & 0x1F, y1=y1, y2=32 * y1,
+            a=self._a ^ ((clk >> 21) & 0x1F), b=self._b,
+            c=self._c ^ ((clk >> 16) & 0x1F), d=self._d ^ ((clk >> 7) & 0x1FF),
+            f=(16 * ((clk >> 7) & 0x1FFFFF)) % units.NUM_CHANNELS)
+        freq = CHANNEL_REGISTER[index]
+        afh = self.registry.afh_map(self.address)
+        if afh is not None and not afh.used_mask[freq]:
+            freq = int(afh.register[index % afh.n_used])
+        memo = self._connection_memo
+        if len(memo) >= self._MEMO_MAX:
+            memo.clear()
+        memo[clk] = freq
+        return freq
 
     def connection_many(self, clks: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`connection` over an array of clock values.
@@ -422,9 +433,8 @@ class HopSelector:
         kernel (enforced against the scalar oracle in
         ``tests/baseband_reference.py``), including the AFH remap when an
         adaptive hop set is installed — the remap is a pure array
-        transform (mask-gather on the used-channel register), so the
-        windowed-hop prefill keeps serving the hot path untouched.  Used
-        by the hop-uniformity diagnostics, which evaluate the kernel over
+        transform (mask-gather on the used-channel register).  Used by
+        the hop-uniformity diagnostics, which evaluate the kernel over
         thousands of consecutive slots.
         """
         index = self._connection_indices(clks)
@@ -434,22 +444,6 @@ class HopSelector:
             remap = ~afh.used_mask[freqs]
             if remap.any():
                 freqs[remap] = afh.register[index[remap] % afh.n_used]
-        return freqs
-
-    def connection_window(self, clk_start: int, window: int) -> np.ndarray:
-        """Frequencies of ``window`` same-parity slots from ``clk_start``
-        (stride 2 CLK ticks — the grid the slot loops query on), served
-        through the shared memo so a later scalar :meth:`connection` at any
-        of these clocks is a hit.  The array equals ``connection_many`` of
-        the same clock grid element-for-element."""
-        if self._afh_seen_generation != self.registry.generation:
-            self._bind_shared_memo()
-        clks = clk_start + 2 * np.arange(window, dtype=np.int64)
-        freqs = self.connection_many(clks)
-        memo = self._connection_memo
-        if len(memo) + window > self._MEMO_MAX:
-            memo.clear()
-        memo.update(zip(clks.tolist(), freqs.tolist()))
         return freqs
 
     def train_frequencies(self, clke: int, koffset: int) -> list[int]:
@@ -464,6 +458,21 @@ class HopSelector:
                          a=self._a, b=self._b, c=self._c, d=self._d, f=0)
             for phase in phases
         ]
+
+
+def _kernel_indices(clks: np.ndarray, a0, b0, c0, d0, e0) -> np.ndarray:
+    """The connection kernel's pre-register output over an ``int64`` array
+    of clocks; the address fields broadcast against it (plain ints for one
+    selector, ``(n, 1)`` columns for one row per selector)."""
+    y1 = (clks >> 1) & 1
+    a = a0 ^ ((clks >> 21) & 0x1F)
+    c = c0 ^ ((clks >> 16) & 0x1F)
+    d = d0 ^ ((clks >> 7) & 0x1FF)
+    f = (16 * ((clks >> 7) & 0x1FFFFF)) % units.NUM_CHANNELS
+    # X = CLK6-2 through the first adder (mod 32), then the XOR with B, Y1
+    z2 = (((clks >> 2) + a) & 0x1F) ^ b0 ^ (y1 << 4)
+    z3 = perm5_many(z2, (c << 9) | d)
+    return (z3 + e0 + f + 32 * y1) % units.NUM_CHANNELS
 
 
 def connection_windows_many(selectors: list[HopSelector],
@@ -494,21 +503,10 @@ def connection_windows_many(selectors: list[HopSelector],
     def column(values: list[int]) -> np.ndarray:
         return np.asarray(values, dtype=np.int64).reshape(-1, 1)
 
-    a0 = column([s._a for s in selectors])
-    b0 = column([s._b for s in selectors])
-    c0 = column([s._c for s in selectors])
-    d0 = column([s._d for s in selectors])
-    e0 = column([s._e for s in selectors])
-    x = (clks >> 2) & 0x1F
-    y1 = (clks >> 1) & 1
-    a = a0 ^ ((clks >> 21) & 0x1F)
-    c = c0 ^ ((clks >> 16) & 0x1F)
-    d = d0 ^ ((clks >> 7) & 0x1FF)
-    f = (16 * ((clks >> 7) & 0x1FFFFF)) % units.NUM_CHANNELS
-    z1 = (x + a) % 32
-    z2 = z1 ^ (b0 & 0xF) ^ (y1 * 0b10000)
-    z3 = perm5_many(z2, (c << 9) | d)
-    index = (z3 + e0 + f + 32 * y1) % units.NUM_CHANNELS
+    index = _kernel_indices(
+        clks, column([s._a for s in selectors]),
+        column([s._b for s in selectors]), column([s._c for s in selectors]),
+        column([s._d for s in selectors]), column([s._e for s in selectors]))
     freqs = _CHANNEL_REGISTER_ARRAY[index]
 
     for row, selector in enumerate(selectors):

@@ -13,9 +13,9 @@ This campaign measures that degradation out to **dense deployments**
 frequency-aware resolver the reproduction uses everywhere.  The workload
 is only affordable because of two kernel fast paths that shipped with it:
 the channel resolves each slot's receptions through the batched
-``decode_packets`` codec API, and every hop lookup is served from the
-windowed ``HopSelector`` prefill instead of a scalar kernel evaluation
-per slot.
+``decode_packets`` codec API, and the slot engine prefills every
+piconet's hops in one array pass over the PERM5 lookup tables, so each
+slot's lookup is a memo hit.
 
 Statistics: each piconet count is a Monte-Carlo point dispatched through
 ``Sweep``/``run_flattened`` (one flat work queue over the whole

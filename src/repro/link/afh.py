@@ -40,9 +40,10 @@ master-side half of that machinery:
   path once ``min_samples`` fresh failures accumulate.  This is what lets
   the hop set recover after a jammer turns off.
 
-The hop-sequence remapping itself lives in
-:meth:`repro.baseband.hop.HopSelector.connection_many` as an array
-transform, so the windowed fast path keeps serving every hop lookup.
+The hop-sequence remapping itself lives in :mod:`repro.baseband.hop`:
+a memo miss of :meth:`~repro.baseband.hop.HopSelector.connection` remaps
+its one slot, and :meth:`~repro.baseband.hop.HopSelector.connection_many`
+and the slot engine's prefill remap as an array transform.
 """
 
 from __future__ import annotations

@@ -271,7 +271,8 @@ class SlotEngine:
         A slave's selector shares its master's memo (both are bound to
         the master's address in the world's HopRegistry), so the master's
         row serves both sides and a slave whose memo and start clock match
-        a master's is not filled again.
+        a master's is not filled again; the slaves a master's row does not
+        cover are filled in a second pass.
         """
         window = min(int(until_ns - now) // units.SLOT_NS + 8, FILL_SLOTS)
         filled = set()
@@ -282,10 +283,16 @@ class SlotEngine:
             connection_windows_many(selectors, starts, window)
             filled = {(id(selector._connection_memo), start)
                       for selector, start in zip(selectors, starts)}
+        selectors, starts = [], []
         for h in slaves:
             start = h.clock.clk(now) & ~1
-            if (id(h.selector._connection_memo), start) not in filled:
-                h.selector.connection_window(start, window)
+            key = (id(h.selector._connection_memo), start)
+            if key not in filled:
+                filled.add(key)
+                selectors.append(h.selector)
+                starts.append(start)
+        if selectors:
+            connection_windows_many(selectors, starts, window)
 
     # -- the micro loop -------------------------------------------------
 

@@ -73,65 +73,76 @@ def _saturated_pair_memo_run(slots: int):
     return peak
 
 
+def _count_misses(monkeypatch) -> list[int]:
+    """The clocks of every scalar kernel evaluation (a connection-memo
+    miss) from here on."""
+    misses = []
+    miss = HopSelector._connection_miss
+
+    def counted(selector, clk):
+        misses.append(clk)
+        return miss(selector, clk)
+
+    monkeypatch.setattr(HopSelector, "_connection_miss", counted)
+    return misses
+
+
 class TestSlotLoopMemoBound:
     SLOTS = 3000
 
-    def test_memo_stays_within_the_bound_plus_one_window(self):
-        from repro.baseband.hop import WINDOW_SLOTS
-
+    def test_memo_stays_within_the_bound(self):
         assert HopSelector._MEMO_MAX < self.SLOTS  # the run must hit it
         peak = _saturated_pair_memo_run(self.SLOTS)
-        assert peak <= HopSelector._MEMO_MAX + WINDOW_SLOTS
+        assert peak <= HopSelector._MEMO_MAX
 
-    def test_bound_adds_no_window_fills(self, monkeypatch):
-        fills = []
-        window = HopSelector.connection_window
-
-        def counted(selector, clk_start, size):
-            fills.append(clk_start)
-            return window(selector, clk_start, size)
-
-        monkeypatch.setattr(HopSelector, "connection_window", counted)
+    def test_bound_adds_no_kernel_evaluations(self, monkeypatch):
+        """A miss evaluates the kernel at one clock, so the bound adds no
+        evaluation when the run makes as many misses with it as without."""
+        misses = _count_misses(monkeypatch)
         _saturated_pair_memo_run(self.SLOTS)
-        bounded = list(fills)
-        fills.clear()
+        bounded = list(misses)
+        misses.clear()
         monkeypatch.setattr(HopSelector, "_MEMO_MAX", 1 << 30)
         assert _saturated_pair_memo_run(self.SLOTS) > 1 << 11
-        assert fills == bounded
+        assert len(bounded) >= self.SLOTS  # one evaluation per slot pair
+        assert misses == bounded
 
     def test_an_absorbed_window_prefills_within_the_bound(self):
         """The slot engine fills at most half a memo at a time, so one
-        long absorbed window leaves every memo within the bound plus one
-        window as well."""
-        from repro.baseband.hop import WINDOW_SLOTS
-
+        long absorbed window leaves every memo within the bound as well."""
         session, memos = _saturated_pair(detached=False)
         session.run_slots(100)  # past the page procedure's last event
         absorbed = session.slot_engine.windows_absorbed
         session.run_slots(self.SLOTS)
         assert session.slot_engine.windows_absorbed == absorbed + 1
         assert max(len(memo) for memo in memos.values()) \
-            <= HopSelector._MEMO_MAX + WINDOW_SLOTS
+            <= HopSelector._MEMO_MAX
 
     def test_an_absorbed_window_fills_each_memo_row_once(self, monkeypatch):
         """A slave shares its master's memo and start clock, whose row the
-        batched pass has just filled, so the prefill fills no slave: the
-        window makes no per-selector fill at all."""
+        batched pass has just filled, so the prefill passes each memo row
+        once, and the handlers then resolve every lookup with a hit."""
         from repro.experiments.ext_interference import build_campaign_session
+        from repro.sim import soa
 
-        session, _ = build_campaign_session(3, 97)
-        fills = []
-        window = HopSelector.connection_window
+        session, pairs = build_campaign_session(3, 97)
+        rows = []
+        fill = soa.connection_windows_many
 
-        def counted(selector, clk_start, size):
-            fills.append(selector.address)
-            return window(selector, clk_start, size)
+        def recorded(selectors, starts, window):
+            rows.extend((id(selector._connection_memo), start)
+                        for selector, start in zip(selectors, starts))
+            return fill(selectors, starts, window)
 
-        monkeypatch.setattr(HopSelector, "connection_window", counted)
+        monkeypatch.setattr(soa, "connection_windows_many", recorded)
+        misses = _count_misses(monkeypatch)
         absorbed = session.slot_engine.windows_absorbed
         session.run_slots(800)
         assert session.slot_engine.windows_absorbed == absorbed + 1
-        assert fills == []
+        # 800 slots take two prefills of one row per piconet
+        assert len(rows) == 2 * len(pairs)
+        assert len(set(rows)) == len(rows)
+        assert misses == []
 
 
 class TestAfhMapEviction:

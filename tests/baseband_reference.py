@@ -11,8 +11,10 @@ random inputs.
 
 The module deliberately imports nothing from the fast modules (it
 duplicates their constants), so a bug in a fast path cannot leak into its
-own oracle.  The hop oracle reads only a selector's address fields and its
-scalar selection box, which the page/scan modes share.  The channel's
+own oracle.  The hop oracles read only a selector's address and installed
+adaptive hop set: they derive the address fields A..E from the address
+bits and walk the PERM5 butterfly bit by bit, so they share nothing with
+the kernel's lookup tables.  The channel's
 bursty noise has its oracle here too: the two-state Gilbert-Elliott chain
 stepped bit by bit, reading only a noise model's parameters and state.
 """
@@ -40,6 +42,16 @@ NUM_CHANNELS = 79
 #: Hop output register: even channels ascending, then odd.
 CHANNEL_REGISTER = tuple(range(0, NUM_CHANNELS, 2)) + tuple(
     range(1, NUM_CHANNELS, 2))
+#: PERM5 butterfly exchanges, 7 stages x 2, controlled by P13..P0.
+PERM5_BUTTERFLIES = (
+    (1, 2), (3, 4),
+    (1, 3), (0, 4),
+    (0, 1), (2, 3),
+    (1, 4), (0, 3),
+    (2, 4), (1, 3),
+    (0, 3), (1, 2),
+    (0, 4), (1, 3),
+)
 
 _PN_BITS = np.array([(PN_SEQUENCE >> (63 - i)) & 1 for i in range(64)], dtype=np.uint8)
 
@@ -220,26 +232,93 @@ def sync_word_reference(lap: int) -> np.ndarray:
     return (codeword ^ _PN_BITS).astype(np.uint8)
 
 
+def perm5_reference(z: int, control: int) -> int:
+    """The 14-stage butterfly walked bit by bit: stage ``k`` exchanges its
+    two bits of ``z`` when control bit ``k`` is set."""
+    z &= 0x1F
+    for index, (i, j) in enumerate(PERM5_BUTTERFLIES):
+        if (control >> index) & 1:
+            bit_i = (z >> i) & 1
+            bit_j = (z >> j) & 1
+            if bit_i != bit_j:
+                z ^= (1 << i) | (1 << j)
+    return z
+
+
+def _address_bits(address: int, positions: tuple[int, ...]) -> int:
+    out = 0
+    for position in positions:
+        out = (out << 1) | ((address >> position) & 1)
+    return out
+
+
+def _select_index_reference(address: int, x: int, y1: int, y2: int,
+                            clk_a: int = 0, clk_c: int = 0, clk_d: int = 0,
+                            f: int = 0) -> int:
+    """The selection box's pre-register output for a 28-bit address: the
+    address fields A..E (spec notation A27..A0) with the clock bits of
+    the connection mode XORed into A, C and D, the first adder, the XOR
+    with B and Y1, PERM5 and the final adder."""
+    a = _address_bits(address, (27, 26, 25, 24, 23)) ^ clk_a
+    b = _address_bits(address, (22, 21, 20, 19))
+    c = _address_bits(address, (8, 6, 4, 2, 0)) ^ clk_c
+    d = _address_bits(address, (18, 17, 16, 15, 14, 13, 12, 11, 10)) ^ clk_d
+    e = _address_bits(address, (13, 11, 9, 7, 5, 3, 1))
+    z = ((x + a) % 32) ^ b ^ (16 * y1)
+    z = perm5_reference(z, (c << 9) | d)
+    return (z + e + f + y2) % NUM_CHANNELS
+
+
 def connection_reference(selector, clk: int) -> int:
     """Connection-state hop frequency of ``selector`` at piconet clock
     ``clk``, one clock at a time: clock bits mixed into A/C/D/F, the scalar
     selection box, then the channel register — and, when an adaptive hop
     set is installed, the spec remap of an unused selection onto entry
     ``index mod N`` of the used channels in register order."""
-    x = (clk >> 2) & 0x1F
     y1 = (clk >> 1) & 1
-    a = selector._a ^ ((clk >> 21) & 0x1F)
-    c = selector._c ^ ((clk >> 16) & 0x1F)
-    d = selector._d ^ ((clk >> 7) & 0x1FF)
-    f = (16 * ((clk >> 7) & 0x1FFFFF)) % NUM_CHANNELS
-    index = selector._select_index(x=x, y1=y1, y2=32 * y1, a=a,
-                                   b=selector._b, c=c, d=d, f=f)
+    index = _select_index_reference(
+        selector.address, x=(clk >> 2) & 0x1F, y1=y1, y2=32 * y1,
+        clk_a=(clk >> 21) & 0x1F, clk_c=(clk >> 16) & 0x1F,
+        clk_d=(clk >> 7) & 0x1FF,
+        f=(16 * ((clk >> 7) & 0x1FFFFF)) % NUM_CHANNELS)
     freq = CHANNEL_REGISTER[index]
     afh = selector.afh_map
     if afh is not None and not afh.used_mask[freq]:
         used = [ch for ch in CHANNEL_REGISTER if afh.used_mask[ch]]
         freq = used[index % len(used)]
     return freq
+
+
+def page_scan_reference(selector, clkn: int) -> int:
+    """Page-scan (inquiry-scan for the GIAC) frequency: X = CLKN16-12."""
+    x = (clkn >> 12) & 0x1F
+    return CHANNEL_REGISTER[_select_index_reference(selector.address, x, 0, 0)]
+
+
+def page_reference(selector, clke: int, koffset: int) -> int:
+    """Page (inquiry) train frequency at clock estimate ``clke``: X sweeps
+    16 phases around CLKE16-12 + koffset, indexed by CLKE4-2,0."""
+    clke_16_12 = (clke >> 12) & 0x1F
+    clke_4_2_0 = (((clke >> 2) & 0b111) << 1) | (clke & 1)
+    x = (clke_16_12 + koffset + ((clke_4_2_0 - clke_16_12) % 16)) % 32
+    return CHANNEL_REGISTER[_select_index_reference(selector.address, x, 0, 0)]
+
+
+def response_reference(selector, phase: int, n: int) -> int:
+    """Slave-response / inquiry-response frequency paired with train
+    phase ``phase`` after ``n`` responses (Y1 = 1, Y2 = 32)."""
+    x = (phase + n) % 32
+    return CHANNEL_REGISTER[
+        _select_index_reference(selector.address, x, 1, 32)]
+
+
+def train_frequencies_reference(selector, clke: int,
+                                koffset: int) -> list[int]:
+    """The 16 frequencies of the train around ``clke``: phases
+    CLKE16-12 + koffset + j for j = 0..15."""
+    x0 = (clke >> 12) & 0x1F
+    return [CHANNEL_REGISTER[_select_index_reference(
+        selector.address, (x0 + koffset + j) % 32, 0, 0)] for j in range(16)]
 
 
 def gilbert_elliott_positions_reference(noise, n: int) -> np.ndarray:

@@ -88,18 +88,18 @@ class TestHopSelectorRemap:
         assert vectorized.tolist() == oracle
         assert [selector.connection(clk) for clk in clks] == oracle
 
-    def test_windowed_fill_matches_scalar_fill_under_afh(self):
-        """The AFH remap is an array transform on the windowed kernel: the
-        64-slot prefill agrees with the per-clock oracle."""
+    def test_memo_misses_match_scalar_oracle_under_afh(self):
+        """A memo miss remaps its one slot: the lookups of a fresh
+        selector agree with the per-clock oracle."""
         used = _mask(list(range(10, 50)) + [77])
         clks = [4096 + 2 * k for k in range(150)]
-        # a fresh registry: every lookup goes through the windowed fill
+        # a fresh registry: every lookup is a miss
         selector = HopSelector(self.ADDRESS, HopRegistry())
         selector.set_afh_map(used)
-        windowed = [selector.connection(clk) for clk in clks]
-        assert windowed == [connection_reference(selector, clk)
-                            for clk in clks]
-        assert all(isinstance(freq, int) for freq in windowed)
+        served = [selector.connection(clk) for clk in clks]
+        assert served == [connection_reference(selector, clk)
+                          for clk in clks]
+        assert all(isinstance(freq, int) for freq in served)
 
     def test_memo_invalidated_on_map_change(self):
         selector = HopSelector(self.ADDRESS)

@@ -1,19 +1,21 @@
-"""Golden-digest equivalence: batched-sync channel + windowed hop fill
-vs test-local scalar oracles.
+"""Golden-digest equivalence: batched-sync channel + table-driven hop
+kernel vs test-local scalar oracles.
 
 Two multi-piconet scenarios (statistical and bit-accurate channels) are
 run twice in-process — once on the fast paths (one ``Channel._sync_batch``
-event per multi-listener transmission, 64-slot windowed hop prefill) and
-once with both replaced by scalar oracles: a one-listener sync stage per
+event per multi-listener transmission, connection hops served by the
+shared memo and, on a miss, the kernel's PERM5 lookup tables) and once
+with both replaced by scalar oracles: a one-listener sync stage per
 listener (the decomposition the ``Channel.sync`` docstring argues is
 byte-identical) and the per-clock hop formula of
-``tests/baseband_reference.py``.  Their *physical outcomes* (collisions,
-transmissions, delivered bytes, per-device packet counts) must match bit
-for bit.  The outcomes are additionally pinned against sha256 digests
-captured on the tree that still scheduled one sync event per listener and
-filled hops one clock at a time, so a matched pair of bugs in the fast
-path and its oracle cannot slip through.  The windowed hop fill is also
-checked clock by clock against the same per-clock oracle.
+``tests/baseband_reference.py``, which walks the PERM5 butterfly bit by
+bit and shares nothing with the tables.  Their *physical outcomes*
+(collisions, transmissions, delivered bytes, per-device packet counts)
+must match bit for bit.  The outcomes are additionally pinned against
+sha256 digests captured on the tree that still scheduled one sync event
+per listener and filled hops one clock at a time, so a matched pair of
+bugs in the fast path and its oracle cannot slip through.  Memo misses
+are also checked clock by clock against the same per-clock oracle.
 """
 
 from __future__ import annotations
@@ -95,21 +97,21 @@ def test_fast_paths_match_scalar_golden(name, kwargs, golden, monkeypatch):
     assert fast[0] > 0  # the scenario does collide
 
 
-def test_windowed_hop_fill_matches_scalar_fill():
-    """`connection()` served from the windowed prefill equals the
-    per-clock oracle for every clock, across addresses and parities."""
+def test_hop_memo_misses_match_scalar_oracle():
+    """`connection()` served by memo misses and hits equals the per-clock
+    oracle for every clock, across addresses and parities."""
     rng = np.random.default_rng(11)
     for address in rng.integers(0, 1 << 28, size=8):
         clk_base = int(rng.integers(0, 1 << 26)) & ~1
         clks = [clk_base + 2 * k for k in range(150)] + \
                [clk_base + 1 + 2 * k for k in range(10)] + \
                [int(rng.integers(0, 1 << 27)) for _ in range(20)]
-        # a fresh registry: every miss goes through the windowed fill
+        # a fresh registry: the first lookup of each clock is a miss
         selector = HopSelector(int(address), HopRegistry())
-        windowed = [selector.connection(clk) for clk in clks]
-        assert windowed == [connection_reference(selector, clk)
-                            for clk in clks]
-        assert all(isinstance(freq, int) for freq in windowed)
+        served = [selector.connection(clk) for clk in clks]
+        assert served == [connection_reference(selector, clk)
+                          for clk in clks]
+        assert all(isinstance(freq, int) for freq in served)
 
 
 def test_piconet_hop_sequence_matches_connection():

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import units
 from repro.baseband.access_code import BCH_DEGREE, BCH_POLY, sync_word
 from repro.baseband.bits import bits_from_int, int_from_bits
 from repro.baseband.codec import decode_packet, encode_packet
@@ -27,7 +28,15 @@ from repro.baseband.fec import (
     fec23_encode,
 )
 from repro.baseband.hec import HEC_DEGREE, HEC_POLY
-from repro.baseband.hop import HopSelector, channel_distribution
+from repro.baseband.hop import (
+    KOFFSET_TRAIN_A,
+    KOFFSET_TRAIN_B,
+    HopRegistry,
+    HopSelector,
+    channel_distribution,
+    perm5,
+    perm5_many,
+)
 from repro.baseband.lfsr import Lfsr, remainder_bits, shift_divide
 from repro.baseband.whitening import whitening_sequence, whitening_slice
 from repro.baseband.address import BdAddr, GIAC_LAP
@@ -186,7 +195,64 @@ class TestSyncWordEquivalence:
                               ref.sync_word_reference(0x13579B))
 
 
+#: Adaptive hop sets for the connection oracle: a set of unused channels,
+#: at least one channel kept.
+afh_exclusions = st.sets(st.integers(0, units.NUM_CHANNELS - 1),
+                         max_size=units.NUM_CHANNELS - 1)
+
+
 class TestHopEquivalence:
+    """The hop kernel reads PERM5 from two lookup tables; the oracles
+    walk the butterfly bit by bit and derive the address fields
+    themselves."""
+
+    def test_perm5_matches_reference_exhaustively(self):
+        """Both PERM5 paths over all 2^19 (z, control) pairs, entry
+        ``control << 5 | z``."""
+        want = [ref.perm5_reference(z, control)
+                for control in range(1 << 14) for z in range(32)]
+        assert [perm5(z, control) for control in range(1 << 14)
+                for z in range(32)] == want
+        pairs = np.arange(1 << 19, dtype=np.int64)
+        got = perm5_many(pairs & 0x1F, pairs >> 5)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, (1 << 28) - 1), st.lists(
+        st.integers(0, (1 << 28) - 1), min_size=1, max_size=50, unique=True),
+        st.one_of(st.none(), afh_exclusions))
+    def test_fresh_connection_matches_reference(self, address, clks,
+                                                excluded):
+        """Every lookup of a fresh selector is a memo miss, with or
+        without an adaptive hop set."""
+        selector = HopSelector(address, HopRegistry())
+        if excluded is not None:
+            mask = np.ones(units.NUM_CHANNELS, dtype=bool)
+            mask[sorted(excluded)] = False
+            selector.set_afh_map(mask)
+        for clk in clks:
+            assert clk not in selector._connection_memo
+            freq = selector.connection(clk)
+            assert type(freq) is int
+            assert freq == ref.connection_reference(selector, clk)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, (1 << 28) - 1), st.integers(0, (1 << 28) - 1),
+           st.sampled_from([KOFFSET_TRAIN_A, KOFFSET_TRAIN_B]),
+           st.integers(0, 31), st.integers(0, 40))
+    def test_phase_modes_match_reference(self, address, clk, koffset, phase,
+                                         n):
+        selector = HopSelector(address, HopRegistry())
+        assert selector.page_scan(clk) == ref.page_scan_reference(selector,
+                                                                  clk)
+        assert selector.page(clk, koffset) == \
+            ref.page_reference(selector, clk, koffset)
+        assert selector.response(phase, n) == \
+            ref.response_reference(selector, phase, n)
+        assert selector.train_frequencies(clk, koffset) == \
+            ref.train_frequencies_reference(selector, clk, koffset)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, (1 << 28) - 1), st.lists(
         st.integers(0, (1 << 28) - 1), min_size=1, max_size=50))
