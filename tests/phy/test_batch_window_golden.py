@@ -26,8 +26,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.baseband.hop import HopRegistry, HopSelector
+from repro.baseband.packets import PacketType
+from repro.experiments.common import paper_config
 from repro.experiments.ext_interference import build_campaign_session
+from repro.link.traffic import SaturatedTraffic
 from repro.phy.channel import Channel
 
 from tests.baseband_reference import connection_reference
@@ -37,6 +41,11 @@ from tests.kernels import object_kernel
 #: ``tests/sim/test_soa_equivalence.py``).
 GOLDEN_STAT = "ea87f0b01df77318"
 GOLDEN_BIT = "cd5dc5712ed5b940"
+#: the statistical campaign world at BER 0.002, which draws stage outcomes
+GOLDEN_STAT_NOISY = "7a20bcbbb2ec06bc"
+#: a three-slave piconet, statistical and bit-accurate channels
+GOLDEN_PICONET_STAT = "6738ed498cb5eaee"
+GOLDEN_PICONET_BIT = "cb5bde7a67b9f77f"
 
 
 def _run_scenario(n_piconets: int, seed: int, observe_slots: int,
@@ -55,6 +64,32 @@ def _run_scenario(n_piconets: int, seed: int, observe_slots: int,
         tuple(master.connection_master.stats_tx_packets
               for master, _ in pairs),
         tuple(slave.connection_slave.stats_rx_packets for _, slave in pairs),
+    )
+
+
+def _run_piconet(seed: int, observe_slots: int, ber: float,
+                 bit_accurate: bool = False) -> tuple:
+    """A master pages up three slaves and saturates each with its own
+    packet type.  Every master packet reaches three listening slaves, so
+    each of its noisy syncs decodes three listeners.  Returns the same
+    kind of outcome tuple as :func:`_run_scenario`."""
+    with object_kernel():
+        session = Session(config=paper_config(ber=ber, seed=seed,
+                                              bit_accurate=bit_accurate))
+    master = session.add_device("master")
+    slaves = [session.add_device(f"slave{i}") for i in (1, 2, 3)]
+    piconet = session.build_piconet(master, slaves)
+    for slave, ptype in zip(slaves, (PacketType.DM1, PacketType.DH3,
+                                     PacketType.DM5)):
+        SaturatedTraffic(master, piconet.am_addr_of(slave),
+                         ptype=ptype).start()
+    session.run_slots(observe_slots)
+    return (
+        session.channel.collisions,
+        session.channel.transmissions,
+        tuple(slave.rx_buffer.total_bytes for slave in slaves),
+        master.connection_master.stats_tx_packets,
+        tuple(slave.connection_slave.stats_rx_packets for slave in slaves),
     )
 
 
@@ -84,6 +119,8 @@ def _install_scalar_oracles(monkeypatch) -> None:
 @pytest.mark.parametrize("name,kwargs,golden", [
     ("statistical", dict(n_piconets=3, seed=97, observe_slots=800),
      GOLDEN_STAT),
+    ("statistical_noisy", dict(n_piconets=3, seed=97, observe_slots=800,
+                               ber=0.002), GOLDEN_STAT_NOISY),
     ("bit_accurate", dict(n_piconets=2, seed=53, observe_slots=400,
                           ber=0.002, bit_accurate=True), GOLDEN_BIT),
 ])
@@ -95,6 +132,36 @@ def test_fast_paths_match_scalar_golden(name, kwargs, golden, monkeypatch):
     assert _digest(fast) == golden, \
         f"{name}: outcomes diverge from the golden digest"
     assert fast[0] > 0  # the scenario does collide
+
+
+@pytest.mark.parametrize("name,kwargs,golden", [
+    ("statistical", dict(seed=3, observe_slots=600, ber=0.02),
+     GOLDEN_PICONET_STAT),
+    ("bit_accurate", dict(seed=3, observe_slots=600, ber=0.002,
+                          bit_accurate=True), GOLDEN_PICONET_BIT),
+])
+def test_multi_listener_decode_matches_scalar_golden(name, kwargs, golden,
+                                                     monkeypatch):
+    """Noisy transmissions that several listeners decode at one sync
+    instant give the outcomes of one sync stage per listener."""
+    locked_counts = []
+    sync = Channel.sync
+
+    def counting_sync(self, tx, receivers):
+        locked = sync(self, tx, receivers)
+        locked_counts.append(len(locked))
+        return locked
+
+    monkeypatch.setattr(Channel, "sync", counting_sync)
+    fast = _run_piconet(**kwargs)
+    # syncs after which three listeners go on to the header stage
+    assert sum(count == 3 for count in locked_counts) > 100, \
+        f"{name}: too few three-listener decodes to pin"
+    _install_scalar_oracles(monkeypatch)
+    scalar = _run_piconet(**kwargs)
+    assert fast == scalar, f"{name}: multi-listener decode diverges"
+    assert _digest(fast) == golden, \
+        f"{name}: outcomes diverge from the golden digest"
 
 
 def test_hop_memo_misses_match_scalar_oracle():
