@@ -8,7 +8,7 @@ cross-validated against the bit-accurate codec.
 
 from repro.baseband.address import BdAddr, GIAC_LAP
 from repro.baseband.clock import BtClock
-from repro.baseband.codec import DecodeResult, decode_packet, decode_packets, encode_packet
+from repro.baseband.codec import DecodeResult, decode_packet, encode_packet
 from repro.baseband.errormodel import StageErrorModel
 from repro.baseband.hop import HopSelector
 from repro.baseband.packets import Packet, PacketType, packet_duration_ns
@@ -23,7 +23,6 @@ __all__ = [
     "PacketType",
     "StageErrorModel",
     "decode_packet",
-    "decode_packets",
     "encode_packet",
     "packet_duration_ns",
 ]

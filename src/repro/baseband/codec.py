@@ -21,12 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baseband import access_code as ac
-from repro.baseband.access_code import (
-    AccessCode,
-    _full_bits_cached,
-    _id_bits_cached,
-    _sync_word_cached,
-)
+from repro.baseband.access_code import AccessCode, _full_bits_cached, _id_bits_cached
 from repro.baseband.bits import bits_from_bytes, bits_from_int, bytes_from_bits, int_from_bits
 from repro.baseband.crc import crc16_compute, crc16_check
 from repro.baseband.fec import Fec13Result, fec13_decode, fec13_encode, fec23_decode, fec23_encode
@@ -40,7 +35,7 @@ from repro.baseband.packets import (
     header_fields,
     type_from_code,
 )
-from repro.baseband.whitening import whitening_rows, whitening_sequence, whitening_slice
+from repro.baseband.whitening import whitening_sequence, whitening_slice
 from repro.errors import DecodingError
 
 
@@ -221,35 +216,20 @@ def decode_packet(
     payload_air = air_bits[ac.FULL_CODE_LEN + HEADER_AIR_BITS :]
 
     header18 = fec13.bits ^ whitening_sequence(clk, 18)
-    return _decode_from_header(header18, fec13.corrected, payload_air,
-                               expected_lap, uap, clk)
-
-
-def _decode_from_header(
-    header18: np.ndarray,
-    corrected_header_bits: int,
-    payload_air: np.ndarray,
-    expected_lap: int,
-    uap: int,
-    clk: int,
-) -> DecodeResult:
-    """Header HEC check + payload stage, shared by the scalar and batched
-    decoders.  ``header18`` is the un-whitened 18-bit header (10 data bits
-    plus HEC); ``payload_air`` the raw post-header air bits."""
     header10, hec8 = header18[:10], header18[10:]
     if not hec_check(header10, hec8, uap):
         return DecodeResult(synced=True, header_ok=False, stage="header",
-                            corrected_header_bits=corrected_header_bits)
+                            corrected_header_bits=fec13.corrected)
 
     am_addr, type_code, flow, arqn, seqn = header_fields(header10)
     try:
         ptype = type_from_code(type_code)
     except ValueError:
         return DecodeResult(synced=True, header_ok=False, stage="header",
-                            corrected_header_bits=corrected_header_bits)
+                            corrected_header_bits=fec13.corrected)
 
     result = DecodeResult(synced=True, header_ok=True, stage="header",
-                          corrected_header_bits=corrected_header_bits)
+                          corrected_header_bits=fec13.corrected)
     result.set_header_fields(am_addr, type_code, arqn, seqn)
 
     if ptype in (PacketType.NULL, PacketType.POLL):
@@ -305,91 +285,3 @@ def _decode_from_header(
                            llid=llid)
     result.payload_ok = True
     return result
-
-
-def _broadcast(value, count: int) -> list:
-    """Expand a scalar parameter to ``count`` entries, or validate a list."""
-    if isinstance(value, (int, np.integer)):
-        return [int(value)] * count
-    values = list(value)
-    if len(values) != count:
-        raise ValueError(f"expected {count} per-frame values, got {len(values)}")
-    return values
-
-
-def decode_packets(
-    frames,
-    expected_laps,
-    uaps,
-    clks,
-    sync_threshold=7,
-) -> list[DecodeResult]:
-    """Decode a batch of air frames — byte-identical to looping
-    :func:`decode_packet` over the batch (enforced by the batch-decode
-    property suite).
-
-    ``frames`` is a sequence of bit arrays; ``expected_laps`` / ``uaps`` /
-    ``clks`` / ``sync_threshold`` are per-frame sequences (scalars are
-    broadcast).  The channel's per-slot resolver batches every reception it
-    resolves at the same instant through one call, which shares the table
-    work of the early stages across the whole batch:
-
-    * **sync** — all sync regions are stacked against their (cached) sync
-      words and correlated in one vectorized Hamming comparison;
-    * **header** — the 54 header air bits of every synced full frame are
-      majority-voted in one reshaped FEC 1/3 pass, and un-whitened against
-      one fancy-indexed block of whitening-table rows;
-    * the per-frame HEC / payload stages reuse the exact scalar helper.
-    """
-    count = len(frames)
-    if count == 0:
-        return []
-    laps = _broadcast(expected_laps, count)
-    uap_list = _broadcast(uaps, count)
-    clk_list = _broadcast(clks, count)
-    thresholds = _broadcast(sync_threshold, count)
-
-    arrays = [np.asarray(bits) for bits in frames]
-    for bits in arrays:
-        if len(bits) != ac.ID_CODE_LEN and \
-                len(bits) < ac.FULL_CODE_LEN + HEADER_AIR_BITS:
-            raise DecodingError(f"air frame of {len(bits)} bits is no known packet")
-
-    # stage 1 — one vectorized sliding-correlator decision for the batch
-    regions = np.stack([bits[ac.PREAMBLE_LEN : ac.PREAMBLE_LEN + ac.SYNC_LEN]
-                        for bits in arrays])
-    words = np.stack([_sync_word_cached(lap) for lap in laps])
-    distances = np.count_nonzero(regions != words, axis=1)
-    synced_flags = distances <= np.asarray(thresholds)
-
-    results: list[Optional[DecodeResult]] = [None] * count
-    full_indices: list[int] = []
-    for index, bits in enumerate(arrays):
-        if len(bits) == ac.ID_CODE_LEN:
-            synced = bool(synced_flags[index])
-            packet = Packet(ptype=PacketType.ID, lap=laps[index]) if synced else None
-            results[index] = DecodeResult(
-                synced=synced, header_ok=synced, payload_ok=synced,
-                packet=packet, stage="payload" if synced else "sync")
-        elif not synced_flags[index]:
-            results[index] = DecodeResult(synced=False, stage="sync")
-        else:
-            full_indices.append(index)
-
-    if full_indices:
-        # stage 2 — batched header FEC 1/3 vote + whitening (same arithmetic
-        # as fec13_decode / whitening_sequence, over stacked rows)
-        header_air = np.stack(
-            [arrays[index][ac.FULL_CODE_LEN : ac.FULL_CODE_LEN + HEADER_AIR_BITS]
-             for index in full_indices])
-        sums = header_air.reshape(len(full_indices), HEADER_AIR_BITS // 3, 3).sum(axis=2)
-        header_bits = (sums >= 2).astype(np.uint8)
-        corrected = np.count_nonzero((sums == 1) | (sums == 2), axis=1)
-        header18s = header_bits ^ whitening_rows(
-            [clk_list[index] for index in full_indices], 18)
-        for row, index in enumerate(full_indices):
-            payload_air = arrays[index][ac.FULL_CODE_LEN + HEADER_AIR_BITS :]
-            results[index] = _decode_from_header(
-                header18s[row], int(corrected[row]), payload_air,
-                laps[index], uap_list[index], clk_list[index])
-    return results

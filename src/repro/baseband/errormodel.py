@@ -159,8 +159,8 @@ class StageErrorModel:
         """Draw (synced, header_ok, payload_ok) for one framed packet.
 
         Stages short-circuit exactly like the individual samplers do in
-        sequence, consuming the same RNG variates in the same order, so a
-        batch run is byte-identical to the unbatched one.
+        sequence, consuming the same RNG variates in the same order, so
+        one call draws what the three samplers would draw in turn.
         """
         if self.ber == 0.0:
             return True, True, True
@@ -174,96 +174,6 @@ class StageErrorModel:
         if params is None:
             return True, True, True
         return True, True, bool(binomial(params[0], params[1]) == 0)
-
-    def sample_sync_batch(self, threshold: int, count: int) -> list[bool]:
-        """``count`` :meth:`sample_sync` draws in one vectorized call.
-
-        ``Generator.binomial`` fills a size-``count`` request element-wise
-        from the bit stream with the same per-variate routine as ``count``
-        scalar calls, so outcomes *and* the generator's final state are
-        byte-identical to the scalar loop (pinned by the batch-draw
-        hypothesis suite).
-        """
-        if count <= 0:
-            return []
-        if self.ber == 0.0:
-            return [True] * count
-        if count == 1:  # vectorization has nothing to amortize
-            return [self.sample_sync(threshold)]
-        errors = self._binomial(SYNC_LEN, self.ber, count)
-        return [bool(e <= threshold) for e in errors]
-
-    def sample_stages_batch(self, ptype: PacketType, payload_len: int,
-                            threshold: int,
-                            count: int) -> list[tuple[bool, bool, bool]]:
-        """``count`` :meth:`sample_stages` chains, drawn batch-wise but
-        **stream-identically** to the scalar loop.
-
-        The scalar chain short-circuits (a failed sync skips the header and
-        payload draws), so its RNG consumption is data-dependent and a
-        draw-all-stages vectorization would consume the stream differently.
-        Instead the batch draw *speculates* that every remaining listener
-        passes all stages — one vectorized array-parameter ``binomial``
-        call over the interleaved ``sync, header[, payload]`` parameter
-        pattern, which numpy consumes element-wise exactly like the scalar
-        sequence.  At the first failed stage the speculation diverges from
-        the scalar order: the generator is rewound to the pre-speculation
-        state, the validated prefix (whose draws *are* aligned with the
-        scalar chain) is re-consumed to park the stream where the scalar
-        loop would have left it, and speculation restarts after the failed
-        listener.  No-noise channels take a draw-free fast path.  Outcomes
-        and final generator state are byte-identical to ``count``
-        sequential :meth:`sample_stages` calls (hypothesis-pinned by
-        ``tests/properties/test_stage_batch.py``); the win is that the
-        common all-pass / low-failure batch costs O(failures + 1)
-        vectorized calls instead of 3·``count`` Python-level draws.
-        """
-        if count <= 0:
-            return []
-        if self.ber == 0.0:
-            return [(True, True, True)] * count
-        if count == 1:
-            # a 1-chain speculation cannot win back its state snapshot and
-            # array setup; the scalar chain is the same draws verbatim
-            return [self.sample_stages(ptype, payload_len, threshold)]
-        params = self._payload_draw(ptype, payload_len)
-        if params is None:
-            n_template = (SYNC_LEN, 18)
-            p_template = (self.ber, self._residual_header)
-        else:
-            n_template = (SYNC_LEN, 18, params[0])
-            p_template = (self.ber, self._residual_header, params[1])
-        stages = len(n_template)
-        binomial = self._binomial
-        bit_generator = self._rng.bit_generator
-        results: list[tuple[bool, bool, bool]] = []
-        while len(results) < count:
-            remaining = count - len(results)
-            ns = np.array(n_template * remaining, dtype=np.int64)
-            ps = np.array(p_template * remaining)
-            state = bit_generator.state
-            draws = binomial(ns, ps)
-            consumed = None  # stream-aligned draw prefix on divergence
-            for i in range(remaining):
-                base = i * stages
-                if draws[base] > threshold:
-                    results.append((False, False, False))
-                    consumed = base + 1
-                    break
-                if draws[base + 1] != 0:
-                    results.append((True, False, False))
-                    consumed = base + 2
-                    break
-                if params is None:
-                    results.append((True, True, True))
-                else:
-                    results.append((True, True, bool(draws[base + 2] == 0)))
-            if consumed is None:
-                break  # full speculation valid: stream already aligned
-            bit_generator.state = state
-            if consumed:
-                binomial(ns[:consumed], ps[:consumed])
-        return results
 
 
 _MISSING = object()

@@ -49,21 +49,6 @@ def whitening_sequence(clk: int, length: int) -> np.ndarray:
     return np.resize(row, length)
 
 
-def whitening_rows(clks, length: int) -> np.ndarray:
-    """Whitening streams for a *batch* of clock values, stacked row-wise.
-
-    Returns a ``(len(clks), length)`` array whose row ``i`` equals
-    ``whitening_sequence(clks[i], length)`` — one fancy-indexed table
-    lookup instead of a Python-level loop.  The batched packet decoder
-    uses this to un-whiten every header of a slot batch at once.
-    """
-    rows = _TABLE[(np.asarray(clks, dtype=np.int64) >> 1) & 0x3F]
-    if length <= WHITEN_PERIOD:
-        return rows[:, :length].copy()
-    reps = -(-length // WHITEN_PERIOD)  # ceil division
-    return np.tile(rows, reps)[:, :length]
-
-
 def whitening_slice(clk: int, start: int, length: int) -> np.ndarray:
     """Bits ``start .. start+length`` of the whitening stream for ``clk``.
 

@@ -10,12 +10,11 @@ piconets (≈ (n−1)/79 for small n).
 
 This campaign measures that degradation out to **dense deployments**
 (20+ co-located piconets, mixed DM1/DM3/DH5 traffic) with the same
-frequency-aware resolver the reproduction uses everywhere.  The workload
-is only affordable because of two kernel fast paths that shipped with it:
-the channel resolves each slot's receptions through the batched
-``decode_packets`` codec API, and the slot engine prefills every
-piconet's hops in one array pass over the PERM5 lookup tables, so each
-slot's lookup is a memo hit.
+frequency-aware resolver the reproduction uses everywhere.  Its worlds
+run at BER 0, so the statistical channel decodes without drawing (each
+listener's access-code screen decides), and the slot engine steps their
+steady state, prefilling every piconet's hops in one array pass over the
+PERM5 lookup tables so that each slot's lookup is a memo hit.
 
 Statistics: each piconet count is a Monte-Carlo point dispatched through
 ``Sweep``/``run_flattened`` (one flat work queue over the whole

@@ -47,10 +47,9 @@ thousands of these per second):
 * Stage callbacks are ``functools.partial`` bindings of bound methods, not
   capturing lambdas — no closure-cell allocation per scheduled stage.
 * All receptions of a transmission resolved at the same sync instant are
-  grouped into **one sync event** whose decode outcomes go through the
-  batched :func:`~repro.baseband.codec.decode_packets` codec API
-  (bit-accurate mode) — see :meth:`Channel.sync` for the byte-identity
-  argument.
+  grouped into **one sync event**, which decodes each listener as it
+  delivers to it — see :meth:`Channel.sync` for why that is
+  byte-identical to one sync event per listener.
 
 Each stage is one method that acts and returns what follows it:
 :meth:`Channel.scan` the receivers, :meth:`Channel.sync` the listeners
@@ -69,12 +68,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from repro.baseband.codec import (
-    DecodeResult,
-    decode_packet,
-    decode_packets,
-    encode_packet,
-)
+from repro.baseband.codec import DecodeResult, decode_packet, encode_packet
 from repro.baseband.errormodel import StageErrorModel
 from repro.baseband.bits import flip_bits
 from repro.baseband.hop import HopRegistry
@@ -733,24 +727,27 @@ class Channel(Module):
     def sync(self, tx: Transmission,
              receivers: list[RfFrontEnd]) -> list[RfFrontEnd]:
         """The sync stage of every reception of ``tx``: admit in listener
-        order, draw all decode outcomes (one batched ``decode_packets``
-        call in bit-accurate mode), then deliver in the same order.
-        Returns the listeners that stay locked, in that order: each one's
-        header stage follows ``HEADER_DECISION_NS`` after the start.
+        order, then decode and deliver each admitted listener in the same
+        order.  Returns the listeners that stay locked, in that order:
+        each one's header stage follows ``HEADER_DECISION_NS`` after the
+        start.
 
         Byte-identical to one sync event per listener: those events would
         be scheduled back-to-back by one scan, so they would hold
         consecutive sequence numbers and fire consecutively — nothing can
         interleave.  Within that run, every listener callback (``on_sync``
-        / ID-packet ``on_reception``) only mutates its *own* device's
-        receiver state and queues no event, and only the decode draws
-        from the channel's noise/stage RNG streams — so admitting all
-        listeners first, drawing their decode outcomes in listener order,
-        and then delivering in the same order consumes identical RNG state
-        and observes identical guards.  (``tx.corrupted`` is re-read at
-        each delivery, preserving collision flags raised mid-batch.)
-        ``tests/phy/test_batch_window_golden.py`` checks this against a
-        per-listener oracle end to end.
+        / ID-packet ``on_reception``) acts on its *own* device only (its
+        receiver and procedure state, its own RNG stream, its own events,
+        queued in the order the per-listener events would queue them), so
+        admitting every listener first observes the guards each event
+        would.  Only the decode draws from the channel's noise and stage
+        RNG streams, and no delivery draws from them, so a listener
+        decoded after the previous listener's delivery takes the same
+        variates it would take in its own event.  (``tx.corrupted`` is
+        re-read at each delivery, preserving collision flags raised
+        mid-batch.)  ``tests/phy/test_batch_window_golden.py`` checks this
+        against a per-listener oracle end to end, in noisy worlds of both
+        channel modes.
         """
         admitted = []
         for listener in receivers:
@@ -764,17 +761,16 @@ class Channel(Module):
         if not admitted:
             return admitted
         packet = tx.packet
-        # a channel that draws nothing decodes each listener as it
-        # delivers: only its own access-code screen decides
-        results = None if self._draw_free \
-            else self._full_decode_batch(tx, admitted)
+        draw_free = self._draw_free
         is_id = packet.ptype is _ID
         spatial = self._spatial
         locked = []
-        for index, listener in enumerate(admitted):
-            if results is not None:
-                result = results[index]
+        for listener in admitted:
+            if not draw_free:
+                result = self._full_decode(tx, listener)
             else:
+                # a channel that draws nothing: only the listener's own
+                # access-code screen decides
                 expect = listener.expect
                 if expect is None or expect.lap != packet.lap:
                     result = DecodeResult(False)
@@ -875,8 +871,7 @@ class Channel(Module):
     @staticmethod
     def _id_result(lap: int, detected: bool) -> DecodeResult:
         """ID-packet decode outcome from its correlator decision (shared
-        by the scalar and batch statistical paths, which must stay
-        byte-identical)."""
+        by the statistical draw and the draw-free screen)."""
         if not detected:
             return DecodeResult(synced=False, stage="sync")
         return DecodeResult(synced=True, header_ok=True, payload_ok=True,
@@ -887,7 +882,7 @@ class Channel(Module):
     def _stage_result(packet: Packet, synced: bool, header_ok: bool,
                       payload_ok: bool) -> DecodeResult:
         """Framed-packet decode outcome from its stage draws (shared by
-        the scalar and batch statistical paths)."""
+        the statistical draw and the draw-free screen)."""
         if not synced:
             return DecodeResult(False)
         if not header_ok:
@@ -929,72 +924,6 @@ class Channel(Module):
         # separate sample_sync/sample_header/sample_payload chain
         return self._stage_result(packet, *self.stage_model.sample_stages(
             packet.ptype, len(packet.payload), threshold))
-
-    def _full_decode_batch(self, tx: Transmission,
-                           listeners: list[RfFrontEnd]) -> list[DecodeResult]:
-        """Decode outcomes for every admitted listener of one transmission.
-
-        Statistical mode draws the whole batch's sync/header/payload chains
-        through :meth:`StageErrorModel.sample_stages_batch` (stream- and
-        outcome-identical to looping :meth:`_full_decode` per listener).
-        Bit-accurate mode draws each listener's noise pattern in listener
-        order (identical noise-stream consumption), then resolves all noisy
-        frames through one :func:`decode_packets` call.  A single listener takes the
-        scalar decode outright — same draws, none of the batch
-        bookkeeping.
-        """
-        if len(listeners) == 1:
-            return [self._full_decode(tx, listeners[0])]
-        if not self.config.bit_accurate:
-            return self._stage_draw_batch(tx, listeners)
-        assert tx.air_bits is not None
-        threshold = self._threshold_for(tx.packet)
-        results: list[DecodeResult | None] = [None] * len(listeners)
-        frames, laps, slots = [], [], []
-        for index, listener in enumerate(listeners):
-            expect = listener.expect
-            if expect is None or expect.lap != tx.packet.lap:
-                results[index] = DecodeResult(False)
-                continue
-            positions = self.noise.error_positions(len(tx.air_bits))
-            frames.append(flip_bits(tx.air_bits, positions) if len(positions)
-                          else tx.air_bits)
-            laps.append(expect.lap)
-            slots.append(index)
-        if frames:
-            decoded = decode_packets(frames, laps, tx.tx_uap, tx.tx_clk,
-                                     sync_threshold=threshold)
-            for index, result in zip(slots, decoded):
-                results[index] = result
-        return results
-
-    def _stage_draw_batch(self, tx: Transmission,
-                          listeners: list[RfFrontEnd]) -> list[DecodeResult]:
-        """Statistical-mode batch: one access-code screen pass, then the
-        matching listeners' stage chains drawn in a single batched call
-        (byte-identical draws to looping :meth:`_full_decode`)."""
-        packet = tx.packet
-        results: list[DecodeResult | None] = [None] * len(listeners)
-        drawn: list[int] = []
-        for index, listener in enumerate(listeners):
-            expect = listener.expect
-            if expect is None or expect.lap != packet.lap:
-                results[index] = DecodeResult(False)
-            else:
-                drawn.append(index)
-        if not drawn:
-            return results
-        threshold = self._threshold_for(packet)
-        if packet.ptype is _ID:
-            synced = self.stage_model.sample_sync_batch(threshold, len(drawn))
-            for index, ok in zip(drawn, synced):
-                results[index] = self._id_result(packet.lap, ok)
-            return results
-        stages = self.stage_model.sample_stages_batch(
-            packet.ptype, len(packet.payload), threshold, len(drawn))
-        for index, outcome in zip(drawn, stages):
-            results[index] = self._stage_result(packet, *outcome)
-        return results
 
 
 _attach_index = attrgetter("attach_index")

@@ -1,21 +1,27 @@
-"""Golden-digest equivalence: batched-sync channel + table-driven hop
-kernel vs test-local scalar oracles.
+"""Golden-digest equivalence: one sync event per transmission and the
+table-driven hop kernel vs test-local scalar oracles.
 
-Two multi-piconet scenarios (statistical and bit-accurate channels) are
-run twice in-process — once on the fast paths (one ``Channel._sync_batch``
-event per multi-listener transmission, connection hops served by the
+Campaign scenarios (statistical at BER 0 and 0.002, bit-accurate at
+0.002) and a three-slave piconet on both channel modes are run twice
+in-process: once as the object kernel runs them (one
+``Channel._sync_batch`` event per transmission, which decodes and
+delivers each admitted listener in turn; connection hops served by the
 shared memo and, on a miss, the kernel's PERM5 lookup tables) and once
 with both replaced by scalar oracles: a one-listener sync stage per
 listener (the decomposition the ``Channel.sync`` docstring argues is
 byte-identical) and the per-clock hop formula of
 ``tests/baseband_reference.py``, which walks the PERM5 butterfly bit by
-bit and shares nothing with the tables.  Their *physical outcomes*
-(collisions, transmissions, delivered bytes, per-device packet counts)
-must match bit for bit.  The outcomes are additionally pinned against
-sha256 digests captured on the tree that still scheduled one sync event
-per listener and filled hops one clock at a time, so a matched pair of
-bugs in the fast path and its oracle cannot slip through.  Memo misses
-are also checked clock by clock against the same per-clock oracle.
+bit and shares nothing with the tables.  In the noisy worlds each
+listener's decode draws from the channel's noise or stage stream between
+two deliveries, so they also pin that no delivery draws from those
+streams.  Their *physical outcomes* (collisions, transmissions, delivered
+bytes, per-device packet counts) must match bit for bit.  The outcomes
+are additionally pinned against sha256 digests, so a matched pair of
+bugs in the fast path and its oracle cannot slip through: two were
+captured on the tree that still scheduled one sync event per listener
+and filled hops one clock at a time, the other three on the tree that
+still decoded a transmission's listeners in one batch.  Memo misses are also
+checked clock by clock against the same per-clock oracle.
 """
 
 from __future__ import annotations
