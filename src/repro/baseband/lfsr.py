@@ -1,19 +1,15 @@
-"""Linear feedback shift registers and polynomial division over GF(2).
+"""Polynomial division over GF(2) in a shift register.
 
-One generic division routine backs the HEC, CRC-16 and BCH sync-word
-generators; :class:`Lfsr` provides a stepping register for stream uses
-(whitening).
+One generic division routine backs the HEC, CRC-16, FEC 2/3 and BCH
+sync-word generators.  (Whitening steps its own 7-bit register once, at
+import, into a table: see :mod:`repro.baseband.whitening`.)
 
-Fast paths (byte-identical to the bit-serial oracles in
-``tests/baseband_reference.py``):
-
-* :func:`shift_divide` consumes the input byte-at-a-time through 256-entry
-  remainder tables built lazily per ``(poly, degree)``, with the input bit
-  array packed via ``np.packbits`` — 8x fewer Python-loop iterations and a
-  table lookup instead of a conditional XOR per step.
-* :meth:`Lfsr.sequence` steps through a lazily built per-``(poly, degree)``
-  8-bit transition table (next state + packed output byte per state), then
-  unpacks outputs with ``np.unpackbits``.
+Fast path (byte-identical to the bit-serial oracle in
+``tests/baseband_reference.py``): :func:`shift_divide` consumes the input
+byte-at-a-time through 256-entry remainder tables built lazily per
+``(poly, degree)``, with the input bit array packed via ``np.packbits`` —
+8x fewer Python-loop iterations and a table lookup instead of a
+conditional XOR per step.
 """
 
 from __future__ import annotations
@@ -129,99 +125,3 @@ def remainder_bits(bits: np.ndarray, poly: int, degree: int, init: int = 0) -> n
     bit array of length ``degree``."""
     reg = shift_divide(bits, poly, degree, init)
     return ((reg >> np.arange(degree - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# Stepping LFSR
-# ---------------------------------------------------------------------------
-
-#: Largest register width that gets an 8-bit transition table (2^16 states).
-_LFSR_TABLE_MAX_DEGREE = 16
-
-#: (poly, degree) -> (next_state_after_8_steps, packed_8_output_bits).
-_LFSR_TABLES: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-
-
-def _lfsr_tables(poly: int, degree: int) -> tuple[list[int], list[int]]:
-    key = (poly, degree)
-    tables = _LFSR_TABLES.get(key)
-    if tables is not None:
-        return tables
-    mask = (1 << degree) - 1
-    taps = [i for i in range(degree) if (poly >> i) & 1]
-    states = np.arange(1 << degree, dtype=np.uint32)
-    out_bytes = np.zeros(1 << degree, dtype=np.uint8)
-    s = states.copy()
-    for _ in range(8):
-        out = (s >> (degree - 1)) & 1
-        feedback = np.zeros_like(s)
-        for tap in taps:
-            feedback ^= out if tap == 0 else (s >> (tap - 1)) & 1
-        s = ((s << 1) | (feedback & 1)) & mask
-        out_bytes = (out_bytes << 1) | out.astype(np.uint8)
-    tables = (s.tolist(), out_bytes.tolist())
-    _LFSR_TABLES[key] = tables
-    return tables
-
-
-class Lfsr:
-    """A Fibonacci LFSR producing one output bit per :meth:`step`.
-
-    Attributes:
-        poly: feedback polynomial including the x^degree term.
-        degree: register width.
-        state: current register contents (integer, ``degree`` bits).
-    """
-
-    def __init__(self, poly: int, degree: int, state: int):
-        self.poly = poly
-        self.degree = degree
-        mask = (1 << degree) - 1
-        self.state = state & mask
-        self._mask = mask
-        # tap positions: exponents of the feedback polynomial below degree
-        self._taps = [i for i in range(degree) if (poly >> i) & 1]
-
-    def step(self) -> int:
-        """Advance one bit; returns the output (the bit shifted out)."""
-        out = (self.state >> (self.degree - 1)) & 1
-        feedback = 0
-        for tap in self._taps:
-            if tap == 0:
-                feedback ^= out
-            else:
-                feedback ^= (self.state >> (tap - 1)) & 1
-        self.state = ((self.state << 1) | feedback) & self._mask
-        return out
-
-    def sequence(self, length: int) -> np.ndarray:
-        """Produce ``length`` output bits (table-stepped, 8 bits per hop)."""
-        if length <= 8 or self.degree > _LFSR_TABLE_MAX_DEGREE:
-            out = np.empty(length, dtype=np.uint8)
-            for i in range(length):
-                out[i] = self.step()
-            return out
-        next8, out8 = _lfsr_tables(self.poly, self.degree)
-        chunks, tail = divmod(length, 8)
-        out_bytes = np.empty(chunks, dtype=np.uint8)
-        state = self.state
-        for i in range(chunks):
-            out_bytes[i] = out8[state]
-            state = next8[state]
-        self.state = state
-        head = np.unpackbits(out_bytes)
-        if not tail:
-            return head
-        rest = np.empty(tail, dtype=np.uint8)
-        for i in range(tail):
-            rest[i] = self.step()
-        return np.concatenate([head, rest])
-
-    def period(self, limit: int = 1 << 20) -> int:
-        """Measure the state cycle length (for tests)."""
-        start = self.state
-        for count in range(1, limit + 1):
-            self.step()
-            if self.state == start:
-                return count
-        raise RuntimeError("period exceeds limit")

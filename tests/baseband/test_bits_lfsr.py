@@ -1,4 +1,4 @@
-"""Bit utilities and the shared LFSR/polynomial-division core."""
+"""Bit utilities and the shared polynomial-division core."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from repro.baseband.bits import (
     int_from_bits,
     parse_bits,
 )
-from repro.baseband.lfsr import Lfsr, remainder_bits, shift_divide
+from repro.baseband.lfsr import remainder_bits, shift_divide
 
 
 class TestBits:
@@ -91,20 +91,3 @@ class TestShiftDivide:
         for byte in message:
             bits.extend((byte >> (7 - i)) & 1 for i in range(8))
         assert shift_divide(bits, 0x11021, 16, init=0xFFFF) == 0x29B1
-
-
-class TestLfsr:
-    def test_maximal_length_polynomial(self):
-        # x^7 + x^4 + 1 is primitive: period 127
-        lfsr = Lfsr(poly=0b10010001, degree=7, state=1)
-        assert lfsr.period() == 127
-
-    def test_sequence_deterministic(self):
-        a = Lfsr(0b10010001, 7, 0b1010101).sequence(64)
-        b = Lfsr(0b10010001, 7, 0b1010101).sequence(64)
-        assert np.array_equal(a, b)
-
-    def test_different_seeds_shift_sequence(self):
-        a = Lfsr(0b10010001, 7, 1).sequence(32)
-        b = Lfsr(0b10010001, 7, 2).sequence(32)
-        assert not np.array_equal(a, b)

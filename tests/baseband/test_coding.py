@@ -13,7 +13,9 @@ from repro.baseband.fec import (
     fec23_encode_block,
 )
 from repro.baseband.hec import hec_check, hec_compute
-from repro.baseband.whitening import whiten, whitening_sequence
+from repro.baseband.whitening import WHITEN_PERIOD, whiten, whitening_sequence
+
+from tests import baseband_reference as ref
 
 
 class TestHec:
@@ -143,6 +145,17 @@ class TestWhitening:
         # bit 0 and bits >= 7 do not participate in the seed
         assert np.array_equal(whiten(data, 0b0111110), whiten(data, 0b0111111))
         assert np.array_equal(whiten(data, 0b0111110), whiten(data, 0b0111110 + (1 << 8)))
+
+    def test_maximal_length_polynomial(self):
+        # x^7 + x^4 + 1 is primitive: stepped bit by bit, the register
+        # walks all 127 nonzero states before it repeats, so each seed's
+        # stream is one 127-bit whitening-table row repeated
+        for seed in range(64):
+            stream = ref.whitening_sequence_reference(seed << 1,
+                                                      2 * WHITEN_PERIOD)
+            periods = [period for period in range(1, WHITEN_PERIOD + 1)
+                       if np.array_equal(stream[period:], stream[:-period])]
+            assert periods == [WHITEN_PERIOD]
 
     def test_sequence_is_balanced(self):
         seq = whitening_sequence(0x2A, 127 * 4)

@@ -93,26 +93,6 @@ def remainder_bits_reference(bits: np.ndarray, poly: int, degree: int,
     return out
 
 
-def lfsr_sequence_reference(poly: int, degree: int, state: int,
-                            length: int) -> tuple[np.ndarray, int]:
-    """Step a Fibonacci LFSR bit by bit; returns (output bits, end state)."""
-    mask = (1 << degree) - 1
-    state &= mask
-    taps = [i for i in range(degree) if (poly >> i) & 1]
-    out = np.empty(length, dtype=np.uint8)
-    for i in range(length):
-        bit = (state >> (degree - 1)) & 1
-        feedback = 0
-        for tap in taps:
-            if tap == 0:
-                feedback ^= bit
-            else:
-                feedback ^= (state >> (tap - 1)) & 1
-        state = ((state << 1) | feedback) & mask
-        out[i] = bit
-    return out, state
-
-
 def bits_from_int_reference(value: int, width: int) -> np.ndarray:
     """Per-bit LSB-first serialisation of ``value``."""
     out = np.empty(width, dtype=np.uint8)

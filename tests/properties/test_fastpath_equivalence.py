@@ -37,7 +37,7 @@ from repro.baseband.hop import (
     perm5,
     perm5_many,
 )
-from repro.baseband.lfsr import Lfsr, remainder_bits, shift_divide
+from repro.baseband.lfsr import remainder_bits, shift_divide
 from repro.baseband.whitening import whitening_sequence, whitening_slice
 from repro.baseband.address import BdAddr, GIAC_LAP
 from repro.baseband.fhs import FhsPayload
@@ -89,42 +89,6 @@ class TestDivisionEquivalence:
         assert np.array_equal(
             remainder_bits(bits, poly, degree, init=init),
             ref.remainder_bits_reference(bits, poly, degree, init=init))
-
-
-@st.composite
-def lfsr_params(draw):
-    degree = draw(st.integers(2, 12))
-    low_taps = draw(st.integers(1, (1 << degree) - 1))
-    poly = (1 << degree) | low_taps
-    state = draw(st.integers(0, (1 << degree) - 1))
-    return poly, degree, state
-
-
-class TestLfsrEquivalence:
-    @settings(max_examples=120)
-    @given(lfsr_params(), st.integers(0, 300))
-    def test_sequence_matches_reference(self, params, length):
-        poly, degree, state = params
-        fast = Lfsr(poly, degree, state)
-        got = fast.sequence(length)
-        want, end_state = ref.lfsr_sequence_reference(poly, degree, state, length)
-        assert np.array_equal(got, want)
-        assert fast.state == end_state  # table stepping must land mid-cycle too
-
-    @settings(max_examples=60)
-    @given(lfsr_params(), st.integers(0, 100), st.integers(0, 100))
-    def test_split_sequences_concatenate(self, params, first, second):
-        poly, degree, state = params
-        fast = Lfsr(poly, degree, state)
-        got = np.concatenate([fast.sequence(first), fast.sequence(second)])
-        want, _ = ref.lfsr_sequence_reference(poly, degree, state, first + second)
-        assert np.array_equal(got, want)
-
-    def test_wide_register_falls_back_to_bit_serial(self):
-        poly, degree, state = (1 << 20) | 0b101, 20, 0xABCDE
-        got = Lfsr(poly, degree, state).sequence(64)
-        want, _ = ref.lfsr_sequence_reference(poly, degree, state, 64)
-        assert np.array_equal(got, want)
 
 
 class TestBitsEquivalence:
