@@ -224,15 +224,22 @@ class FabricWorker:
         with self._send_lock:
             send_message(self._sock, message)
 
-    def _heartbeat_loop(self, interval_s: float,
+    def _heartbeat_loop(self, sock: socket.socket, interval_s: float,
                         stop: threading.Event) -> None:
+        """Heartbeat on ``sock``, the connection this loop was started
+        for, until ``stop`` is set or that connection is gone (``run``
+        clears ``_sock`` when it ends, possibly while a wait times out)."""
+        message = {"type": "heartbeat", "worker": self.name}
         while not stop.wait(interval_s):
             if time.monotonic() < self._suppress_heartbeats_until:
                 continue  # chaos blackhole: the coordinator hears nothing
-            try:
-                self._send({"type": "heartbeat", "worker": self.name})
-            except OSError:
-                return
+            with self._send_lock:
+                if self._sock is not sock:
+                    return
+                try:
+                    send_message(sock, message)
+                except OSError:
+                    return
 
     # -- the work loop ----------------------------------------------------
 
@@ -298,7 +305,8 @@ class FabricWorker:
         fn = _unpack(reply["fn"])
         threading.Thread(
             target=self._heartbeat_loop,
-            args=(float(reply.get("heartbeat_s", 0.2)), stop_heartbeat),
+            args=(sock, float(reply.get("heartbeat_s", 0.2)),
+                  stop_heartbeat),
             daemon=True).start()
         while True:
             message = recv_message(sock)

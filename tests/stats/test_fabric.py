@@ -153,6 +153,61 @@ class TestProtocol:
             parse_address("7919")
 
 
+class _TimesOut:
+    """A heartbeat stop event whose first ``times`` waits time out and
+    whose next wait finds it set."""
+
+    def __init__(self, times: int):
+        self.times = times
+
+    def wait(self, timeout=None) -> bool:
+        self.times -= 1
+        return self.times < 0
+
+
+class TestHeartbeat:
+    def _worker(self, sock):
+        worker = FabricWorker(("127.0.0.1", 1), name="hb",
+                              chaos=ChaosConfig())
+        worker._sock = sock
+        return worker
+
+    def test_beats_on_its_connection(self):
+        left, right = socket.socketpair()
+        try:
+            self._worker(left)._heartbeat_loop(left, 0.0, _TimesOut(2))
+            assert [recv_message(right) for _ in range(2)] == \
+                [{"type": "heartbeat", "worker": "hb"}] * 2
+        finally:
+            left.close()
+            right.close()
+
+    def test_ends_quietly_once_its_connection_is_gone(self):
+        # the worker's run loop sets the stop event and then clears
+        # _sock; a wait that timed out just before must not send
+        left, right = socket.socketpair()
+        try:
+            self._worker(None)._heartbeat_loop(left, 0.0, _TimesOut(1))
+            left.close()
+            assert recv_message(right) is None  # nothing was sent
+        finally:
+            left.close()
+            right.close()
+
+    def test_never_beats_on_a_later_connection(self):
+        old, old_peer = socket.socketpair()
+        later, later_peer = socket.socketpair()
+        try:
+            self._worker(later)._heartbeat_loop(old, 0.0, _TimesOut(1))
+            old.close()
+            later.close()
+            assert recv_message(old_peer) is None
+            assert recv_message(later_peer) is None
+        finally:
+            for sock in (old, old_peer, later, later_peer):
+                sock.close()
+
+
 class TestFromSpec:
     def test_defaults(self):
         for spec in (None, "", "fabric", "on"):
