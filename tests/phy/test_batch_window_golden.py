@@ -125,10 +125,10 @@ def _install_scalar_oracles(monkeypatch) -> None:
 @pytest.mark.parametrize("name,kwargs,golden", [
     ("statistical", dict(n_piconets=3, seed=97, observe_slots=800),
      GOLDEN_STAT),
-    ("statistical_noisy", dict(n_piconets=3, seed=97, observe_slots=800,
-                               ber=0.002), GOLDEN_STAT_NOISY),
     ("bit_accurate", dict(n_piconets=2, seed=53, observe_slots=400,
                           ber=0.002, bit_accurate=True), GOLDEN_BIT),
+    ("statistical_noisy", dict(n_piconets=3, seed=97, observe_slots=800,
+                               ber=0.002), GOLDEN_STAT_NOISY),
 ])
 def test_fast_paths_match_scalar_golden(name, kwargs, golden, monkeypatch):
     fast = _run_scenario(**kwargs)
