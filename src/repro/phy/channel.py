@@ -766,9 +766,7 @@ class Channel(Module):
         spatial = self._spatial
         locked = []
         for listener in admitted:
-            if not draw_free:
-                result = self._full_decode(tx, listener)
-            else:
+            if draw_free:
                 # a channel that draws nothing: only the listener's own
                 # access-code screen decides
                 expect = listener.expect
@@ -778,6 +776,8 @@ class Channel(Module):
                     result = self._id_result(packet.lap, True)
                 else:
                     result = self._stage_result(packet, True, True, True)
+            else:
+                result = self._full_decode(tx, listener)
             matched = result.synced and not tx.corrupted and not (
                 spatial and self._corrupted_for(tx, listener))
             handler = listener.listener
