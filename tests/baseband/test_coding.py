@@ -157,6 +157,21 @@ class TestWhitening:
                        if np.array_equal(stream[period:], stream[:-period])]
             assert periods == [WHITEN_PERIOD]
 
+    def test_every_seed_is_a_phase_of_one_sequence(self):
+        # the 64 seeds start the one 127-bit maximal-length sequence at
+        # 64 distinct phases
+        base = whitening_sequence(0, WHITEN_PERIOD)
+        doubled = np.concatenate([base, base])
+        phases = set()
+        for seed in range(64):
+            row = whitening_sequence(seed << 1, WHITEN_PERIOD)
+            found = [phase for phase in range(WHITEN_PERIOD)
+                     if np.array_equal(doubled[phase:phase + WHITEN_PERIOD],
+                                       row)]
+            assert len(found) == 1
+            phases.update(found)
+        assert len(phases) == 64
+
     def test_sequence_is_balanced(self):
         seq = whitening_sequence(0x2A, 127 * 4)
         ones = int(seq.sum())

@@ -90,6 +90,18 @@ class TestSamplers:
         assert all(model.sample_header() for _ in range(20))
         assert all(model.sample_payload(PacketType.DM5, 224) for _ in range(20))
 
+    def test_zero_noise_draws_nothing(self):
+        """A draw-free channel calls no sampler at BER 0; that equals a
+        statistical draw only because the samplers then draw nothing."""
+        rng = np.random.default_rng(3)
+        model = StageErrorModel(0.0, rng)
+        before = rng.bit_generator.state
+        assert model.sample_sync(0)
+        assert model.sample_header()
+        assert model.sample_payload(PacketType.DH5, 339)
+        assert model.sample_stages(PacketType.DM1, 17, 0) == (True, True, True)
+        assert rng.bit_generator.state == before
+
     def test_sampler_matches_closed_form(self):
         ber = 1 / 40
         model = StageErrorModel(ber, np.random.default_rng(7))
@@ -124,6 +136,9 @@ class TestSampleStagesStreamEquivalence:
         (1 / 40, PacketType.DH5, 339, 0),
         (1 / 30, PacketType.NULL, 0, 7),
         (0.2, PacketType.DM3, 120, 7),
+        # a strict correlator: chains end at every stage, about half at
+        # sync
+        (0.04, PacketType.DM1, 17, 2),
     ]
 
     @pytest.mark.parametrize("ber,ptype,payload_len,threshold", CASES)

@@ -170,6 +170,44 @@ def test_multi_listener_decode_matches_scalar_golden(name, kwargs, golden,
         f"{name}: outcomes diverge from the golden digest"
 
 
+def _stream_positions(channel: Channel) -> tuple:
+    """Where the channel's stage and noise streams stand."""
+    return tuple(rng.bit_generator.state["state"]
+                 for rng in (channel.stage_model._rng, channel.noise._rng))
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("statistical", dict(seed=3, observe_slots=600, ber=0.02)),
+    ("bit_accurate", dict(seed=3, observe_slots=600, ber=0.002,
+                          bit_accurate=True)),
+])
+def test_nothing_between_decodes_draws_from_the_channel_streams(
+        name, kwargs, monkeypatch):
+    """``Channel.sync`` decodes a transmission's next listener after the
+    previous listener's delivery.  That equals decoding every listener
+    first only if no delivery, and nothing else between two decodes,
+    draws from the channel's stage or noise stream: each decode must
+    start where the previous one left them."""
+    spans = []
+    full_decode = Channel._full_decode
+
+    def recording_decode(self, tx, listener):
+        start = _stream_positions(self)
+        result = full_decode(self, tx, listener)
+        spans.append((tx, start, _stream_positions(self)))
+        return result
+
+    monkeypatch.setattr(Channel, "_full_decode", recording_decode)
+    _run_piconet(**kwargs)
+    # decodes of a listener that follows another of the same transmission
+    followers = sum(tx is previous_tx for (previous_tx, _, _), (tx, _, _)
+                    in zip(spans, spans[1:]))
+    assert followers > 200, f"{name}: too few multi-listener decodes"
+    assert any(start != end for _, start, end in spans)  # decodes draw
+    for (_, _, end), (_, start, _) in zip(spans, spans[1:]):
+        assert start == end, f"{name}: a draw between two decodes"
+
+
 def test_hop_memo_misses_match_scalar_oracle():
     """`connection()` served by memo misses and hits equals the per-clock
     oracle for every clock, across addresses and parities."""

@@ -1,9 +1,14 @@
 """Noise models and the channel's staged delivery / collision logic."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import units
+from repro.baseband.bits import flip_bits
+from repro.baseband.codec import decode_packet
+from repro.baseband.errormodel import StageErrorModel
 from repro.baseband.packets import Packet, PacketType
 from repro.config import SimulationConfig
 from repro.errors import ChannelError
@@ -51,13 +56,13 @@ class TestGilbertElliott:
         assert small_gaps > len(gaps) * 0.25
 
 
-def build_world(ber=0.0, **cfg_kwargs):
+def build_world(ber=0.0, n_radios=3, **cfg_kwargs):
     sim = Simulator()
     config = SimulationConfig(seed=5, **cfg_kwargs).with_ber(ber)
     channel = Channel(sim, "channel", config, RandomStreams(5))
     top = Module(sim, "top")
     radios = []
-    for i in range(3):
+    for i in range(n_radios):
         radio = RfFrontEnd(sim, f"rf{i}", top, channel, BtClock())
         radios.append(radio)
     return sim, channel, radios
@@ -252,3 +257,106 @@ class TestChannelDelivery:
         sim.run()
         assert listener.receptions[0].result.complete
         assert listener.receptions[0].result.packet.payload == b"exact"
+
+
+class OrderedListener(Listener):
+    """A :class:`Listener` that also logs, in one log shared by every
+    listener, the order in which the channel delivers sync decisions."""
+
+    def __init__(self, index, log):
+        super().__init__()
+        self.index = index
+        self.log = log
+        self.by_tx = {}
+
+    def on_sync(self, tx, matched):
+        self.log.append((self.index, tx, matched))
+        return super().on_sync(tx, matched)
+
+    def on_reception(self, reception):
+        self.by_tx[id(reception.tx)] = reception.result
+        super().on_reception(reception)
+
+
+class TestPerListenerDecode:
+    """A transmission that several listeners hear is decoded once per
+    listener, in attach order, each decode taking the next variates of the
+    channel's stage or noise stream, as separate one-listener receptions
+    would."""
+
+    LAP = 0x123456
+    PACKETS = [Packet(ptype=PacketType.ID, lap=LAP),
+               Packet(ptype=PacketType.DM1, lap=LAP, am_addr=1, payload=b"abc"),
+               Packet(ptype=PacketType.POLL, lap=LAP, am_addr=2),
+               Packet(ptype=PacketType.DH3, lap=LAP, am_addr=3,
+                      payload=bytes(range(100)))]
+
+    def _run(self, n_sends, **world):
+        sim, channel, (sender, *receivers) = build_world(n_radios=5, **world)
+        log = []
+        listeners = []
+        for index, radio in enumerate(receivers):
+            listener = OrderedListener(index, log)
+            radio.listener = listener
+            listeners.append(listener)
+            sim.schedule(0, partial(radio.rx_on, 10, RxExpect(self.LAP)))
+        for i in range(n_sends):
+            packet = self.PACKETS[i % len(self.PACKETS)]
+            sim.schedule(2_000_000 * i + 100,
+                         partial(sender.transmit, 10, packet, uap=0x47))
+        sim.run()
+        assert channel.collisions == 0
+        # every listener hears every transmission, in attach order
+        assert [index for index, _, _ in log] == \
+            list(range(len(receivers))) * n_sends
+        return channel, log, listeners
+
+    def test_statistical_stages_follow_the_scalar_chain(self):
+        channel, log, listeners = self._run(80, ber=0.08)
+        link = channel.config.link
+        twin = StageErrorModel(0.08, RandomStreams(5).stream("channel.stages"))
+        outcomes = set()
+        for index, tx, matched in log:
+            packet = tx.packet
+            if packet.ptype is PacketType.ID:
+                assert matched == twin.sample_sync(link.id_sync_threshold)
+                continue
+            stages = twin.sample_stages(packet.ptype, len(packet.payload),
+                                        link.sync_threshold)
+            outcomes.add(stages)
+            assert matched == stages[0]
+            result = listeners[index].by_tx.get(id(tx))
+            if matched:
+                assert (result.synced, result.header_ok,
+                        result.payload_ok) == stages
+            else:
+                assert result is None  # a failed sync delivers no frame
+        # the chain ended at each stage, and ran through, somewhere
+        assert outcomes == {(False, False, False), (True, False, False),
+                            (True, True, False), (True, True, True)}
+
+    def test_bit_accurate_listeners_decode_their_own_noisy_frames(self):
+        channel, log, listeners = self._run(40, ber=0.03, bit_accurate=True)
+        link = channel.config.link
+        twin = BerNoise(0.03, RandomStreams(5).stream("channel.noise"))
+        differing = set()
+        for index, tx, matched in log:
+            positions = twin.error_positions(len(tx.air_bits))
+            threshold = (link.id_sync_threshold
+                         if tx.packet.ptype is PacketType.ID
+                         else link.sync_threshold)
+            want = decode_packet(flip_bits(tx.air_bits, positions),
+                                 self.LAP, tx.tx_uap, tx.tx_clk,
+                                 sync_threshold=threshold)
+            assert matched == want.synced
+            got = listeners[index].by_tx.get(id(tx))
+            if got is not None:
+                assert got == want
+                if got != listeners[0].by_tx.get(id(tx)):
+                    differing.add(id(tx))
+            else:
+                assert not want.synced
+        # each listener draws its own bit errors: the listeners of one
+        # transmission do not all decode the same frame
+        assert differing
+

@@ -56,6 +56,21 @@ class TestCodecProperties:
                 and result.packet.ptype.is_data:
             assert result.packet.payload == packet.payload
 
+    @settings(max_examples=40, deadline=None)
+    @given(data_packets(), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    def test_decode_leaves_its_frame_untouched(self, packet, seed, ber):
+        """A channel that draws no bit errors for a listener hands it the
+        transmission's own frame, which every other listener decodes too,
+        so a decode must never write into its input."""
+        rng = np.random.default_rng(seed)
+        bits = encode_packet(packet, 0x47, 0x155)
+        bits = bits ^ (rng.random(len(bits)) < ber).astype(np.uint8)
+        frame = bits.copy()
+        first = decode_packet(frame, packet.lap, 0x47, 0x155)
+        assert np.array_equal(frame, bits)
+        assert decode_packet(frame, packet.lap, 0x47, 0x155) == first
+
     @settings(max_examples=30, deadline=None)
     @given(data_packets())
     def test_air_length_matches_catalogue(self, packet):
