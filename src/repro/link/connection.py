@@ -18,6 +18,33 @@ listens with wide-open windows only at anchor points (Fig. 9/11); in
 continuous listening at expiry (Fig. 12); in **park** it wakes only at
 beacon instants.
 
+**Dozing through the windows nothing can reach.**  While the master's
+loop sleeps, no packet can reach an active slave's windows: only the
+master transmits unprompted.  So an active slave whose master sleeps past
+its next pair, that nobody observes (no subscriber to either enable
+signal, no timeline capture) and whose world holds only its master and
+fellow slaves *dozes*: it queues no listen or close events and enters the
+skipped windows in its radio's receiver-write record in closed form (each
+opens at its pair boundary and closes ``active_listen_ns`` later), from
+which ``enable_rx`` settles.  Outcomes, counters and settled signals are
+what the awake loop would produce (``tests/link/test_slave_doze.py``
+compares worlds with observed twins, in which nothing dozes).  A slave
+wakes where its loop would be:
+
+* the master, about to transmit, serves the dozing slaves' windows due at
+  its pair and returns their next events with its own (``serve_pair``);
+* another radio transmitting, an inquiry or page train starting (a
+  sleeping train enters IDs without transmitting them), a first
+  subscriber to an enable signal of the slave's radio, a mode change,
+  ``stop()`` and the device's ``stop_procedure`` resume it and queue its
+  events on the simulator;
+* a read of either enable signal settles the record and lets it doze on.
+
+A doze outlives a change of the conditions it began under (a radio
+attaching, the master suspending its loop), since only a packet or an
+observer can tell a dozed window from a listened one.  While no slave
+dozes, each hook costs one attribute test.
+
 The 1-bit ARQ (SEQN/ARQN) runs per link in both directions.
 
 Both kernels run the same handlers.  Each slot-loop step and each reception
@@ -72,6 +99,10 @@ _PAIR_NS = units.SLOT_PAIR_NS
 _ACTIVE, _SNIFF, _HOLD, _PARK = (ConnectionMode.ACTIVE, ConnectionMode.SNIFF,
                                  ConnectionMode.HOLD, ConnectionMode.PARK)
 _NULL, _POLL = PacketType.NULL, PacketType.POLL
+
+#: Slots a packet occupies, by its header's type code (ID and NULL share
+#: code 0, and both take one slot).
+_SLOTS_OF_TYPE = {ptype.info.code: ptype.info.slots for ptype in PacketType}
 
 
 def _pairs(slots: int) -> int:
@@ -206,22 +237,26 @@ class ConnectionMaster:
 
     def _even_slot(self) -> None:
         """The slot-loop event: serve the pair, queue what follows."""
-        wake_ns, reply_ns = self.serve_pair()
+        wake_ns, reply_ns, woken = self.serve_pair()
         sim = self.device.sim
         if wake_ns is not None:
             self._wake_event = sim.schedule_cancellable(wake_ns,
                                                         self._even_slot)
         if reply_ns is not None:
             sim.schedule_abs(reply_ns, self._rx_slot)
+        for time_ns, callback in woken:
+            sim.schedule_abs(time_ns, callback)
 
-    def serve_pair(self) -> tuple[Optional[int], Optional[int]]:
+    def serve_pair(self) -> tuple[Optional[int], Optional[int], tuple]:
         """Serve the master-slot pair that starts now: pick the policy's
-        action and send it.  Returns ``(wake_ns, reply_ns)``: when the
-        slot loop runs next (None: asleep until :meth:`wake`) and when
-        the reply window opens (None: nothing was sent)."""
+        action and send it.  Returns ``(wake_ns, reply_ns, woken)``: when
+        the slot loop runs next (None: asleep until :meth:`wake`), when
+        the reply window opens (None: nothing was sent), and the events of
+        the dozing slaves that the packet wakes, as ``(time_ns,
+        callback)`` pairs."""
         if not self._running:
             self._wake_ns = None
-            return None, None
+            return None, None, ()
         device = self.device
         now = device.sim.now
         ticks = device.clock.ticks(now)
@@ -230,7 +265,8 @@ class ConnectionMaster:
         wake_ns = self._wake_ns = now + _PAIR_NS
         rf = device.rf
         if rf.locked_tx is not None or now < rf.tx_until_ns:
-            return wake_ns, None  # locked onto a packet, or transmitting
+            # locked onto a packet, or transmitting
+            return wake_ns, None, ()
         if rf.rx_open:
             rf.rx_off()
         if self.afh is not None:
@@ -242,15 +278,25 @@ class ConnectionMaster:
             self._expire_holds(pair)
         action = self.policy.choose(self, pair)
         if action is not None:
+            woken = self._wake_dozers() if device.channel.dozers else ()
             return wake_ns, self._transmit_action(action, pair,
-                                                  ticks & _CLK_MASK)
+                                                  ticks & _CLK_MASK), woken
         if self.afh is None and now >= self._reply_ns:
             # idle, with the radio off and no reply window ahead: sleep
             # until the policy can act (AFH assesses at every pair)
             due = self.policy.next_due(self, pair + 1)
             wake_ns = self._wake_ns = \
                 None if due is None else device.clock.time_at_tick(4 * due)
-        return wake_ns, None
+        return wake_ns, None, ()
+
+    def _wake_dozers(self) -> tuple:
+        """Wake the slaves that dozed while the loop slept, for the packet
+        about to go out: each serves its window due now and returns the
+        events its loop needs next."""
+        woken = ()
+        for slave in list(self.device.channel.dozers):
+            woken += slave.end_doze(serve_now=True)
+        return woken
 
     def _expire_holds(self, pair: int) -> None:
         for am_addr, schedule in list(self.hold_schedules.items()):
@@ -474,6 +520,17 @@ class ConnectionSlave:
         self._modem_delay = device.cfg.rf.modem_delay_ns
         self.stats_rx_packets = 0
         self.stats_tx_packets = 0
+        #: the master's handler, once found on the channel
+        self._master: Optional[ConnectionMaster] = None
+        # the closed form of a doze holds when the windows neither overlap
+        # nor vanish, and every reply a packet solicits comes within the
+        # slot after it, before the master can fall asleep
+        self._can_doze = 0 < self._listen_ns < _PAIR_NS \
+            and self._modem_delay < _SLOT_NS
+        # a doze: the opening of its first window (None while awake) and
+        # how many of its receiver writes the radio's record holds
+        self._doze_ns: Optional[int] = None
+        self._doze_writes = 0
 
     # ------------------------------------------------------------------
 
@@ -486,6 +543,7 @@ class ConnectionSlave:
 
     def stop(self) -> None:
         """Detach: stop listening and return to standby."""
+        self.resume()
         self._running = False
         if self.device.rf.rx_open:
             self.device.rf.rx_off()
@@ -551,6 +609,11 @@ class ConnectionSlave:
         if mode is _SNIFF:
             # wide-open attempt window: the slave must re-acquire sync
             return next_ns, now + _SLOT_NS
+        if mode is _ACTIVE and self._may_doze(next_ns):
+            self._doze_ns = next_ns
+            self._doze_writes = 0
+            device.channel.dozers.append(self)
+            return None, now + self._listen_ns
         return next_ns, now + self._listen_ns
 
     def _should_listen(self, pair: int) -> bool:
@@ -573,6 +636,104 @@ class ConnectionSlave:
 
     def _rx_close(self) -> None:
         self.device.rf.rx_close()
+
+    # -- dozing ---------------------------------------------------------------
+
+    def _may_doze(self, next_ns: int) -> bool:
+        """Can nothing reach or observe the windows from ``next_ns`` on?
+        The master's loop runs and sleeps past ``next_ns``, neither enable
+        signal of the radio has a subscriber, the world captures no
+        timeline, and every other radio is the master's or a fellow
+        slave's."""
+        master = self._master
+        if master is None or not master._running:
+            master = self._master = self._find_master()
+            if master is None:
+                return False
+        wake_ns = master._wake_ns
+        if wake_ns is not None and wake_ns <= next_ns or not self._can_doze:
+            return False
+        rf = self.device.rf
+        channel = self.device.channel
+        if channel.capture is not None or rf.enable_tx._subscribers \
+                or rf.enable_rx._subscribers:
+            return False
+        master_addr = self.master_addr
+        for radio in channel.radios:
+            handler = radio.listener
+            if handler is not self and handler is not master and not (
+                    type(handler) is ConnectionSlave
+                    and handler.master_addr == master_addr):
+                return False
+        return True
+
+    def _find_master(self) -> Optional[ConnectionMaster]:
+        """The running master handler of this slave's piconet, if its
+        radio reports to it."""
+        for radio in self.device.channel.radios:
+            handler = radio.listener
+            if type(handler) is ConnectionMaster and handler._running \
+                    and handler.device.addr == self.master_addr:
+                return handler
+        return None
+
+    def settle(self) -> None:
+        """Enter the doze's receiver writes before now in the radio's
+        record (those at now too, once now's delta 0 is over); the slave
+        dozes on."""
+        start = self._doze_ns
+        if start is None:
+            return
+        sim = self.device.sim
+        elapsed = sim.now - start + (1 if sim.delta else 0)
+        if elapsed <= 0:
+            return
+        # window k opens k pairs into the doze and closes a listen later
+        listen = self._listen_ns
+        pairs, rest = divmod(elapsed, _PAIR_NS)
+        writes = 2 * pairs + (1 if rest > 0 else 0) + (1 if rest > listen
+                                                        else 0)
+        if writes > self._doze_writes:
+            self._doze_writes = writes
+            last = writes - 1
+            self.device.rf.enter_rx_write(
+                not last & 1,
+                start + (last >> 1) * _PAIR_NS + (listen if last & 1 else 0))
+
+    def end_doze(self, serve_now: bool = False) -> tuple:
+        """End a doze at now: settle it and reopen the receiver when a
+        window is open.  Returns the events the loop needs next, as
+        ``(time_ns, callback)`` pairs.  A window that opens now is served
+        at once with ``serve_now`` (the master's transmitting pair, whose
+        follow-ups must lie later), else returned as a listen event for
+        now."""
+        start = self._doze_ns
+        if start is None:
+            return ()
+        self.settle()
+        self._doze_ns = None
+        device = self.device
+        device.channel.dozers.remove(self)
+        writes = self._doze_writes
+        open_ns = start + (writes >> 1) * _PAIR_NS
+        if writes & 1:
+            # mid-window: the record holds its opening already
+            device.rf.rx_on(self.selector.connection(self.clock.clk(open_ns)),
+                            self._expect)
+            return ((open_ns + _PAIR_NS, self._master_slot),
+                    (open_ns + self._listen_ns, self._rx_close))
+        if serve_now and open_ns == device.sim.now:
+            # the master transmits now, so the loop stays awake
+            next_ns, close_ns = self.listen()
+            return ((next_ns, self._master_slot), (close_ns, self._rx_close))
+        return ((open_ns, self._master_slot),)
+
+    def resume(self) -> None:
+        """End a doze at now and queue the loop's events on the
+        simulator (no-op while awake)."""
+        schedule = self.device.sim.schedule_abs
+        for time_ns, callback in self.end_doze():
+            schedule(time_ns, callback)
 
     # -- hold resynchronisation ----------------------------------------------
 
@@ -634,9 +795,10 @@ class ConnectionSlave:
                 self.arq.rx.on_data(result.header_seqn or 0, False)
             # every addressed packet except NULL solicits a reply
             if result.header_type != 0:  # 0 == NULL
-                slots = result.packet.ptype.info.slots if result.packet else 1
+                # the header's type sets the reply slot, also when the
+                # payload failed and no packet was decoded
                 reply_at = reception.tx.start_ns + self._modem_delay \
-                    + slots * _SLOT_NS
+                    + _SLOTS_OF_TYPE[result.header_type] * _SLOT_NS
                 reply = ((reply_at, self._reply),)
                 follow = reply if follow is None else follow + reply
         device.rf.rx_close()
@@ -686,6 +848,7 @@ class ConnectionSlave:
     def enter_sniff(self, params: SniffParams) -> None:
         """Switch to sniff mode (paper's Enable_sniff_mode)."""
         validate_sniff(params)
+        self.resume()
         self.mode = ConnectionMode.SNIFF
         self.sniff_params = SniffParams(
             t_sniff_slots=_pairs(params.t_sniff_slots),
@@ -695,12 +858,14 @@ class ConnectionSlave:
 
     def exit_sniff(self) -> None:
         """Return to active mode."""
+        self.resume()
         self.mode = ConnectionMode.ACTIVE
         self.sniff_params = None
 
     def enter_hold(self, params: HoldParams) -> None:
         """Switch to hold mode (paper's Enable_hold_mode): radio fully off
         until the negotiated time elapses."""
+        self.resume()
         self.mode = ConnectionMode.HOLD
         self._hold_end_pair = self.pair_index() + 1 + _pairs(params.hold_slots)
         self._resyncing = False
@@ -710,12 +875,14 @@ class ConnectionSlave:
     def enter_park(self, params: ParkParams) -> None:
         """Switch to park mode (paper's Enable_park_mode)."""
         validate_park(params)
+        self.resume()
         self.mode = ConnectionMode.PARK
         self.park_params = params
         self.pm_addr = params.pm_addr
 
     def unpark(self, am_addr: int) -> None:
         """Return from park under a fresh AM_ADDR."""
+        self.resume()
         self.mode = ConnectionMode.ACTIVE
         self.park_params = None
         self.am_addr = am_addr

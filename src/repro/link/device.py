@@ -246,6 +246,8 @@ class BluetoothDevice(Module):
 
     def stop_procedure(self) -> None:
         """Abort whatever procedure is running (detach/reset)."""
+        if self.connection_slave is not None:
+            self.connection_slave.resume()  # its radio is about to change
         if self._procedure is not None:
             self._procedure.stop()
             self._procedure = None

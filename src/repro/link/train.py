@@ -167,6 +167,10 @@ class IdTrain:
 
     def _start_train(self, state) -> None:
         device = self.device
+        if device.channel.dozers:
+            # the IDs may reach their windows, and a sleeping train must
+            # see those as receivers
+            device.channel.wake_dozers()
         device.set_state(state)
         device.active_handler = self
         self._start_ns = device.sim.now

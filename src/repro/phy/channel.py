@@ -216,6 +216,10 @@ class Channel(Module):
         #: (:mod:`repro.link.train`), if any: the channel tells it about
         #: receivers that open or retune and about other transmissions
         self.sleeper = None
+        #: the connection slaves dozing through listen windows nothing can
+        #: reach (:mod:`repro.link.connection`): another radio's
+        #: transmission wakes them
+        self.dozers: list = []
         # transmissions of the current delta awaiting their listener scan
         self._unscanned: list[Transmission] = []
         self._scan_hook = self._scan_unscanned
@@ -247,6 +251,12 @@ class Channel(Module):
         radio.attach_index = len(self.radios)
         self.radios.append(radio)
         self._last_tx.append(None)
+
+    def wake_dozers(self) -> None:
+        """Resume every dozing slave, queueing its loop's events on the
+        simulator."""
+        for dozer in list(self.dozers):
+            dozer.resume()
 
     def listener_retuned(self, radio: RfFrontEnd) -> None:
         """Sync the tuning registry with ``radio``'s current receiver state.
@@ -404,12 +414,15 @@ class Channel(Module):
         timing is unaffected: the sync stage is 68 us away.
 
         A sleeping train resumes first, so that its ID on the air and its
-        response window are live for this packet.
+        response window are live for this packet, and so do dozing
+        slaves, so that a window open now is live too.
         """
         if not 0 <= freq < 79:
             raise ChannelError(f"RF channel out of range: {freq}")
         if self.sleeper is not None:
             self.sleeper.resume()
+        if self.dozers:
+            self.wake_dozers()
         tx = self._admit(radio, freq, packet, uap, meta, power_dbm,
                          self.sim.now)
         self._transmissions += 1
@@ -809,9 +822,10 @@ class Channel(Module):
             return False
         corrupted = tx.corrupted or (
             self._spatial and self._corrupted_for(tx, listener))
-        am_addr = result.packet.am_addr if (result.header_ok and result.packet) else None
-        if corrupted:
-            am_addr = None
+        # the header's AM_ADDR, also when the payload stage failed (the
+        # addressed slave must see the packet to NAK it)
+        am_addr = result.header_am if result.header_ok and not corrupted \
+            else None
         on_header = getattr(listener.listener, "on_header", None)
         keep = on_header is None or bool(
             on_header(tx, result.header_ok and not corrupted, am_addr))

@@ -13,7 +13,9 @@ writes (``rx_on`` / ``rx_off``) in a record of its own instead of writing
 next read or gains a subscriber, so a probe or tracer attached at any time
 reads and is notified as if the signal had been written all along.
 An inquiry or page train asleep on the radio (:mod:`repro.link.train`)
-enters the IDs it skipped in these records first.
+enters the IDs it skipped in these records first, and a connection slave
+dozing on it (:mod:`repro.link.connection`) the listen windows it
+skipped.
 """
 
 from __future__ import annotations
@@ -263,16 +265,24 @@ class RfFrontEnd(Module):
         if self.enable_rx._subscribers:
             self.enable_rx.write(on)
 
-    def _settle_sleeper(self, subscribing: bool) -> None:
-        """Enter the IDs of a train asleep on this radio in its records; a
-        first subscriber also wakes the train, since it sees every
-        write."""
-        sleeper = self.channel.sleeper
+    def _settle_records(self, subscribing: bool) -> None:
+        """Enter the IDs of a train asleep on this radio, or the windows of
+        a slave dozing on it, in its records; a first subscriber also
+        wakes the train or slave, since it sees every write."""
+        channel = self.channel
+        sleeper = channel.sleeper
         if sleeper is not None and sleeper.device.rf is self:
             if subscribing:
                 sleeper.resume()
             else:
                 sleeper.settle()
+        for dozer in channel.dozers:
+            if dozer.device.rf is self:
+                if subscribing:
+                    dozer.resume()
+                else:
+                    dozer.settle()
+                break
 
     def _settle_rx(self, subscribing: bool) -> None:
         """Bring an unobserved ``enable_rx`` to the state the receiver
@@ -280,7 +290,7 @@ class RfFrontEnd(Module):
         commits, changing the value at its own time, once its delta is
         over.  A subscriber inherits a write still pending; a read leaves
         the kernel's update phase alone."""
-        self._settle_sleeper(subscribing)
+        self._settle_records(subscribing)
         sim = self.sim
         on = self._rx_on
         pending = on is not self._rx_was
@@ -298,9 +308,9 @@ class RfFrontEnd(Module):
             signal.write(on)
 
     def enter_rx_write(self, on: bool, at_ns: int) -> None:
-        """Enter a receiver write of ``on`` that a sleeping train made in
-        delta 0 of ``at_ns``, before the current ``(now, delta)``: it is
-        the latest write, and committed."""
+        """Enter a receiver write of ``on`` that a sleeping train or a
+        dozing slave made in delta 0 of ``at_ns``, before the current
+        ``(now, delta)``: it is the latest write, and committed."""
         self._rx_on = self._rx_was = on
         self._rx_ns = self._rx_was_ns = at_ns
         self._rx_delta = 0
@@ -368,7 +378,7 @@ class RfFrontEnd(Module):
         transmits again at that instant, committed when delta 0 of the end
         time ends.  A transmission still on the air arms its ``_tx_done``.
         """
-        self._settle_sleeper(subscribing)
+        self._settle_records(subscribing)
         tx = self.channel._last_tx[self.attach_index]
         if tx is None:
             return

@@ -21,8 +21,10 @@ ones the object kernel's events call: the connection handlers'
 ``_rx_close`` (:mod:`repro.link.connection`), the saturated source's
 ``_refill`` (:mod:`repro.link.traffic`) and the channel's ``scan``,
 ``sync``, ``header`` and ``end`` stages (:mod:`repro.phy.channel`).  Each
-acts and returns what follows it; the object kernel queues that on the
-simulator and this loop on its micro-heap.  The loop keeps the
+acts and returns what follows it (the master's ``serve_pair`` also
+returns the listen and close events of the slaves its packet wakes from a
+doze); the object kernel queues that on the simulator and this loop on
+its micro-heap.  The loop keeps the
 simulator's clock at each event's time, so the handlers read it as they
 do under the object kernel.  A transmission's listener scan runs, as in
 the object kernel's update phase, once the transmitting delta is over.  Both kernels therefore dispatch the
@@ -365,7 +367,7 @@ class SlotEngine:
             elif kind == k_rx_close:
                 b.rx_close()  # the handler's _rx_close
             elif kind == k_master_even:
-                wake_ns, reply_ns = a.serve_pair()
+                wake_ns, reply_ns, woken = a.serve_pair()
                 if wake_ns is not None:
                     seq += 1
                     held = (wake_ns, 0, seq, k_master_even, a, None)
@@ -374,6 +376,17 @@ class SlotEngine:
                         push(heap, held)
                     seq += 1
                     held = (reply_ns, 0, seq, k_master_rx, a, None)
+                # the listen and close events of the slaves the packet
+                # woke from a doze
+                for time_ns, callback in woken:
+                    if held is not None:
+                        push(heap, held)
+                    seq += 1
+                    slave = callback.__self__
+                    woken_kind = owner_kinds[callback.__func__]
+                    held = (time_ns, 0, seq, woken_kind, slave,
+                            slave.device.rf if woken_kind == k_rx_close
+                            else None)
             elif kind == k_master_rx:
                 close_ns = a.open_reply_window()
                 if close_ns is not None:

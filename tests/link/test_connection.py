@@ -1,9 +1,12 @@
 """Connection state: polling, data transfer, ARQ and low-power modes."""
 
+import numpy as np
 import pytest
 
 from repro import units
+from repro.api import Session
 from repro.baseband.packets import PacketType
+from repro.config import SimulationConfig
 from repro.link.piconet import HoldParams, ParkParams, SniffParams
 from repro.link.states import ConnectionMode
 from repro.link.traffic import PeriodicTraffic, SaturatedTraffic
@@ -78,6 +81,74 @@ class TestDataTransfer:
         session.run_slots(120)
         # t_poll default 6 slots -> at least ~20 keep-alive polls
         assert master.connection_master.stats_tx_packets - before >= 15
+
+
+class _PayloadHit:
+    """Bit-accurate noise that flips ``positions`` (offsets past the
+    126-bit access code and header) in the first frame longer than a
+    POLL, and nothing else: that packet's header survives and its payload
+    fails."""
+
+    def __init__(self, positions):
+        self.positions = positions
+        self.spent = False
+
+    def error_positions(self, n):
+        if self.spent or n <= 126:
+            return np.zeros(0, dtype=np.int64)
+        self.spent = True
+        return np.array([126 + offset for offset in self.positions])
+
+
+class TestBitAccurateArq:
+    @pytest.mark.parametrize("ptype,positions", [
+        (PacketType.DH3, [40]),      # a user-payload bit: the CRC fails
+        (PacketType.DM5, [0, 1]),    # two errors in one FEC 2/3 codeword
+    ], ids=["DH3", "DM5"])
+    def test_failed_payload_is_naked_after_its_slots(self, ptype, positions):
+        session = Session(config=SimulationConfig(seed=57,
+                                                  bit_accurate=True))
+        master = session.add_device("master")
+        slave = session.add_device("slave")
+        assert session.run_page(master, slave).success
+        session.channel.noise = _PayloadHit(positions)
+        handler = slave.connection_slave
+        received = []
+        on_reception = handler.on_reception
+
+        def spy_reception(reception):
+            received.append(reception)
+            return on_reception(reception)
+
+        handler.on_reception = spy_reception
+        sent = {master: [], slave: []}
+        for device in sent:
+            def spy(freq, packet, uap=0, meta=None, power_dbm=0.0,
+                    device=device, transmit=device.rf.transmit):
+                tx = transmit(freq, packet, uap=uap, meta=meta,
+                              power_dbm=power_dbm)
+                sent[device].append(tx)
+                return tx
+            device.rf.transmit = spy
+        payload = bytes(range(ptype.info.max_payload))
+        master.enqueue_data(1, payload, ptype)
+        session.run_slots(40)
+        data = [tx for tx in sent[master] if tx.packet.ptype is ptype]
+        failed = [r for r in received if r.tx is data[0]]
+        assert len(failed) == 1
+        result = failed[0].result
+        assert result.header_ok and not result.payload_ok
+        assert result.packet is None
+        assert result.header_am == 1
+        assert result.header_type == ptype.info.code
+        # the reply starts in the slot after the packet's slots and NAKs
+        reply_at = data[0].start_ns + session.config.rf.modem_delay_ns \
+            + ptype.info.slots * units.SLOT_NS
+        reply = [tx for tx in sent[slave] if tx.start_ns == reply_at]
+        assert len(reply) == 1 and reply[0].packet.arqn == 0
+        # the retransmission goes through, once
+        assert len(data) >= 2
+        assert [i.payload for i in slave.rx_buffer.drain()] == [payload]
 
 
 class TestSniffMode:

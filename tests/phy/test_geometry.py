@@ -26,6 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.api import Session
+from repro.baseband.address import BdAddr
+from repro.baseband.packets import PacketType
 from repro.config import SirConfig
 from repro.errors import ConfigError
 from repro.experiments.common import page_up_pair, paper_config
@@ -33,6 +36,7 @@ from repro.experiments.ext_interference import (
     build_campaign_session,
     build_spatial_session,
 )
+from repro.link.piconet import ParkParams, Piconet
 from repro.link.traffic import SaturatedTraffic
 from repro.phy.geometry import (
     FlatLoss,
@@ -228,6 +232,93 @@ def test_layouts_reject_nonpositive_counts():
 
 
 # ----------------------------------------------------------------------
+# Placement API (README's "Spatial layer" example)
+# ----------------------------------------------------------------------
+
+def test_session_place_installs_a_log_distance_topology_keyed_by_addr():
+    session = Session(seed=7)
+    master = session.add_device("master")
+    slave = session.add_device("slave")
+    assert session.channel.topology is None
+    assert session.place(master, (0.0, 0.0)) == Position(0.0, 0.0)
+    topology = session.channel.topology
+    assert isinstance(topology, Topology)
+    assert type(topology.model) is LogDistancePathLoss
+    assert topology.is_spatial
+    # later calls reuse the topology; every key is the device's BD_ADDR
+    session.place(slave, (1.0, 0.0))
+    session.place("jammer", (3.0, 4.0))
+    assert session.channel.topology is topology
+    assert topology.positions() == {master.addr: Position(0.0, 0.0),
+                                    slave.addr: Position(1.0, 0.0),
+                                    "jammer": Position(3.0, 4.0)}
+    assert master.position == Position(0.0, 0.0)
+    assert slave.position == Position(1.0, 0.0)
+
+
+def test_device_place_installs_the_topology_and_moves_by_addr():
+    session = Session(seed=8)
+    device = session.add_device("dev")
+    assert device.place((2.0, 1.0)) == Position(2.0, 1.0)
+    topology = session.channel.topology
+    assert type(topology.model) is LogDistancePathLoss
+    assert topology.position_of(device.addr) == Position(2.0, 1.0)
+    device.place(Position(-1.0, 0.5))  # a move, in the same topology
+    assert session.channel.topology is topology
+    assert device.position == Position(-1.0, 0.5)
+    assert topology.positions() == {device.addr: Position(-1.0, 0.5)}
+
+
+def test_position_is_none_in_a_flat_world():
+    session = Session(seed=9)
+    device = session.add_device("dev")
+    assert device.position is None
+    assert session.channel.topology is None  # reading installs nothing
+    # a topology in which the device was never placed: still None
+    session.install_topology()
+    assert device.position is None
+
+
+def test_piconet_place_rings_the_active_slaves_in_am_addr_order():
+    session = Session(seed=10)
+    master = session.add_device("master")
+    piconet = Piconet(master.addr, registry=session.hop_registry)
+    # added out of AM_ADDR order, and one parked: the ring follows AM_ADDR
+    slaves = {am_addr: BdAddr(0x100 + am_addr) for am_addr in (3, 1, 2, 4)}
+    for am_addr, addr in slaves.items():
+        piconet.add_slave(addr, am_addr)
+    piconet.park_slave(4, ParkParams(beacon_interval_slots=100, pm_addr=1))
+    topology = Topology()
+    placed = piconet.place(topology, center=(5.0, 0.0), spread_m=2.0)
+    ring = ring_layout(3, 2.0, (5.0, 0.0))
+    expected = {master.addr: Position(5.0, 0.0),
+                slaves[1]: ring[0], slaves[2]: ring[1], slaves[3]: ring[2]}
+    assert placed == expected
+    assert topology.positions() == expected
+    for am_addr in (1, 2, 3):
+        assert topology.position_of(slaves[am_addr]).distance_to(
+            Position(5.0, 0.0)) == pytest.approx(2.0)
+
+
+def test_readme_spatial_example_runs():
+    """README's example on a paged-up pair: the placed world runs on."""
+    session = Session(seed=7)
+    master = session.add_device("master")
+    slave = session.add_device("slave")
+    assert session.run_page(master, slave).success
+    topology = session.install_topology(LogDistancePathLoss(exponent=3.0))
+    session.place(master, (0.0, 0.0))
+    session.place(slave, (1.0, 0.0))
+    placed = master.piconet.place(topology, center=(5.0, 0.0), spread_m=1.0)
+    assert placed == {master.addr: Position(5.0, 0.0),
+                      slave.addr: Position(6.0, 0.0)}
+    assert slave.position == Position(6.0, 0.0)
+    master.enqueue_data(1, b"placed", PacketType.DM1)
+    session.run_slots(40)
+    assert [item.payload for item in slave.rx_buffer.drain()] == [b"placed"]
+
+
+# ----------------------------------------------------------------------
 # Laws (Hypothesis)
 # ----------------------------------------------------------------------
 
@@ -340,7 +431,6 @@ def test_mobility_declines_soa_absorption_but_stays_equivalent():
             paper_config(seed=11, t_poll_slots=4000),
             sir=SirConfig(capture_threshold_db=10.0))
         with kernel(engine):
-            from repro.api import Session
             session = Session(config=config)
         pairs = [page_up_pair(session, index, label="mobility")
                  for index in range(2)]

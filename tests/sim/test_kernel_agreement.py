@@ -15,6 +15,7 @@ import pytest
 from repro.api import Session
 from repro.experiments.common import page_up_pair, paper_config
 from repro.experiments.ext_interference import build_campaign_session
+from repro.link.connection import ConnectionSlave
 
 from tests.kernels import kernel
 
@@ -36,15 +37,30 @@ def _campaign():
 
 @pytest.mark.parametrize("world", [_idle_pair, _campaign],
                          ids=["idle_pair", "campaign_3x97"])
-def test_both_kernels_dispatch_the_same_events(world):
+def test_both_kernels_dispatch_the_same_events(world, monkeypatch):
     counts = {}
+    listens = {}
+    listen = ConnectionSlave.listen
     for engine in ("object", "soa"):
         with kernel(engine):
             session, slots = world()
         events = session.sim.events_dispatched
         transmissions = session.channel.transmissions
+        calls = []
+
+        def counted(self, calls=calls):
+            calls.append(self)
+            return listen(self)
+
+        monkeypatch.setattr(ConnectionSlave, "listen", counted)
         session.run_slots(slots)
+        monkeypatch.setattr(ConnectionSlave, "listen", listen)
         counts[engine] = (session.sim.events_dispatched - events,
                           session.channel.transmissions - transmissions)
+        listens[engine] = len(calls)
     assert session.slot_engine.windows_absorbed > 0
     assert counts["soa"] == counts["object"]
+    if world is _idle_pair:
+        # nothing observes the slave, and its master sleeps between polls:
+        # the slave dozes through most of the run's pairs on both kernels
+        assert all(opened < slots // 2 for opened in listens.values())
