@@ -691,8 +691,9 @@ class ConnectionSlave:
         # window k opens k pairs into the doze and closes a listen later
         listen = self._listen_ns
         pairs, rest = divmod(elapsed, _PAIR_NS)
-        writes = 2 * pairs + (1 if rest > 0 else 0) + (1 if rest > listen
-                                                        else 0)
+        writes = 2 * pairs
+        if rest > 0:
+            writes += 1 if rest <= listen else 2
         if writes > self._doze_writes:
             self._doze_writes = writes
             last = writes - 1

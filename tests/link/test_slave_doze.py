@@ -293,10 +293,10 @@ def test_steps_inside_a_dozed_window(step, offset_ns):
 def test_a_packet_sent_into_a_dozed_window(offset_ns):
     """A third radio sends into one of the slave's dozed windows: the
     slave hears it when the window is open at its start."""
-    twins_ = twins("fig12", 17, [("run", 70 * units.SLOT_NS),
-                                 ("inject", offset_ns)])
-    assert twins_[0] == twins_[1]
-    heard = twins_[0][7]  # the slave's received packets
+    dozing, observed = twins("fig12", 17, [("run", 70 * units.SLOT_NS),
+                                           ("inject", offset_ns)])
+    assert dozing == observed
+    heard = dozing[7]  # the slave's received packets
     reference = twins("fig12", 17, [("run", 70 * units.SLOT_NS)])[1][7]
     assert heard == reference + (1 if offset_ns < 32_500 else 0)
 
