@@ -23,10 +23,10 @@ loop sleeps, no packet can reach an active slave's windows: only the
 master transmits unprompted.  So an active slave whose master sleeps past
 its next pair, that nobody observes (no subscriber to either enable
 signal, no timeline capture) and whose world holds only its master and
-fellow slaves *dozes*: it queues no listen or close events and enters the
-skipped windows in its radio's receiver-write record in closed form (each
-opens at its pair boundary and closes ``active_listen_ns`` later), from
-which ``enable_rx`` settles.  Outcomes, counters and settled signals are
+fellow slaves, none of them with a reply still due, *dozes*: it queues
+no listen or close events and enters the skipped windows in its radio's
+receiver-write record in closed form (each opens at its pair boundary and
+closes ``active_listen_ns`` later), from which ``enable_rx`` settles.  Outcomes, counters and settled signals are
 what the awake loop would produce (``tests/link/test_slave_doze.py``
 compares worlds with observed twins, in which nothing dozes).  A slave
 wakes where its loop would be:
@@ -523,10 +523,10 @@ class ConnectionSlave:
         #: the master's handler, once found on the channel
         self._master: Optional[ConnectionMaster] = None
         # the closed form of a doze holds when the windows neither overlap
-        # nor vanish, and every reply a packet solicits comes within the
-        # slot after it, before the master can fall asleep
-        self._can_doze = 0 < self._listen_ns < _PAIR_NS \
-            and self._modem_delay < _SLOT_NS
+        # nor vanish
+        self._can_doze = 0 < self._listen_ns < _PAIR_NS
+        # when the last reply a received packet asked for goes out
+        self._replies_until_ns = -1
         # a doze: the opening of its first window (None while awake) and
         # how many of its receiver writes the radio's record holds
         self._doze_ns: Optional[int] = None
@@ -644,7 +644,8 @@ class ConnectionSlave:
         The master's loop runs and sleeps past ``next_ns``, neither enable
         signal of the radio has a subscriber, the world captures no
         timeline, and every other radio is the master's or a fellow
-        slave's."""
+        slave's, none of which has a reply still to send (a master may
+        send a short multi-slot packet again before its reply is due)."""
         master = self._master
         if master is None or not master._running:
             master = self._master = self._find_master()
@@ -659,11 +660,13 @@ class ConnectionSlave:
                 or rf.enable_rx._subscribers:
             return False
         master_addr = self.master_addr
+        now = self.device.sim.now
         for radio in channel.radios:
             handler = radio.listener
-            if handler is not self and handler is not master and not (
-                    type(handler) is ConnectionSlave
-                    and handler.master_addr == master_addr):
+            if handler is not master and (
+                    type(handler) is not ConnectionSlave
+                    or handler.master_addr != master_addr
+                    or handler._replies_until_ns >= now):
                 return False
         return True
 
@@ -800,6 +803,8 @@ class ConnectionSlave:
                 # payload failed and no packet was decoded
                 reply_at = reception.tx.start_ns + self._modem_delay \
                     + _SLOTS_OF_TYPE[result.header_type] * _SLOT_NS
+                if reply_at > self._replies_until_ns:
+                    self._replies_until_ns = reply_at
                 reply = ((reply_at, self._reply),)
                 follow = reply if follow is None else follow + reply
         device.rf.rx_close()

@@ -149,6 +149,8 @@ class World:
     def third(self) -> None:
         device = self._third()
         if device.active_handler is None:
+            if device.rf.tx_busy:  # let the packet it sent end first
+                self.session.run_until(device.rf.tx_until_ns)
             device.start_inquiry(timeout_slots=600)
 
     def inject(self, offset_ns: int) -> None:
@@ -299,6 +301,16 @@ def test_a_packet_sent_into_a_dozed_window(offset_ns):
     heard = dozing[7]  # the slave's received packets
     reference = twins("fig12", 17, [("run", 70 * units.SLOT_NS)])[1][7]
     assert heard == reference + (1 if offset_ns < 32_500 else 0)
+
+
+@pytest.mark.parametrize("engine", ["object", "soa"])
+def test_no_doze_while_a_reply_is_due(engine):
+    """A short DM5 goes out again at the next pair, before the reply it
+    asked for is due five slots after it: the slave may not doze while
+    that reply is still to go out (found by a twin search; the slot
+    engine used to fail on the reply's wake-up)."""
+    assert_twins("fig12", 1, [("enqueue", "DM5"), ("enqueue", "DM1")],
+                 engine)
 
 
 def _fellow_inquires(seed: int, observed: bool) -> tuple:
