@@ -264,8 +264,10 @@ class ConnectionMaster:
         # the loop runs on its pair boundaries: the next is a pair later
         wake_ns = self._wake_ns = now + _PAIR_NS
         rf = device.rf
-        if rf.locked_tx is not None or now < rf.tx_until_ns:
-            # locked onto a packet, or transmitting
+        if rf.locked_tx is not None or now < rf.tx_until_ns \
+                or now < self._reply_ns:
+            # locked onto a packet, transmitting, or inside the slots the
+            # last packet's TYPE reserved before its reply
             return wake_ns, None, ()
         if rf.rx_open:
             rf.rx_off()

@@ -245,9 +245,10 @@ class BluetoothDevice(Module):
         return procedure
 
     def stop_procedure(self) -> None:
-        """Abort whatever procedure is running (detach/reset)."""
+        """Abort whatever procedure is running and stop a slave's
+        connection loop (detach/reset)."""
         if self.connection_slave is not None:
-            self.connection_slave.resume()  # its radio is about to change
+            self.connection_slave.stop()
         if self._procedure is not None:
             self._procedure.stop()
             self._procedure = None
@@ -259,9 +260,7 @@ class BluetoothDevice(Module):
     def detach(self) -> None:
         """Paper's Enable_detach_reset: drop all links, return to standby."""
         self.stop_procedure()
-        if self.connection_slave is not None:
-            self.connection_slave.stop()
-            self.connection_slave = None
+        self.connection_slave = None
         if self.connection_master is not None:
             self.connection_master.suspend()
             self.connection_master = None

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.api import Session
 from repro.baseband.packets import PacketType
 from repro.config import SimulationConfig
+from repro.link.connection import ConnectionSlave
 from repro.link.piconet import HoldParams, ParkParams, SniffParams
 from repro.link.states import ConnectionMode
 from repro.link.traffic import PeriodicTraffic, SaturatedTraffic
 from tests.conftest import make_session
+from tests.kernels import kernel
 
 
 def connected_pair(seed=40, ber=0.0, **cfg):
@@ -83,6 +87,20 @@ class TestDataTransfer:
         assert master.connection_master.stats_tx_packets - before >= 15
 
 
+def _spy_transmissions(devices) -> dict:
+    """Record every packet each of ``devices`` puts on the air."""
+    sent = {device: [] for device in devices}
+    for device in devices:
+        def spy(freq, packet, uap=0, meta=None, power_dbm=0.0,
+                device=device, transmit=device.rf.transmit):
+            tx = transmit(freq, packet, uap=uap, meta=meta,
+                          power_dbm=power_dbm)
+            sent[device].append(tx)
+            return tx
+        device.rf.transmit = spy
+    return sent
+
+
 class _PayloadHit:
     """Bit-accurate noise that flips ``positions`` (offsets past the
     126-bit access code and header) in the first frame longer than a
@@ -121,15 +139,7 @@ class TestBitAccurateArq:
             return on_reception(reception)
 
         handler.on_reception = spy_reception
-        sent = {master: [], slave: []}
-        for device in sent:
-            def spy(freq, packet, uap=0, meta=None, power_dbm=0.0,
-                    device=device, transmit=device.rf.transmit):
-                tx = transmit(freq, packet, uap=uap, meta=meta,
-                              power_dbm=power_dbm)
-                sent[device].append(tx)
-                return tx
-            device.rf.transmit = spy
+        sent = _spy_transmissions([master, slave])
         payload = bytes(range(ptype.info.max_payload))
         master.enqueue_data(1, payload, ptype)
         session.run_slots(40)
@@ -149,6 +159,55 @@ class TestBitAccurateArq:
         # the retransmission goes through, once
         assert len(data) >= 2
         assert [i.payload for i in slave.rx_buffer.drain()] == [payload]
+
+
+#: the ACL types that carry user data, one to five slots long
+ACL_TYPES = [PacketType.DM1, PacketType.DH1, PacketType.DM3, PacketType.DH3,
+             PacketType.DM5, PacketType.DH5]
+
+
+@st.composite
+def _payloads(draw):
+    ptype = draw(st.sampled_from(ACL_TYPES))
+    return ptype, draw(st.integers(1, ptype.info.max_payload))
+
+
+class TestSlotReservation:
+    @settings(max_examples=40, deadline=None)
+    @given(engine=st.sampled_from(["object", "soa"]),
+           seed=st.integers(0, 10_000), down=_payloads(), up=_payloads())
+    def test_master_waits_out_the_slots_its_packet_reserved(
+            self, engine, seed, down, up):
+        """The TYPE code reserves a multi-slot packet's slots, whatever
+        its payload length: the master sends nothing inside them, and it
+        listens for every reply they solicit."""
+        with kernel(engine):
+            session, master, slave = connected_pair(seed=seed)
+        handler = master.connection_master
+        heard = []
+        on_reception = handler.on_reception
+
+        def spy_reception(reception):
+            heard.append(reception.tx)
+            return on_reception(reception)
+
+        handler.on_reception = spy_reception
+        sent = _spy_transmissions([master, slave])
+        for device, am_addr, (ptype, length) in ((master, 1, down),
+                                                 (slave, 0, up)):
+            for _ in range(3):
+                device.enqueue_data(am_addr, bytes(length), ptype)
+        session.run_slots(120)
+        sends = sent[master]
+        assert any(tx.packet.ptype is down[0] for tx in sends)
+        for previous, tx in zip(sends, sends[1:]):
+            reserved = previous.packet.ptype.info.slots * units.SLOT_NS
+            assert tx.start_ns >= previous.start_ns + reserved
+        # the receiver hears a packet end one modem delay after it
+        delivered_by = session.sim.now - session.config.rf.modem_delay_ns
+        replies = [tx for tx in sent[slave] if tx.end_ns < delivered_by]
+        assert replies
+        assert all(any(tx is reply for tx in heard) for reply in replies)
 
 
 class TestSniffMode:
@@ -256,6 +315,28 @@ class TestDetach:
         session, master, slave = connected_pair(seed=55)
         master.connection_master.detach(1)
         assert not master.piconet.slaves
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_stopped_slave_opens_no_listen_window(self, engine,
+                                                  monkeypatch):
+        with kernel(engine):
+            session, master, slave = connected_pair(seed=57)
+        handler = slave.connection_slave
+        slave.stop_procedure()
+        served = []
+        listen = ConnectionSlave.listen
+
+        def counted(self):
+            served.append(listen(self))
+            return served[-1]
+
+        monkeypatch.setattr(ConnectionSlave, "listen", counted)
+        received = handler.stats_rx_packets
+        session.run_slots(2000)
+        # the loop's event already queued finds it stopped: no window
+        # opens and nothing follows
+        assert served in ([], [(None, None)])
+        assert handler.stats_rx_packets == received
 
     def test_device_detach_resets_everything(self):
         session, master, slave = connected_pair(seed=56)

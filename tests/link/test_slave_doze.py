@@ -305,10 +305,10 @@ def test_a_packet_sent_into_a_dozed_window(offset_ns):
 
 @pytest.mark.parametrize("engine", ["object", "soa"])
 def test_no_doze_while_a_reply_is_due(engine):
-    """A short DM5 goes out again at the next pair, before the reply it
-    asked for is due five slots after it: the slave may not doze while
-    that reply is still to go out (found by a twin search; the slot
-    engine used to fail on the reply's wake-up)."""
+    """A short DM5 asks for a reply five slots after it: the slave may
+    not doze while that reply is still to go out (found by a twin search
+    while the master still sent such a packet again at the next pair; the
+    slot engine used to fail on the reply's wake-up)."""
     assert_twins("fig12", 1, [("enqueue", "DM5"), ("enqueue", "DM1")],
                  engine)
 
