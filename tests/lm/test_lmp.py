@@ -70,32 +70,53 @@ class TestLinkManagerNegotiation:
         session.run_slots(120)
         assert slave.connection_slave.mode is ConnectionMode.SNIFF
 
-    def test_unsniff(self):
+    # each mode request goes out through the link manager and through the
+    # HCI verb of the master's host facade
+
+    @pytest.mark.parametrize("unsniff", [
+        lambda session, master: master.lm.request_unsniff(1),
+        lambda session, master: session.host(master).exit_sniff_mode(1),
+    ], ids=["lm", "hci"])
+    def test_unsniff(self, unsniff):
         session, master, slave = connected(seed=83)
         master.lm.request_sniff(1, t_sniff_slots=40, n_attempt_slots=1)
         session.run_slots(120)
-        master.lm.request_unsniff(1)
+        unsniff(session, master)
         session.run_slots(240)
         assert slave.connection_slave.mode is ConnectionMode.ACTIVE
 
-    def test_hold_via_lmp(self):
+    @pytest.mark.parametrize("hold", [
+        lambda session, master: master.lm.request_hold(1, hold_slots=160),
+        lambda session, master: session.host(master).hold_mode(1, 160),
+    ], ids=["lm", "hci"])
+    def test_hold_via_lmp(self, hold):
         session, master, slave = connected(seed=84)
-        master.lm.request_hold(1, hold_slots=160)
+        hold(session, master)
         session.run_slots(80)
         assert slave.connection_slave.mode is ConnectionMode.HOLD
         session.run_slots(400)
         assert slave.connection_slave.mode is ConnectionMode.ACTIVE
 
-    def test_park_via_lmp(self):
+    @pytest.mark.parametrize("park", [
+        lambda session, master: master.lm.request_park(
+            1, beacon_interval_slots=64, pm_addr=4),
+        lambda session, master: session.host(master).park_mode(
+            1, beacon_interval_slots=64, pm_addr=4),
+    ], ids=["lm", "hci"])
+    def test_park_via_lmp(self, park):
         session, master, slave = connected(seed=85)
-        master.lm.request_park(1, beacon_interval_slots=64, pm_addr=4)
+        park(session, master)
         session.run_slots(120)
         assert slave.connection_slave.mode is ConnectionMode.PARK
         assert 4 in master.piconet.parked
 
-    def test_detach_via_lmp(self):
+    @pytest.mark.parametrize("detach", [
+        lambda session, master: master.lm.request_detach(1),
+        lambda session, master: session.host(master).disconnect(1),
+    ], ids=["lm", "hci"])
+    def test_detach_via_lmp(self, detach):
         session, master, slave = connected(seed=86)
-        master.lm.request_detach(1)
+        detach(session, master)
         session.run_slots(80)
         assert slave.connection_slave is None
         assert not master.piconet.slaves
@@ -135,6 +156,10 @@ class TestHostController:
         host.sniff_mode(1, t_sniff_slots=50)
         session.run_slots(120)
         assert slave.connection_slave.mode is ConnectionMode.SNIFF
+        host.disconnect(1)
+        session.run_slots(120)
+        assert not master.piconet.slaves
+        assert host.connections == {}
 
     def test_create_connection_requires_discovery(self):
         from repro.errors import ProtocolError
