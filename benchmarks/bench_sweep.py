@@ -1,7 +1,8 @@
 """Bench: flattened sweep work queue scaling + simulation-kernel throughput.
 
 Measures the Fig. 8 sweep workload (inquiry + page trials over the paper's
-BER grid, flattened into one work queue) at jobs ∈ {1, 2, 4, 8}, records
+BER grid, flattened into one work queue) at jobs ∈ {1, 2, 4, 8} (local
+fabric workers above one job), records
 the worker utilization of each parallel run (worker CPU over wall time x
 jobs, as perfbench's ``stats.worker_utilization``), and the
 event-dispatch throughput of a 7-slave piconet in connection state.  The dense-deployment
@@ -51,7 +52,7 @@ from repro.experiments import ext_afh, ext_interference
 from repro.experiments.common import PAPER_BER_GRID, paper_config
 from repro.experiments.fig08_failure_probability import inquiry_trial, page_trial
 from repro.stats.executor import SequentialExecutor
-from repro.stats.resilient import ResilientExecutor
+from repro.stats.fabric import FabricExecutor
 from repro.stats.sweep import Sweep, run_flattened
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
@@ -108,17 +109,17 @@ def _children_cpu_s() -> float:
 def _run_sweep_workload(trials: int, jobs: int
                         ) -> tuple[float, float | None, bytes]:
     """Wall-clock, worker utilization and result digest of one flattened
-    run.  Utilization is the pool workers' CPU seconds over wall time x
+    run.  Utilization is the fabric workers' CPU seconds over wall time x
     jobs; the workers' CPU is read from ``RUSAGE_CHILDREN`` once the
-    executor has closed and reaped them, so the wall window spans the
-    pool's start-up and shutdown.  The sequential run has no workers."""
+    map has reaped them, so the wall window spans the workers' start-up
+    and shutdown.  The sequential run has no workers."""
     if jobs == 1:
         start = time.perf_counter()
         results = run_flattened(_sweep_specs(trials), SequentialExecutor())
         return time.perf_counter() - start, None, pickle.dumps(results)
     children_cpu = _children_cpu_s()
     start = time.perf_counter()
-    with ResilientExecutor(jobs=jobs) as executor:
+    with FabricExecutor(workers=jobs) as executor:
         results = run_flattened(_sweep_specs(trials), executor)
     wall = time.perf_counter() - start
     utilization = (_children_cpu_s() - children_cpu) / (wall * jobs)
@@ -139,7 +140,7 @@ def _run_interference_workload(trials: int, jobs: int) -> tuple[float, bytes]:
         results = run_flattened(_interference_specs(trials),
                                 SequentialExecutor())
         return time.perf_counter() - start, pickle.dumps(results)
-    with ResilientExecutor(jobs=jobs) as executor:
+    with FabricExecutor(workers=jobs) as executor:
         start = time.perf_counter()
         results = run_flattened(_interference_specs(trials), executor)
         wall = time.perf_counter() - start

@@ -9,7 +9,8 @@ Usage::
     python -m repro store-compact results/campaign.jsonl
 
 ``--jobs`` (or the ``REPRO_JOBS`` environment variable) fans Monte Carlo
-trials out over worker processes; results are identical at any job count
+trials out over that many local sweep-fabric workers (forked, so it
+needs the fork start method); results are identical at any job count
 because every trial is a pure function of its derived seed.
 
 ``--resume-dir`` (or ``REPRO_RESUME_DIR``) journals every completed trial
@@ -20,8 +21,8 @@ byte-identical to an uninterrupted run.  ``REPRO_CHAOS`` (see
 hangs, transient exceptions and fabric network faults to exercise that
 recovery path.
 
-``--fabric`` (or ``REPRO_FABRIC``) runs campaigns on the distributed
-sweep fabric (:mod:`repro.stats.fabric`): a coordinator leases task
+``--fabric`` (or ``REPRO_FABRIC``) configures the sweep fabric
+(:mod:`repro.stats.fabric`), at any job count: a coordinator leases task
 chunks to fabric workers — locally spawned ones and/or ``fabric-worker``
 processes on other hosts.  ``--progress`` (or ``REPRO_PROGRESS``) prints
 a journal-backed status line while a campaign runs.
@@ -51,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=None,
                             help="master seed")
     run_parser.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for Monte Carlo trials "
-                                 "(0 = one per CPU; default sequential). "
+                            help="local fabric workers for Monte Carlo "
+                                 "trials (0 = one per CPU; default "
+                                 "sequential). "
                                  "The REPRO_JOBS environment variable, when "
                                  "set, overrides this flag — mirroring "
                                  "REPRO_TRIALS vs --trials")
@@ -64,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(equivalent to setting REPRO_RESUME_DIR)")
     run_parser.add_argument("--fabric", nargs="?", const="on", default=None,
                             metavar="SPEC",
-                            help="run on the distributed sweep fabric; the "
-                                 "optional SPEC is a REPRO_FABRIC string, "
+                            help="run on the sweep fabric as configured; "
+                                 "the optional SPEC is a REPRO_FABRIC string, "
                                  "e.g. 'workers=4' or "
                                  "'bind=0.0.0.0:7919,workers=0' to serve "
                                  "external fabric-worker processes")

@@ -16,8 +16,8 @@ from repro.link.page import PageTarget
 from repro.stats.chaos import ChaosConfig
 from repro.stats.executor import Executor, SequentialExecutor, default_jobs
 from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
+from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import TrialOutcome
-from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import RESUME_DIR_ENV_VAR, ResultStore, campaign_digest
 from repro.stats.sweep import (
     Sweep,
@@ -149,8 +149,8 @@ def progress_interval() -> Optional[float]:
 def _progress_printer(interval_s: float) -> Callable[[dict], None]:
     """A rate-limited stderr renderer of the journal-backed progress dict
     (``completed/total`` plus whatever counters the backend reports —
-    retries, redispatches, pool rebuilds, fabric workers, stolen leases,
-    missed heartbeats).  The final ``completed == total`` line always
+    retries, redispatches, fabric workers, stolen leases, missed
+    heartbeats, respawns).  The final ``completed == total`` line always
     prints, so a finished campaign never ends on a stale count."""
     last_emit = [0.0]
 
@@ -177,14 +177,16 @@ def _campaign_executor(jobs: int, journalled: bool) -> Executor:
     """The execution backend for one campaign run at the resolved job
     count ``jobs`` (see :func:`~repro.stats.executor.default_jobs`).
 
-    ``REPRO_FABRIC`` selects the distributed sweep fabric
-    (:class:`~repro.stats.fabric.FabricExecutor`) outright.  Otherwise
-    the process pool (:class:`~repro.stats.resilient.ResilientExecutor`)
-    runs every parallel campaign, and a ``jobs=1`` one too as soon as a
-    result journal is active (``journalled``), ``REPRO_CHAOS`` schedules
-    fault injection or ``REPRO_PROGRESS`` wants the journal-backed
-    status line — its in-process path carries the same chaos/retry/
-    checkpoint story as the pool.  Only a plain ``jobs=1`` run stays on the
+    Every parallel campaign runs on the fabric
+    (:class:`~repro.stats.fabric.FabricExecutor`): ``jobs`` local fork
+    workers on an ephemeral loopback port, or whatever ``REPRO_FABRIC``
+    configures, which selects the fabric at any job count.  A ``jobs=1``
+    campaign runs on the in-process lease frame
+    (:class:`~repro.stats.lease.LeaseExecutor`) as soon as a result
+    journal is active (``journalled``), ``REPRO_CHAOS`` schedules fault
+    injection or ``REPRO_PROGRESS`` wants the journal-backed status line
+    — the same chaos/retry/checkpoint story as the fabric's workers.
+    Only a plain ``jobs=1`` run stays on the
     :class:`~repro.stats.executor.SequentialExecutor`.
     """
     chaos = ChaosConfig.from_env()
@@ -192,10 +194,11 @@ def _campaign_executor(jobs: int, journalled: bool) -> Executor:
     on_progress = _progress_printer(interval) if interval is not None else None
     if os.environ.get(FABRIC_ENV_VAR, "").strip():
         return FabricExecutor.from_env(chaos=chaos, on_progress=on_progress)
-    if jobs > 1 or journalled or chaos is not None \
-            or on_progress is not None:
-        return ResilientExecutor(jobs=jobs, chaos=chaos,
-                                 on_progress=on_progress)
+    if jobs > 1:
+        return FabricExecutor(workers=jobs, chaos=chaos,
+                              on_progress=on_progress)
+    if journalled or chaos is not None or on_progress is not None:
+        return LeaseExecutor(chaos=chaos, on_progress=on_progress)
     return SequentialExecutor()
 
 
@@ -305,18 +308,18 @@ def run_sweep(seed: int, trials: int, xs: list[tuple[float, str]],
     ``jobs`` picks the execution backend (``REPRO_JOBS`` overrides, 1 =
     sequential); the outcome lists are identical at any job count because
     every trial is a pure function of its derived seed.  Pass ``executor``
-    instead to share one worker pool across several sweeps (the caller
-    then owns its lifetime).
+    instead to share one executor across several sweeps (the caller then
+    owns its lifetime).
 
     ``resume`` (or the ``REPRO_RESUME_DIR`` environment variable) makes
     the run **kill-and-resume safe**: completed trials are journalled to
     ``<dir>/<store_name>.jsonl`` as they finish, already-journalled ones
     are skipped on restart, and the journal header refuses a campaign
-    spec that differs from the one that wrote it.  Every parallel or
-    journalled run goes through the
-    :class:`~repro.stats.resilient.ResilientExecutor`, which additionally
-    survives worker deaths and stragglers in place.  Aggregates stay
-    byte-identical to a clean sequential run throughout.
+    spec that differs from the one that wrote it.  Every journalled run
+    goes through the lease frame, and every parallel one through the
+    fabric (:class:`~repro.stats.fabric.FabricExecutor`), which also
+    survives worker deaths in place.  Aggregates stay byte-identical to
+    a clean sequential run throughout.
     """
     sweep = Sweep(master_seed=seed, trials_per_point=trials)
     spec = campaign_spec([(sweep, xs, trial_fn)])
@@ -335,7 +338,7 @@ def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
     """Run several sweeps as one flattened work queue.
 
     ``specs`` is a list of ``(seed, trials, xs, trial_fn)`` tuples.  All
-    sweeps' (point, trial) tasks go to the pool as a single ordered grid,
+    sweeps' (point, trial) tasks go to the executor as one ordered grid,
     so neither point boundaries nor sweep boundaries act as join barriers
     (Fig. 8 uses this for its inquiry + page pair).  Results are
     byte-identical to running each sweep separately.

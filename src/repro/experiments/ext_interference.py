@@ -351,7 +351,7 @@ def run_spatial(trials: int = 4, seed: int = 22,
     """Spatial deployment campaign: PER versus deployment radius at a
     fixed piconet count, and versus piconet count at a fixed radius.
 
-    Both sweeps go to the pool as one flattened work queue
+    Both sweeps go to the executor as one flattened work queue
     (:func:`run_sweeps`), with the usual trial/seed/resume semantics.
     The radius sweep is the geometry acceptance curve: at fixed density
     the packet error rate must fall monotonically as the ring opens up.

@@ -16,13 +16,13 @@ from repro.stats.fabric import (
     FabricWorker,
     WorkerRefusedError,
 )
+from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import (
     MonteCarlo,
     TrialExecutionError,
     TrialOutcome,
     derive_seed,
 )
-from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import (
     CorruptJournalError,
     ResultStore,
@@ -41,10 +41,10 @@ __all__ = [
     "FabricError",
     "FabricExecutor",
     "FabricWorker",
+    "LeaseExecutor",
     "MeanEstimate",
     "MonteCarlo",
     "ProportionEstimate",
-    "ResilientExecutor",
     "ResultStore",
     "SequentialExecutor",
     "SpecMismatchError",

@@ -1,12 +1,14 @@
 """Deterministic fault injection for the fault-tolerant execution layer.
 
-The recovery machinery in :mod:`repro.stats.resilient` (pool rebuilds,
-chunk re-dispatch, retry, resume-from-journal) is only trustworthy if it
-is itself tested under the repository's determinism contract.  This module
-supplies that test harness: a **seed-scheduled chaos schedule** that maps
-every trial seed to at most one injected fault — a worker-process crash, a
-hang, or a transient exception — through the same :func:`derive_seed`
-diffusion the trials themselves use.  Same chaos seed ⇒ same schedule,
+The recovery machinery of the lease frame and the fabric
+(:mod:`repro.stats.lease`, :mod:`repro.stats.fabric`: worker respawn,
+re-leasing, work stealing, retry, resume-from-journal) is only
+trustworthy if it is itself tested under the repository's determinism
+contract.  This module supplies that test harness: a **seed-scheduled
+chaos schedule** that maps every trial seed to at most one injected
+fault — a worker-process crash, a hang, or a transient exception —
+through the same :func:`derive_seed` diffusion the trials themselves
+use.  Same chaos seed ⇒ same schedule,
 byte-for-byte, on any host.  A second, independent stream schedules the
 **network faults** of the distributed fabric (connection drop, heartbeat
 blackhole, duplicated and delayed result delivery — see
@@ -20,16 +22,18 @@ directory of ``O_CREAT | O_EXCL`` marker files when ``state_dir`` is set
 (required for crash faults — the claiming process dies, so the claim must
 survive it) and a per-process set otherwise.
 
-Activation: pass a :class:`ChaosConfig` to
-:class:`~repro.stats.resilient.ResilientExecutor`, or set the
+Activation: pass a :class:`ChaosConfig` to a lease-frame executor
+(:class:`~repro.stats.lease.LeaseExecutor` in process,
+:class:`~repro.stats.fabric.FabricExecutor` on workers), or set the
 ``REPRO_CHAOS`` environment variable, e.g.::
 
     REPRO_CHAOS="seed=7,crash=0.05,exc=0.1,hang=0.02,hang_s=2"
 
-Injection happens in the worker-side chunk runner, before the trial
-function is entered, so the trial outcomes themselves are never perturbed
-— a chaos-ridden campaign that *completes* is byte-identical to a clean
-one, which is exactly the acceptance bar the resilience suite asserts.
+Injection happens in the chunk runner (or the in-process loop), before
+the trial function is entered, so the trial outcomes themselves are
+never perturbed — a chaos-ridden campaign that *completes* is
+byte-identical to a clean one, which is exactly the acceptance bar the
+fabric and resume suites assert.
 """
 
 from __future__ import annotations
@@ -290,9 +294,10 @@ def maybe_inject(config: Optional[ChaosConfig], trial_seed: int) -> None:
     """Worker-side injection point, called before a trial executes.
 
     Crash faults take the whole worker process down with
-    :data:`CHAOS_EXIT_CODE` (the parent sees ``BrokenProcessPool``); hang
-    faults stall ``hang_s`` seconds (tripping chunk timeouts); exc faults
-    raise :class:`ChaosError` (retryable).  Each fault fires at most once
+    :data:`CHAOS_EXIT_CODE` (the coordinator sees its connection drop);
+    hang faults stall ``hang_s`` seconds (a straggler, whose lease an
+    idle worker may steal); exc faults raise :class:`ChaosError`
+    (retryable).  Each fault fires at most once
     per ledger, so recovery always makes forward progress.
     """
     if config is None:

@@ -8,10 +8,11 @@ ordered map; this module also holds its reference implementation:
 * :class:`SequentialExecutor` — a plain ordered loop on the calling
   process, the backend of every plain ``jobs=1`` run.
 
-Work that leaves the calling process goes through the lease frame
-(:mod:`repro.stats.lease`): :class:`~repro.stats.resilient.ResilientExecutor`,
-the process pool, and :class:`~repro.stats.fabric.FabricExecutor`, the
-distributed fabric.
+Fault-tolerant and parallel work goes through the lease frame
+(:mod:`repro.stats.lease`): :class:`~repro.stats.lease.LeaseExecutor`
+runs its tasks in process, with journal resume and chaos retry, and
+:class:`~repro.stats.fabric.FabricExecutor` leases them to local fork
+workers or workers on other hosts.
 
 Determinism contract: for any picklable ``fn`` and item list, every
 executor returns ``[fn(item) for item in items]`` — same values, same
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Optional, Sequence
 
-#: Environment knob: fan trials out over this many worker processes.
+#: Environment knob: fan trials out over this many local fabric workers.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 

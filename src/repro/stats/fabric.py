@@ -1,17 +1,20 @@
-"""Distributed sweep fabric: lease-based multi-host campaign execution.
+"""Sweep fabric: lease-based parallel campaign execution, on one host
+or many.
 
-The scale-out backend of the lease frame (:mod:`repro.stats.lease`): a
-TCP **coordinator** (:class:`FabricCoordinator`) leases the same
-seed-addressed ``(sweep, point, trial, seed)`` task chunks the process
-pool does to **workers** (:class:`FabricWorker`) on any host, behind
-:class:`FabricExecutor`.  The frame supplies journal resume, ordered
-progress and the progress dict; this module supplies only how leases
-reach workers — the wire protocol, the worker registry, heartbeats,
-work stealing and local-worker respawn.  Because every trial is a pure
-function of its derived seed, fanning a campaign across hosts changes
-nothing about its outcome: a fabric run pickles byte-identical to the
-sequential reference, which is exactly what the acceptance suite
-asserts.
+The one dispatching backend of the lease frame (:mod:`repro.stats.lease`),
+and so the backend of every parallel run: a TCP **coordinator**
+(:class:`FabricCoordinator`) leases seed-addressed ``(sweep, point,
+trial, seed)`` task chunks to **workers** (:class:`FabricWorker`),
+behind :class:`FabricExecutor`.  A ``jobs=N`` run forks N local workers
+pointed at a coordinator on an ephemeral loopback port; workers on
+other hosts join the same way.  The frame supplies journal resume,
+ordered progress and the progress dict; this module supplies only how
+leases reach workers — the wire protocol, the worker registry,
+heartbeats, work stealing and local-worker respawn.  Because every
+trial is a pure function of its derived seed, fanning a campaign across
+processes or hosts changes nothing about its outcome: a fabric run
+pickles byte-identical to the sequential reference, which is exactly
+what the acceptance suite asserts.
 
 Protocol
 --------
@@ -34,8 +37,7 @@ records.  The flow:
   side thread, so a long trial never looks like a dead worker.
 * ``shutdown`` (coordinator → worker): campaign complete.
 
-Failure semantics (all journal-backed, mirroring
-:class:`~repro.stats.resilient.ResilientExecutor`):
+Failure semantics (all journal-backed):
 
 * **worker death / connection drop** — the worker's leases lose their
   owner and are re-leased to the next idle worker; locally spawned
@@ -46,6 +48,12 @@ Failure semantics (all journal-backed, mirroring
 * **stragglers** — with ``steal_after_s`` set, an idle worker *steals* a
   duplicate assignment of the oldest in-flight lease; first completion
   wins, the loser is discarded pre-journal.
+* **transient trial failures** (:class:`~repro.stats.chaos.ChaosError`,
+  or any exception escaping a trial) — the lease is retried after an
+  exponential backoff, up to ``max_retries`` failed attempts; then the
+  failure surfaces as a
+  :class:`~repro.stats.montecarlo.TrialExecutionError` carrying the
+  replay coordinates.
 * **coordinator death** — every completed chunk was journalled and
   fsynced on arrival, so rerunning the campaign resumes from the
   checkpoint exactly like any other killed run.
@@ -56,9 +64,11 @@ function of the chaos and trial seeds, so all of the above is exercised
 deterministically in CI over localhost (``REPRO_CHAOS`` with
 ``drop=``/``blackhole=``/``dup=``/``delay=`` bands).
 
-Activation: ``REPRO_FABRIC`` (or ``--fabric``), which every campaign
-entry point of :mod:`repro.experiments.common` honours, e.g.
-``REPRO_FABRIC="workers=4"`` for local fork workers or
+Activation: every campaign entry point of
+:mod:`repro.experiments.common` runs on the fabric at ``jobs > 1``
+(``REPRO_JOBS`` / ``--jobs``), with that many local fork workers.
+``REPRO_FABRIC`` (or ``--fabric``) configures it instead, at any job
+count, e.g. ``REPRO_FABRIC="workers=4,steal_s=5"`` or
 ``REPRO_FABRIC="bind=0.0.0.0:7919,workers=0"`` plus ``python -m repro
 fabric-worker HOST:7919`` on other hosts.
 
@@ -77,11 +87,17 @@ import socket
 import struct
 import threading
 import time
+import warnings
 from queue import Empty, Queue
 from typing import Any, Callable, Optional, Sequence
 
 from repro.stats.chaos import ChaosConfig, ChaosError, maybe_net_fault
-from repro.stats.lease import ChunkLease, LeaseExecutor, run_chunk
+from repro.stats.lease import (
+    ChunkLease,
+    LeaseExecutor,
+    make_leases,
+    run_chunk,
+)
 from repro.stats.montecarlo import TrialExecutionError
 from repro.stats.store import ResultStore
 
@@ -727,25 +743,30 @@ def _local_worker_main(address, digest, chaos, name):
 
 
 class FabricExecutor(LeaseExecutor):
-    """Campaign execution on the distributed fabric, through the lease
-    frame (:class:`~repro.stats.lease.LeaseExecutor`).
+    """Campaign execution on the fabric, through the lease frame
+    (:class:`~repro.stats.lease.LeaseExecutor`) — the executor of every
+    parallel run.
 
     Each dispatched ``map``/``map_keyed`` starts a fresh coordinator on
     ``bind`` (ephemeral port by default), forks ``workers`` local worker
     processes pointed at it, and serves the leases until complete —
     external workers started with ``python -m repro fabric-worker`` join
-    the same campaign.  Journalling, resume and ordered progress are the
-    frame's; ``on_progress`` receives the journal-backed dict extended
-    with the fabric counters (``workers``, ``leases_stolen``,
-    ``heartbeats_missed``, ``respawns``).  Leases always travel to
-    workers, even with one or zero local workers; only an unpicklable
-    trial function runs in process.
+    the same campaign.  Local workers are forked, not spawned, so
+    runtime-patched experiment state (test fixtures, notebooks) reaches
+    them exactly as it stands in the calling process; without the fork
+    start method only external workers can serve.  ``chunk_size`` is
+    the tasks per lease (default: four leases per worker).  Journalling,
+    resume and ordered progress are the frame's; ``on_progress`` receives
+    the journal-backed dict extended with the fabric counters
+    (``workers``, ``leases_stolen``, ``heartbeats_missed``,
+    ``respawns``).  Leases always travel to workers, even with one or
+    zero local workers; only an unpicklable trial function runs in
+    process.
 
     Locally spawned workers that die (chaos crash, OOM) are respawned up
     to ``max_worker_respawns`` times; once the budget is exhausted *and*
     no workers remain connected, the journal is checkpointed and
-    :class:`FabricError` propagates — rerun to resume, exactly like the
-    pool-rebuild budget of the resilient backend.
+    :class:`FabricError` propagates — rerun to resume from it.
     """
 
     progress_counters = ("retries", "redispatches", "workers",
@@ -767,10 +788,12 @@ class FabricExecutor(LeaseExecutor):
                  on_progress: Optional[Callable[[dict], None]] = None):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = external only)")
-        super().__init__(max(1, workers), chunk_size, journal=journal,
-                         chaos=chaos, max_retries=max_retries,
+        super().__init__(journal=journal, chaos=chaos,
+                         max_retries=max_retries,
                          backoff_base_s=backoff_base_s,
                          on_progress=on_progress)
+        self.jobs = max(1, workers)
+        self.chunk_size = chunk_size
         self.workers = workers
         self.bind = bind
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -851,7 +874,19 @@ class FabricExecutor(LeaseExecutor):
     def _new_counters(self) -> dict:
         return new_counters()
 
-    def _dispatch(self, fn, leases, journal, counters, complete) -> None:
+    def _dispatch(self, fn, items, keys, pending, journal, counters,
+                  complete) -> None:
+        try:
+            pickle.dumps(fn)
+        except Exception:
+            warnings.warn(
+                f"{fn!r} is not picklable; {type(self).__name__} falling "
+                "back to the in-process path", RuntimeWarning, stacklevel=3)
+            super()._dispatch(fn, items, keys, pending, journal, counters,
+                              complete)
+            return
+        leases = make_leases(items, keys, pending, self.jobs,
+                             self.chunk_size)
         digest = (journal.spec_digest if journal is not None
                   else self.spec_digest) or UNBOUND_DIGEST
         coordinator = FabricCoordinator(
@@ -897,8 +932,7 @@ class FabricExecutor(LeaseExecutor):
 
     def _spawn_worker(self, address, digest: str, slot: int):
         """Fork one local worker process pointed at ``address`` — fork
-        (not spawn), so runtime-patched experiment state reaches workers
-        exactly like the process pool's."""
+        (not spawn), so runtime-patched experiment state reaches it."""
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -915,10 +949,13 @@ class FabricExecutor(LeaseExecutor):
         return proc
 
     def _stop_workers(self, procs: list) -> None:
+        """Reap the local workers once the coordinator has closed.  A
+        worker still alive then has no work left — it may have connected
+        after the close and wait for a welcome that never comes — so it
+        is terminated at once."""
         for proc in procs:
             if proc is None:
                 continue
-            proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.terminate()
-                proc.join(timeout=2.0)
+            proc.join(timeout=2.0)

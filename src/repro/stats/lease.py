@@ -1,12 +1,12 @@
-"""The lease frame: the one keyed map behind every worker backend.
+"""The lease frame: the one keyed map behind every fault-tolerant run.
 
 A **chunk lease** is the unit of recoverable work: a contiguous slice of
 the flattened task queue, addressed by its ``(sweep, point, trial, seed)``
 journal keys, with the retry bookkeeping a recovery loop needs.
-:class:`LeaseExecutor` is the frame both worker backends share —
-:class:`~repro.stats.resilient.ResilientExecutor` leases chunks to a
-forked process pool on one host, the distributed fabric
-(:class:`~repro.stats.fabric.FabricExecutor`) leases them to TCP workers
+:class:`LeaseExecutor` is the frame.  By itself it runs every task in
+the calling process; :class:`~repro.stats.fabric.FabricExecutor`, its
+one dispatching subclass, leases chunks to TCP workers instead — the
+``jobs`` local fork workers of a parallel run on one host, or workers
 on any host.  The frame owns every part of a map that does not depend on
 how a lease reaches a worker:
 
@@ -15,20 +15,21 @@ how a lease reaches a worker:
 * ordered ``progress`` callbacks and the journal-backed progress dict;
 * record-and-flush per completed lease, and a flush on any escape;
 * the in-process path — chaos injection and bounded backoff retry per
-  task — for an unpicklable trial function or a pool at one job.
+  task — of a ``jobs=1`` run that is journalled, chaos-scheduled or
+  progress-reporting, and of an unpicklable trial function.
 
-A backend keeps only its counters and :meth:`~LeaseExecutor._dispatch`,
-the loop that moves leases to workers and back.  Both dispatch loops
-share the lease record, the lease sizes (:func:`make_leases`) and the
-worker-side chunk body (:func:`run_chunk`), so a task journalled by one
-backend resumes under the other, and chaos injection behaves identically
-in a forked pool worker and a remote fabric worker.
+The dispatching backend keeps only its counters and
+:meth:`~LeaseExecutor._dispatch`, the loop that moves leases to workers
+and back.  It shares the lease record, the lease sizes
+(:func:`make_leases`) and the worker-side chunk body (:func:`run_chunk`)
+with this module, so a task journalled in process resumes on workers
+and back, and chaos injection behaves identically in process and in a
+worker.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 import tempfile
 import time
 import warnings
@@ -50,19 +51,17 @@ _CHUNKS_PER_JOB = 4
 
 
 class ChunkLease:
-    """One dispatched chunk: its item indices, retry state and deadline.
+    """One chunk of the task queue: its item indices and retry state.
 
-    The base fields drive the pool's recovery loop; the fabric
-    additionally tracks which workers hold the lease (``owners``), when
-    it was last assigned (``assigned_at``) and how many duplicate
+    The fabric also tracks which workers hold the lease (``owners``),
+    when it was last assigned (``assigned_at``) and how many duplicate
     assignments were stolen onto idle workers (``steals``).  First
-    completion wins either way — duplicates are byte-identical because
-    trials are pure functions of their seeds.
+    completion wins — duplicates are byte-identical because trials are
+    pure functions of their seeds.
     """
 
     __slots__ = ("lease_id", "indices", "items", "keys", "attempts",
-                 "deadline", "retry_at", "done", "owners", "assigned_at",
-                 "steals")
+                 "retry_at", "done", "owners", "assigned_at", "steals")
 
     def __init__(self, indices: list, items: list, keys: list,
                  lease_id: int = 0):
@@ -71,7 +70,6 @@ class ChunkLease:
         self.items = items
         self.keys = keys
         self.attempts = 0       # failed attempts so far
-        self.deadline = None    # monotonic re-dispatch deadline
         self.retry_at = None    # monotonic backoff gate (failed leases)
         self.done = False
         self.owners: set = set()    # worker ids currently holding the lease
@@ -121,8 +119,8 @@ def run_chunk(fn: Callable[[Any], Any], chunk: list, keys: list,
     Injection happens *before* the trial function runs, so trial outcomes
     are never perturbed — a completed chaos campaign stays byte-identical
     to a clean one.  Any exception escaping the trial is wrapped with its
-    journal key so the parent can quote the replay seed.  Shared verbatim
-    by the forked pool workers and the TCP fabric workers.
+    journal key so the parent can quote the replay seed.  Run by every
+    fabric worker, local or remote.
     """
     results = []
     for item, key in zip(chunk, keys):
@@ -139,12 +137,11 @@ def run_chunk(fn: Callable[[Any], Any], chunk: list, keys: list,
 
 
 class LeaseExecutor(Executor):
-    """The keyed-map frame of the worker backends (see the module
-    docstring).
-
-    Subclasses name the counters their progress dict reports
-    (``progress_counters``), implement :meth:`_dispatch`, and override
-    :meth:`_in_process` to decline dispatching.  The shared parameters:
+    """The keyed-map frame (see the module docstring): every task runs in
+    the calling process, with journal resume, chaos injection and
+    bounded backoff retry.  A dispatching subclass names the counters
+    its progress dict reports (``progress_counters``) and overrides
+    :meth:`_dispatch`.  The parameters:
 
     ``journal``
         default :class:`~repro.stats.store.ResultStore` for :meth:`map` /
@@ -165,10 +162,9 @@ class LeaseExecutor(Executor):
 
     #: Counters of a map reported in its progress dict, in order, between
     #: ``cached`` and ``last_checkpoint``.
-    progress_counters: tuple = ()
+    progress_counters: tuple = ("retries",)
 
-    def __init__(self, jobs: int, chunk_size: Optional[int], *,
-                 journal=None,
+    def __init__(self, *, journal=None,
                  chaos: Optional[ChaosConfig] = None,
                  max_retries: int = 2,
                  backoff_base_s: float = 0.25,
@@ -180,8 +176,8 @@ class LeaseExecutor(Executor):
                     getattr(chaos, kind) > 0
                     for kind in FAULT_KINDS + NET_FAULT_KINDS):
                 # a durable fire-once ledger, not just crash insurance:
-                # retried leases migrate between worker processes (fresh
-                # pool workers, respawned fabric workers), and a
+                # retried leases migrate between worker processes
+                # (respawned or surviving fabric workers), and a
                 # process-local ledger would re-fire the same fault in
                 # each of them
                 chaos = chaos.with_state_dir(
@@ -190,8 +186,6 @@ class LeaseExecutor(Executor):
             # expire stale fire-once claims left by earlier campaigns so
             # the schedule is live again (see ChaosConfig.begin_run)
             chaos.begin_run()
-        self.jobs = jobs
-        self.chunk_size = chunk_size
         self.journal = journal
         self.chaos = chaos
         self.max_retries = max_retries
@@ -203,24 +197,9 @@ class LeaseExecutor(Executor):
         #: before one ran.
         self.last_progress: Optional[dict] = None
 
-    # -- backend hooks ------------------------------------------------------
-
     def _new_counters(self) -> dict:
         """A fresh counter dict for one map."""
         return dict.fromkeys(self.progress_counters, 0)
-
-    def _in_process(self, n_pending: int) -> bool:
-        """True when ``n_pending`` tasks should run in this process rather
-        than be dispatched (the default: always dispatch)."""
-        return False
-
-    def _dispatch(self, fn: Callable, leases: list, journal,
-                  counters: dict,
-                  complete: Callable[[ChunkLease, list], None]) -> None:
-        """Run every lease on the backend's workers, calling
-        ``complete(lease, payload)`` exactly once per lease, in
-        completion order, from the calling thread."""
-        raise NotImplementedError
 
     # -- public entry points ------------------------------------------------
 
@@ -306,39 +285,26 @@ class LeaseExecutor(Executor):
         if not pending:
             return results
 
-        in_process = self._in_process(len(pending))
-        if not in_process:
-            try:
-                pickle.dumps(fn)
-            except Exception:
-                warnings.warn(
-                    f"{fn!r} is not picklable; {type(self).__name__} "
-                    "falling back to the in-process path", RuntimeWarning,
-                    stacklevel=2)
-                in_process = True
         # any escape checkpoints the journal first, so a death anywhere —
         # in process, in a worker, or an interrupt — is resumable
         try:
-            if in_process:
-                self._run_in_process(fn, items, keys, pending, counters,
-                                     _complete)
-            else:
-                leases = make_leases(items, keys, pending, self.jobs,
-                                     self.chunk_size)
-                self._dispatch(fn, leases, journal, counters, _complete)
+            self._dispatch(fn, items, keys, pending, journal, counters,
+                           _complete)
         except BaseException:
             if journal is not None:
                 journal.flush()
             raise
         return results
 
-    def _run_in_process(self, fn, items: list, keys: list, pending: list,
-                        counters: dict, complete: Callable) -> None:
-        """Run each pending task here as a one-task lease, under the same
-        fault story as a dispatched one: chaos injection precedes the
-        trial (a jobs=1 campaign under ``REPRO_CHAOS`` dies and resumes
-        like a parallel one) and transient faults get the bounded backoff
-        retry of :meth:`ChunkLease.fail`."""
+    def _dispatch(self, fn, items: list, keys: list, pending: list,
+                  journal, counters: dict, complete: Callable) -> None:
+        """Run the ``pending`` tasks, calling ``complete(lease, payload)``
+        exactly once per lease, in completion order, from the calling
+        thread.  Here: each task in this process as a one-task lease,
+        under the same fault story as a dispatched one — chaos injection
+        precedes the trial (a jobs=1 campaign under ``REPRO_CHAOS`` dies
+        and resumes like a parallel one) and transient faults get the
+        bounded backoff retry of :meth:`ChunkLease.fail`."""
         for index in pending:
             lease = ChunkLease([index], [items[index]], [keys[index]])
             while True:

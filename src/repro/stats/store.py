@@ -5,7 +5,7 @@ completed trial never needs to run twice: journal its outcome under its
 ``(sweep_index, point_index, trial_index, seed)`` coordinates and any
 restart of the same campaign can skip it.  This module supplies that
 journal; the lease frame (:meth:`repro.stats.lease.LeaseExecutor.map_keyed`,
-behind both the process pool and the distributed fabric) reads it before
+in process and on the fabric's workers alike) reads it before
 dispatching and records every completed lease into it.
 
 Format: one JSONL file per campaign.  The first line is a header binding

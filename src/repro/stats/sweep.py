@@ -2,8 +2,8 @@
 
 ``Sweep.run`` derives every (point, trial) task of the ``n_points x
 trials_per_point`` grid up front and sends the whole grid to the executor
-as **one work queue**.  Leases span point boundaries, so a worker pool
-stays busy end-to-end instead of idling at the tail of every x point.
+as **one work queue**.  Leases span point boundaries, so the workers
+stay busy end-to-end instead of idling at the tail of every x point.
 Seeds use two-level ``derive_seed`` coordinates (a per-point master seed,
 then the trial index), so outcomes are byte-identical at any job count.
 
@@ -13,8 +13,9 @@ even the boundary between sweeps is a barrier.  The queue's tasks double
 as result-journal keys: with a journal, the queue goes through the lease
 frame's ``map_keyed`` (:mod:`repro.stats.lease`), which skips journalled
 tasks and records fresh ones as they complete.  Which executor runs the
-queue — sequential, the process pool or the distributed fabric — is the
-caller's choice (:mod:`repro.experiments.common` makes it per campaign).
+queue — sequential, the in-process lease frame or the fabric's workers —
+is the caller's choice (:mod:`repro.experiments.common` makes it per
+campaign).
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.stats.estimators import MeanEstimate, ProportionEstimate, mean_with_ci, wilson_interval
 from repro.stats.executor import Executor, SequentialExecutor
+from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import (
     MonteCarlo,
     TrialExecutionError,
     TrialOutcome,
     derive_seed,
 )
-from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import ResultStore
 
 #: Stream tag separating per-point master seeds from trial seeds.
@@ -228,15 +229,14 @@ def run_flattened(
     restarts from its last checkpoint (see :mod:`repro.stats.store`).
     A journalled queue runs through ``executor.map_keyed``, so it needs
     a lease-frame executor; the default is then the in-process
-    :class:`~repro.stats.resilient.ResilientExecutor` at one job.
+    :class:`~repro.stats.lease.LeaseExecutor`.
 
     Returns one ``list[SweepPoint]`` per input sweep, byte-identical to
     running each sweep on its own — with or without a store, at any job
     count.
     """
     if executor is None:
-        executor = (SequentialExecutor() if store is None
-                    else ResilientExecutor(jobs=1))
+        executor = SequentialExecutor() if store is None else LeaseExecutor()
     tasks, slices = flat_tasks(sweeps)
 
     flat_fn = _FlatTrial(trial_fns=[fn for _, _, fn in sweeps],

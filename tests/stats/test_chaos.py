@@ -21,6 +21,7 @@ from repro.stats.chaos import (
     maybe_inject,
     maybe_net_fault,
 )
+from repro.stats.lease import LeaseExecutor
 
 
 class TestFromEnv:
@@ -45,6 +46,18 @@ class TestFromEnv:
     def test_malformed_entry_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             ChaosConfig.from_env("crash")
+
+    def test_executor_resolves_the_schedule_from_env(self, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setenv(CHAOS_ENV_VAR,
+                           f"seed=5,exc=0.5,state={tmp_path / 'ledger'}")
+        assert LeaseExecutor().chaos == ChaosConfig(
+            seed=5, exc=0.5, state_dir=str(tmp_path / "ledger"))
+
+    def test_env_schedule_gets_a_fire_once_ledger(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV_VAR, "seed=5,crash=0.1")
+        # a crash schedule without a durable ledger would re-kill forever
+        assert LeaseExecutor().chaos.state_dir is not None
 
     def test_probabilities_validated(self):
         with pytest.raises(ValueError, match="sum to <= 1"):
@@ -203,26 +216,22 @@ class TestLedgerLifecycle:
     def test_fresh_campaign_does_not_inherit_stale_ledger(self, tmp_path):
         """A campaign started days after the last one must see the full
         chaos schedule again: executor construction expires the stale
-        claims (the satellite regression of this PR)."""
-        from repro.stats.resilient import ResilientExecutor
-
+        claims."""
         state = tmp_path / "ledger"
         config = ChaosConfig(seed=1, exc=1.0, state_dir=str(state))
         with pytest.raises(ChaosError):
             maybe_inject(config, 23)  # yesterday's campaign fired it...
         for name in os.listdir(str(state)):
             self._backdate(os.path.join(str(state), name), 2 * 3600)
-        executor = ResilientExecutor(jobs=1, chaos=config, max_retries=0)
+        executor = LeaseExecutor(chaos=config, max_retries=0)
         with pytest.raises(ChaosError):  # ...and today's schedule is live
             executor.map_keyed(lambda x: x, [1], [(0, 0, 0, 23)])
 
     def test_resume_within_ttl_keeps_claims(self, tmp_path):
         """The flip side: an immediate kill-and-resume must *not* re-fire
         the claims of its own run."""
-        from repro.stats.resilient import ResilientExecutor
-
         config = ChaosConfig(seed=1, exc=1.0, state_dir=str(tmp_path))
         with pytest.raises(ChaosError):
             maybe_inject(config, 23)
-        executor = ResilientExecutor(jobs=1, chaos=config, max_retries=0)
+        executor = LeaseExecutor(chaos=config, max_retries=0)
         assert executor.map_keyed(lambda x: x, [7], [(0, 0, 0, 23)]) == [7]

@@ -4,8 +4,9 @@ The executor contract (see ``repro.stats.executor``): for the same master
 seed, a Monte-Carlo batch produces *byte-identical* outcome lists at any
 job count, because every trial is a pure function of its derived seed and
 results are reassembled in trial order.  This suite enforces the contract
-on the process pool (``ResilientExecutor``, the one parallel path) with
-synthetic trials, on the real simulation trial functions behind the
+on local fabric workers (``FabricExecutor``, the one parallel path) and
+on the in-process lease frame (``LeaseExecutor``, a journalled jobs=1
+run) with synthetic trials, on the real simulation trial functions behind the
 paper's BER figures, and on every registered experiment end-to-end (a
 jobs=2 run must reproduce the golden table the registry smoke suite pins
 at jobs=1), plus hypothesis property tests that the seed derivation has
@@ -31,13 +32,13 @@ from repro.stats.chaos import CHAOS_ENV_VAR
 from repro.stats.estimators import mean_with_ci, wilson_interval
 from repro.stats.executor import JOBS_ENV_VAR, SequentialExecutor, default_jobs
 from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
+from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import (
     MASK64,
     MonteCarlo,
     TrialOutcome,
     derive_seed,
 )
-from repro.stats.resilient import ResilientExecutor
 from repro.stats.sweep import (
     SWEEP_POINT_STREAM,
     Sweep,
@@ -54,6 +55,14 @@ def _synthetic_trial(seed: int) -> TrialOutcome:
                         value=float(seed % 97))
 
 
+def _executor(jobs: int, chunk_size=None):
+    """The lease-frame executor of a ``jobs``-way run: in process at one
+    job, ``jobs`` local fabric workers above."""
+    if jobs > 1:
+        return FabricExecutor(workers=jobs, chunk_size=chunk_size)
+    return LeaseExecutor()
+
+
 class TestExecutorContract:
     def test_sequential_is_a_plain_ordered_map(self):
         outcomes = SequentialExecutor().map(_synthetic_trial, [5, 6, 7])
@@ -63,27 +72,27 @@ class TestExecutorContract:
         mc_seq = MonteCarlo(master_seed=42, trials=10)
         mc_par = MonteCarlo(master_seed=42, trials=10)
         seq = mc_seq.run(_synthetic_trial, executor=SequentialExecutor())
-        with ResilientExecutor(jobs=4) as executor:
+        with _executor(4) as executor:
             par = mc_par.run(_synthetic_trial, executor=executor)
         assert pickle.dumps(seq) == pickle.dumps(par)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 100])
     def test_any_chunking_covers_all_items_in_order(self, chunk_size):
-        with ResilientExecutor(jobs=2, chunk_size=chunk_size) as executor:
+        with _executor(2, chunk_size=chunk_size) as executor:
             outcomes = executor.map(_synthetic_trial, list(range(11)))
         assert [o.seed for o in outcomes] == list(range(11))
 
     def test_progress_fires_in_trial_order_under_parallel(self):
         seen = []
         mc = MonteCarlo(master_seed=1, trials=8)
-        with ResilientExecutor(jobs=3) as executor:
+        with _executor(3) as executor:
             mc.run(_synthetic_trial, progress=lambda i, o: seen.append(i),
                    executor=executor)
         assert seen == list(range(8))
 
     def test_unpicklable_fn_degrades_to_sequential_with_warning(self):
         captured = []
-        with ResilientExecutor(jobs=2) as executor:
+        with _executor(2) as executor:
             with pytest.warns(RuntimeWarning, match="not picklable"):
                 outcomes = executor.map(
                     lambda seed: captured.append(seed)
@@ -102,27 +111,32 @@ class TestExecutorContract:
         assert default_jobs() >= 1
 
     def test_campaign_executor_selects_backend(self, monkeypatch, tmp_path):
-        """One pool path: sequential only for a plain jobs=1 run, the
-        process pool for jobs > 1 or anything fault-tolerant, the fabric
-        whenever ``REPRO_FABRIC`` is set."""
+        """One parallel path: sequential only for a plain jobs=1 run, the
+        in-process lease frame for a fault-tolerant jobs=1 run, ``jobs``
+        local fabric workers on an ephemeral loopback port for jobs > 1,
+        and the fabric as ``REPRO_FABRIC`` configures it whenever that is
+        set."""
         for variable in (CHAOS_ENV_VAR, PROGRESS_ENV_VAR, FABRIC_ENV_VAR):
             monkeypatch.delenv(variable, raising=False)
         assert isinstance(_campaign_executor(1, False), SequentialExecutor)
         with _campaign_executor(2, False) as executor:
-            assert isinstance(executor, ResilientExecutor)
-            assert executor.jobs == 2
+            assert isinstance(executor, FabricExecutor)
+            assert executor.workers == executor.jobs == 2
+            assert executor.bind == ("127.0.0.1", 0)
         with _campaign_executor(1, True) as executor:  # journalled
-            assert isinstance(executor, ResilientExecutor)
+            assert type(executor) is LeaseExecutor
             assert executor.jobs == 1
         monkeypatch.setenv(CHAOS_ENV_VAR,
                            f"seed=1,exc=0.1,state={tmp_path / 'ledger'}")
-        assert isinstance(_campaign_executor(1, False), ResilientExecutor)
+        assert type(_campaign_executor(1, False)) is LeaseExecutor
         monkeypatch.delenv(CHAOS_ENV_VAR)
         monkeypatch.setenv(PROGRESS_ENV_VAR, "1")
-        assert isinstance(_campaign_executor(1, False), ResilientExecutor)
+        assert type(_campaign_executor(1, False)) is LeaseExecutor
         monkeypatch.delenv(PROGRESS_ENV_VAR)
         monkeypatch.setenv(FABRIC_ENV_VAR, "workers=1")
         assert isinstance(_campaign_executor(1, False), FabricExecutor)
+        monkeypatch.setenv(FABRIC_ENV_VAR, "workers=3")
+        assert _campaign_executor(2, False).workers == 3
 
 
 #: The real simulation trial functions behind the paper's Monte-Carlo
@@ -159,7 +173,7 @@ def test_simulation_sweep_outcomes_identical_at_any_job_count(name):
     trial_fn = SIM_TRIAL_FNS[name]
     seq = Sweep(master_seed=11, trials_per_point=3).run(
         SMALL_GRID, trial_fn, executor=SequentialExecutor())
-    with ResilientExecutor(jobs=4) as executor:
+    with _executor(4) as executor:
         par = Sweep(master_seed=11, trials_per_point=3).run(
             SMALL_GRID, trial_fn, executor=executor)
     for point_seq, point_par in zip(seq, par):
@@ -180,7 +194,7 @@ def test_flattened_dispatch_identical_to_per_point_at_any_job_count(name):
     reference = pickle.dumps(_per_point_reference(
         Sweep(master_seed=7, trials_per_point=3), SMALL_GRID, trial_fn))
     for jobs in (1, 2, 4):
-        with ResilientExecutor(jobs=jobs) as executor:
+        with _executor(jobs) as executor:
             flat = Sweep(master_seed=7, trials_per_point=3).run(
                 SMALL_GRID, trial_fn, executor=executor)
         assert pickle.dumps(flat) == reference
@@ -195,7 +209,7 @@ def test_multi_sweep_flattened_queue_identical_to_separate_runs():
         (Sweep(master_seed=4, trials_per_point=2),
          SMALL_GRID, fig08_failure_probability.page_trial),
     ]
-    with ResilientExecutor(jobs=3) as executor:
+    with _executor(3) as executor:
         combined = run_flattened(specs, executor)
     separate = [
         Sweep(master_seed=3, trials_per_point=2).run(
@@ -231,7 +245,7 @@ class TestFlattenedInterleavingProperties:
         reference = _per_point_reference(
             Sweep(master_seed=master, trials_per_point=trials), xs,
             _synthetic_trial_x)
-        with ResilientExecutor(jobs=jobs, chunk_size=chunk_size) as executor:
+        with _executor(jobs, chunk_size=chunk_size) as executor:
             flat = Sweep(master_seed=master, trials_per_point=trials).run(
                 xs, _synthetic_trial_x, executor=executor)
         assert pickle.dumps(flat) == pickle.dumps(reference)

@@ -1,17 +1,20 @@
-"""Distributed sweep fabric tests: protocol, leasing, recovery, identity.
+"""Sweep fabric tests: protocol, leasing, recovery, identity.
 
-The bar is the same one every execution backend in this repository pins:
-whatever the fabric weather — worker deaths, dropped connections,
-heartbeat blackholes, duplicated or delayed deliveries, stolen leases — a
-campaign that completes returns exactly the sequential reference bytes,
-and a campaign that dies leaves a journal a fresh run finishes from with
-zero recompute of journalled work.
+The fabric is the backend of every parallel run, so the bar is the one
+every execution backend in this repository pins: whatever the fabric
+weather — worker deaths, dropped connections, heartbeat blackholes,
+duplicated or delayed deliveries, stolen leases, transient trial
+failures, interrupts — a campaign that completes returns exactly the
+sequential reference bytes, and a campaign that dies leaves a journal a
+fresh run finishes from with zero recompute of journalled work.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import pickle
 import socket
 import threading
 import time
@@ -27,16 +30,18 @@ from repro.stats.fabric import (
     FabricProtocolError,
     FabricWorker,
     WorkerRefusedError,
+    _local_worker_main,
     parse_address,
     recv_message,
     send_message,
 )
+from repro.stats.lease import LeaseExecutor
+from repro.stats.montecarlo import TrialExecutionError
 from repro.stats.store import ResultStore, campaign_digest
 
 SPEC_DIGEST = campaign_digest({"campaign": "fabric-tests"})
 
-#: The keyed task grid (sweep, point, trial, seed) — mirrors the
-#: resilient-executor suite so the two backends face identical work.
+#: The keyed task grid (sweep, point, trial, seed) every test maps over.
 TASKS = [(0, index // 8, index % 8, 0x7000 + index) for index in range(32)]
 
 REFERENCE = [seed * seed for _, _, _, seed in TASKS]
@@ -55,6 +60,19 @@ def _worker_pid(task):
 def _slow_square(task):
     time.sleep(0.05)
     return _square(task)
+
+
+def _late_worker(event, address, digest, name):
+    """A local worker that starts serving once ``event`` is set."""
+    event.wait(timeout=10.0)
+    _local_worker_main(address, digest, None, name)
+
+
+def _fragile(task):
+    """Fails permanently at one specific trial coordinate."""
+    if task[2] == 5 and task[1] == 1:
+        raise ValueError("persistent trial bug")
+    return task[3] * task[3]
 
 
 class _CountingTrial:
@@ -249,13 +267,21 @@ class TestFromSpec:
 # -- determinism ------------------------------------------------------------
 
 class TestDeterminism:
-    def test_matches_sequential_reference(self):
-        executor = FabricExecutor(workers=2, chaos=None)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_matches_sequential_reference(self, workers):
+        executor = FabricExecutor(workers=workers, chaos=None)
         assert executor.map_keyed(_square, TASKS, TASKS) == REFERENCE
 
     def test_plain_map_uses_synthetic_keys(self):
         executor = FabricExecutor(workers=2, chaos=None)
         assert executor.map(_square, TASKS) == REFERENCE
+        assert LeaseExecutor().map(_square, TASKS) == REFERENCE
+
+    def test_ordered_progress_callback_covers_every_index(self):
+        seen = []
+        FabricExecutor(workers=4, chaos=None).map_keyed(
+            _square, TASKS, TASKS, progress=lambda i, r: seen.append((i, r)))
+        assert seen == list(enumerate(REFERENCE))
 
     def test_mismatched_keys_rejected(self):
         executor = FabricExecutor(workers=2, chaos=None)
@@ -264,7 +290,8 @@ class TestDeterminism:
 
     def test_single_local_worker_serves_every_lease(self):
         """One local worker still gets the leases: the frame's in-process
-        path is for the pool at one job, never for the fabric."""
+        path is for jobs=1 runs and unpicklable trials, never for a
+        fabric with a worker."""
         executor = FabricExecutor(workers=1, chaos=None)
         pids = executor.map(_worker_pid, list(range(6)))
         assert len(set(pids)) == 1
@@ -291,6 +318,72 @@ class TestDeterminism:
 
             assert executor.map_keyed(_boom, TASKS, TASKS) == REFERENCE
             assert executor.last_progress["cached"] == len(TASKS)
+
+    def test_partial_journal_computes_only_the_gap(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        log = str(tmp_path / "exec.log")
+        with ResultStore(path, SPEC_DIGEST) as journal:
+            for task in TASKS[:20]:
+                journal.record(task, _square(task))
+        with ResultStore(path, SPEC_DIGEST) as journal:
+            executor = FabricExecutor(workers=2, chaos=None, journal=journal)
+            assert executor.map_keyed(_CountingTrial(log), TASKS,
+                                      TASKS) == REFERENCE
+            assert len(journal) == len(TASKS)
+        assert len(_executions(log)) == len(TASKS) - 20
+
+    def test_journal_backed_progress_shape(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        snapshots = []
+        with ResultStore(path, SPEC_DIGEST) as journal:
+            for task in TASKS[:8]:
+                journal.record(task, _square(task))
+        with ResultStore(path, SPEC_DIGEST) as journal:
+            executor = FabricExecutor(workers=2, chaos=None, journal=journal,
+                                      on_progress=snapshots.append)
+            executor.map_keyed(_square, TASKS, TASKS)
+        assert snapshots[0]["cached"] == 8  # "resumed at 8/32" surfaced first
+        assert snapshots[0]["completed"] == 8
+        final = snapshots[-1]
+        assert final["completed"] == final["total"] == len(TASKS)
+        assert final["last_checkpoint"] is not None
+        assert {"retries", "redispatches", "workers", "respawns"} \
+            <= set(final)
+
+    def test_late_local_worker_ends_the_map_at_once(self, monkeypatch):
+        """A local worker that starts only after the map's last lease is
+        done (it forked late, say) has no work left: the map ends at once
+        instead of waiting for it, and no worker process is left."""
+        context = multiprocessing.get_context("fork")
+        done = context.Event()
+        spawned = []
+        spawn = FabricExecutor._spawn_worker
+
+        def spawn_second_late(self, address, digest, slot):
+            if slot == 0:
+                proc = spawn(self, address, digest, slot)
+            else:
+                proc = context.Process(
+                    target=_late_worker,
+                    args=(done, address, digest, f"late-{slot}"),
+                    daemon=True)
+                proc.start()
+            spawned.append(proc)
+            return proc
+
+        def note_progress(progress):
+            if progress["completed"] == progress["total"]:
+                done.set()
+
+        monkeypatch.setattr(FabricExecutor, "_spawn_worker",
+                            spawn_second_late)
+        executor = FabricExecutor(workers=2, chaos=None,
+                                  on_progress=note_progress)
+        start = time.monotonic()
+        assert executor.map(_square, TASKS[:16]) == REFERENCE[:16]
+        assert time.monotonic() - start < 1.0
+        assert len(spawned) == 2
+        assert not any(proc.is_alive() for proc in spawned)
 
 
 # -- handshake --------------------------------------------------------------
@@ -365,19 +458,62 @@ class TestRecovery:
         assert executor.counters["workers_lost"] >= 1
         assert executor.counters["redispatches"] >= 1
 
-    def test_all_workers_dead_budget_exhausted_raises(self, tmp_path):
+    def test_chaos_killed_workers_respawned(self, tmp_path):
+        chaos = ChaosConfig(seed=_chaos_seed_with("crash", 0.1),
+                            crash=0.1, state_dir=str(tmp_path / "ledger"))
+        executor = FabricExecutor(workers=3, chaos=chaos,
+                                  max_worker_respawns=10,
+                                  heartbeat_interval_s=0.05)
+        assert executor.map_keyed(_square, TASKS, TASKS) == REFERENCE
+        assert executor.last_progress["respawns"] >= 1
+
+    @pytest.mark.parametrize("workers,rate,count", [(1, 1.0, None),
+                                                    (2, 0.1, 2)])
+    def test_all_workers_dead_budget_exhausted_raises(self, tmp_path,
+                                                      workers, rate, count):
         """Every worker dead and no respawns left: the journal is
-        checkpointed and FabricError says to rerun."""
-        chaos = ChaosConfig(seed=_chaos_seed_with("crash", 1.0), crash=1.0,
-                            state_dir=str(tmp_path / "ledger"))
+        checkpointed, FabricError says to rerun, and a clean rerun
+        finishes from it."""
+        chaos = ChaosConfig(seed=_chaos_seed_with("crash", rate, count),
+                            crash=rate, state_dir=str(tmp_path / "ledger"))
         path = str(tmp_path / "j.jsonl")
         with ResultStore(path, SPEC_DIGEST) as journal:
-            executor = FabricExecutor(workers=1, chaos=chaos, chunk_size=4,
-                                      journal=journal,
+            executor = FabricExecutor(workers=workers, chaos=chaos,
+                                      chunk_size=4, journal=journal,
                                       max_worker_respawns=0,
                                       heartbeat_interval_s=0.05)
             with pytest.raises(FabricError, match="rerun to resume"):
                 executor.map_keyed(_square, TASKS, TASKS)
+            assert len(journal) < len(TASKS)
+        with ResultStore(path, SPEC_DIGEST) as journal:
+            executor = FabricExecutor(workers=2, chaos=None, journal=journal)
+            assert executor.map_keyed(_square, TASKS, TASKS) == REFERENCE
+
+    def test_chaos_exceptions_retried_to_success(self, tmp_path):
+        chaos = ChaosConfig(seed=_chaos_seed_with("exc", 0.15),
+                            exc=0.15, state_dir=str(tmp_path / "ledger"))
+        executor = FabricExecutor(workers=3, chaos=chaos, max_retries=4,
+                                  backoff_base_s=0.01)
+        assert executor.map_keyed(_square, TASKS, TASKS) == REFERENCE
+        assert executor.last_progress["retries"] >= 1
+
+    def test_exhausted_retries_surface_replay_coordinates(self):
+        executor = FabricExecutor(workers=2, chaos=None, chunk_size=1,
+                                  max_retries=1, backoff_base_s=0.01)
+        with pytest.warns(RuntimeWarning, match="replay the failing"):
+            with pytest.raises(TrialExecutionError) as excinfo:
+                executor.map_keyed(_fragile, TASKS, TASKS)
+        error = excinfo.value
+        failing = next(task for task in TASKS
+                       if task[1] == 1 and task[2] == 5)
+        assert error.key == failing
+        assert f"{failing[3]:#018x}" in str(error)
+
+    def test_trial_error_pickles_with_coordinates(self):
+        error = TrialExecutionError(1, 2, 3, 0xABC, "ValueError('x')")
+        clone = pickle.loads(pickle.dumps(error))
+        assert clone.key == error.key
+        assert str(clone) == str(error)
 
     def test_connection_drop_is_survived(self, tmp_path):
         """A chaos-scheduled connection drop loses the in-flight result;
@@ -462,6 +598,8 @@ class TestRecovery:
                                       on_progress=interrupt)
             with pytest.raises(KeyboardInterrupt):
                 executor.map_keyed(_CountingTrial(log), TASKS, TASKS)
+        # nothing keeps computing results nobody will collect
+        assert not multiprocessing.active_children()
 
         with ResultStore(path, SPEC_DIGEST) as journal:
             done = set(journal.keys())

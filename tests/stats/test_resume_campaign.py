@@ -1,12 +1,13 @@
 """Acceptance: a twice-killed, twice-resumed parallel campaign is
 byte-identical to a clean sequential run.
 
-The scenario ISSUE-level fault tolerance is measured by: a tiny
-``ext_interference`` campaign is killed mid-run twice — once by an
-injected worker crash (chaos schedule, rebuild budget 0), once by a
-simulated Ctrl-C — resumed from its result journal each time, and the
-final :class:`~repro.stats.sweep.SweepPoint` aggregates must have exactly
-the same pickle bytes as an uninterrupted sequential run.  A counting
+The scenario fault tolerance is measured by: a tiny ``ext_interference``
+campaign on two local fabric workers is killed mid-run twice — once by
+injected crashes of both workers (chaos schedule, respawn budget 0, so
+no worker is left to take the leases over), once by a simulated Ctrl-C —
+resumed from its result journal each time, and the final
+:class:`~repro.stats.sweep.SweepPoint` aggregates must have exactly the
+same pickle bytes as an uninterrupted sequential run.  A counting
 side-file bounds the recomputation: beyond one execution per task, at
 most the in-flight chunks of each kill run again.
 """
@@ -23,7 +24,8 @@ import pytest
 from repro.experiments import ext_interference
 from repro.experiments.common import run_sweep
 from repro.stats.chaos import ChaosConfig
-from repro.stats.resilient import ResilientExecutor
+from repro.stats.fabric import FabricError, FabricExecutor
+from repro.stats.lease import LeaseExecutor
 from repro.stats.store import SpecMismatchError
 from repro.stats.sweep import Sweep, flat_tasks
 
@@ -54,9 +56,9 @@ def _executions(path):
 
 
 def _settled_executions(path, settle_s=0.6, timeout_s=10.0):
-    """The execution log once abandoned workers have drained: a simulated
-    interrupt leaves worker processes finishing the chunks already in
-    their call queue, so the log keeps growing briefly after the kill."""
+    """The execution log once abandoned workers are gone: a worker
+    terminated mid-chunk may have appended to the log just before, so
+    wait until it stops growing."""
     deadline = time.monotonic() + timeout_s
     last, last_change = _executions(path), time.monotonic()
     while time.monotonic() < deadline:
@@ -88,23 +90,22 @@ def _campaign_tasks(xs):
 
 
 def _early_crash_chaos(tasks, state_dir) -> ChaosConfig:
-    """A chaos schedule crashing exactly one trial in the first half of
-    the task queue (so the first kill lands before the campaign is nearly
-    done) — found by deterministic scan, like any other seed choice."""
+    """A chaos schedule crashing exactly ``JOBS`` trials, all in the first
+    half of the task queue (so the first kill lands before the campaign
+    is nearly done): each crash kills one worker, since a fault fires
+    once — found by deterministic scan, like any other seed choice."""
     seeds = [task[3] for task in tasks]
     early = set(seeds[:len(seeds) // 2])
     for chaos_seed in range(20000):
         config = ChaosConfig(seed=chaos_seed, crash=0.15)
         plan = config.schedule(seeds)
-        if len(plan) == 1 and set(plan) <= early:
+        if len(plan) == JOBS and set(plan) <= early:
             return config.with_state_dir(state_dir)
-    raise AssertionError("no single-early-crash chaos seed found")
+    raise AssertionError("no early-crash chaos seed found")
 
 
 def test_twice_killed_twice_resumed_campaign_matches_sequential(
         tiny_experiments, monkeypatch, tmp_path):
-    from concurrent.futures.process import BrokenProcessPool
-
     from repro.stats.chaos import CHAOS_ENV_VAR
 
     monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
@@ -122,12 +123,13 @@ def test_twice_killed_twice_resumed_campaign_matches_sequential(
 
     campaign_fn = _CountingCampaignTrial(str(tmp_path / "campaign.log"))
 
-    # kill 1 — injected worker death: the chaos crash takes the pool down
-    # and the exhausted rebuild budget (0) surfaces it after checkpointing
+    # kill 1 — injected worker deaths: the chaos crashes take every local
+    # worker down, and the exhausted respawn budget (0) surfaces it after
+    # checkpointing
     chaos = _early_crash_chaos(tasks, str(tmp_path / "ledger"))
-    with ResilientExecutor(jobs=JOBS, chaos=chaos,
-                           max_pool_rebuilds=0) as executor:
-        with pytest.raises(BrokenProcessPool, match="rerun to resume"):
+    with FabricExecutor(workers=JOBS, chaos=chaos,
+                        max_worker_respawns=0) as executor:
+        with pytest.raises(FabricError, match="rerun to resume"):
             run_sweep(SEED, TRIALS, xs, campaign_fn, executor=executor,
                       resume=resume_dir, store_name="acceptance")
 
@@ -141,7 +143,8 @@ def test_twice_killed_twice_resumed_campaign_matches_sequential(
         if progress["completed"] - progress["cached"] >= 1:
             raise KeyboardInterrupt
 
-    with ResilientExecutor(jobs=JOBS, on_progress=interrupt) as executor:
+    with FabricExecutor(workers=JOBS, chaos=None,
+                        on_progress=interrupt) as executor:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(SEED, TRIALS, xs, campaign_fn, executor=executor,
                       resume=resume_dir, store_name="acceptance")
@@ -149,9 +152,8 @@ def test_twice_killed_twice_resumed_campaign_matches_sequential(
     # kill 2 made durable forward progress before dying
     keys_after_kill_2 = _journal_keys(journal_path)
     assert keys_after_kill_1 < keys_after_kill_2 < set(tasks)
-    # a cooperative interrupt lets abandoned workers drain the chunks
-    # already in their call queue; wait them out so the next run's
-    # executions can be counted exactly
+    # wait for the log to settle, so the next run's executions can be
+    # counted exactly
     executed_before_resume = _settled_executions(campaign_log)
 
     # resume 2 — a clean parallel run finishes the journal
@@ -173,8 +175,8 @@ def test_twice_killed_twice_resumed_campaign_matches_sequential(
     assert resumed_executions == len(tasks) - len(keys_after_kill_2)
 
     # and the total lost work is bounded by what each kill can abandon:
-    # per kill, at most ``jobs`` chunks executing plus ``jobs + 1`` more
-    # already in the workers' call queue (chunks are single tasks here)
+    # per kill, at most the ``jobs`` leases in flight (two tasks each
+    # here), well inside this bound
     assert len(executed) <= len(tasks) + 2 * (2 * JOBS + 1)
 
     # a further run against the complete journal recomputes nothing
@@ -221,7 +223,7 @@ def test_sequential_chaos_resume_replays_journal_with_zero_recompute(
     campaign_fn = _CountingCampaignTrial(campaign_log)
     # retries disabled, so the injected fault kills the sequential run —
     # after the journal checkpointed everything completed before it
-    with ResilientExecutor(jobs=1, max_retries=0) as executor:
+    with LeaseExecutor(max_retries=0) as executor:
         with pytest.raises(ChaosError, match="injected"):
             run_sweep(SEED, TRIALS, xs, campaign_fn, executor=executor,
                       resume=resume_dir, store_name="sequential")
@@ -233,8 +235,8 @@ def test_sequential_chaos_resume_replays_journal_with_zero_recompute(
     assert len(_executions(campaign_log)) == len(done)
 
     # rerun at jobs=1 with REPRO_CHAOS still set: _campaign_executor
-    # routes it through the resilient sequential path, the fault has
-    # fired once (durable ledger), and the journalled prefix is replayed
+    # routes it through the in-process lease frame, the fault has fired
+    # once (durable ledger), and the journalled prefix is replayed
     resumed = run_sweep(SEED, TRIALS, xs, campaign_fn, jobs=1,
                         resume=resume_dir, store_name="sequential")
     assert pickle.dumps(resumed) == reference_bytes

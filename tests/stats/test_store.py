@@ -13,8 +13,8 @@ import os
 
 import pytest
 
+from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import TrialOutcome
-from repro.stats.resilient import ResilientExecutor
 from repro.stats.store import (
     CorruptJournalError,
     ResultStore,
@@ -209,7 +209,7 @@ class TestMapKeyedJournal:
             return item * item
 
         with ResultStore(path, campaign_digest(SPEC)) as store:
-            results = ResilientExecutor(jobs=1).map_keyed(
+            results = LeaseExecutor().map_keyed(
                 fn, items, keys, journal=store)
         assert results == [item * item for item in items]
         assert calls == []
@@ -229,7 +229,7 @@ class TestMapKeyedJournal:
             return item * item
 
         with ResultStore(path, campaign_digest(SPEC)) as store:
-            results = ResilientExecutor(jobs=1).map_keyed(
+            results = LeaseExecutor().map_keyed(
                 fn, items, keys, journal=store)
             # fresh completions were journalled as they arrived
             assert len(store) == len(items)
@@ -239,6 +239,26 @@ class TestMapKeyedJournal:
         # and the now-complete journal needs no compute at all
         with ResultStore(path, campaign_digest(SPEC)) as store:
             calls.clear()
-            assert ResilientExecutor(jobs=1).map_keyed(
+            assert LeaseExecutor().map_keyed(
                 fn, items, keys, journal=store) == results
         assert calls == []
+
+    def test_interrupt_checkpoints_what_completed(self, tmp_path):
+        """A Ctrl-C out of an in-process trial leaves the journal holding
+        every task completed before it."""
+        path = str(tmp_path / "j.jsonl")
+        keys = [(0, 0, t, 10 + t) for t in range(6)]
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            if len(calls) > 3:
+                raise KeyboardInterrupt
+            return item * item
+
+        with ResultStore(path, campaign_digest(SPEC)) as store:
+            with pytest.raises(KeyboardInterrupt):
+                LeaseExecutor().map_keyed(fn, list(range(6)), keys,
+                                          journal=store)
+        with ResultStore(path, campaign_digest(SPEC)) as store:
+            assert len(store) == 3
