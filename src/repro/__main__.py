@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="SECS",
                             help="print a journal-backed status line to "
                                  "stderr at most every SECS seconds "
-                                 "(default 1; equivalent to setting "
-                                 "REPRO_PROGRESS)")
+                                 "(default 1; 0 turns the line off; "
+                                 "equivalent to setting REPRO_PROGRESS)")
 
     worker_parser = subparsers.add_parser(
         "fabric-worker",

@@ -66,10 +66,6 @@ class BtClock:
             tick += modulo - remainder
         return self.time_at_tick(tick)
 
-    def slot_index(self, now_ns: int) -> int:
-        """Unwrapped slot count (2 ticks per slot)."""
-        return self.ticks(now_ns) // 2
-
     def synchronise_to(self, other: "BtClock", now_ns: int) -> None:
         """Adopt ``other``'s value *and grid* by adjusting our offset.
 

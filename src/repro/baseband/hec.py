@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baseband.lfsr import remainder_bits, shift_divide
+from repro.baseband.lfsr import remainder_bits
 
 #: Generator polynomial including the x^8 term: 1 1010 0111.
 HEC_POLY = 0x1A7
@@ -28,8 +28,3 @@ def hec_check(header_bits: np.ndarray, hec_bits: np.ndarray, uap: int) -> bool:
         raise ValueError(f"HEC must be 8 bits, got {len(hec_bits)}")
     expected = hec_compute(header_bits, uap)
     return bool(np.array_equal(expected, hec_bits))
-
-
-def hec_register(header_bits: np.ndarray, uap: int) -> int:
-    """The raw remainder register value (integer form), for tests."""
-    return shift_divide(header_bits, HEC_POLY, HEC_DEGREE, init=uap & 0xFF)

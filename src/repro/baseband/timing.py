@@ -17,18 +17,3 @@ SYNC_DECISION_NS = 68 * units.BIT_NS
 
 #: Additional time to the end of the (FEC 1/3) header: trailer 4 + 54 bits.
 HEADER_DECISION_NS = SYNC_DECISION_NS + (4 + 54) * units.BIT_NS
-
-
-def is_master_tx_slot(clk: int) -> bool:
-    """Master transmits in slots where CLK1 = 0 (even slots)."""
-    return ((clk >> 1) & 1) == 0
-
-
-def is_slave_tx_slot(clk: int) -> bool:
-    """Slaves respond in slots where CLK1 = 1 (odd slots)."""
-    return ((clk >> 1) & 1) == 1
-
-
-def slot_start(clk: int) -> bool:
-    """True on ticks that begin a slot (CLK0 = 0)."""
-    return (clk & 1) == 0

@@ -24,19 +24,13 @@ class NoiseConfig:
             are inverted independently with this probability (paper section 2:
             "inversion of the bit in the channel controlled by a random number
             generator").
-        burst_avg_len: if > 1, use a Gilbert-Elliott burst model whose *average*
-            BER stays ``ber`` but whose errors cluster in bursts with this mean
-            length (extension; the paper's model is iid).
     """
 
     ber: float = 0.0
-    burst_avg_len: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ber < 0.5:
             raise ConfigError(f"BER must lie in [0, 0.5), got {self.ber}")
-        if self.burst_avg_len < 1.0:
-            raise ConfigError("burst_avg_len must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,6 @@ class SimulationError(ReproError):
     """Raised for kernel-level faults (scheduling in the past, etc.)."""
 
 
-class ProcessError(SimulationError):
-    """Raised when a simulation process misbehaves (bad yield value...)."""
-
-
 class TracingError(SimulationError):
     """Raised for waveform-tracing problems (duplicate ids, closed writer)."""
 

@@ -88,8 +88,12 @@ def bit_accurate_default() -> bool:
 
 def timeline_dir() -> Optional[str]:
     """The REPRO_TIMELINE_DIR archive directory, or None when archiving
-    is off (unset or blank)."""
+    is off (unset or blank).  A path that exists and is not a directory
+    raises a ``ValueError`` naming the variable."""
     value = os.environ.get(TIMELINE_DIR_ENV_VAR, "").strip()
+    if value and os.path.exists(value) and not os.path.isdir(value):
+        raise ValueError(
+            f"{TIMELINE_DIR_ENV_VAR}={value!r} is not a directory")
     return value or None
 
 
@@ -215,6 +219,7 @@ def _campaign(name: str, spec, jobs: Optional[int], resume: Optional[str],
     so a journal of one mode is refused under the other."""
     if executor is None:
         jobs = default_jobs(jobs)
+    timeline_dir()  # read by the trials that archive, checked for all
     directory = resume if resume is not None else resume_dir()
     with (nullcontext(executor) if executor is not None
           else _campaign_executor(jobs, directory is not None)) as chosen:
@@ -382,8 +387,9 @@ def _task_fingerprint(task) -> int:
 def map_points(fn: Callable, tasks: list, jobs: Optional[int] = None,
                resume: Optional[str] = None,
                store_name: Optional[str] = None) -> list:
-    """Ordered, optionally parallel starmap for non-MonteCarlo experiment
-    grids (activity/goodput points): ``fn(*task)`` per task tuple.  ``fn``
+    """Ordered, optionally parallel starmap for experiment grids that
+    are not trial sweeps (activity/goodput points): ``fn(*task)`` per task
+    tuple.  ``fn``
     must be a module-level callable for process fan-out.
 
     ``resume``/``REPRO_RESUME_DIR`` journal completed points keyed by

@@ -115,12 +115,6 @@ class RxBuffer:
         self._items.append(item)
         return True
 
-    def pop(self) -> Optional[InboundData]:
-        """Oldest undelivered payload, or None."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
     def drain(self) -> list[InboundData]:
         """Remove and return everything."""
         items = list(self._items)

@@ -484,11 +484,14 @@ class ConnectionMaster:
         return link.am_addr
 
     def detach(self, am_addr: int) -> None:
-        """Drop a slave from the piconet (master's view)."""
+        """Drop a slave from the piconet (master's view), with whatever
+        is still queued toward it: a slave paged in later under the same
+        AM_ADDR must not receive the departed one's packets."""
         self.piconet.remove_slave(am_addr)
         self.arq.pop(am_addr, None)
         self.hold_schedules.pop(am_addr, None)
         self._resync_needed.discard(am_addr)
+        self.device.tx_buffers.pop(am_addr, None)
 
     def _link(self, am_addr: int):
         link = self.piconet.slaves.get(am_addr)

@@ -6,9 +6,8 @@ hold, serve a sniffing slave at its anchor, send queued data, or
 keep-alive poll the active slave whose T_poll deadline is closest. The
 policy object makes the choice, and it also tells the master the next
 pair at which a choice can be made (:meth:`PollingPolicy.next_due`), so
-an idle master sleeps through the pairs in between. The default
-round-robin policy reproduces the paper's behaviour and an exhaustive
-policy is provided for the scheduling ablation.
+an idle master sleeps through the pairs in between. The round-robin
+policy reproduces the paper's behaviour.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ _POLL = tuple(SlotAction("poll", am_addr) for am_addr in range(8))
 
 # an Enum class attribute lookup is not cached by the interpreter, and the
 # policy tests the mode of every slave at every pair
-_ACTIVE, _SNIFF = ConnectionMode.ACTIVE, ConnectionMode.SNIFF
+_SNIFF = ConnectionMode.SNIFF
 
 
 class PollingPolicy:
@@ -147,20 +146,3 @@ class RoundRobinPolicy(PollingPolicy):
                 due = at
         return due
 
-
-class ExhaustivePolicy(RoundRobinPolicy):
-    """Ablation: poll every reachable slave each slot pair, regardless of
-    T_poll (maximum responsiveness, maximum power)."""
-
-    next_due = PollingPolicy.next_due
-
-    def choose(self, master: "ConnectionMaster", slot_index: int) -> Optional[SlotAction]:
-        action = super().choose(master, slot_index)
-        if action is not None:
-            return action
-        links = [l for l in master.piconet.slaves.values()
-                 if l.mode is _ACTIVE]
-        if not links:
-            return None
-        target = links[slot_index % len(links)]
-        return _POLL[target.am_addr]

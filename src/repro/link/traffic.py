@@ -2,15 +2,14 @@
 
 These model the paper's "different algorithms at application layer": a
 periodic source (Fig. 11's master sending data to the slave every 100
-slots), a duty-cycle source (Fig. 10's x-axis) and a Poisson source
-(extension), all feeding a device's TX buffer toward a destination.
+slots), a duty-cycle source (Fig. 10's x-axis) and a saturated source
+(the throughput and interference extensions), all feeding a device's TX
+buffer toward a destination.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from repro import units
 from repro.baseband.packets import PacketType
@@ -92,30 +91,6 @@ class DutyCycleTraffic(TrafficSource):
     def _tick(self) -> None:
         self._emit()
         self.device.sim.schedule(self._period_ns, self._tick)
-
-
-class PoissonTraffic(TrafficSource):
-    """Memoryless arrivals at ``rate_per_slot`` payloads per slot."""
-
-    def __init__(self, device: "BluetoothDevice", am_addr: int,
-                 rate_per_slot: float, rng: np.random.Generator, **kwargs):
-        super().__init__(device, am_addr, **kwargs)
-        if rate_per_slot <= 0:
-            raise ConfigError("rate_per_slot must be positive")
-        self.rate_per_slot = rate_per_slot
-        self._rng = rng
-
-    def start(self) -> None:
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        gap_slots = self._rng.exponential(1.0 / self.rate_per_slot)
-        delay_ns = max(1, round(gap_slots * units.SLOT_NS))
-        self.device.sim.schedule(delay_ns, self._arrive)
-
-    def _arrive(self) -> None:
-        self._emit()
-        self._schedule_next()
 
 
 class SaturatedTraffic(TrafficSource):

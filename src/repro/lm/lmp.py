@@ -20,6 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: How many master-slot pairs in the future negotiated changes take effect.
 APPLY_DELAY_PAIRS = 12
 
+#: How many of a slave's poll intervals the master waits for the
+#: acknowledgement of a DETACH before it drops its side regardless.
+DETACH_TIMEOUT_POLLS = 6
+
 
 class LinkManager:
     """Per-device LMP endpoint.
@@ -105,11 +109,35 @@ class LinkManager:
                                 pm_addr=pm_addr)))
 
     def request_detach(self, am_addr: int, reason: int = 0) -> None:
-        """Detach a slave from the piconet (master role)."""
+        """Detach a slave from the piconet (master role).
+
+        The master drops its side at the first check, every
+        ``APPLY_DELAY_PAIRS`` pairs, at which the slave has acknowledged
+        the DETACH PDU (no LMP PDU is left queued toward it), or once
+        ``DETACH_TIMEOUT_POLLS`` of the slave's poll intervals (T_sniff
+        for a sniffing slave, else T_poll) have passed without that."""
         master = self._master()
         self.send(am_addr, LmpPdu(LmpOpcode.DETACH, {"reason": reason}))
-        self._at_pair(master.pair_index() + APPLY_DELAY_PAIRS,
-                      lambda: master.detach(am_addr))
+        buffer = self.device.tx_buffers[am_addr]
+        start = master.pair_index()
+        t_poll = max(1, self.device.cfg.link.t_poll_slots // 2)
+
+        def check(pair: int) -> None:
+            link = master.piconet.slaves.get(am_addr)
+            if link is None:
+                return  # dropped already
+            head = buffer.head
+            interval = t_poll if link.sniff is None \
+                else link.sniff.t_sniff_slots  # in pairs on the master side
+            if head is None or not head.is_lmp \
+                    or pair - start >= DETACH_TIMEOUT_POLLS * interval:
+                master.detach(am_addr)
+            else:
+                later = pair + APPLY_DELAY_PAIRS
+                self._at_pair(later, lambda: check(later))
+
+        first = start + APPLY_DELAY_PAIRS
+        self._at_pair(first, lambda: check(first))
 
     # ------------------------------------------------------------------
     # Slave-side handlers
@@ -168,24 +196,24 @@ class LinkManager:
         self._at_slave_pair(pdu.params["start_pair"],
                             lambda: slave.enter_park(params))
 
-    def _on_unpark_req(self, src: int, pdu: LmpPdu) -> None:
-        slave = self._slave()
-        self._at_slave_pair(pdu.params["start_pair"],
-                            lambda: slave.unpark(pdu.params["am_addr"]))
-
     def _on_detach(self, src: int, pdu: LmpPdu) -> None:
         slave = self.device.connection_slave
-        if slave is not None:
-            slave.stop()
-            self.device.connection_slave = None
+        if slave is None:
+            return
+        device = self.device
+
+        def leave() -> None:
+            if device.connection_slave is slave:
+                device.detach()
+
+        # leave at the next pair boundary, once the reply that
+        # acknowledges the PDU has gone out
+        self._at_slave_pair(slave.pair_index() + 1, leave)
 
     def _on_accepted(self, src: int, pdu: LmpPdu) -> None:
         pass  # changes are applied on schedule; acceptance is informational
 
     def _on_not_accepted(self, src: int, pdu: LmpPdu) -> None:
-        pass
-
-    def _on_setup_complete(self, src: int, pdu: LmpPdu) -> None:
         pass
 
     # ------------------------------------------------------------------

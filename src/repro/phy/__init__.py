@@ -7,15 +7,13 @@ transmissions into the undefined value ``X``.
 """
 
 from repro.phy.channel import Channel, Reception
-from repro.phy.noise import BerNoise, GilbertElliottNoise, NoiseModel
+from repro.phy.noise import BerNoise
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.phy.transmission import Transmission, TxMeta
 
 __all__ = [
     "BerNoise",
     "Channel",
-    "GilbertElliottNoise",
-    "NoiseModel",
     "Reception",
     "RfFrontEnd",
     "RxExpect",

@@ -78,7 +78,7 @@ from repro.units import BIT_NS
 from repro.config import SimulationConfig
 from repro.errors import ChannelError
 from repro.phy.geometry import Position, Topology
-from repro.phy.noise import BerNoise, GilbertElliottNoise, NoiseModel
+from repro.phy.noise import BerNoise
 from repro.phy.rf import RfFrontEnd
 from repro.phy.transmission import Transmission, TxMeta
 from repro.sim.module import Module
@@ -149,13 +149,7 @@ class Channel(Module):
         # receivers are kept apart (their channel is evaluated on demand)
         self._tuned_by_freq: dict[int, dict[int, RfFrontEnd]] = {}
         self._following: dict[int, RfFrontEnd] = {}
-        noise_rng = rngs.stream("channel.noise")
-        if config.noise.burst_avg_len > 1.0:
-            self.noise: NoiseModel = GilbertElliottNoise(
-                config.noise.ber, config.noise.burst_avg_len, noise_rng
-            )
-        else:
-            self.noise = BerNoise(config.noise.ber, noise_rng)
+        self.noise = BerNoise(config.noise.ber, rngs.stream("channel.noise"))
         self.stage_model = StageErrorModel(config.noise.ber, rngs.stream("channel.stages"))
         # SIR capture profile: linear ACI gains by |carrier offset| and the
         # linear capture ratio.  Infinite rejection gives an exact 0.0 gain,

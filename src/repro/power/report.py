@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 from repro.power.model import PowerReport
 from repro.power.rf_activity import RfActivitySample
 
@@ -21,13 +19,3 @@ def format_power(label: str, report: PowerReport) -> str:
     return (f"{label:<16} {report.avg_power_mw:8.2f} mW  "
             f"({report.avg_current_ma:6.2f} mA avg, "
             f"{report.energy_mj:8.3f} mJ)")
-
-
-def activity_table(rows: Iterable[tuple[str, RfActivitySample]]) -> str:
-    """Multi-row activity table."""
-    return "\n".join(format_activity(label, sample) for label, sample in rows)
-
-
-def power_table(rows: Mapping[str, PowerReport]) -> str:
-    """Multi-row power table."""
-    return "\n".join(format_power(label, report) for label, report in rows.items())

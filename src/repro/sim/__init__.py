@@ -1,17 +1,15 @@
 """SystemC-like discrete-event simulation kernel.
 
 This subpackage is the substrate the paper's SystemC platform provides:
-an event scheduler with delta cycles, generator-based processes, signals
-with deferred (delta-delayed) writes, module hierarchy, clock generators,
-four-valued logic, waveform tracing (VCD) and activity monitors.
+an event scheduler with delta cycles, signals with deferred
+(delta-delayed) writes, a module hierarchy, waveform tracing (VCD) and
+activity monitors.  Models are callbacks scheduled on the simulator and
+subscribed to signals.
 """
 
-from repro.sim.clock import ClockGen
 from repro.sim.event import EventHandle
-from repro.sim.logic import Logic, resolve
 from repro.sim.module import Module
 from repro.sim.monitor import ActivityMonitor, EdgeCounter
-from repro.sim.process import Delay, WaitSignal, Process
 from repro.sim.rng import RandomStreams
 from repro.sim.signal import Signal
 from repro.sim.simulator import Simulator
@@ -20,18 +18,12 @@ from repro.sim.vcd import VcdWriter
 
 __all__ = [
     "ActivityMonitor",
-    "ClockGen",
-    "Delay",
     "EdgeCounter",
     "EventHandle",
-    "Logic",
     "Module",
-    "Process",
     "RandomStreams",
     "Signal",
     "Simulator",
     "TraceRecorder",
     "VcdWriter",
-    "WaitSignal",
-    "resolve",
 ]

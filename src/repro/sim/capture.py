@@ -168,18 +168,6 @@ class TimelineCapture:
     # Recording (hot-path entry points — callers guard on `is not None`)
     # ------------------------------------------------------------------
 
-    def record(self, t_ns: int, kind: str, src: str,
-               freq: Optional[int] = None, **data: Any) -> None:
-        """Append a record of a typed kind (generic entry point; the
-        positional helpers below are what the simulation hooks call).
-        ``data`` keys must be exactly the kind's detail fields."""
-        fields = _FIELDS[kind]
-        if set(data) != set(fields):
-            raise ValueError(
-                f"{kind!r} records carry fields {fields}, got {tuple(data)}")
-        row = (t_ns, kind, src, freq, *(data[field] for field in fields))
-        self._append(row + (None,) * (_WIDTH - len(row)))
-
     def hop(self, t_ns: int, src: str, clk: int, freq: int) -> None:
         """Master slot loop selected ``freq`` at piconet clock ``clk``."""
         self._append((t_ns, "hop", src, freq, clk, None, None, None))

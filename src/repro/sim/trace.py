@@ -11,7 +11,6 @@ import io
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.sim.logic import Logic
 from repro.sim.signal import Signal
 from repro.sim.simulator import Simulator
 from repro.sim.vcd import VcdWriter
@@ -84,7 +83,7 @@ class TraceRecorder:
         for name, traced in self.signals.items():
             scope, _, leaf = name.rpartition(".")
             sample = traced.values[0] if traced.values else False
-            if isinstance(sample, (bool, Logic)):
+            if isinstance(sample, bool):
                 variables[name] = writer.add_wire(scope, leaf)
             elif isinstance(sample, int):
                 variables[name] = writer.add_integer(scope, leaf)

@@ -1,8 +1,8 @@
 """Minimal Value Change Dump (VCD) writer.
 
-Produces files loadable by GTKWave & co. Supports 1-bit logic variables
-(bool or :class:`~repro.sim.logic.Logic`), integer buses and string
-(real-text) variables. Times are written in nanoseconds.
+Produces files loadable by GTKWave & co. Supports 1-bit (bool) wires,
+integer buses and string (real-text) variables. Times are written in
+nanoseconds.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import io
 from typing import Optional, Union
 
 from repro.errors import TracingError
-from repro.sim.logic import Logic
 
 _IDENT_ALPHABET = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -69,7 +68,7 @@ class VcdWriter:
         return var
 
     def add_wire(self, scope: str, name: str) -> VcdVariable:
-        """Declare a 1-bit logic variable."""
+        """Declare a 1-bit wire."""
         return self._add(scope, name, "wire", 1)
 
     def add_integer(self, scope: str, name: str, width: int = 32) -> VcdVariable:
@@ -110,19 +109,15 @@ class VcdWriter:
         self._header_done = True
 
     @staticmethod
-    def _format_value(var: VcdVariable, value: Union[bool, int, str, Logic]) -> str:
+    def _format_value(var: VcdVariable, value: Union[bool, int, str]) -> str:
         if var.kind == "wire":
-            if isinstance(value, Logic):
-                char = str(value)
-            else:
-                char = "1" if value else "0"
-            return f"{char}{var.ident}"
+            return f"{'1' if value else '0'}{var.ident}"
         if var.kind == "integer":
             return f"b{int(value):b} {var.ident}"
         text = str(value).replace(" ", "_") or "_"
         return f"s{text} {var.ident}"
 
-    def change(self, var: VcdVariable, time_ns: int, value: Union[bool, int, str, Logic]) -> None:
+    def change(self, var: VcdVariable, time_ns: int, value: Union[bool, int, str]) -> None:
         """Record that ``var`` took ``value`` at ``time_ns``."""
         if self._closed:
             raise TracingError("writer is closed")

@@ -1,4 +1,5 @@
-"""Monte Carlo harness and estimators for the paper's statistical figures."""
+"""Seeded trial sweeps, their executors and journals, and the estimators
+for the paper's statistical figures."""
 
 from repro.stats.chaos import ChaosConfig, ChaosError
 from repro.stats.estimators import (
@@ -18,7 +19,6 @@ from repro.stats.fabric import (
 )
 from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import (
-    MonteCarlo,
     TrialExecutionError,
     TrialOutcome,
     derive_seed,
@@ -43,7 +43,6 @@ __all__ = [
     "FabricWorker",
     "LeaseExecutor",
     "MeanEstimate",
-    "MonteCarlo",
     "ProportionEstimate",
     "ResultStore",
     "SequentialExecutor",

@@ -484,13 +484,6 @@ class FabricCoordinator:
                     pass
             self._close_conn(conn)
 
-    def __enter__(self) -> "FabricCoordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- connection plumbing (reader threads) -----------------------------
 
     def _accept_loop(self) -> None:

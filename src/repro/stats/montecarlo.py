@@ -1,18 +1,16 @@
-"""Seeded Monte Carlo trial runner.
+"""Seeded Monte Carlo trials: seed derivation, outcomes and failures.
 
 Each trial gets a deterministic seed derived from (master seed, trial
 index), so any individual trial — including a failing one — can be replayed
-in isolation, and a batch can be fanned out over worker processes (see
-:mod:`repro.stats.executor`) without changing a single outcome.
+in isolation, and a campaign can be fanned out over workers (see
+:mod:`repro.stats.sweep`) without changing a single outcome.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-from repro.stats.executor import Executor, SequentialExecutor
+from dataclasses import dataclass
+from typing import Any
 
 #: Environment knob: scale trial counts in benches without editing code.
 TRIALS_ENV_VAR = "REPRO_TRIALS"
@@ -113,58 +111,3 @@ class TrialExecutionError(RuntimeError):
         return (type(self), (self.sweep_index, self.point_index,
                              self.trial_index, self.seed, self.cause_repr))
 
-
-@dataclass
-class MonteCarlo:
-    """Runs ``trial_fn(seed) -> TrialOutcome`` over derived seeds.
-
-    Attributes:
-        master_seed: base seed; trial i uses :func:`derive_seed`.
-        trials: number of trials.
-    """
-
-    master_seed: int
-    trials: int
-    outcomes: list[TrialOutcome] = field(default_factory=list)
-
-    def seed_for(self, index: int) -> int:
-        """The replay seed of trial ``index``."""
-        return derive_seed(self.master_seed, index)
-
-    def seeds(self) -> list[int]:
-        """All trial seeds in index order (what a flattened dispatcher
-        enqueues; identical to the seeds :meth:`run` evaluates)."""
-        return [self.seed_for(index) for index in range(self.trials)]
-
-    def run(self, trial_fn: Callable[[int], TrialOutcome],
-            progress: Optional[Callable[[int, TrialOutcome], None]] = None,
-            executor: Optional[Executor] = None,
-            ) -> list[TrialOutcome]:
-        """Execute all trials; outcome order is by trial index.
-
-        ``executor`` selects the backend (default sequential).  Because
-        each trial is a pure function of its derived seed, the outcome
-        list is identical at any job count.
-        """
-        if executor is None:
-            executor = SequentialExecutor()
-        seeds = self.seeds()
-        self.outcomes.clear()  # a failing run must not leave stale results
-        self.outcomes[:] = executor.map(trial_fn, seeds, progress=progress)
-        return self.outcomes
-
-    # -- aggregation -----------------------------------------------------
-
-    @property
-    def successes(self) -> int:
-        return sum(1 for o in self.outcomes if o.success)
-
-    @property
-    def failure_rate(self) -> float:
-        if not self.outcomes:
-            return float("nan")
-        return 1.0 - self.successes / len(self.outcomes)
-
-    def successful_values(self) -> list[float]:
-        """Values of successful trials (the paper's conditional means)."""
-        return [o.value for o in self.outcomes if o.success]

@@ -1,4 +1,4 @@
-"""Parameter sweeps: run a Monte Carlo batch per x-axis point.
+"""Parameter sweeps: a batch of seeded trials per x-axis point.
 
 ``Sweep.run`` derives every (point, trial) task of the ``n_points x
 trials_per_point`` grid up front and sends the whole grid to the executor
@@ -27,7 +27,6 @@ from repro.stats.estimators import MeanEstimate, ProportionEstimate, mean_with_c
 from repro.stats.executor import Executor, SequentialExecutor
 from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import (
-    MonteCarlo,
     TrialExecutionError,
     TrialOutcome,
     derive_seed,
@@ -95,15 +94,10 @@ class Sweep:
     points: list[SweepPoint] = field(default_factory=list)
 
     def point_master_seed(self, point_index: int) -> int:
-        """The master seed of the Monte Carlo batch at ``point_index``."""
+        """The master seed of the trials at ``point_index``: trial ``t``
+        there runs at ``derive_seed(point_master_seed(point_index), t)``."""
         return derive_seed(self.master_seed, point_index,
                            stream=SWEEP_POINT_STREAM)
-
-    def point_monte_carlo(self, point_index: int) -> MonteCarlo:
-        """The (unrun) Monte-Carlo batch of ``point_index``; its
-        ``seed_for`` yields exactly the seeds the work queue uses."""
-        return MonteCarlo(master_seed=self.point_master_seed(point_index),
-                          trials=self.trials_per_point)
 
     def run(self, xs: list[tuple[float, str]],
             trial_fn: Callable[[float, int], TrialOutcome],
@@ -160,11 +154,11 @@ def flat_tasks(
     for sweep_index, (sweep, xs, _trial_fn) in enumerate(sweeps):
         point_slices = []
         for point_index in range(len(xs)):
-            mc = sweep.point_monte_carlo(point_index)
+            point_seed = sweep.point_master_seed(point_index)
             lo = len(tasks)
-            tasks.extend(
-                (sweep_index, point_index, trial, mc.seed_for(trial))
-                for trial in range(mc.trials))
+            tasks.extend((sweep_index, point_index, trial,
+                          derive_seed(point_seed, trial))
+                         for trial in range(sweep.trials_per_point))
             point_slices.append((lo, len(tasks)))
         slices.append(point_slices)
     return tasks, slices

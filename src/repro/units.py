@@ -61,11 +61,6 @@ def slots_to_ns(slots: float) -> int:
     return round(slots * SLOT_NS)
 
 
-def us_to_ns(micros: float) -> int:
-    """Convert microseconds to integer nanoseconds."""
-    return round(micros * US)
-
-
 def format_time(time_ns: int) -> str:
     """Render a simulation time compactly for logs and waveforms.
 

@@ -14,9 +14,7 @@ duplicates their constants), so a bug in a fast path cannot leak into its
 own oracle.  The hop oracles read only a selector's address and installed
 adaptive hop set: they derive the address fields A..E from the address
 bits and walk the PERM5 butterfly bit by bit, so they share nothing with
-the kernel's lookup tables.  The channel's
-bursty noise has its oracle here too: the two-state Gilbert-Elliott chain
-stepped bit by bit, reading only a noise model's parameters and state.
+the kernel's lookup tables.
 """
 
 from __future__ import annotations
@@ -299,26 +297,3 @@ def train_frequencies_reference(selector, clke: int,
     x0 = (clke >> 12) & 0x1F
     return [CHANNEL_REGISTER[_select_index_reference(
         selector.address, (x0 + koffset + j) % 32, 0, 0)] for j in range(16)]
-
-
-def gilbert_elliott_positions_reference(noise, n: int) -> np.ndarray:
-    """Error positions of an ``n``-bit frame from ``noise`` (a
-    ``GilbertElliottNoise``), drawn by the original two-uniforms-per-bit
-    chain step: the statistical reference for the vectorized sampler.
-    Carries the model's good/bad state across frames, as the sampler does."""
-    if noise.ber <= 0.0 or n == 0:
-        return np.zeros(0, dtype=np.int64)
-    positions = []
-    bad = noise._bad
-    enter, leave = noise._p_enter_bad, noise._p_leave_bad
-    uniforms = noise._rng.random(2 * n)
-    for i in range(n):
-        if bad:
-            if uniforms[2 * i] < noise.bad_ber:
-                positions.append(i)
-            if uniforms[2 * i + 1] < leave:
-                bad = False
-        elif uniforms[2 * i + 1] < enter:
-            bad = True
-    noise._bad = bad
-    return np.array(positions, dtype=np.int64)

@@ -56,6 +56,18 @@ class TestSeeding:
         assert first.rows == second.rows
 
 
+class TestAnalyticPer:
+    def test_closed_form_against_the_interferer_count(self):
+        per = ext_interference.analytic_per
+        assert per(1) == 0.0  # alone on the air
+        assert per(2) == pytest.approx(1 / 79)
+        assert per(20) == pytest.approx(1 - (78 / 79) ** 19)
+        values = [per(n) for n in range(1, 40)]
+        assert values == sorted(values) and values[-1] < 1.0
+        with pytest.raises(ValueError):
+            per(0)
+
+
 class TestMeasuredLoss:
     def test_run_point_reports_real_loss(self, tiny_campaign):
         goodput, loss, tx, rx, collisions = ext_interference.run_point(3, 77)

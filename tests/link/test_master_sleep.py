@@ -23,7 +23,7 @@ from repro.link.buffers import OutboundData
 from repro.link.connection import ConnectionMaster
 from repro.link.hold import HoldSchedule
 from repro.link.piconet import HoldParams, ParkParams, Piconet, SniffParams
-from repro.link.polling import ExhaustivePolicy, PollingPolicy, RoundRobinPolicy
+from repro.link.polling import PollingPolicy, RoundRobinPolicy
 from repro.link.states import ConnectionMode
 from repro.link.traffic import PeriodicTraffic
 
@@ -220,7 +220,6 @@ def test_exhaustive_and_base_policies_wake_every_pair():
     device, master = _bare_master(4000, 6)
     device.piconet.add_slave(BdAddr(0x1001), 1)
     assert PollingPolicy().next_due(master, 17) == 17
-    assert ExhaustivePolicy().next_due(master, 17) == 17
     assert RoundRobinPolicy().next_due(master, 17) == 17  # never polled yet
 
 

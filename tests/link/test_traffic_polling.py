@@ -1,15 +1,12 @@
 """Traffic generators and polling policies."""
 
-import numpy as np
 import pytest
 
 from repro.baseband.packets import PacketType
 from repro.errors import ConfigError
-from repro.link.polling import ExhaustivePolicy, RoundRobinPolicy
 from repro.link.traffic import (
     DutyCycleTraffic,
     PeriodicTraffic,
-    PoissonTraffic,
     SaturatedTraffic,
 )
 from tests.conftest import make_session
@@ -40,15 +37,6 @@ class TestTrafficSources:
         session.run_slots(4000)  # 2000 pairs -> ~20 payloads at 1 %
         assert source.generated == pytest.approx(20, abs=2)
 
-    def test_poisson_rate(self):
-        session, master, slave = connected(seed=63)
-        source = PoissonTraffic(master, 1, rate_per_slot=0.02,
-                                rng=np.random.default_rng(0),
-                                ptype=PacketType.DM1, payload_len=5)
-        source.start()
-        session.run_slots(5000)
-        assert source.generated == pytest.approx(100, rel=0.4)
-
     def test_saturated_keeps_buffer_full(self):
         session, master, slave = connected(seed=64)
         SaturatedTraffic(master, 1, ptype=PacketType.DH1).start()
@@ -77,17 +65,6 @@ class TestPollingPolicies:
         counts = [s.connection_slave.stats_rx_packets for s in slaves]
         assert all(c > 5 for c in counts)
         assert max(counts) < 4 * min(counts)
-
-    def test_exhaustive_polls_more(self):
-        session = make_session(seed=68)
-        master = session.add_device("master")
-        slave = session.add_device("slave")
-        session.run_page(master, slave)
-        master.connection_master.policy = ExhaustivePolicy()
-        before = master.connection_master.stats_tx_packets
-        session.run_slots(100)
-        polls = master.connection_master.stats_tx_packets - before
-        assert polls >= 45  # nearly every pair
 
     def test_data_preferred_over_poll(self):
         session, master, slave = connected(seed=69, t_poll_slots=4)

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.baseband.packets import PacketType
 from repro.errors import DecodingError
-from repro.link.states import ConnectionMode
+from repro.link.states import ConnectionMode, DeviceState
 from repro.lm.pdu import LmpOpcode, LmpPdu
 from tests.conftest import make_session
+from tests.kernels import kernel
 
 
 class TestPdu:
@@ -121,6 +123,76 @@ class TestLinkManagerNegotiation:
         assert slave.connection_slave is None
         assert not master.piconet.slaves
 
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_acknowledged_detach_drops_the_slave_at_the_first_check(
+            self, engine):
+        # the slave acknowledges the DETACH and leaves at its next pair
+        # boundary; the master drops its side at the first check, 12 pairs
+        # after the request
+        with kernel(engine):
+            session, master, slave = connected(seed=86)
+            master.lm.request_detach(1)
+            session.run_slots(2 * 12 + 2)
+        assert slave.connection_slave is None
+        assert slave.state is DeviceState.STANDBY
+        assert not master.piconet.slaves
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_unacknowledged_detach_drops_the_slave_after_six_polls(
+            self, engine):
+        # a slave that no longer listens never acknowledges the DETACH:
+        # the master keeps it for six T_poll intervals (18 pairs at the
+        # default 6 slots), checking every 12 pairs
+        with kernel(engine):
+            session, master, slave = connected(seed=86)
+            slave.stop_procedure()
+            master.lm.request_detach(1)
+            session.run_slots(2 * 12 + 2)
+            assert 1 in master.piconet.slaves
+            session.run_slots(2 * 12)
+        assert not master.piconet.slaves
+
+    def test_unacknowledged_detach_of_a_sniffing_slave_waits_six_t_sniff(
+            self):
+        # six T_sniff intervals of 25 pairs: the first check past 150
+        # pairs is the 13th, at 156
+        session, master, slave = connected(seed=85)
+        master.lm.request_sniff(1, t_sniff_slots=50)
+        session.run_slots(120)
+        assert master.piconet.slaves[1].mode is ConnectionMode.SNIFF
+        slave.stop_procedure()
+        master.lm.request_detach(1)
+        session.run_slots(2 * 144 + 2)
+        assert 1 in master.piconet.slaves
+        session.run_slots(2 * 12)
+        assert not master.piconet.slaves
+
+    def test_master_detach_discards_the_queue_toward_the_slave(self):
+        session, master, slave = connected(seed=87)
+        master.enqueue_data(1, b"stale", PacketType.DM1)
+        master.connection_master.detach(1)
+        assert master.tx_buffer_for(1).empty
+
+    # the seeds at which the parent's stale DETACH reached the next slave
+    @pytest.mark.parametrize("seed", [81, 83, 86])
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_next_slave_on_a_detached_am_addr_keeps_its_link(self, engine,
+                                                             seed):
+        # the departed slave's unacknowledged packets must not reach the
+        # slave paged in under its AM_ADDR
+        with kernel(engine):
+            session, master, slave = connected(seed=seed)
+            second = session.add_device("second")
+            master.lm.request_detach(1)
+            session.run_slots(80)
+            assert not master.piconet.slaves
+            page = session.run_page(master, second)
+            assert page.success and page.am_addr == 1
+            session.run_slots(200)
+        assert second.connection_slave is not None
+        assert second.state is DeviceState.CONNECTION
+        assert master.piconet.slaves[1].addr == second.addr
+
     def test_sniff_refused_by_policy(self):
         session, master, slave = connected(seed=87)
         slave.lm.accept_sniff = False
@@ -131,8 +203,14 @@ class TestLinkManagerNegotiation:
 
 
 class TestHostController:
-    def test_full_hci_flow(self):
-        session = make_session(seed=88)
+    # the seeds of 80-99 at which this sequence links up; at 88 and 96 the
+    # sniffing slave's first anchor fell after the 12 pairs in which the
+    # master used to drop its side unconditionally, so the slave never
+    # heard the DETACH
+    @pytest.mark.parametrize("seed", [81, 83, 84, 85, 87, 88, 89, 90, 91,
+                                      93, 96, 97, 98])
+    def test_full_hci_flow(self, seed):
+        session = make_session(seed=seed)
         master = session.add_device("master")
         slave = session.add_device("slave")
         host = session.host(master)
@@ -160,6 +238,8 @@ class TestHostController:
         session.run_slots(120)
         assert not master.piconet.slaves
         assert host.connections == {}
+        assert slave.connection_slave is None
+        assert slave.state is DeviceState.STANDBY
 
     def test_create_connection_requires_discovery(self):
         from repro.errors import ProtocolError

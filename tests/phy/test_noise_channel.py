@@ -13,7 +13,7 @@ from repro.baseband.packets import Packet, PacketType
 from repro.config import SimulationConfig
 from repro.errors import ChannelError
 from repro.phy.channel import Channel
-from repro.phy.noise import BerNoise, GilbertElliottNoise
+from repro.phy.noise import BerNoise
 from repro.phy.rf import RfFrontEnd, RxExpect
 from repro.baseband.clock import BtClock
 from repro.sim.module import Module
@@ -36,24 +36,6 @@ class TestBerNoise:
         positions = noise.error_positions(64)
         assert len(set(positions.tolist())) == len(positions)
         assert all(0 <= p < 64 for p in positions)
-
-
-class TestGilbertElliott:
-    def test_average_rate_preserved(self):
-        noise = GilbertElliottNoise(0.02, burst_len=8, rng=np.random.default_rng(3))
-        total = sum(len(noise.error_positions(1000)) for _ in range(200))
-        assert total == pytest.approx(0.02 * 200_000, rel=0.3)
-
-    def test_errors_cluster(self):
-        noise = GilbertElliottNoise(0.02, burst_len=20,
-                                    rng=np.random.default_rng(4))
-        gaps = []
-        for _ in range(300):
-            positions = sorted(noise.error_positions(2000).tolist())
-            gaps.extend(b - a for a, b in zip(positions, positions[1:]))
-        # bursty errors have many consecutive-position gaps
-        small_gaps = sum(1 for g in gaps if g <= 3)
-        assert small_gaps > len(gaps) * 0.25
 
 
 def build_world(ber=0.0, n_radios=3, **cfg_kwargs):

@@ -1,6 +1,5 @@
-"""Module hierarchy and the clock generator."""
+"""Module hierarchy."""
 
-from repro.sim.clock import ClockGen
 from repro.sim.module import Module
 
 
@@ -15,40 +14,3 @@ class TestModule:
         top = Module(sim, "top")
         sig = top.signal("enable", False)
         assert sig.name == "top.enable"
-
-    def test_iter_tree_depth_first(self, sim):
-        top = Module(sim, "t")
-        a = Module(sim, "a", parent=top)
-        Module(sim, "a1", parent=a)
-        Module(sim, "b", parent=top)
-        names = [m.basename for m in top.iter_tree()]
-        assert names == ["t", "a", "a1", "b"]
-
-
-class TestClockGen:
-    def test_tick_callbacks(self, sim):
-        clock = ClockGen(sim, "clk", period_ns=100)
-        ticks = []
-        clock.every_tick(ticks.append)
-        sim.run(until_ns=450)
-        assert ticks == [0, 1, 2, 3, 4]
-
-    def test_clock_signal_toggles(self, sim):
-        clock = ClockGen(sim, "clk", period_ns=100, drive_signal=True)
-        clock.start()
-        edges = []
-        clock.clk.subscribe(lambda old, new: edges.append((sim.now, new)))
-        sim.run(until_ns=350)
-        assert edges == [(0, True), (100, False), (200, True), (300, False)]
-
-    def test_start_offset(self, sim):
-        clock = ClockGen(sim, "clk", period_ns=100, start_ns=40)
-        ticks = []
-        clock.every_tick(lambda i: ticks.append(sim.now))
-        sim.run(until_ns=300)
-        assert ticks == [40, 140, 240]
-
-    def test_idle_clock_costs_nothing(self, sim):
-        ClockGen(sim, "clk", period_ns=10)
-        sim.run(until_ns=10_000)
-        assert sim.events_dispatched == 0

@@ -13,7 +13,6 @@ at jobs=1), plus hypothesis property tests that the seed derivation has
 no collisions over (master seed, sweep point, trial).
 """
 
-import functools
 import pickle
 
 import pytest
@@ -33,12 +32,7 @@ from repro.stats.estimators import mean_with_ci, wilson_interval
 from repro.stats.executor import JOBS_ENV_VAR, SequentialExecutor, default_jobs
 from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
 from repro.stats.lease import LeaseExecutor
-from repro.stats.montecarlo import (
-    MASK64,
-    MonteCarlo,
-    TrialOutcome,
-    derive_seed,
-)
+from repro.stats.montecarlo import MASK64, TrialOutcome, derive_seed
 from repro.stats.sweep import (
     SWEEP_POINT_STREAM,
     Sweep,
@@ -55,6 +49,11 @@ def _synthetic_trial(seed: int) -> TrialOutcome:
                         value=float(seed % 97))
 
 
+def _derived_seeds(master_seed: int, trials: int) -> list[int]:
+    """The trial seeds of a batch of ``trials`` under ``master_seed``."""
+    return [derive_seed(master_seed, trial) for trial in range(trials)]
+
+
 def _executor(jobs: int, chunk_size=None):
     """The lease-frame executor of a ``jobs``-way run: in process at one
     job, ``jobs`` local fabric workers above."""
@@ -69,11 +68,10 @@ class TestExecutorContract:
         assert [o.seed for o in outcomes] == [5, 6, 7]
 
     def test_parallel_outcomes_byte_identical_to_sequential(self):
-        mc_seq = MonteCarlo(master_seed=42, trials=10)
-        mc_par = MonteCarlo(master_seed=42, trials=10)
-        seq = mc_seq.run(_synthetic_trial, executor=SequentialExecutor())
+        seeds = _derived_seeds(42, 10)
+        seq = SequentialExecutor().map(_synthetic_trial, seeds)
         with _executor(4) as executor:
-            par = mc_par.run(_synthetic_trial, executor=executor)
+            par = executor.map(_synthetic_trial, seeds)
         assert pickle.dumps(seq) == pickle.dumps(par)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 100])
@@ -84,10 +82,9 @@ class TestExecutorContract:
 
     def test_progress_fires_in_trial_order_under_parallel(self):
         seen = []
-        mc = MonteCarlo(master_seed=1, trials=8)
         with _executor(3) as executor:
-            mc.run(_synthetic_trial, progress=lambda i, o: seen.append(i),
-                   executor=executor)
+            executor.map(_synthetic_trial, _derived_seeds(1, 8),
+                         progress=lambda i, o: seen.append(i))
         assert seen == list(range(8))
 
     def test_unpicklable_fn_degrades_to_sequential_with_warning(self):
@@ -152,14 +149,17 @@ SMALL_GRID = [(0.0, "0"), (1 / 60, "1/60")]
 
 def _per_point_reference(sweep: Sweep, xs: list[tuple[float, str]],
                          trial_fn) -> list[SweepPoint]:
-    """The sweep computed one point at a time: each point's own Monte-Carlo
-    batch (``Sweep.point_monte_carlo``) run to completion in-process before
-    the next starts, then folded into a ``SweepPoint`` by hand — no shared
-    work queue, no chunking, no reassembly."""
+    """The sweep computed one point at a time: each point's trials run in
+    order, in-process, at the seeds derived from the point's master seed,
+    before the next point starts, then folded into a ``SweepPoint`` by
+    hand — no shared work queue, no executor, no chunking, no
+    reassembly."""
     points = []
     for point_index, (x, label) in enumerate(xs):
-        outcomes = sweep.point_monte_carlo(point_index).run(
-            functools.partial(trial_fn, x))
+        point_seed = sweep.point_master_seed(point_index)
+        outcomes = [trial_fn(x, seed)
+                    for seed in _derived_seeds(point_seed,
+                                               sweep.trials_per_point)]
         values = [o.value for o in outcomes if o.success]
         points.append(SweepPoint(
             x=x, label=label, mean=mean_with_ci(values),

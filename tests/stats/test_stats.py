@@ -1,4 +1,4 @@
-"""Estimators, Monte Carlo harness, sweeps and tables."""
+"""Estimators, trial seeds, sweeps and tables."""
 
 import math
 
@@ -6,12 +6,11 @@ import pytest
 
 from repro.stats.estimators import ci_cell, mean_with_ci, wilson_interval
 from repro.stats.montecarlo import (
-    MonteCarlo,
     TrialOutcome,
     default_trials,
     derive_seed,
 )
-from repro.stats.sweep import SWEEP_POINT_STREAM, Sweep
+from repro.stats.sweep import SWEEP_POINT_STREAM, Sweep, flat_tasks
 from repro.stats.tables import format_table
 
 
@@ -67,16 +66,23 @@ class TestEstimators:
             wilson_interval(5, 3)
 
 
-class TestMonteCarlo:
-    def trial(self, seed):
+class TestTrialSeeds:
+    def trial(self, x, seed):
         return TrialOutcome(seed=seed, success=seed % 2 == 0, value=float(seed % 10))
 
     def test_runs_all_trials_with_derived_seeds(self):
-        mc = MonteCarlo(master_seed=3, trials=10)
-        outcomes = mc.run(self.trial)
+        sweep = Sweep(master_seed=3, trials_per_point=10)
+        xs = [(0.0, "0")]
+        tasks, slices = flat_tasks([(sweep, xs, self.trial)])
+        assert slices == [[(0, 10)]]
+        (point,) = sweep.run(xs, self.trial)
+        outcomes = point.extra
+        # the queue's seeds are the seeds the trials ran at
+        assert [task[3] for task in tasks] == [o.seed for o in outcomes]
+        point_seed = sweep.point_master_seed(0)
         assert len(outcomes) == 10
-        assert outcomes[0].seed == derive_seed(3, 0)
-        assert outcomes[9].seed == derive_seed(3, 9)
+        assert outcomes[0].seed == derive_seed(point_seed, 0)
+        assert outcomes[9].seed == derive_seed(point_seed, 9)
         assert len({o.seed for o in outcomes}) == 10
 
     def test_legacy_formula_collides_new_one_does_not(self):
@@ -85,20 +91,6 @@ class TestMonteCarlo:
         legacy = lambda m, i: m * 10_000 + i
         assert legacy(3, 10_000) == legacy(4, 0)
         assert derive_seed(3, 10_000) != derive_seed(4, 0)
-
-    def test_aggregation(self):
-        mc = MonteCarlo(master_seed=0, trials=10)
-        mc.run(self.trial)
-        expected = sum(1 for i in range(10) if mc.seed_for(i) % 2 == 0)
-        assert mc.successes == expected
-        assert mc.failure_rate == pytest.approx(1 - expected / 10)
-        assert len(mc.successful_values()) == expected
-
-    def test_progress_callback(self):
-        seen = []
-        mc = MonteCarlo(master_seed=0, trials=3)
-        mc.run(self.trial, progress=lambda i, o: seen.append(i))
-        assert seen == [0, 1, 2]
 
     def test_default_trials_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "5")

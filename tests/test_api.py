@@ -52,6 +52,14 @@ class TestSessionBasics:
         session.run_slots(5)
         assert probe.sample().total_activity == 0.0
 
+    def test_topology_appears_with_the_first_placement(self, session):
+        device = session.add_device("d")
+        assert session.topology is None  # a flat world
+        position = session.place(device, (1.5, -2.0))
+        assert session.topology is session.channel.topology
+        assert session.topology.position_of(device.addr) == position
+        assert device.position == position
+
 
 class TestBuildPiconet:
     def test_builds_in_order(self, session):

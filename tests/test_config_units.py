@@ -41,10 +41,6 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError):
             NoiseConfig(ber=-0.1)
 
-    def test_burst_length_bound(self):
-        with pytest.raises(ConfigError):
-            NoiseConfig(burst_avg_len=0.5)
-
 
 class TestRfConfig:
     def test_negative_delay_rejected(self):
