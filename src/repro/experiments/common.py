@@ -389,8 +389,7 @@ def map_points(fn: Callable, tasks: list, jobs: Optional[int] = None,
                store_name: Optional[str] = None) -> list:
     """Ordered, optionally parallel starmap for experiment grids that
     are not trial sweeps (activity/goodput points): ``fn(*task)`` per task
-    tuple.  ``fn``
-    must be a module-level callable for process fan-out.
+    tuple.  ``fn`` must be a module-level callable for process fan-out.
 
     ``resume``/``REPRO_RESUME_DIR`` journal completed points keyed by
     ``(0, index, 0, fingerprint)`` — the same kill-and-resume contract as
