@@ -1,4 +1,5 @@
-"""Benches for the design-choice ablations DESIGN.md calls out."""
+"""Benches for the design-choice ablations (the ``ablation_*``
+experiments)."""
 
 from benchmarks.conftest import run_once
 from repro.experiments import (

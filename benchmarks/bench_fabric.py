@@ -23,9 +23,8 @@ import pickle
 
 from benchmarks.conftest import run_once
 from repro.experiments import ext_interference
-from repro.stats.chaos import CHAOS_ENV_VAR, ChaosConfig
-from repro.stats.executor import JOBS_ENV_VAR
-from repro.stats.fabric import FABRIC_ENV_VAR
+from repro.options import CHAOS_ENV_VAR, FABRIC_ENV_VAR, JOBS_ENV_VAR
+from repro.stats.chaos import ChaosConfig
 from repro.stats.montecarlo import default_trials
 from repro.stats.sweep import Sweep, flat_tasks
 

@@ -22,9 +22,9 @@ import pickle
 from benchmarks.conftest import run_once
 from repro.experiments import ext_interference
 from repro.experiments.common import run_sweep
-from repro.stats.chaos import CHAOS_ENV_VAR, ChaosConfig
-from repro.stats.executor import JOBS_ENV_VAR
-from repro.stats.fabric import FABRIC_ENV_VAR, FabricError, FabricExecutor
+from repro.options import CHAOS_ENV_VAR, FABRIC_ENV_VAR, JOBS_ENV_VAR
+from repro.stats.chaos import ChaosConfig
+from repro.stats.fabric import FabricError, FabricExecutor
 from repro.stats.montecarlo import default_trials
 from repro.stats.sweep import Sweep, flat_tasks
 
@@ -67,7 +67,7 @@ def bench_resilience_kill_resume(benchmark, bench_report, tmp_path,
 
         # kill: REPRO_CHAOS schedules the worker crashes; a zeroed respawn
         # budget turns them into a campaign death (after checkpointing)
-        chaos = ChaosConfig.from_env(chaos_env)
+        chaos = ChaosConfig.from_spec(chaos_env)
         with FabricExecutor(workers=JOBS, chaos=chaos,
                             max_worker_respawns=0) as executor:
             try:

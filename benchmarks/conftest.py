@@ -18,7 +18,8 @@ import pathlib
 
 import pytest
 
-from repro.stats.executor import JOBS_ENV_VAR, default_jobs
+from repro.options import JOBS_ENV_VAR
+from repro.stats.executor import default_jobs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -11,7 +11,9 @@ Usage::
 ``--jobs`` (or the ``REPRO_JOBS`` environment variable) fans Monte Carlo
 trials out over that many local sweep-fabric workers (forked, so it
 needs the fork start method); results are identical at any job count
-because every trial is a pure function of its derived seed.
+because every trial is a pure function of its derived seed.  ``run``
+reads every ``REPRO_*`` variable once, into the run options
+(:mod:`repro.options`), before an experiment starts.
 
 ``--resume-dir`` (or ``REPRO_RESUME_DIR``) journals every completed trial
 to an on-disk result store, so a campaign killed mid-run — worker death,
@@ -31,7 +33,6 @@ a journal-backed status line while a campaign runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -124,27 +125,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     from repro.experiments import EXPERIMENTS, run_experiment
+    from repro.options import RunOptions, installed
 
-    if getattr(args, "resume_dir", None):
-        # env-var plumbing rather than a kwarg: every experiment's
-        # run_sweep/run_sweeps/map_points reads REPRO_RESUME_DIR as its
-        # fallback, so the flag covers experiments without a resume param
-        from repro.stats.store import RESUME_DIR_ENV_VAR
-        os.environ[RESUME_DIR_ENV_VAR] = args.resume_dir
-    if getattr(args, "fabric", None) is not None:
-        # same plumbing: _campaign_executor picks the fabric up from the
-        # environment, so the flag covers every experiment uniformly
-        from repro.stats.fabric import FABRIC_ENV_VAR
-        os.environ[FABRIC_ENV_VAR] = args.fabric
-    if getattr(args, "progress", None) is not None:
-        from repro.experiments.common import PROGRESS_ENV_VAR
-        os.environ[PROGRESS_ENV_VAR] = args.progress
     if args.command == "list":
         width = max(len(key) for key in EXPERIMENTS)
         for key, (_, description) in sorted(EXPERIMENTS.items()):
             print(f"{key.ljust(width)}  {description}")
         return 0
 
+    # REPRO_TRIALS and REPRO_JOBS win over --trials and --jobs
+    options = RunOptions.from_env(resume_dir=args.resume_dir or None,
+                                  fabric=args.fabric, progress=args.progress)
     targets = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     kwargs = {}
@@ -154,16 +145,17 @@ def main(argv: list[str] | None = None) -> int:
         kwargs["seed"] = args.seed
     if args.jobs is not None:
         kwargs["jobs"] = args.jobs
-    for target in targets:
-        started = time.time()
-        try:
-            result = run_experiment(target, **kwargs)
-        except KeyError as error:
-            print(error.args[0], file=sys.stderr)
-            return 2
-        print(result.to_table())
-        print(f"[{target} in {time.time() - started:.1f}s]")
-        print()
+    with installed(options):
+        for target in targets:
+            started = time.time()
+            try:
+                result = run_experiment(target, **kwargs)
+            except KeyError as error:
+                print(error.args[0], file=sys.stderr)
+                return 2
+            print(result.to_table())
+            print(f"[{target} in {time.time() - started:.1f}s]")
+            print()
     return 0
 
 

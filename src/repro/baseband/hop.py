@@ -14,7 +14,8 @@ Modes:
 
 * ``page_scan`` / ``inquiry_scan`` — X from CLKN16-12, so the scan frequency
   is redrawn every 1.28 s (this is what makes the paper's mean inquiry time
-  ≈ 1556 slots emerge, see DESIGN.md).
+  ≈ 1556 slots emerge, see ``LinkConfig.train_repetitions`` in
+  :mod:`repro.config`).
 * ``page`` / ``inquiry`` — X sweeps a 16-frequency train centred (via
   ``koffset``) on the estimated scan phase of the target; trains A and B
   together cover all 32 phases of the sequence.

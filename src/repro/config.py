@@ -3,7 +3,7 @@
 The defaults encode the Bluetooth 1.2 values used by the paper (timeouts of
 1.28 s for inquiry and page, 32-frequency inquiry/page sequences split into
 two 16-frequency trains, RAND(0..1023) inquiry-scan backoff) plus the
-calibration constants documented in DESIGN.md section 3.
+calibration constants documented on their fields below.
 """
 
 from __future__ import annotations
@@ -130,18 +130,16 @@ class RfConfig:
         modem_delay_ns: modulator + demodulator latency added to every
             over-the-air stage (paper: "the delay of the modulator and
             demodulator RF blocks"; too high a value breaks synchronisation).
-        turnaround_ns: minimum TX<->RX switch time for a radio.
         carrier_sense: whether a listener that detects energy on its tuned
             frequency keeps its receive window open until the sync-word
             decision (models the correlator's behaviour).
     """
 
     modem_delay_ns: int = 2 * units.US
-    turnaround_ns: int = 0
     carrier_sense: bool = True
 
     def __post_init__(self) -> None:
-        if self.modem_delay_ns < 0 or self.turnaround_ns < 0:
+        if self.modem_delay_ns < 0:
             raise ConfigError("RF delays must be non-negative")
 
 
@@ -169,8 +167,7 @@ class LinkConfig:
             advancing in lockstep, the scanner's phase offset relative to
             the train is constant, and an out-of-train scanner is only
             reached after a swap. E[T] = 1/2*530 + 1/2*(2048+530) ~ 1554
-            slots. See DESIGN.md "Calibration notes" and the
-            ablation_trains bench.
+            slots. The ``ablation_trains`` experiment sweeps it.
         t_poll_slots: master polling interval per active slave (even slots).
         sync_threshold: maximum sync-word bit mismatches the correlator
             accepts (of 64) for packets carrying a header/payload.
@@ -187,8 +184,6 @@ class LinkConfig:
         active_listen_ns: RX window an *active* (connected, synchronised)
             slave opens at every master-slot start; 32.5 us reproduces the
             paper's 2.6 % active-mode RF activity baseline.
-        sniff_attempt_slots: N_sniff_attempt — master slots a sniffing slave
-            listens at each anchor point.
         hold_resync_poll_slots: T_poll used by the master while a slave
             re-synchronises after hold (fig12 config uses 6).
     """
@@ -204,7 +199,6 @@ class LinkConfig:
     sync_threshold: int = 7
     id_sync_threshold: int = 7
     active_listen_ns: int = round(32.5 * units.US)
-    sniff_attempt_slots: int = 2
     hold_resync_poll_slots: int = 6
 
     def __post_init__(self) -> None:
@@ -241,7 +235,9 @@ class SimulationConfig:
         link: link-controller parameters.
         bit_accurate: if True the channel encodes/decodes full air frames and
             flips individual bits; if False it uses the statistical per-stage
-            error model (DESIGN.md, "Fidelity levels").
+            error model (:mod:`repro.baseband.errormodel`, cross-validated
+            against the codec in
+            ``tests/properties/test_errormodel_cross_validation.py``).
         trace: if True, record enable_tx_RF / enable_rx_RF / state waveforms.
     """
 

@@ -13,12 +13,12 @@ from typing import Callable, Optional
 from repro import units
 from repro.config import SimulationConfig
 from repro.link.page import PageTarget
-from repro.stats.chaos import ChaosConfig
+from repro.options import RunOptions, current, installed
 from repro.stats.executor import Executor, SequentialExecutor, default_jobs
-from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
+from repro.stats.fabric import FabricExecutor
 from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import TrialOutcome
-from repro.stats.store import RESUME_DIR_ENV_VAR, ResultStore, campaign_digest
+from repro.stats.store import ResultStore, campaign_digest
 from repro.stats.sweep import (
     Sweep,
     SweepPoint,
@@ -42,68 +42,6 @@ PAPER_BER_GRID: list[tuple[float, str]] = [
 ]
 
 
-#: Environment switch: run every experiment's channel in bit-accurate mode
-#: (full air-frame encode/decode + per-bit noise) instead of the statistical
-#: per-stage error model.  Worker processes inherit it, so parallel runs
-#: stay consistent.
-BIT_ACCURATE_ENV_VAR = "REPRO_BIT_ACCURATE"
-
-#: Environment switch: when set to a directory path, campaign trials run
-#: with the timeline capture enabled and archive one JSONL file per trial
-#: there (``<experiment_id>__<label>.jsonl``).  The capture hooks are
-#: purely observational, so archived runs produce byte-identical results
-#: to unarchived ones — the archive only adds the drill-down record.
-TIMELINE_DIR_ENV_VAR = "REPRO_TIMELINE_DIR"
-
-#: Environment switch: emit a journal-backed status line to stderr while a
-#: campaign runs.  The value is the minimum seconds between lines (any
-#: other truthy value selects the 2 s default); campaigns stay
-#: byte-identical — the line is rendered from the executor's progress
-#: dict, never from the results.
-PROGRESS_ENV_VAR = "REPRO_PROGRESS"
-
-#: Default cadence of the ``REPRO_PROGRESS`` status line.
-DEFAULT_PROGRESS_INTERVAL_S = 2.0
-
-
-#: Spellings of an off / on switch value (case-insensitive).
-_OFF = ("", "0", "false", "off", "no")
-_ON = ("1", "true", "on", "yes")
-
-
-def bit_accurate_default() -> bool:
-    """True when REPRO_BIT_ACCURATE selects bit-accurate experiment runs.
-
-    Any value but an off or on spelling raises a ``ValueError`` naming the
-    variable."""
-    value = os.environ.get(BIT_ACCURATE_ENV_VAR, "").strip().lower()
-    if value in _OFF:
-        return False
-    if value in _ON:
-        return True
-    raise ValueError(
-        f"{BIT_ACCURATE_ENV_VAR}={value!r} is not a switch; expected one "
-        f"of {', '.join(repr(v) for v in _OFF + _ON)}")
-
-
-def timeline_dir() -> Optional[str]:
-    """The REPRO_TIMELINE_DIR archive directory, or None when archiving
-    is off (unset or blank).  A path that exists and is not a directory
-    raises a ``ValueError`` naming the variable."""
-    value = os.environ.get(TIMELINE_DIR_ENV_VAR, "").strip()
-    if value and os.path.exists(value) and not os.path.isdir(value):
-        raise ValueError(
-            f"{TIMELINE_DIR_ENV_VAR}={value!r} is not a directory")
-    return value or None
-
-
-def resume_dir() -> Optional[str]:
-    """The REPRO_RESUME_DIR journal directory, or None when resumable
-    execution is off (unset or blank)."""
-    value = os.environ.get(RESUME_DIR_ENV_VAR, "").strip()
-    return value or None
-
-
 def _store_name(fn: Callable) -> str:
     """A stable journal filename stem for ``fn``'s campaign (module tail
     plus qualname, filesystem-safe)."""
@@ -112,42 +50,20 @@ def _store_name(fn: Callable) -> str:
                    for ch in "__".join(stem))
 
 
-def campaign_store(name: str, spec, resume: Optional[str] = None
+def campaign_store(name: str, spec, directory: Optional[str]
                    ) -> Optional[ResultStore]:
-    """The result journal of campaign ``name``/``spec``, or None.
-
-    ``resume`` names the journal directory explicitly; otherwise
-    ``REPRO_RESUME_DIR`` is consulted, and None (journalling off) is
-    returned when neither is set.  The journal file is
-    ``<dir>/<name>.jsonl``, its header bound to ``campaign_digest(spec)``
-    — resuming with a changed spec (different seed, trial count, grid or
-    trial function) is refused rather than silently mixed.
+    """The result journal of campaign ``name``/``spec`` in ``directory``,
+    or None when journalling is off (``directory`` None).  The journal
+    file is ``<dir>/<name>.jsonl``, its header bound to
+    ``campaign_digest(spec)`` — resuming with a changed spec (different
+    seed, trial count, grid or trial function) is refused rather than
+    silently mixed.
     """
-    directory = resume if resume is not None else resume_dir()
     if directory is None:
         return None
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.jsonl")
     return ResultStore(path, campaign_digest(spec), meta={"campaign": name})
-
-
-def progress_interval() -> Optional[float]:
-    """The ``REPRO_PROGRESS`` status-line cadence in seconds, or None when
-    progress reporting is off (unset, blank or an off spelling).  An on
-    spelling selects the 2 s default; anything but a number or a switch
-    raises a ``ValueError`` naming the variable."""
-    value = os.environ.get(PROGRESS_ENV_VAR, "").strip()
-    if value.lower() in _OFF:
-        return None
-    if value.lower() in _ON[1:]:
-        return DEFAULT_PROGRESS_INTERVAL_S
-    try:
-        return max(0.0, float(value))
-    except ValueError:
-        raise ValueError(
-            f"{PROGRESS_ENV_VAR}={value!r} is neither seconds nor a "
-            f"switch; expected a number or one of "
-            f"{', '.join(repr(v) for v in _OFF + _ON)}") from None
 
 
 def _progress_printer(interval_s: float) -> Callable[[dict], None]:
@@ -183,21 +99,20 @@ def _campaign_executor(jobs: int, journalled: bool) -> Executor:
 
     Every parallel campaign runs on the fabric
     (:class:`~repro.stats.fabric.FabricExecutor`): ``jobs`` local fork
-    workers on an ephemeral loopback port, or whatever ``REPRO_FABRIC``
-    configures, which selects the fabric at any job count.  A ``jobs=1``
-    campaign runs on the in-process lease frame
-    (:class:`~repro.stats.lease.LeaseExecutor`) as soon as a result
-    journal is active (``journalled``), ``REPRO_CHAOS`` schedules fault
-    injection or ``REPRO_PROGRESS`` wants the journal-backed status line
-    — the same chaos/retry/checkpoint story as the fabric's workers.
-    Only a plain ``jobs=1`` run stays on the
-    :class:`~repro.stats.executor.SequentialExecutor`.
+    workers on an ephemeral loopback port, or whatever the run options'
+    ``fabric`` spec configures, which selects the fabric at any job count.
+    A ``jobs=1`` campaign runs on the in-process lease frame
+    (:class:`~repro.stats.lease.LeaseExecutor`) as soon as a result journal
+    is active (``journalled``) or the options schedule chaos or want the
+    status line; only a plain ``jobs=1`` run stays sequential.
     """
-    chaos = ChaosConfig.from_env()
-    interval = progress_interval()
-    on_progress = _progress_printer(interval) if interval is not None else None
-    if os.environ.get(FABRIC_ENV_VAR, "").strip():
-        return FabricExecutor.from_env(chaos=chaos, on_progress=on_progress)
+    options = current()
+    chaos = options.chaos
+    on_progress = (_progress_printer(options.progress_s)
+                   if options.progress_s is not None else None)
+    if options.fabric is not None:
+        return FabricExecutor.from_spec(options.fabric, chaos=chaos,
+                                        on_progress=on_progress)
     if jobs > 1:
         return FabricExecutor(workers=jobs, chaos=chaos,
                               on_progress=on_progress)
@@ -209,38 +124,39 @@ def _campaign_executor(jobs: int, journalled: bool) -> Executor:
 @contextmanager
 def _campaign(name: str, spec, jobs: Optional[int], resume: Optional[str],
               executor: Optional[Executor] = None):
-    """The ``(executor, journal)`` of one campaign run.  A caller's
-    ``executor`` is used as is; otherwise the job count resolves
-    (``REPRO_JOBS`` wins) and :func:`_campaign_executor` picks the
-    backend, closed on exit like the journal (None when off).  Every
-    ``REPRO_*`` value a campaign reads is checked *before* the journal
-    opens, so a malformed one fails with no journal written.  The journal
-    binds ``spec`` with the channel mode (``REPRO_BIT_ACCURATE``) added,
-    so a journal of one mode is refused under the other."""
-    if executor is None:
-        jobs = default_jobs(jobs)
-    timeline_dir()  # read by the trials that archive, checked for all
-    directory = resume if resume is not None else resume_dir()
-    with (nullcontext(executor) if executor is not None
-          else _campaign_executor(jobs, directory is not None)) as chosen:
-        spec = dict(spec, bit_accurate=bit_accurate_default())
-        store = campaign_store(name, spec, directory)
-        try:
-            yield chosen, store
-        finally:
-            if store is not None:
-                store.close()
+    """The ``(executor, journal)`` of one campaign run, under one
+    resolution of the run options, which the trial dispatchers built
+    inside it carry to every worker.  A caller's ``executor`` is used as
+    is; otherwise the job count resolves (``REPRO_JOBS`` wins) and
+    :func:`_campaign_executor` picks the backend, closed on exit like the
+    journal (None when off).  The journal binds ``spec`` with the channel
+    mode (``REPRO_BIT_ACCURATE``) added, so a journal of one mode is
+    refused under the other."""
+    with installed(current()) as options:
+        if executor is None:
+            jobs = default_jobs(jobs)
+        directory = resume if resume is not None else options.resume_dir
+        with (nullcontext(executor) if executor is not None
+              else _campaign_executor(jobs, directory is not None)) as chosen:
+            spec = dict(spec, bit_accurate=options.bit_accurate)
+            store = campaign_store(name, spec, directory)
+            try:
+                yield chosen, store
+            finally:
+                if store is not None:
+                    store.close()
 
 
 def archive_timeline(session, experiment_id: str, label: str) -> Optional[str]:
-    """Write ``session``'s captured timeline to the archive directory.
+    """Write ``session``'s captured timeline to the archive directory
+    (the run options' ``timeline_dir``, ``REPRO_TIMELINE_DIR``).
 
     One JSONL file per call, named ``<experiment_id>__<label>.jsonl`` —
     replayable offline with :class:`repro.sim.capture.TimelineEvent` or
     any JSON tooling.  No-op (returns None) when archiving is off or the
     session ran without a capture.
     """
-    directory = timeline_dir()
+    directory = current().timeline_dir
     if directory is None or session.capture is None:
         return None
     os.makedirs(directory, exist_ok=True)
@@ -263,11 +179,12 @@ def paper_config(ber: float = 0.0, seed: int = 0,
     (see the ``ablation_correlator`` experiment, benched in
     ``benchmarks/bench_ablations.py``).
 
-    ``bit_accurate``: None consults the ``REPRO_BIT_ACCURATE`` environment
-    variable (default off, the statistical per-stage channel).
+    ``bit_accurate``: None takes the run options' channel mode
+    (``REPRO_BIT_ACCURATE``; default off, the statistical per-stage
+    channel).
     """
     if bit_accurate is None:
-        bit_accurate = bit_accurate_default()
+        bit_accurate = current().bit_accurate
     config = SimulationConfig(seed=seed, bit_accurate=bit_accurate).with_ber(ber)
     overrides = dict(link_overrides)
     if sync_threshold is not None:
@@ -278,18 +195,12 @@ def paper_config(ber: float = 0.0, seed: int = 0,
     return config
 
 
-def page_up_pair(session, index: int = 0, label: str = "experiment"):
-    """Add one ``m{index}``/``s{index}`` master/slave pair to ``session``
-    and page it up under a 4096-slot guard (polled in 16-slot steps).
-
-    The shared bring-up protocol of the campaign builders
-    (``ext_interference``, ``ext_afh``) — kept in one place so their
-    scenarios stay protocol-identical and cross-comparable.  Raises
+def page_up(session, master, slave, label: str) -> None:
+    """Page ``slave``, already scanning, into ``master``'s piconet under a
+    4096-slot guard (polled in 16-slot steps) — the one bring-up of the
+    experiments, so their scenarios stay protocol-identical.  Raises
     ``RuntimeError`` tagged with ``label`` when the page cannot complete.
     """
-    master = session.add_device(f"m{index}")
-    slave = session.add_device(f"s{index}")
-    slave.start_page_scan()
     box = []
     master.start_page(PageTarget(addr=slave.addr,
                                  clock_estimate=slave.clock),
@@ -299,6 +210,16 @@ def page_up_pair(session, index: int = 0, label: str = "experiment"):
         session.run_slots(16)
     if not box or not box[0].success:
         raise RuntimeError(f"{label}: page failed")
+
+
+def page_up_pair(session, index: int = 0, label: str = "experiment"):
+    """Add one ``m{index}``/``s{index}`` master/slave pair to ``session``
+    and page it up (:func:`page_up`); the bring-up of the campaign
+    builders (``ext_interference``, ``ext_afh``)."""
+    master = session.add_device(f"m{index}")
+    slave = session.add_device(f"s{index}")
+    slave.start_page_scan()
+    page_up(session, master, slave, label)
     return master, slave
 
 
@@ -365,12 +286,15 @@ def run_sweeps(specs: list[tuple[int, int, list[tuple[float, str]],
 class _StarCall:
     """Picklable star-apply: turns ``fn(a, b)`` into a one-argument
     callable over task tuples, so grid experiments need no per-module
-    unpacking wrappers."""
+    unpacking wrappers; like ``_FlatTrial`` it runs each call under the
+    run options current where it was built."""
 
     fn: Callable
+    options: RunOptions = field(default_factory=current)
 
     def __call__(self, task):
-        return self.fn(*task)
+        with installed(self.options):
+            return self.fn(*task)
 
 
 def _task_fingerprint(task) -> int:

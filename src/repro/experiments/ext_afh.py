@@ -51,9 +51,9 @@ from repro.experiments.common import (
     page_up_pair,
     paper_config,
     run_sweep,
-    timeline_dir,
 )
 from repro.link.traffic import SaturatedTraffic
+from repro.options import current
 from repro.stats.estimators import ci_cell
 from repro.stats.montecarlo import TrialOutcome, default_trials
 
@@ -144,7 +144,8 @@ def measure_aggregate_goodput(n_piconets: int, n_jammed: int,
     ``ext_afh__<timeline_label>.jsonl`` — capture is observational, so
     the returned numbers are unchanged either way.
     """
-    capture = timeline_label is not None and timeline_dir() is not None
+    capture = (timeline_label is not None
+               and current().timeline_dir is not None)
     session, pairs = build_afh_session(n_jammed, afh_enabled, seed,
                                        n_piconets=n_piconets, capture=capture)
     session.run_slots(learn_slots)

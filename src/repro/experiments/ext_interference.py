@@ -42,9 +42,9 @@ from repro.experiments.common import (
     paper_config,
     run_sweep,
     run_sweeps,
-    timeline_dir,
 )
 from repro.link.traffic import SaturatedTraffic
+from repro.options import current
 from repro.phy.geometry import LogDistancePathLoss, Position, ring_layout
 from repro.stats.estimators import ci_cell, wilson_interval
 from repro.stats.montecarlo import TrialOutcome, default_trials
@@ -133,7 +133,7 @@ def run_point(n_piconets: int, seed: int) -> tuple[float, float, int, int, int]:
     With ``REPRO_TIMELINE_DIR`` set the trial captures its event timeline
     and archives it as ``ext_interference__n<count>_seed<seed>.jsonl``.
     """
-    capture = timeline_dir() is not None
+    capture = current().timeline_dir is not None
     session, pairs = build_campaign_session(n_piconets, seed, capture=capture)
     master0, slave0 = pairs[0]
     assert master0.connection_master is not None
@@ -273,7 +273,7 @@ def run_spatial_point(n_piconets: int, radius_m: float,
                       seed: int) -> tuple[float, float, int, int, int]:
     """One trial of the spatial deployment: same observed-link counters
     as :func:`run_point`, measured on the geometry-aware world."""
-    capture = timeline_dir() is not None
+    capture = current().timeline_dir is not None
     session, pairs = build_spatial_session(n_piconets, radius_m, seed,
                                            capture=capture)
     master0, slave0 = pairs[0]

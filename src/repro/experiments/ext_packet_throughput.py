@@ -18,8 +18,12 @@ from typing import Optional
 from repro import units
 from repro.api import Session
 from repro.baseband.packets import PacketType
-from repro.experiments.common import ExperimentResult, map_points, paper_config
-from repro.link.page import PageTarget
+from repro.experiments.common import (
+    ExperimentResult,
+    map_points,
+    page_up,
+    paper_config,
+)
 from repro.link.traffic import SaturatedTraffic
 
 PACKET_TYPES = [PacketType.DM1, PacketType.DH1, PacketType.DM3,
@@ -36,14 +40,7 @@ def measure_goodput_kbps(ptype: PacketType, ber: float, seed: int) -> float:
     master = session.add_device("master")
     slave = session.add_device("slave")
     slave.start_page_scan()
-    box = []
-    master.start_page(PageTarget(addr=slave.addr, clock_estimate=slave.clock),
-                      on_complete=box.append)
-    guard = session.sim.now + 4096 * units.SLOT_NS
-    while not box and session.sim.now < guard:
-        session.run_slots(16)
-    if not box or not box[0].success:
-        raise RuntimeError("throughput: page failed")
+    page_up(session, master, slave, "throughput")
     traffic = SaturatedTraffic(master, 1, ptype=ptype)
     traffic.start()
     session.run_slots(200)  # pipeline warm-up

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import units
 from repro.api import Session
 from repro.baseband.packets import PacketType
-from repro.experiments.common import ExperimentResult, paper_config
-from repro.link.page import PageTarget
+from repro.experiments.common import ExperimentResult, page_up, paper_config
 from repro.power.rf_activity import RfActivityProbe
 
 
@@ -41,15 +39,8 @@ def build_fig5_session(seed: int = 5, trace: bool = False):
     for slave in slaves:
         slave.start_page_scan()
 
-    for index, slave in enumerate(slaves):
-        target = PageTarget(addr=slave.addr, clock_estimate=slave.clock)
-        box = []
-        master.start_page(target, on_complete=box.append)
-        guard = session.sim.now + 4096 * units.SLOT_NS
-        while not box and session.sim.now < guard:
-            session.run_slots(16)
-        if not box or not box[0].success:
-            raise RuntimeError(f"fig5 scenario: page of slave{index + 1} failed")
+    for slave in slaves:
+        page_up(session, master, slave, f"fig5 scenario: {slave.basename}")
         join_times[slave.basename] = session.sim.now
     return session, master, slaves, join_times
 
@@ -71,14 +62,7 @@ def run(trials: int = 1, seed: int = 5,
                      for name, probe in probes.items()}
 
     for slave in slaves:
-        target = PageTarget(addr=slave.addr, clock_estimate=slave.clock)
-        box = []
-        master.start_page(target, on_complete=box.append)
-        guard = session.sim.now + 4096 * units.SLOT_NS
-        while not box and session.sim.now < guard:
-            session.run_slots(16)
-        if not box or not box[0].success:
-            raise RuntimeError("fig5 scenario: page failed at BER 0")
+        page_up(session, master, slave, "fig5 scenario")
 
     # connected phase: a little traffic to slave 1, then measure
     from repro.link.traffic import PeriodicTraffic

@@ -27,10 +27,10 @@ from repro.stats.estimators import ci_cell
 from repro.experiments.common import (
     PAPER_BER_GRID,
     ExperimentResult,
-    bit_accurate_default,
     paper_config,
     run_sweep,
 )
+from repro.options import current
 from repro.stats.montecarlo import TrialOutcome, default_trials
 
 EXTENDED_TIMEOUT_SLOTS = 8192
@@ -68,7 +68,7 @@ def run(trials: int = 12, seed: int = 1,
         paper_expectation="1556 TS at BER 0, mild growth to ~1800 TS at 1/30",
         notes=(f"unconditional mean, {EXTENDED_TIMEOUT_SLOTS}-slot guard, "
                f"{trials} trials/point; spec correlator (threshold 7)"
-               + ("; bit-accurate channel" if bit_accurate_default() else "")),
+               + ("; bit-accurate channel" if current().bit_accurate else "")),
     )
     for point in points:
         result.rows.append([

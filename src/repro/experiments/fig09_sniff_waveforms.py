@@ -12,26 +12,12 @@ from typing import Optional
 
 from repro.api import Session
 from repro.baseband.packets import PacketType
-from repro.experiments.common import ExperimentResult, paper_config
-from repro.link.page import PageTarget
+from repro.experiments.common import ExperimentResult, page_up, paper_config
 from repro.link.traffic import PeriodicTraffic
-from repro import units
 from repro.power.rf_activity import RfActivityProbe
 
 T_SNIFF_SLOTS = 24
 OBSERVE_SLOTS = 2400
-
-
-def _connect(session: Session, master, slave) -> None:
-    target = PageTarget(addr=slave.addr, clock_estimate=slave.clock)
-    box = []
-    slave.start_page_scan()
-    master.start_page(target, on_complete=box.append)
-    guard = session.sim.now + 4096 * units.SLOT_NS
-    while not box and session.sim.now < guard:
-        session.run_slots(16)
-    if not box or not box[0].success:
-        raise RuntimeError("fig9 scenario: page failed at BER 0")
 
 
 def run(trials: int = 1, seed: int = 9,
@@ -42,7 +28,8 @@ def run(trials: int = 1, seed: int = 9,
     master = session.add_device("master")
     slaves = [session.add_device(f"slave{i}") for i in (1, 2, 3)]
     for slave in slaves:
-        _connect(session, master, slave)
+        slave.start_page_scan()
+        page_up(session, master, slave, "fig9 scenario")
 
     traffic = PeriodicTraffic(master, 1, period_slots=50,
                               ptype=PacketType.DM1, payload_len=17)

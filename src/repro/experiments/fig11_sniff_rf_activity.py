@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import units
 from repro.api import Session
 from repro.baseband.packets import PacketType
-from repro.experiments.common import ExperimentResult, map_points, paper_config
-from repro.link.page import PageTarget
+from repro.experiments.common import (
+    ExperimentResult,
+    map_points,
+    page_up,
+    paper_config,
+)
 from repro.link.traffic import PeriodicTraffic
 from repro.power.rf_activity import RfActivityProbe
 
@@ -32,14 +35,7 @@ def _measure(seed: int, t_sniff_slots: int | None) -> tuple[float, int]:
     master = session.add_device("master")
     slave = session.add_device("slave")
     slave.start_page_scan()
-    box = []
-    master.start_page(PageTarget(addr=slave.addr, clock_estimate=slave.clock),
-                      on_complete=box.append)
-    guard = session.sim.now + 4096 * units.SLOT_NS
-    while not box and session.sim.now < guard:
-        session.run_slots(16)
-    if not box or not box[0].success:
-        raise RuntimeError("fig11: page failed at BER 0")
+    page_up(session, master, slave, "fig11")
     traffic = PeriodicTraffic(master, 1, period_slots=TRAFFIC_PERIOD_SLOTS,
                               ptype=PacketType.DM1, payload_len=17)
     traffic.start()

@@ -13,8 +13,12 @@ from typing import Optional
 
 from repro import units
 from repro.api import Session
-from repro.experiments.common import ExperimentResult, map_points, paper_config
-from repro.link.page import PageTarget
+from repro.experiments.common import (
+    ExperimentResult,
+    map_points,
+    page_up,
+    paper_config,
+)
 from repro.link.piconet import HoldParams
 from repro.link.states import ConnectionMode
 from repro.power.rf_activity import RfActivityProbe
@@ -52,14 +56,7 @@ def _build(seed: int) -> tuple[Session, object, object]:
     master = session.add_device("master")
     slave = session.add_device("slave")
     slave.start_page_scan()
-    box = []
-    master.start_page(PageTarget(addr=slave.addr, clock_estimate=slave.clock),
-                      on_complete=box.append)
-    guard = session.sim.now + 4096 * units.SLOT_NS
-    while not box and session.sim.now < guard:
-        session.run_slots(16)
-    if not box or not box[0].success:
-        raise RuntimeError("fig12: page failed at BER 0")
+    page_up(session, master, slave, "fig12")
     return session, master, slave
 
 

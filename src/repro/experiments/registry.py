@@ -22,6 +22,7 @@ from repro.experiments import (
     fig12_hold_rf_activity,
 )
 from repro.experiments.common import ExperimentResult
+from repro.options import current, installed
 
 #: id -> (run callable, one-line description)
 EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
@@ -59,9 +60,11 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
-    """Run a registered experiment by id."""
+    """Run a registered experiment by id under one resolution of the run
+    options (:func:`repro.options.current`), made before it starts."""
     if experiment_id not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}")
     run, _ = EXPERIMENTS[experiment_id]
-    return run(**kwargs)
+    with installed(current()):
+        return run(**kwargs)

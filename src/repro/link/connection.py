@@ -229,7 +229,7 @@ class ConnectionMaster:
         ``hold_resync_poll_slots``, *not* anchored at the hold expiry. The
         returning slave therefore waits uniformly in [0, interval) — the
         resynchronisation cost that produces the paper's Fig. 12 crossover
-        (see DESIGN.md calibration notes)."""
+        (see the ``fig12`` experiment)."""
         interval = _pairs(self.device.cfg.link.hold_resync_poll_slots)
         return pair + -pair % interval
 
@@ -463,10 +463,13 @@ class ConnectionMaster:
         self.wake()
 
     def park(self, am_addr: int, params: ParkParams) -> None:
-        """Park a slave, freeing its AM_ADDR (master's view)."""
+        """Park a slave, freeing its AM_ADDR (master's view), with whatever
+        is still queued toward it: a slave paged in later under the same
+        AM_ADDR must not receive the parked one's packets."""
         validate_park(params)
         self.piconet.park_slave(am_addr, params)
         self.arq.pop(am_addr, None)
+        self.device.tx_buffers.pop(am_addr, None)
         pairs = _pairs(params.beacon_interval_slots)
         if self._beacon_interval_pairs is None:
             self._beacon_interval_pairs = pairs

@@ -13,7 +13,7 @@ Timeline of a successful discovery (all per spec v1.2):
 * the inquirer's reception of that FHS completes the discovery.
 
 The ~1556-slot mean of the paper's Fig. 6 *emerges* from these mechanics
-(see DESIGN.md "Calibration notes").
+(see ``LinkConfig.train_repetitions`` in :mod:`repro.config`).
 
 The inquirer's train is :class:`~repro.link.train.IdTrain`, shared with
 page.  It sleeps through the even slots whose IDs no radio can hear (a

@@ -44,10 +44,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.options import CHAOS_ENV_VAR
 from repro.stats.montecarlo import derive_seed
-
-#: Environment knob: inject deterministic faults into parallel campaigns.
-CHAOS_ENV_VAR = "REPRO_CHAOS"
 
 #: Stream tag namespacing the chaos schedule away from trial seeds.
 CHAOS_STREAM = 0x43414F53  # "CAOS"
@@ -146,8 +144,8 @@ class ChaosConfig:
                 f"dup={self.dup} delay={self.delay}")
 
     @classmethod
-    def from_env(cls, value: Optional[str] = None) -> Optional["ChaosConfig"]:
-        """Parse ``REPRO_CHAOS`` (or ``value``); None when unset/blank.
+    def from_spec(cls, spec: str) -> Optional["ChaosConfig"]:
+        """Parse a ``REPRO_CHAOS`` spec string; None when blank.
 
         Format: comma-separated ``key=value`` pairs with keys ``seed``,
         ``crash``, ``hang``, ``exc``, ``hang_s``, the network-fault keys
@@ -156,8 +154,7 @@ class ChaosConfig:
         are rejected loudly — a typo silently disabling chaos would
         defeat the harness.
         """
-        raw = os.environ.get(CHAOS_ENV_VAR, "") if value is None else value
-        raw = raw.strip()
+        raw = spec.strip()
         if not raw:
             return None
         fields: dict = {}

@@ -18,11 +18,7 @@ Determinism contract: for any picklable ``fn`` and item list, every
 executor returns ``[fn(item) for item in items]`` — same values, same
 order, independent of the job count.  The equivalence suite
 (``tests/stats/test_executor_equivalence.py``) enforces this for every
-registered experiment.
-
-The job count is resolved like trial counts: the ``REPRO_JOBS``
-environment variable (mirroring ``REPRO_TRIALS``) overrides whatever the
-caller requested, and the CLI exposes ``--jobs``.
+registered experiment.  :func:`default_jobs` resolves the job count.
 """
 
 from __future__ import annotations
@@ -30,27 +26,17 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Optional, Sequence
 
-#: Environment knob: fan trials out over this many local fabric workers.
-JOBS_ENV_VAR = "REPRO_JOBS"
+from repro.options import current
 
 
 def default_jobs(requested: Optional[int] = None) -> int:
-    """Resolve the worker count: ``REPRO_JOBS`` overrides ``requested``.
-
-    Returns 1 (sequential) when neither is set.  A value of 0 or ``"auto"``
-    in the environment means "one job per CPU"; anything else that is not
-    an integer raises a ``ValueError`` naming the variable.
-    """
-    override = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if override.lower() == "auto":
-        requested = 0
-    elif override:
-        try:
-            requested = int(override)
-        except ValueError:
-            raise ValueError(
-                f"{JOBS_ENV_VAR}={override!r} is not a job count; expected "
-                "an integer, or 0 / 'auto' for one job per CPU") from None
+    """Resolve the worker count: the run options' ``jobs``
+    (``REPRO_JOBS``, mirroring ``REPRO_TRIALS``) overrides ``requested``.
+    Returns 1 (sequential) when neither is set; 0 or below means "one job
+    per CPU"."""
+    override = current().jobs
+    if override is not None:
+        requested = override
     if requested is None:
         return 1
     return requested if requested > 0 else max(1, os.cpu_count() or 1)

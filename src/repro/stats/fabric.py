@@ -91,6 +91,7 @@ import warnings
 from queue import Empty, Queue
 from typing import Any, Callable, Optional, Sequence
 
+from repro.options import FABRIC_ENV_VAR, current
 from repro.stats.chaos import ChaosConfig, ChaosError, maybe_net_fault
 from repro.stats.lease import (
     ChunkLease,
@@ -100,10 +101,6 @@ from repro.stats.lease import (
 )
 from repro.stats.montecarlo import TrialExecutionError
 from repro.stats.store import ResultStore
-
-#: Environment knob: run campaigns on the distributed fabric, e.g.
-#: ``REPRO_FABRIC="workers=2"`` (see :meth:`FabricExecutor.from_spec`).
-FABRIC_ENV_VAR = "REPRO_FABRIC"
 
 #: Wire protocol version, checked at handshake.
 PROTOCOL_VERSION = 1
@@ -222,7 +219,7 @@ class FabricWorker:
         self.address = address
         self.name = name or f"{socket.gethostname()}-pid{os.getpid()}"
         self.digest = digest
-        self.chaos = chaos if chaos is not None else ChaosConfig.from_env()
+        self.chaos = chaos if chaos is not None else current().chaos
         self.reconnect_base_s = reconnect_base_s
         self.reconnect_cap_s = reconnect_cap_s
         self.max_reconnects = max_reconnects
@@ -816,7 +813,13 @@ class FabricExecutor(LeaseExecutor):
     @classmethod
     def from_spec(cls, spec: Optional[str] = None,
                   **overrides) -> "FabricExecutor":
-        """Build an executor from a ``REPRO_FABRIC``-style spec string.
+        """Build an executor from a ``REPRO_FABRIC``-style spec string
+        (see :meth:`spec_fields`), ``overrides`` winning over its keys."""
+        return cls(**dict(cls.spec_fields(spec), **overrides))
+
+    @classmethod
+    def spec_fields(cls, spec: Optional[str]) -> dict:
+        """The constructor keywords a ``REPRO_FABRIC``-style spec names.
 
         Comma-separated ``key=value`` pairs: ``bind=host:port`` (default
         loopback, ephemeral port), ``workers=N`` (local fork workers; 0 =
@@ -853,14 +856,7 @@ class FabricExecutor(LeaseExecutor):
                 else:
                     raise ValueError(
                         f"unknown {FABRIC_ENV_VAR} key {key!r}")
-        fields.update(overrides)
-        return cls(**fields)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "FabricExecutor":
-        """An executor configured from ``REPRO_FABRIC`` (defaults when
-        unset/blank)."""
-        return cls.from_spec(os.environ.get(FABRIC_ENV_VAR), **overrides)
+        return fields
 
     # -- the frame's hooks ------------------------------------------------
 

@@ -35,6 +35,7 @@ import time
 import warnings
 from typing import Any, Callable, Optional, Sequence
 
+from repro.options import current
 from repro.stats.chaos import (
     FAULT_KINDS,
     NET_FAULT_KINDS,
@@ -148,7 +149,8 @@ class LeaseExecutor(Executor):
         :meth:`map_keyed`; completed leases are recorded and fsynced as
         they arrive, already-journalled keys are never recomputed.
     ``chaos``
-        fault-injection schedule (default: parsed from ``REPRO_CHAOS``).
+        fault-injection schedule (default: the run options' ``chaos``,
+        from ``REPRO_CHAOS``; see :mod:`repro.options`).
         A schedule without a ledger directory gets one allocated, so each
         fault fires once across every worker the campaign touches.
     ``max_retries``
@@ -170,7 +172,7 @@ class LeaseExecutor(Executor):
                  backoff_base_s: float = 0.25,
                  on_progress: Optional[Callable[[dict], None]] = None):
         if chaos is None:
-            chaos = ChaosConfig.from_env()
+            chaos = current().chaos
         if chaos is not None:
             if chaos.state_dir is None and any(
                     getattr(chaos, kind) > 0

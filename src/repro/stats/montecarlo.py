@@ -8,30 +8,20 @@ in isolation, and a campaign can be fanned out over workers (see
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any
 
-#: Environment knob: scale trial counts in benches without editing code.
-TRIALS_ENV_VAR = "REPRO_TRIALS"
+from repro.options import current
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2**64 / phi, the splitmix64 increment
 
 
 def default_trials(requested: int) -> int:
-    """Apply the REPRO_TRIALS override, if set (values below 1 run one
-    trial); a value that is not an integer raises a ``ValueError`` naming
-    the variable."""
-    override = os.environ.get(TRIALS_ENV_VAR, "").strip()
-    if not override:
-        return requested
-    try:
-        return max(1, int(override))
-    except ValueError:
-        raise ValueError(
-            f"{TRIALS_ENV_VAR}={override!r} is not a trial count; expected "
-            "an integer") from None
+    """Apply the run options' ``trials`` override (``REPRO_TRIALS``), if
+    set."""
+    override = current().trials
+    return requested if override is None else override
 
 
 def _mix64(value: int) -> int:

@@ -32,10 +32,6 @@ import time
 import warnings
 from typing import Any, Optional, Sequence
 
-#: Environment knob: journal campaign results under this directory and
-#: resume from any journal already there.
-RESUME_DIR_ENV_VAR = "REPRO_RESUME_DIR"
-
 #: Journal format version (header field; bumped on layout changes).
 STORE_VERSION = 1
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.options import RunOptions, current, installed
 from repro.stats.estimators import MeanEstimate, ProportionEstimate, mean_with_ci, wilson_interval
 from repro.stats.executor import Executor, SequentialExecutor
 from repro.stats.lease import LeaseExecutor
@@ -46,6 +47,9 @@ class _FlatTrial:
     and the dispatcher carries each sweep's trial function and x values,
     so a worker process can evaluate any task of any sweep in the queue.
 
+    It installs the run options current where it was built (the
+    campaign's) around each trial, so any worker runs those options.
+
     Any exception escaping the trial function is re-raised as a
     :class:`~repro.stats.montecarlo.TrialExecutionError` carrying the
     task's coordinates, so a failure anywhere in a million-trial campaign
@@ -54,12 +58,14 @@ class _FlatTrial:
 
     trial_fns: list
     xs: list
+    options: RunOptions = field(default_factory=current)
 
     def __call__(self, task) -> TrialOutcome:
         sweep_index, point_index, trial_index, seed = task
         try:
-            return self.trial_fns[sweep_index](
-                self.xs[sweep_index][point_index], seed)
+            with installed(self.options):
+                return self.trial_fns[sweep_index](
+                    self.xs[sweep_index][point_index], seed)
         except (TrialExecutionError, KeyboardInterrupt, SystemExit):
             raise
         except Exception as error:

@@ -37,7 +37,7 @@ def tiny_experiments(monkeypatch):
         fig08_failure_probability,
         fig10_master_rf_activity,
     )
-    from repro.stats.executor import JOBS_ENV_VAR
+    from repro.options import JOBS_ENV_VAR
 
     monkeypatch.setenv("REPRO_TRIALS", "2")
     # a developer's exported REPRO_JOBS would override the explicit jobs=

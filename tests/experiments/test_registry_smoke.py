@@ -17,7 +17,7 @@ must reproduce the same tables.
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.common import BIT_ACCURATE_ENV_VAR
+from repro.options import BIT_ACCURATE_ENV_VAR
 from repro.sim.soa import SlotEngine
 
 from tests.experiment_goldens import (

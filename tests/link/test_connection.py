@@ -297,6 +297,23 @@ class TestParkMode:
         expected = 1280 / 64
         assert windows <= 2.5 * expected
 
+    # the seeds at which the parked slave's queue reached the next slave
+    @pytest.mark.parametrize("seed", [81, 83, 86])
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_next_slave_on_a_parked_am_addr_gets_none_of_its_queue(
+            self, engine, seed):
+        with kernel(engine):
+            session, master, slave = connected_pair(seed=seed)
+            second = session.add_device("second")
+            master.enqueue_data(1, b"parked", PacketType.DM1)
+            params = ParkParams(beacon_interval_slots=64, pm_addr=2)
+            master.connection_master.park(1, params)
+            slave.connection_slave.enter_park(params)
+            page = session.run_page(master, second)
+            assert page.success and page.am_addr == 1
+            session.run_slots(40)
+        assert [item.payload for item in second.rx_buffer.drain()] == []
+
     def test_unpark_restores_link(self):
         session, master, slave = connected_pair(seed=54)
         master.connection_master.park(1, ParkParams(beacon_interval_slots=64, pm_addr=2))

@@ -1,8 +1,9 @@
 """Cross-validation: the statistical stage model against the real codec.
 
-DESIGN.md promises the two channel fidelity levels agree; this test flips
-real bits through the bit-accurate codec many times and compares empirical
-stage success rates with the closed-form model at the same BER.
+``SimulationConfig.bit_accurate`` picks one of two channel fidelity levels,
+which must agree; this test flips real bits through the bit-accurate codec
+many times and compares empirical stage success rates with the closed-form
+model at the same BER.
 """
 
 import numpy as np

@@ -13,8 +13,8 @@ import time
 
 import pytest
 
+from repro.options import CHAOS_ENV_VAR, RunOptions
 from repro.stats.chaos import (
-    CHAOS_ENV_VAR,
     NET_FAULT_KINDS,
     ChaosConfig,
     ChaosError,
@@ -27,13 +27,13 @@ from repro.stats.lease import LeaseExecutor
 class TestFromEnv:
     def test_unset_or_blank_disables_chaos(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
-        assert ChaosConfig.from_env() is None
+        assert RunOptions.from_env().chaos is None
         monkeypatch.setenv(CHAOS_ENV_VAR, "   ")
-        assert ChaosConfig.from_env() is None
-        assert ChaosConfig.from_env("") is None
+        assert RunOptions.from_env().chaos is None
+        assert ChaosConfig.from_spec("") is None
 
     def test_parses_all_keys(self):
-        config = ChaosConfig.from_env(
+        config = ChaosConfig.from_spec(
             "seed=0x2a, crash=0.05, hang=0.1, exc=0.2, hang_s=1.5, state=/tmp/x")
         assert config == ChaosConfig(seed=42, crash=0.05, hang=0.1, exc=0.2,
                                      hang_s=1.5, state_dir="/tmp/x")
@@ -41,11 +41,11 @@ class TestFromEnv:
     def test_unknown_key_rejected_loudly(self):
         # a typo silently disabling chaos would defeat the harness
         with pytest.raises(ValueError, match="unknown"):
-            ChaosConfig.from_env("seed=1,crsh=0.5")
+            ChaosConfig.from_spec("seed=1,crsh=0.5")
 
     def test_malformed_entry_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
-            ChaosConfig.from_env("crash")
+            ChaosConfig.from_spec("crash")
 
     def test_executor_resolves_the_schedule_from_env(self, monkeypatch,
                                                      tmp_path):
@@ -154,8 +154,8 @@ class TestNetSchedule:
         net = config.net_schedule(self.SEEDS)
         assert set(process) != set(net)
 
-    def test_from_env_parses_net_keys(self):
-        config = ChaosConfig.from_env(
+    def test_from_spec_parses_net_keys(self):
+        config = ChaosConfig.from_spec(
             "seed=3,drop=0.1,blackhole=0.05,dup=0.02,delay=0.01,"
             "blackhole_s=0.8,delay_s=0.2")
         assert config == ChaosConfig(seed=3, drop=0.1, blackhole=0.05,

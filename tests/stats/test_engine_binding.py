@@ -16,11 +16,8 @@ import pickle
 
 import pytest
 
-from repro.experiments.common import (
-    BIT_ACCURATE_ENV_VAR,
-    map_points,
-    run_sweep,
-)
+from repro.experiments.common import map_points, run_sweep
+from repro.options import BIT_ACCURATE_ENV_VAR
 from repro.stats.montecarlo import TrialOutcome
 from repro.stats.store import ResultStore, SpecMismatchError, campaign_digest
 from repro.stats.sweep import Sweep, campaign_spec

@@ -26,11 +26,16 @@ from repro.experiments import (
     fig08_failure_probability,
     run_experiment,
 )
-from repro.experiments.common import PROGRESS_ENV_VAR, _campaign_executor
-from repro.stats.chaos import CHAOS_ENV_VAR
+from repro.experiments.common import _campaign_executor
+from repro.options import (
+    CHAOS_ENV_VAR,
+    FABRIC_ENV_VAR,
+    JOBS_ENV_VAR,
+    PROGRESS_ENV_VAR,
+)
 from repro.stats.estimators import mean_with_ci, wilson_interval
-from repro.stats.executor import JOBS_ENV_VAR, SequentialExecutor, default_jobs
-from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
+from repro.stats.executor import SequentialExecutor, default_jobs
+from repro.stats.fabric import FabricExecutor
 from repro.stats.lease import LeaseExecutor
 from repro.stats.montecarlo import MASK64, TrialOutcome, derive_seed
 from repro.stats.sweep import (

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.options import RunOptions
 from repro.stats.chaos import ChaosConfig
 from repro.stats.fabric import (
     FABRIC_ENV_VAR,
@@ -259,7 +260,7 @@ class TestFromSpec:
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv(FABRIC_ENV_VAR, "workers=3,chunk=2")
-        executor = FabricExecutor.from_env()
+        executor = FabricExecutor.from_spec(RunOptions.from_env().fabric)
         assert executor.workers == 3
         assert executor.chunk_size == 2
 

@@ -265,7 +265,7 @@ def test_changed_campaign_spec_refuses_stale_journal(
 
 def test_resume_env_var_activates_journalling(tiny_experiments, monkeypatch,
                                               tmp_path):
-    from repro.stats.store import RESUME_DIR_ENV_VAR
+    from repro.options import RESUME_DIR_ENV_VAR
 
     monkeypatch.setenv("REPRO_TRIALS", "1")
     monkeypatch.setenv(RESUME_DIR_ENV_VAR, str(tmp_path / "journals"))

@@ -1,20 +1,34 @@
 """The python -m repro command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.common import (
+from repro.api import Session
+from repro.experiments import fig07_page_ber
+from repro.options import (
+    BIT_ACCURATE_ENV_VAR,
+    FABRIC_ENV_VAR,
+    JOBS_ENV_VAR,
     PROGRESS_ENV_VAR,
+    RESUME_DIR_ENV_VAR,
     TIMELINE_DIR_ENV_VAR,
-    timeline_dir,
+    TRIALS_ENV_VAR,
+    RunOptions,
 )
-from repro.stats.fabric import FABRIC_ENV_VAR, FabricExecutor
+from repro.stats.fabric import FabricExecutor
 from repro.stats.montecarlo import TrialOutcome
-from repro.stats.store import RESUME_DIR_ENV_VAR, ResultStore
+from repro.stats.store import ResultStore
+from repro.stats.sweep import Sweep
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCli:
@@ -52,6 +66,10 @@ class TestCli:
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    # fig05, fig09 and ext_power run no campaign: they used to build and
+    # run their worlds under any of these values
+    @pytest.mark.parametrize("experiment",
+                             ["fig07", "fig05", "fig09", "ext_power"])
     @pytest.mark.parametrize("variable, value", [
         ("REPRO_JOBS", "two"),
         ("REPRO_TRIALS", "lots"),
@@ -62,9 +80,10 @@ class TestCli:
         ("REPRO_TIMELINE_DIR", "a-file"),
     ])
     def test_bad_env_value_fails_before_any_journal(
-            self, variable, value, monkeypatch, tmp_path):
+            self, variable, value, experiment, monkeypatch, tmp_path):
         """A malformed REPRO_* value stops the run with a ValueError that
-        names the variable, before any journal is bound to it."""
+        names the variable, before any journal is bound to it and before
+        any world is built."""
         monkeypatch.setenv("REPRO_RESUME_DIR", str(tmp_path / "journals"))
         if variable == "REPRO_TIMELINE_DIR":
             # a path that exists and is not a directory
@@ -72,22 +91,18 @@ class TestCli:
             path.write_text("")
             value = str(path)
         monkeypatch.setenv(variable, value)
+        built = []
+        init = Session.__init__
+
+        def spy(session, *args, **kwargs):
+            built.append(session)
+            init(session, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "__init__", spy)
         with pytest.raises(ValueError, match=variable):
-            main(["run", "fig07", "--trials", "1"])
+            main(["run", experiment, "--trials", "1"])
         assert not list(tmp_path.rglob("*.jsonl"))
-
-
-@pytest.fixture
-def flag_env(monkeypatch):
-    """``main`` hands --resume-dir, --fabric and --progress to every
-    experiment through the environment.  Record and clear the three
-    variables (a bare ``delenv`` of an unset variable records nothing), so
-    monkeypatch undoes those writes after the test."""
-    for variable in (RESUME_DIR_ENV_VAR, FABRIC_ENV_VAR, PROGRESS_ENV_VAR):
-        monkeypatch.setenv(variable, "")
-        monkeypatch.delenv(variable)
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_TRIALS", raising=False)
+        assert not built
 
 
 def _table(text: str) -> list[str]:
@@ -97,24 +112,41 @@ def _table(text: str) -> list[str]:
 
 FIG07 = ["run", "fig07", "--trials", "1"]
 
+#: The variables of main's ``--resume-dir``, ``--fabric`` and
+#: ``--progress``: a flag wins over its variable and sets none of them.
+FLAG_VARIABLES = (RESUME_DIR_ENV_VAR, FABRIC_ENV_VAR, PROGRESS_ENV_VAR)
+
+
+def _main(argv: list[str], monkeypatch) -> int:
+    """``main(argv)`` in an environment without the flag variables,
+    ``REPRO_JOBS`` and ``REPRO_TRIALS``; asserts that it writes none of
+    the flag variables."""
+    for variable in FLAG_VARIABLES + (JOBS_ENV_VAR, TRIALS_ENV_VAR):
+        monkeypatch.delenv(variable, raising=False)
+    status = main(argv)
+    assert [v for v in FLAG_VARIABLES if v in os.environ] == []
+    return status
+
 
 class TestCliFlags:
     def test_resume_dir_serves_a_rerun_from_the_journal(
-            self, flag_env, capsys, tmp_path):
+            self, monkeypatch, capsys, tmp_path):
         journals = tmp_path / "journals"
-        assert main(FIG07 + ["--resume-dir", str(journals)]) == 0
+        assert _main(FIG07 + ["--resume-dir", str(journals)],
+                     monkeypatch) == 0
         first = capsys.readouterr().out
         (journal,) = journals.glob("*.jsonl")
         written = journal.read_bytes()
         assert len(written.splitlines()) > 1  # a header and the trials
-        assert main(FIG07 + ["--resume-dir", str(journals)]) == 0
+        assert _main(FIG07 + ["--resume-dir", str(journals)],
+                     monkeypatch) == 0
         assert _table(capsys.readouterr().out) == _table(first)
         assert journal.read_bytes() == written  # no trial ran again
 
-    def test_fabric_prints_the_sequential_table(self, flag_env, capsys):
-        assert main(FIG07) == 0
+    def test_fabric_prints_the_sequential_table(self, monkeypatch, capsys):
+        assert _main(FIG07, monkeypatch) == 0
         sequential = capsys.readouterr().out
-        assert main(FIG07 + ["--fabric", "workers=2"]) == 0
+        assert _main(FIG07 + ["--fabric", "workers=2"], monkeypatch) == 0
         assert _table(capsys.readouterr().out) == _table(sequential)
 
     @pytest.mark.parametrize("flag, lines", [
@@ -122,8 +154,8 @@ class TestCliFlags:
         (["--progress", "0"], 0),  # 0 turns the line off
         (["--progress"], 1),  # every second
     ], ids=["1", "0", "bare"])
-    def test_progress_line_on_stderr(self, flag, lines, flag_env, capsys):
-        assert main(FIG07 + flag) == 0
+    def test_progress_line_on_stderr(self, flag, lines, monkeypatch, capsys):
+        assert _main(FIG07 + flag, monkeypatch) == 0
         final = [line for line in capsys.readouterr().err.splitlines()
                  if re.match(r"\[repro\] (\d+)/\1 trials", line)]
         assert len(final) == lines
@@ -180,17 +212,19 @@ def _double(task):
 TASKS = [(0, 0, trial, trial) for trial in range(6)]
 
 
+def _double_tasks(executor):
+    return executor.map_keyed(_double, TASKS, TASKS)
+
+
 class TestFabricWorkerCommand:
     """``python -m repro fabric-worker`` against a coordinator that
     serves external workers only."""
 
-    def _serve(self, results):
+    def _serve(self, results, campaign=_double_tasks):
         executor = FabricExecutor(workers=0, chaos=None, chunk_size=2,
                                   spec_digest="campaign-a")
         runner = threading.Thread(
-            target=lambda: results.append(
-                executor.map_keyed(_double, TASKS, TASKS)),
-            daemon=True)
+            target=lambda: results.append(campaign(executor)), daemon=True)
         runner.start()
         deadline = time.monotonic() + 5.0
         while executor.last_address is None \
@@ -221,6 +255,36 @@ class TestFabricWorkerCommand:
         runner.join(timeout=30.0)
         assert results == [[0, 2, 4, 6, 8, 10]]
 
+    def test_worker_runs_the_campaign_channel_mode(self, monkeypatch):
+        """A worker started without the coordinator's REPRO_BIT_ACCURATE
+        runs the campaign's bit-accurate trials, not its own statistical
+        ones: the options travel with the trials."""
+        xs = [(1 / 50, "1/50"), (1 / 30, "1/30")]
+
+        def outcomes(executor=None):
+            sweep = Sweep(master_seed=2, trials_per_point=2)
+            return [point.extra for point in sweep.run(
+                xs, fig07_page_ber.run_trial, executor=executor)]
+
+        monkeypatch.delenv(BIT_ACCURATE_ENV_VAR, raising=False)
+        statistical = outcomes()
+        monkeypatch.setenv(BIT_ACCURATE_ENV_VAR, "1")
+        bit_accurate = outcomes()
+        assert bit_accurate != statistical
+        results = []
+        runner, address = self._serve(results, outcomes)
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        worker = subprocess.run(
+            [sys.executable, "-m", "repro", "fabric-worker", address],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert worker.returncode == 0, worker.stderr
+        assert re.search(r"[1-9]\d* leases completed", worker.stdout)
+        runner.join(timeout=30.0)
+        assert not runner.is_alive()
+        assert results == [bit_accurate]
+
 
 class TestTimelineDir:
     @pytest.mark.parametrize("value", ["", "  ", "missing", "directory"])
@@ -230,10 +294,9 @@ class TestTimelineDir:
         (tmp_path / "directory").mkdir()
         path = str(tmp_path / value) if value.strip() else value
         monkeypatch.setenv(TIMELINE_DIR_ENV_VAR, path)
-        assert timeline_dir() == (path.strip() or None)
+        assert RunOptions.from_env().timeline_dir == (path.strip() or None)
 
-    def test_a_file_fails_before_any_trial_runs(self, flag_env, monkeypatch,
-                                                tmp_path, capsys):
+    def test_a_file_fails_before_any_trial_runs(self, monkeypatch, tmp_path):
         # the parent ran ext_afh's trials on two workers and ended in a
         # TrialExecutionError around the archive's FileExistsError
         path = tmp_path / "a-file"
